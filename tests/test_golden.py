@@ -1,0 +1,77 @@
+"""Golden report corpus: every verb's report pinned byte for byte.
+
+Each case runs the CLI in-process through `click.testing.CliRunner`, with
+the working directory at the repository root and fixture paths relative to
+it, so the echoed `inputs` are the same on every checkout. Stdout, stderr
+and the exit code must match exactly.
+
+The files under `tests/golden/` were produced by the same invocation as
+`_invoke` below: `<name>.stdout` holds `result.stdout_bytes` and
+`<name>.stderr` holds `result.stderr_bytes`, written unchanged. They were
+recorded before the sparse-type and verb-wrapper refactors and are meant to
+stay unchanged by refactors; a report that changes on purpose comes with
+its new file in the same commit. LP jobs are left out (9 s or more each).
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from unclab.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+INST = "tests/fixtures/norm_summing4.json"
+
+CASES = [
+    ("bracket_dp", 0, ["bracket", "tests/fixtures/resolution_r.json",
+                       "tests/fixtures/resolution_s.json"]),
+    ("bracket_mutual", 0, ["bracket", "tests/fixtures/resolution_r.json",
+                           "tests/fixtures/resolution_s.json", "--mutual"]),
+    ("rademacher_json", 0, ["rademacher", "--k0", "2", "--m", "3", "--n", "1",
+                            "--auto-ns"]),
+    ("rademacher_table", 0, ["rademacher", "--k0", "2", "--m", "3", "--n", "1",
+                             "--auto-ns", "--table"]),
+    ("chain", 0, ["chain", "--patterns", "tests/fixtures/patterns.json",
+                  "--k", "2"]),
+    ("norm", 0, ["norm", "--instance", INST,
+                 "--vector", "tests/fixtures/vector_a.json"]),
+    ("constant_c_uncond", 0, ["constant", "--instance", INST,
+                              "--mode", "C_uncond", "--step", "1/2"]),
+    ("constant_bou", 0, ["constant", "--instance", INST, "--mode", "BOU",
+                         "--D", "2", "--d", "1", "--step", "1/2"]),
+    ("elton", 0, ["elton", "--n1", "1", "--n2", "8", "--K", "4",
+                  "--eps", "13/100"]),
+    ("quasi_dp", 0, ["quasi", "--n1", "1", "--n2", "8", "--K", "4",
+                     "--eps", "13/100", "--alpha", "1/2"]),
+    ("mr_demo", 0, ["mr-demo", "--family", "tests/fixtures/mr_family.json",
+                    "--k", "4", "--seed", "0"]),
+    ("match_exhaustive", 0, ["match", "--maps", "tests/fixtures/map_family_a.json",
+                             "--universe", "12", "--horizon", "4"]),
+    ("match_random", 0, ["match", "--maps", "tests/fixtures/map_family_b.json",
+                         "--universe", "12", "--horizon", "4",
+                         "--strategy", "random", "--seed", "5"]),
+    ("hereditary_weakly", 0, ["hereditary", "--universe", "12",
+                              "--mode", "weakly"]),
+    ("error_missing_file", 2, ["bracket", "tests/fixtures/no_such_file.json",
+                               "tests/fixtures/resolution_s.json"]),
+    ("error_k_without_delta", 1, ["constant", "--instance", INST,
+                                  "--mode", "K"]),
+]
+
+
+def _invoke(args, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("UNCLAB_CAPS", raising=False)
+    return CliRunner().invoke(main, args, prog_name="unclab",
+                              catch_exceptions=False)
+
+
+@pytest.mark.parametrize("name,exit_code,args", CASES,
+                         ids=[c[0] for c in CASES])
+def test_golden_report(name, exit_code, args, monkeypatch):
+    result = _invoke(args, monkeypatch)
+    assert result.exit_code == exit_code
+    assert result.stdout_bytes == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert result.stderr_bytes == (GOLDEN / f"{name}.stderr").read_bytes()
