@@ -11,11 +11,11 @@ from .elton import (EltonLayout, EltonParams, LayoutVector,
                     k_lower_certificate, layout_norm, max_over_functionals,
                     quasi_case_bounds, quasi_certificate, structured_dp,
                     validate_params)
-from .errors import (DomainError, MissingInputError, RationalFormatError,
-                     SchemaError, SizeError, UnclabError)
+from .errors import (DomainError, InternalError, MissingInputError,
+                     RationalFormatError, SchemaError, SizeError, UnclabError)
 from .mrdemo import coded_norm_instance, mr_demo, special_sequence
 from .norms import (Certificate, Functional, NormInstance, SparseVector,
-                    build_standard, dual_certificate, eval_norm, projected)
+                    build_standard, dual_certificate, eval_norm)
 from .ramsey import (ColourFamily, MatchingWitness, PrefixContinuousMap,
                      is_initial_segment, make_pattern, matching_from_map,
                      remark_family, restrict_pattern, search_matching,

@@ -6,7 +6,7 @@ opt-in through --timing because reports must be byte-stable across runs.
 
 Exit codes: 0 success, 1 domain/size errors, 2 missing inputs (shared with
 the argument parser's own usage failures), 3 malformed rationals, 4 schema
-errors in input documents.
+errors in input documents, 5 internal invariant failures.
 """
 
 from __future__ import annotations
@@ -39,24 +39,37 @@ def _echo_json(data) -> None:
     click.echo(ser.dump_json(data), nl=False)
 
 
-def _finish(verb: str, inputs: dict, out: dict, timing: bool, t0: float) -> None:
-    report = {"verb": verb, "version": __version__, "inputs": inputs, **out}
-    if timing:
-        report["wall_ms"] = int((time.monotonic() - t0) * 1000)
-    _echo_json(report)
+def verb(fn):
+    """Wrap a verb body: adds --timing, prints the report, maps errors.
 
-
-def handle_errors(fn):
+    The body returns (inputs, out), which becomes the report together with
+    the verb's name and the package version, or None when it has printed
+    text itself. --timing adds the wall-clock time in milliseconds to
+    either. An UnclabError prints as JSON on stderr and exits with the
+    error's exit code.
+    """
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(timing, **kwargs):
+        t0 = time.monotonic()
         try:
-            return fn(*args, **kwargs)
+            result = fn(**kwargs)
+            wall_ms = int((time.monotonic() - t0) * 1000)
+            if result is None:
+                if timing:
+                    click.echo(f"wall_ms            {wall_ms}")
+                return
+            inputs, out = result
+            report = {"verb": click.get_current_context().info_name,
+                      "version": __version__, "inputs": inputs, **out}
+            if timing:
+                report["wall_ms"] = wall_ms
+            _echo_json(report)
         except UnclabError as e:
             click.echo(ser.dump_json({"error": str(e),
                                       "kind": type(e).__name__}),
                        nl=False, err=True)
             sys.exit(e.exit_code)
-    return wrapper
+    return click.option("--timing", is_flag=True)(wrapper)
 
 
 def _align_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -82,11 +95,9 @@ def main():
 @click.argument("right_path", metavar="RIGHT", type=click.Path())
 @click.option("--method", type=click.Choice(["dp", "brute"]), default="dp")
 @click.option("--mutual", is_flag=True, help="symmetrized value")
-@click.option("--timing", is_flag=True)
-@handle_errors
-def bracket_cmd(left_path, right_path, method, mutual, timing):
+@verb
+def bracket_cmd(left_path, right_path, method, mutual):
     """Weighted matching value of two resolutions."""
-    t0 = time.monotonic()
     r = ser.load_resolution(ser.read_json_file(left_path), "left")
     s = ser.load_resolution(ser.read_json_file(right_path), "right")
     inputs = {"left": left_path, "right": right_path, "mutual": mutual}
@@ -100,7 +111,7 @@ def bracket_cmd(left_path, right_path, method, mutual, timing):
         value, wit = bracket(r, s, method)
         out = {"value": value, "witness": [list(p) for p in wit]}
     out["method"] = method
-    _finish("bracket", inputs, out, timing, t0)
+    return inputs, out
 
 
 @main.command()
@@ -112,11 +123,9 @@ def bracket_cmd(left_path, right_path, method, mutual, timing):
 @click.option("--auto-ns", is_flag=True,
               help="greedy minimal multiplicities for this k0")
 @click.option("--table", "as_table", is_flag=True)
-@click.option("--timing", is_flag=True)
-@handle_errors
-def rademacher(k0, m, n, ns_text, auto_ns, as_table, timing):
+@verb
+def rademacher(k0, m, n, ns_text, auto_ns, as_table):
     """Pairwise interaction table for a Rademacher-class family."""
-    t0 = time.monotonic()
     if (ns_text is None) == (not auto_ns):
         raise DomainError("give exactly one of --ns or --auto-ns")
     if auto_ns:
@@ -150,21 +159,16 @@ def rademacher(k0, m, n, ns_text, auto_ns, as_table, timing):
         click.echo(f"same-level bound   {out['bound_same_level']}")
         if out["bound_cross_levels"] is not None:
             click.echo(f"cross-level bound  {out['bound_cross_levels']}")
-        if timing:
-            click.echo(f"wall_ms            {int((time.monotonic() - t0) * 1000)}")
-        return
-    _finish("rademacher", {"k0": k0, "m": m, "n": n, "ns": list(ns)},
-            out, timing, t0)
+        return None
+    return {"k0": k0, "m": m, "n": n, "ns": list(ns)}, out
 
 
 @main.command()
 @click.option("--patterns", "patterns_path", required=True, type=click.Path())
 @click.option("--k", type=int, required=True)
-@click.option("--timing", is_flag=True)
-@handle_errors
-def chain(patterns_path, k, timing):
+@verb
+def chain(patterns_path, k):
     """Longest embedding chain among colour patterns."""
-    t0 = time.monotonic()
     data = ser.read_json_file(patterns_path)
     if not isinstance(data, list):
         raise ser.SchemaError("patterns: expected a list of colour lists")
@@ -174,25 +178,22 @@ def chain(patterns_path, k, timing):
     out = {"count": len(patterns), "length": len(indices),
            "chain": indices,
            "chain_patterns": [list(patterns[i]) for i in indices]}
-    _finish("chain", {"patterns": patterns_path, "k": k}, out, timing, t0)
+    return {"patterns": patterns_path, "k": k}, out
 
 
 @main.command()
 @click.option("--instance", "instance_path", required=True, type=click.Path())
 @click.option("--vector", "vector_path", required=True, type=click.Path())
-@click.option("--timing", is_flag=True)
-@handle_errors
-def norm(instance_path, vector_path, timing):
+@verb
+def norm(instance_path, vector_path):
     """Evaluate an instance norm on a vector, with the attaining functional."""
-    t0 = time.monotonic()
     inst = ser.load_norm_instance(ser.read_json_file(instance_path))
     v = ser.load_sparse_vector(ser.read_json_file(vector_path))
     value = eval_norm(inst, v)
     out = {"value": value, "dim": inst.dim,
            "projection_class": _SHORT_CLASS[inst.projection_class],
            "certificate": dual_certificate(inst, v)}
-    _finish("norm", {"instance": instance_path, "vector": vector_path},
-            out, timing, t0)
+    return {"instance": instance_path, "vector": vector_path}, out
 
 
 @main.command()
@@ -204,12 +205,10 @@ def norm(instance_path, vector_path, timing):
 @click.option("--order", type=int, default=None)
 @click.option("--method", type=click.Choice(["grid", "lp"]), default="grid")
 @click.option("--step", "step_text", default="1/8")
-@click.option("--timing", is_flag=True)
-@handle_errors
+@verb
 def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
-             order, method, step_text, timing):
+             order, method, step_text):
     """Extremal constant of an instance norm in the given mode."""
-    t0 = time.monotonic()
     inst = ser.load_norm_instance(ser.read_json_file(instance_path))
     query = ConstantQuery(
         mode=mode,
@@ -223,7 +222,7 @@ def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
                               step=parse_rational(step_text))
     inputs = {"instance": instance_path, "mode": mode, "method": method_name,
               "step": parse_rational(step_text)}
-    _finish("constant", inputs, dict(ser.to_jsonable(report)), timing, t0)
+    return inputs, dict(ser.to_jsonable(report))
 
 
 @main.command()
@@ -233,18 +232,15 @@ def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
 @click.option("--eps", "eps_text", required=True)
 @click.option("--m1", type=int, default=1)
 @click.option("--m2", type=int, default=2)
-@click.option("--timing", is_flag=True)
-@handle_errors
-def elton(n1, n2, big_k, eps_text, m1, m2, timing):
+@verb
+def elton(n1, n2, big_k, eps_text, m1, m2):
     """Certified norm-ratio lower bound for a two-scale layout."""
-    t0 = time.monotonic()
     eps = parse_rational(eps_text)
     p = EltonParams(n1, n2, big_k, eps, m1, m2)
     cert = k_lower_certificate(p)
     out = dict(cert)
     out["ratio"] = cert["ratio_case"]
-    _finish("elton", {"n1": n1, "n2": n2, "K": big_k, "eps": eps,
-                      "m1": m1, "m2": m2}, out, timing, t0)
+    return {"n1": n1, "n2": n2, "K": big_k, "eps": eps, "m1": m1, "m2": m2}, out
 
 
 @main.command()
@@ -255,33 +251,28 @@ def elton(n1, n2, big_k, eps_text, m1, m2, timing):
 @click.option("--alpha", "alpha_text", required=True)
 @click.option("--m1", type=int, default=1)
 @click.option("--m2", type=int, default=2)
-@click.option("--timing", is_flag=True)
-@handle_errors
-def quasi(n1, n2, big_k, eps_text, alpha_text, m1, m2, timing):
+@verb
+def quasi(n1, n2, big_k, eps_text, alpha_text, m1, m2):
     """Quasi-variant certificate with the threshold-projection diagnosis."""
-    t0 = time.monotonic()
     eps = parse_rational(eps_text)
     alpha = parse_rational(alpha_text)
     p = EltonParams(n1, n2, big_k, eps, m1, m2)
     cert = quasi_certificate(p, alpha)
     out = dict(cert)
     out["ratio"] = cert["ratio_lower"]
-    _finish("quasi", {"n1": n1, "n2": n2, "K": big_k, "eps": eps,
-                      "alpha": alpha, "m1": m1, "m2": m2}, out, timing, t0)
+    return {"n1": n1, "n2": n2, "K": big_k, "eps": eps, "alpha": alpha,
+            "m1": m1, "m2": m2}, out
 
 
 @main.command("mr-demo")
 @click.option("--family", "family_path", required=True, type=click.Path())
 @click.option("--k", type=int, required=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--timing", is_flag=True)
-@handle_errors
-def mr_demo_cmd(family_path, k, seed, timing):
+@verb
+def mr_demo_cmd(family_path, k, seed):
     """Exploratory alternating-sum demo over a placed special sequence."""
-    t0 = time.monotonic()
     family = ser.load_resolution_list(ser.read_json_file(family_path))
-    _finish("mr-demo", {"family": family_path, "k": k, "seed": seed},
-            mr_demo(family, k, seed), timing, t0)
+    return {"family": family_path, "k": k, "seed": seed}, mr_demo(family, k, seed)
 
 
 @main.command()
@@ -294,11 +285,9 @@ def mr_demo_cmd(family_path, k, seed, timing):
               default="exhaustive")
 @click.option("--seed", type=int, default=None)
 @click.option("--budget", type=int, default=200_000)
-@click.option("--timing", is_flag=True)
-@handle_errors
-def match(maps_path, universe, horizon, strategy, seed, budget, timing):
+@verb
+def match(maps_path, universe, horizon, strategy, seed, budget):
     """Search a universe for a matched pair under a prefix-determined map."""
-    t0 = time.monotonic()
     if strategy == "random" and seed is None:
         raise MissingInputError("--seed is required for the random strategy")
     pmap = ser.load_prefix_map(ser.read_json_file(maps_path))
@@ -307,7 +296,7 @@ def match(maps_path, universe, horizon, strategy, seed, budget, timing):
     inputs = {"maps": maps_path, "universe": universe, "strategy": strategy}
     if seed is not None:
         inputs["seed"] = seed
-    _finish("match", inputs, result, timing, t0)
+    return inputs, result
 
 
 @main.command()
@@ -323,12 +312,10 @@ def match(maps_path, universe, horizon, strategy, seed, budget, timing):
 @click.option("--min-size", type=int, default=8,
               help="minimum size of sampled restriction sets")
 @click.option("--seed", type=int, default=None)
-@click.option("--timing", is_flag=True)
-@handle_errors
+@verb
 def hereditary(universe, m1, m2, mode, restrict_text, samples, min_size,
-               seed, timing):
+               seed):
     """Hereditariness of colour-pattern family restrictions."""
-    t0 = time.monotonic()
     family = remark_family(universe, m1, m2)
     inputs = {"universe": universe, "m1": m1, "m2": m2, "mode": mode}
     out = {"family_size": len(family.members)}
@@ -356,7 +343,7 @@ def hereditary(universe, m1, m2, mode, restrict_text, samples, min_size,
         out["all_fail"] = all(r["hereditary"] is False for r in runs)
     else:
         out.update(weakly_hereditary(family, None, mode=mode))
-    _finish("hereditary", inputs, out, timing, t0)
+    return inputs, out
 
 
 if __name__ == "__main__":

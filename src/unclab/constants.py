@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .caps import check_cap, load_caps
-from .errors import DomainError
-from .norms import Functional, NormInstance, SparseVector, eval_norm
+from .errors import DomainError, InternalError
+from .norms import NormInstance, SparseVector, _subsets, eval_norm
 from .schreier import SchreierDecomposition, oscillation, schreier_decompose, schreier_member
 
 MODES = ("K", "Kprime", "L", "Lprime", "A", "C_uncond",
@@ -86,13 +86,6 @@ class ConstantReport:
     value_upper: Fraction | None
     witness: ConstantWitness | None
     details: dict = field(default_factory=dict)
-
-
-def _subsets(base: tuple[int, ...]):
-    # ascending bitmask order over the given base tuple
-    n = len(base)
-    for mask in range(1 << n):
-        yield tuple(base[i] for i in range(n) if mask >> i & 1)
 
 
 def _kstar_denominator(inst: NormInstance, a: SparseVector) -> Fraction:
@@ -198,33 +191,24 @@ def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> Co
 
 # ---------------------------------------------------------------- LP method
 
-def _linear_pieces(inst: NormInstance) -> list[dict[int, Fraction]]:
-    """All linear forms whose max is the instance norm (negations included)."""
-    pieces: dict[tuple, dict[int, Fraction]] = {}
-
-    def add(form: dict[int, Fraction]):
-        form = {i: c for i, c in form.items() if c != 0}
-        key = tuple(sorted(form.items()))
-        if key and key not in pieces:
-            pieces[key] = form
-
+def _linear_pieces(inst: NormInstance):
+    """Linear forms whose max is the instance norm (negations included),
+    possibly repeated; `_dedupe_forms` keeps the first of each."""
     for f in inst.functionals:
         if inst.projection_class == "initial_segments":
             for t in range(1, inst.dim + 1):
-                add({i: c for i, c in f.entries if i <= t})
+                yield {i: c for i, c in f.entries if i <= t}
         elif inst.projection_class == "intervals":
             for s in range(1, inst.dim + 1):
                 for t in range(s, inst.dim + 1):
-                    add({i: c for i, c in f.entries if s <= i <= t})
+                    yield {i: c for i, c in f.entries if s <= i <= t}
         else:
             for E in _subsets(f.support):
-                keep = set(E)
-                add({i: c for i, c in f.entries if i in keep})
+                yield dict(f.restrict(E).entries)
     if inst.include_sup:
         for i in range(1, inst.dim + 1):
-            add({i: Fraction(1)})
-            add({i: Fraction(-1)})
-    return list(pieces.values())
+            yield {i: Fraction(1)}
+            yield {i: Fraction(-1)}
 
 
 def _restrict_form(form: dict[int, Fraction], E) -> dict[int, Fraction]:
@@ -311,7 +295,7 @@ class _LPSolver:
                                   "instance norm is not definite here")
             t = num_val / den_val
             best_point = a_point
-        raise AssertionError("dinkelbach failed to converge")
+        raise InternalError("dinkelbach failed to converge")
 
 
 def _lp_cells(inst: NormInstance, query: ConstantQuery, pieces):
@@ -373,7 +357,7 @@ def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
     if query.mode in GRID_ONLY:
         raise DomainError(f"mode {query.mode} supports the grid method only")
     solver = _LPSolver(inst.dim)
-    pieces = _linear_pieces(inst)
+    pieces = _dedupe_forms(_linear_pieces(inst))
     den_forms = pieces
     if query.mode == "Kstar":
         den_forms = _dedupe_forms(dict(f.entries) for f in inst.functionals)

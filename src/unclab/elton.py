@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .caps import check_cap, load_caps
-from .errors import DomainError, SizeError
+from .errors import DomainError, InternalError, SizeError
 from .norms import SparseVector
 
 TWO = Fraction(2)
@@ -91,12 +91,17 @@ class EltonLayout:
                 yield c
 
 
+def _n_slots(p: EltonParams, m2: int) -> int:
+    """Slots of a layout whose finer scale is m2 (the universe is this + 2)."""
+    return (p.n1 + p.n2) * 2 ** (p.K * m2 - 1)
+
+
 def build_layout(p: EltonParams, m1: int | None = None, m2: int | None = None) -> EltonLayout:
     m1 = p.m1 if m1 is None else m1
     m2 = p.m2 if m2 is None else m2
     if not (1 <= m1 < m2):
         raise DomainError("need 1 <= m1 < m2")
-    n_slots = (p.n1 + p.n2) * 2 ** (p.K * m2 - 1)
+    n_slots = _n_slots(p, m2)
     universe = n_slots + 2
     check_cap(universe, load_caps().layout_universe, "layout universe")
     i_len = p.n1 * 2 ** (p.K * (m2 - m1))
@@ -104,8 +109,8 @@ def build_layout(p: EltonParams, m1: int | None = None, m2: int | None = None) -
     rounds = 2 ** (p.K * m1 - 1)
     e1_size = p.n1 * 2 ** (p.K * m2 - 1)
     e2_size = p.n2 * 2 ** (p.K * m2 - 1)
-    assert rounds * (i_len + j_len) == n_slots
-    assert rounds * i_len == e1_size and rounds * j_len == e2_size
+    if rounds * i_len != e1_size or rounds * j_len != e2_size:
+        raise InternalError("layout rounds do not tile E1 and E2")
     return EltonLayout(
         params=p, universe=universe, n_slots=n_slots, rounds=rounds,
         i_len=i_len, j_len=j_len,
@@ -244,8 +249,7 @@ def _slot_value_list(p: EltonParams, a: int, b: int, count: int) -> list[Fractio
     u2 = Fraction(1, p.n2 * 2 ** (p.K * b - 1))
     i_len = p.n1 * 2 ** (p.K * (b - a))
     j_len = p.n2 * 2 ** (p.K * (b - a))
-    total = (p.n1 + p.n2) * 2 ** (p.K * b - 1)
-    count = min(count, total)
+    count = min(count, _n_slots(p, b))
     out: list[Fraction] = []
     while len(out) < count:
         take = min(i_len, count - len(out))
@@ -317,9 +321,18 @@ def brute_miniature(layout: EltonLayout, v) -> tuple[Fraction, dict]:
 
 # ------------------------------------------------------------ structured dp
 
-def _common_denom(slots: list[Fraction], values: list[Fraction]) -> int:
-    denoms = {x.denominator for x in slots} | {x.denominator for x in values}
-    return lcm(*denoms) if denoms else 1
+def _scaled_block(p: EltonParams, sv: list[Fraction], a: int, b: int):
+    """Shape (a, b)'s slot values for the coordinates above b, and those
+    slots and coordinate values as integers over one common denominator.
+
+    Returns (slots, slot_nums, val_nums, denom); a slot times a value then
+    carries the denominator denom^2.
+    """
+    values = sv[b + 1:]
+    slots = _slot_value_list(p, a, b, len(values))
+    denom = lcm(*{x.denominator for x in slots}, *{x.denominator for x in values})
+    return (slots, [int(x * denom) for x in slots],
+            [int(x * denom) for x in values], denom)
 
 
 def _block_max_int(slot_nums: list[int], val_nums: list[int],
@@ -365,7 +378,7 @@ def _backtrack_assignment(slot_nums, val_nums, M_final, table, coords_base):
             continue
         prev = table[ci][j - 1]
         if prev is None or prev + slot_nums[j - 1] * val_nums[ci] != cur:
-            raise AssertionError("dp backtrack lost the optimal path")
+            raise InternalError("dp backtrack lost the optimal path")
         assignment.append((j, coords_base + ci))
         cur = prev
         j -= 1
@@ -443,17 +456,12 @@ def structured_dp(layout: EltonLayout, v, want_witness: bool = True,
                 if shape_bound <= best:
                     break
                 # exact DP for shape (a, b)
-                coords = list(range(b + 1, N + 1))
-                slots = _slot_value_list(p, a, b, len(coords))
-                cells_used += len(coords) * max(1, len(slots))
+                slots, slot_nums, val_nums, denom = _scaled_block(p, sv, a, b)
+                cells_used += (N - b) * max(1, len(slots))
                 if cells_used > cell_budget:
                     raise SizeError("structured dp expansion exceeded its cell budget; "
                                     "tighten the vector or raise the budget")
-                # slot * value carries denominator denom^2 after scaling
-                denom = _common_denom(slots, sv[b + 1:N + 1])
-                slot_scaled = [int(x * denom) for x in slots]
-                val_scaled = [int(sv[c] * denom) for c in coords]
-                blk_int, M_final, _ = _block_max_int(slot_scaled, val_scaled)
+                blk_int, _, _ = _block_max_int(slot_nums, val_nums)
                 blk = Fraction(blk_int, denom * denom)
                 value = Fraction(1, 2) * sv[a] + sv[b] + blk
                 if value > best:
@@ -462,14 +470,10 @@ def structured_dp(layout: EltonLayout, v, want_witness: bool = True,
                                 "block_value": blk}
     if want_witness and best_wit.get("kind") == "shape" and "block_value" in best_wit:
         a, b, sigma = best_wit["a"], best_wit["b"], best_wit["sigma"]
-        sv = [sigma * x for x in vals]
-        coords = list(range(b + 1, N + 1))
-        slots = _slot_value_list(p, a, b, len(coords))
-        denom = _common_denom(slots, sv[b + 1:N + 1])
-        slot_scaled = [int(x * denom) for x in slots]
-        val_scaled = [int(sv[c] * denom) for c in coords]
-        _, M_final, table = _block_max_int(slot_scaled, val_scaled, want_table=True)
-        assignment = _backtrack_assignment(slot_scaled, val_scaled, M_final, table, b + 1)
+        slots, slot_nums, val_nums, _ = _scaled_block(
+            p, [sigma * x for x in vals], a, b)
+        _, M_final, table = _block_max_int(slot_nums, val_nums, want_table=True)
+        assignment = _backtrack_assignment(slot_nums, val_nums, M_final, table, b + 1)
         best_wit = dict(best_wit)
         best_wit["assignment_spans"] = _spans_from_assignment(assignment, slots)
     return best, best_wit
@@ -491,6 +495,21 @@ def layout_norm(layout: EltonLayout, v, method: str = "structured_dp") -> Fracti
 
 # ------------------------------------------------------------- certificates
 
+def _dp_norms(layout: EltonLayout, triple: VectorTriple, bound: Fraction):
+    """Norms of a triple's companion and vector by the exact family DP.
+
+    The vector's family maximum must not exceed its derived case bound.
+    Returns (norm_plus, norm_minus, witness_plus, witness_minus).
+    """
+    num, num_wit = max_over_functionals(layout, triple.plus)
+    den, den_wit = max_over_functionals(layout, triple.minus)
+    if den > bound:
+        raise InternalError(
+            f"{triple.variant} family dp exceeded the case bound; bounds unsound")
+    return (max(triple.plus.sup_norm(), num), max(triple.minus.sup_norm(), den),
+            num_wit, den_wit)
+
+
 def k_lower_certificate(p: EltonParams) -> dict:
     """Certified ratio ||companion|| / ||vector|| for the standard pair.
 
@@ -503,33 +522,26 @@ def k_lower_certificate(p: EltonParams) -> dict:
     if not check["ok"]:
         raise DomainError("; ".join(check["failures"]))
     bounds = case_bounds(p)
-    n_slots = (p.n1 + p.n2) * 2 ** (p.K * p.m2 - 1)
-    universe = n_slots + 2
-    caps = load_caps()
+    universe = _n_slots(p, p.m2) + 2
     out = {
         "params": p,
         "universe": universe,
         "case_bounds": bounds,
         "ratio_case": Fraction(5, 4) / bounds["max"],
     }
-    if universe <= caps.layout_universe:
+    if universe <= load_caps().layout_universe:
         layout = build_layout(p)
         triple = build_vectors(layout, "standard")
-        pairing_plus = triple.functional.pair_layout_vector(layout, triple.plus)
-        pairing_minus = triple.functional.pair_layout_vector(layout, triple.minus)
-        num, num_wit = max_over_functionals(layout, triple.plus)
-        den, den_wit = max_over_functionals(layout, triple.minus)
-        norm_plus = max(triple.plus.sup_norm(), num)
-        if den > bounds["max"]:
-            raise AssertionError("family dp exceeded the case bound; bounds unsound")
-        norm_minus_upper = min(bounds["max"], max(triple.minus.sup_norm(), den))
+        norm_plus, norm_minus, num_wit, den_wit = _dp_norms(
+            layout, triple, bounds["max"])
+        norm_minus_upper = min(bounds["max"], norm_minus)
         out.update({
             "verification": "dp",
-            "pairing_plus": pairing_plus,
-            "pairing_minus": pairing_minus,
+            "pairing_plus": triple.functional.pair_layout_vector(layout, triple.plus),
+            "pairing_minus": triple.functional.pair_layout_vector(layout, triple.minus),
             "norm_plus_lower": norm_plus,
             "norm_minus_upper": norm_minus_upper,
-            "ratio_exact": norm_plus / max(triple.minus.sup_norm(), den),
+            "ratio_exact": norm_plus / norm_minus,
             "ratio_lower": norm_plus / norm_minus_upper,
             "witness_plus": num_wit,
             "witness_minus": den_wit,
@@ -562,9 +574,7 @@ def quasi_certificate(p: EltonParams, alpha: Fraction) -> dict:
     qb = quasi_case_bounds(p, alpha)
     eps_instance = Fraction(p.n1, 2 * p.n2) + TWO ** (-p.K)
     target = Fraction(8, 7) - eps_instance
-    n_slots = (p.n1 + p.n2) * 2 ** (p.K * p.m2 - 1)
-    universe = n_slots + 2
-    caps = load_caps()
+    universe = _n_slots(p, p.m2) + 2
     tie = alpha == Fraction(2, 3)
     out = {
         "params": p,
@@ -576,15 +586,11 @@ def quasi_certificate(p: EltonParams, alpha: Fraction) -> dict:
         "threshold_projection_is_plus_vector": alpha < Fraction(2, 3),
         "threshold_tie_at_alpha": tie,
     }
-    if universe <= caps.layout_universe:
+    if universe <= load_caps().layout_universe:
         layout = build_layout(p)
-        triple = build_vectors(layout, "quasi", alpha)
-        num, _ = max_over_functionals(layout, triple.plus)
-        den, _ = max_over_functionals(layout, triple.minus)
-        norm_plus = max(triple.plus.sup_norm(), num)
-        if den > qb["max"]:
-            raise AssertionError("quasi dp exceeded the derived case bound")
-        norm_minus_upper = min(qb["max"], max(triple.minus.sup_norm(), den))
+        norm_plus, norm_minus, _, _ = _dp_norms(
+            layout, build_vectors(layout, "quasi", alpha), qb["max"])
+        norm_minus_upper = min(qb["max"], norm_minus)
         out.update({
             "verification": "dp",
             "norm_plus_lower": norm_plus,

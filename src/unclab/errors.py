@@ -1,7 +1,8 @@
 """Typed errors with stable CLI exit codes.
 
 Exit code map: 0 success, 1 size-cap violation, 2 missing input file,
-3 malformed rational literal, 4 schema violation. DomainError covers
+3 malformed rational literal, 4 schema violation, 5 internal invariant
+failure (a bug in unclab, not in the input). DomainError covers
 precondition failures that are not size related; it exits 1 as well
 since the distinction callers care about is "your input was out of
 contract" vs "file/format problems".
@@ -40,3 +41,10 @@ class SchemaError(UnclabError):
     """JSON input does not match the documented schema."""
 
     exit_code = 4
+
+
+class InternalError(UnclabError):
+    """An internal invariant failed: a dynamic program or a bound disagrees
+    with itself. Points at a bug in unclab rather than at the input."""
+
+    exit_code = 5

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .caps import check_cap, load_caps
-from .errors import DomainError, SizeError
+from .errors import DomainError, InternalError, SizeError
 
 PROJECTION_CLASSES = ("initial_segments", "intervals", "all_subsets")
 
@@ -36,6 +36,7 @@ def _canon_entries(entries) -> tuple[tuple[int, Fraction], ...]:
 
 @dataclass(frozen=True)
 class SparseVector:
+    """Sorted nonzero (coordinate, value) pairs; a functional is one too."""
     entries: tuple[tuple[int, Fraction], ...]
 
     @staticmethod
@@ -65,6 +66,9 @@ class SparseVector:
     def sup_norm(self) -> Fraction:
         return max((abs(v) for _, v in self.entries), default=Fraction(0))
 
+    def one_norm(self) -> Fraction:
+        return sum((abs(c) for _, c in self.entries), Fraction(0))
+
     def restrict(self, keep) -> "SparseVector":
         keep = set(keep)
         return SparseVector(tuple((i, v) for i, v in self.entries if i in keep))
@@ -75,44 +79,29 @@ class SparseVector:
             return SparseVector.zero()
         return SparseVector(tuple((i, c * v) for i, v in self.entries))
 
+    def negate(self) -> "SparseVector":
+        return self.scale(-1)
+
     def add(self, other: "SparseVector") -> "SparseVector":
         acc = self.as_dict()
         for i, v in other.entries:
             acc[i] = acc.get(i, Fraction(0)) + v
         return SparseVector(tuple(sorted((i, v) for i, v in acc.items() if v != 0)))
 
-
-@dataclass(frozen=True)
-class Functional:
-    entries: tuple[tuple[int, Fraction], ...]
-
-    @staticmethod
-    def from_pairs(pairs) -> "Functional":
-        return Functional(_canon_entries(pairs))
-
-    def get(self, i: int) -> Fraction:
-        for j, v in self.entries:
-            if j == i:
-                return v
-        return Fraction(0)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
-
-    def negate(self) -> "Functional":
-        return Functional(tuple((i, -v) for i, v in self.entries))
-
-    def apply(self, v: SparseVector) -> Fraction:
+    def apply(self, v: "SparseVector") -> Fraction:
+        """This vector as a functional acting on v."""
         vals = v.as_dict()
         return sum((c * vals[i] for i, c in self.entries if i in vals), Fraction(0))
 
-    def one_norm(self) -> Fraction:
-        return sum((abs(c) for _, c in self.entries), Fraction(0))
+
+Functional = SparseVector
 
 
-def projected(v: SparseVector, E) -> SparseVector:
-    return v.restrict(E)
+def _subsets(base: tuple[int, ...]):
+    # ascending bitmask order over the given base tuple
+    n = len(base)
+    for mask in range(1 << n):
+        yield tuple(base[i] for i in range(n) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -206,8 +195,7 @@ def _enumerate_projections(inst: NormInstance):
             for t in range(s, inst.dim + 1):
                 yield tuple(range(s, t + 1))
     else:
-        for mask in range(1 << inst.dim):
-            yield tuple(i + 1 for i in range(inst.dim) if mask >> i & 1)
+        yield from _subsets(tuple(range(1, inst.dim + 1)))
 
 
 @dataclass(frozen=True)
@@ -242,11 +230,11 @@ def dual_certificate(inst: NormInstance, v: SparseVector) -> Certificate:
         for E in _enumerate_projections(inst):
             if f.apply(v.restrict(E)) == norm:
                 return Certificate(norm, "functional", fi, E)
-        raise AssertionError("functional max not attained by any projection")
+        raise InternalError("functional max not attained by any projection")
     for i, val in v.entries:
         if abs(val) == norm:
             return Certificate(norm, "sup", coordinate=i)
-    raise AssertionError("norm not attained")
+    raise InternalError("norm not attained")
 
 
 def build_standard(kind: str, n: int, points: list[list[Fraction]] | None = None) -> NormInstance:

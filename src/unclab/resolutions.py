@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .caps import load_caps
-from .errors import DomainError, SizeError
+from .errors import DomainError, InternalError, SizeError
 
 TWO = Fraction(2)
 
@@ -143,33 +143,21 @@ def _bracket_dp(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int,
         below = suffix[u + 1]
         for v in range(m - 1, -1, -1):
             row[v] = max(below[v], row[v + 1], _gain(r, s, u, v) + below[v + 1])
-    # lex-first optimal witness: take the smallest (u, v) pair consistent
-    # with the optimum, then recurse past it.
+    # lex-first optimal witness: pairing u is lex-smaller than skipping it
+    # (every later pair has first index > u), so take the first optimal pair
+    # at u; only when none exists is skipping u the optimal move.
     witness: list[tuple[int, int]] = []
     u = v = 0
     while u < n and v < m:
-        if suffix[u][v] == suffix[u + 1][v]:
-            paired = False
-            for v2 in range(v, m):
-                if _gain(r, s, u, v2) + suffix[u + 1][v2 + 1] == suffix[u][v]:
-                    # pairing u here is also optimal; lex-first prefers the
-                    # pair over skipping u only if no earlier arrangement...
-                    # skipping u makes every later pair have first index > u,
-                    # so pairing at u is lex-smaller whenever it is optimal.
-                    witness.append((u + 1, v2 + 1))
-                    u, v = u + 1, v2 + 1
-                    paired = True
-                    break
-            if not paired:
-                u += 1
+        for v2 in range(v, m):
+            if _gain(r, s, u, v2) + suffix[u + 1][v2 + 1] == suffix[u][v]:
+                witness.append((u + 1, v2 + 1))
+                u, v = u + 1, v2 + 1
+                break
         else:
-            for v2 in range(v, m):
-                if _gain(r, s, u, v2) + suffix[u + 1][v2 + 1] == suffix[u][v]:
-                    witness.append((u + 1, v2 + 1))
-                    u, v = u + 1, v2 + 1
-                    break
-            else:
-                raise AssertionError("dp table inconsistent")
+            if suffix[u][v] != suffix[u + 1][v]:
+                raise InternalError("dp table inconsistent")
+            u += 1
     return suffix[0][0], witness
 
 

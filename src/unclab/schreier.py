@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .norms import SparseVector
 
 TWO = Fraction(2)
@@ -71,7 +71,8 @@ def level_split(a: SparseVector, delta: Fraction) -> LevelSplit:
         lo, hi = TWO ** (-j), TWO ** (-j + 1)
         blocks.append(tuple(i for i in threshold if lo < abs(a.get(i)) <= hi))
     covered = [i for b in blocks for i in b]
-    assert sorted(covered) == sorted(threshold), "dyadic blocks must cover the threshold set"
+    if sorted(covered) != sorted(threshold):
+        raise InternalError("dyadic blocks must cover the threshold set")
     return LevelSplit(threshold, tuple(blocks), k)
 
 

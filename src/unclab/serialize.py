@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .elton import EltonParams
 from .errors import DomainError, MissingInputError, SchemaError
-from .norms import Functional, NormInstance, SparseVector
+from .norms import NormInstance, SparseVector
 from .ramsey import (ColourFamily, MatchingWitness, PrefixContinuousMap,
                      make_pattern)
 from .rationals import format_rational, parse_rational
@@ -117,21 +117,25 @@ def load_resolution_list(data, where: str = "family") -> list[Resolution]:
     return [load_resolution(x, f"{where}[{i}]") for i, x in enumerate(data)]
 
 
+def _load_entries(items: list, where: str) -> SparseVector:
+    """A list of {"i": coordinate, "v": rational} entries."""
+    pairs = []
+    for j, item in enumerate(items):
+        spot = f"{where}[{j}]"
+        pairs.append((_as_int(_require(item, "i", spot), f"{spot}.i"),
+                      load_rational(_require(item, "v", spot), f"{spot}.v")))
+    try:
+        return SparseVector.from_pairs(pairs)
+    except DomainError as e:
+        raise SchemaError(f"{where}: {e}")
+
+
 def load_sparse_vector(data, where: str = "vector") -> SparseVector:
     if isinstance(data, dict):
         data = _require(data, "entries", where)
     if not isinstance(data, list):
         raise SchemaError(f"{where}: expected a list of entries")
-    pairs = []
-    for i, item in enumerate(data):
-        pairs.append((
-            _as_int(_require(item, "i", f"{where}[{i}]"), f"{where}[{i}].i"),
-            load_rational(_require(item, "v", f"{where}[{i}]"), f"{where}[{i}].v"),
-        ))
-    try:
-        return SparseVector.from_pairs(pairs)
-    except DomainError as e:
-        raise SchemaError(f"{where}: {e}")
+    return _load_entries(data, where)
 
 
 def load_norm_instance(data, where: str = "instance") -> NormInstance:
@@ -147,19 +151,10 @@ def load_norm_instance(data, where: str = "instance") -> NormInstance:
         raise SchemaError(f"{where}.functionals: expected a list")
     functionals = []
     for i, entries in enumerate(funcs_raw):
+        spot = f"{where}.functionals[{i}]"
         if not isinstance(entries, list):
-            raise SchemaError(f"{where}.functionals[{i}]: expected a list")
-        pairs = []
-        for j, item in enumerate(entries):
-            spot = f"{where}.functionals[{i}][{j}]"
-            pairs.append((
-                _as_int(_require(item, "i", spot), f"{spot}.i"),
-                load_rational(_require(item, "v", spot), f"{spot}.v"),
-            ))
-        try:
-            functionals.append(Functional.from_pairs(pairs))
-        except DomainError as e:
-            raise SchemaError(f"{where}.functionals[{i}]: {e}")
+            raise SchemaError(f"{spot}: expected a list")
+        functionals.append(_load_entries(entries, spot))
     try:
         return NormInstance.build(
             dim=dim, functionals=tuple(functionals),

@@ -92,6 +92,23 @@ def test_exit_code_2_missing_inputs():
     assert "no-such-flag" in proc.stderr
 
 
+def test_exit_code_5_internal_error(monkeypatch):
+    from click.testing import CliRunner
+
+    import unclab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise unclab.InternalError("dp table inconsistent")
+
+    monkeypatch.setattr(cli, "bracket", broken)
+    result = CliRunner().invoke(cli.main, ["bracket", fx("resolution_r.json"),
+                                           fx("resolution_s.json")])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"error": "dp table inconsistent",
+                                         "kind": "InternalError"}
+
+
 def test_exit_code_4_schema(tmp_path):
     inst = tmp_path / "inst.json"
     # functional touches coordinate 9 on a dim-4 instance
@@ -164,6 +181,9 @@ def test_rademacher_json_and_table():
     assert "─" in table
     assert "R(n=4,l=1)" in table
     assert "same-level bound" in table
+    timed = run("rademacher", "--k0", "2", "--m", "3", "--n", "1", "--auto-ns",
+                "--table", "--timing", check=0).stdout
+    assert timed.splitlines()[-1].startswith("wall_ms")
     # exactly one of --ns / --auto-ns
     run("rademacher", "--k0", "2", "--m", "3", "--n", "1", check=1)
     run("rademacher", "--k0", "2", "--m", "3", "--n", "1", "--ns", "1,17",

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from conftest import rand_sparse
 from unclab.errors import DomainError, SizeError
 from unclab.norms import (Functional, NormInstance, SparseVector,
-                          build_standard, dual_certificate, eval_norm,
-                          projected)
+                          build_standard, dual_certificate, eval_norm)
 
 F1 = Fraction(1)
 
@@ -38,7 +37,7 @@ def test_vector_algebra():
     assert a.add(b).entries == ((1, F1), (3, Fraction(3)))
     assert a.scale(Fraction(1, 2)).get(2) == 1
     assert a.scale(0).is_zero()
-    assert projected(a, [2]).entries == ((2, Fraction(2)),)
+    assert a.restrict([2]).entries == ((2, Fraction(2)),)
 
 
 def test_functional_apply():
@@ -46,6 +45,12 @@ def test_functional_apply():
     assert f.apply(vec(3, 5)) == -2
     assert f.one_norm() == 2
     assert f.negate().apply(vec(3, 5)) == 2
+
+
+def test_functional_is_sparse_vector():
+    import unclab
+    assert Functional is SparseVector
+    assert unclab.Functional is unclab.SparseVector is SparseVector
 
 
 def test_build_closure_under_negation():
