@@ -7,8 +7,10 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
 
 import unclab
+from unclab import cli
 from unclab import serialize as ser
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -93,10 +95,6 @@ def test_exit_code_2_missing_inputs():
 
 
 def test_exit_code_5_internal_error(monkeypatch):
-    from click.testing import CliRunner
-
-    import unclab.cli as cli
-
     def broken(*args, **kwargs):
         raise unclab.InternalError("dp table inconsistent")
 

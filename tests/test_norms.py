@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unclab
 from conftest import rand_sparse
 from unclab.errors import DomainError, SizeError
 from unclab.norms import (Functional, NormInstance, SparseVector,
@@ -48,7 +49,6 @@ def test_functional_apply():
 
 
 def test_functional_is_sparse_vector():
-    import unclab
     assert Functional is SparseVector
     assert unclab.Functional is unclab.SparseVector is SparseVector
 
