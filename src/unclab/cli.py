@@ -320,6 +320,8 @@ def hereditary(universe, m1, m2, mode, restrict_text, samples, min_size,
     inputs = {"universe": universe, "m1": m1, "m2": m2, "mode": mode}
     out = {"family_size": len(family.members)}
     if restrict_text is not None:
+        if samples is not None or seed is not None:
+            raise DomainError("--restrict excludes --samples and --seed")
         try:
             M = sorted(int(x) for x in restrict_text.split(","))
         except ValueError:

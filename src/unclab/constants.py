@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .caps import check_cap, load_caps
 from .errors import DomainError, InternalError
-from .norms import NormInstance, SparseVector, _subsets, eval_norm
+from .norms import NormInstance, SparseVector, eval_norm
 from .schreier import SchreierDecomposition, oscillation, schreier_decompose, schreier_member
 
 MODES = ("K", "Kprime", "L", "Lprime", "A", "C_uncond",
@@ -86,6 +86,13 @@ class ConstantReport:
     value_upper: Fraction | None
     witness: ConstantWitness | None
     details: dict = field(default_factory=dict)
+
+
+def _subsets(base: tuple[int, ...]):
+    # ascending bitmask order over the given base tuple
+    n = len(base)
+    for mask in range(1 << n):
+        yield tuple(base[i] for i in range(n) if mask >> i & 1)
 
 
 def _kstar_denominator(inst: NormInstance, a: SparseVector) -> Fraction:
@@ -225,77 +232,109 @@ def _dedupe_forms(forms) -> list[dict[int, Fraction]]:
     return list(out.values())
 
 
-class _LPSolver:
-    """Dinkelbach iterations over sympy's exact simplex."""
+def _dot(form: dict[int, Fraction], x) -> Fraction:
+    return sum((c * x[i] for i, c in form.items()), Fraction(0))
 
-    def __init__(self, dim: int):
-        import sympy
-        from sympy.solvers.simplex import lpmax
-        self.sympy = sympy
-        self.lpmax = lpmax
-        self.dim = dim
-        self.syms = sympy.symbols(f"a1:{dim + 1}", real=True)
-        self.z = sympy.Symbol("z", real=True)
 
-    def expr(self, form: dict[int, Fraction]):
-        S = self.sympy
-        total = S.Integer(0)
-        for i, c in form.items():
-            total += S.Rational(c.numerator, c.denominator) * self.syms[i - 1]
-        return total
+def _pivot(tab, basis, r: int, j: int) -> None:
+    p = tab[r][j]
+    pr = tab[r] = [v / p for v in tab[r]]
+    nz = [(k, v) for k, v in enumerate(pr) if v]
+    for row in tab:
+        f = row[j]
+        if f and row is not pr:
+            for k, v in nz:
+                row[k] -= f * v
+    basis[r] = j
 
-    def rat(self, x: Fraction):
-        return self.sympy.Rational(x.numerator, x.denominator)
 
-    def to_fraction(self, val) -> Fraction:
-        r = self.sympy.Rational(val)
-        return Fraction(int(r.p), int(r.q))
+def _simplex(tab, basis, ncols: int) -> bool:
+    """Maximise the cost row tab[-1] by Bland's rule (smallest entering
+    column below ncols, then smallest leaving basic column among minimum
+    ratios), which cannot cycle. False if unbounded."""
+    while True:
+        j = next((j for j in range(ncols) if tab[-1][j] > 0), None)
+        if j is None:
+            return True
+        rows = [r for r in range(len(basis)) if tab[r][j] > 0]
+        if not rows:
+            return False
+        r = min(rows, key=lambda r: (tab[r][-1] / tab[r][j], basis[r]))
+        _pivot(tab, basis, r, j)
 
-    def solve(self, objective, constraints):
-        from sympy.solvers.simplex import InfeasibleLPError, UnboundedLPError
-        try:
-            val, point = self.lpmax(objective, constraints)
-        except (InfeasibleLPError, UnboundedLPError):
+
+def _lp_max(objective: dict[int, Fraction], rows, nvars: int):
+    """max objective.x subject to form.x <= rhs for (form, rhs) in rows, over
+    free x in Q^nvars; forms map a variable index to its coefficient.
+
+    Exact two-phase tableau simplex. Columns are x+ and x- (x = x+ - x-), one
+    slack per row, then one artificial per row with rhs < 0; the last row of
+    the tableau is the objective's reduced costs, value = -tab[-1][-1].
+    Returns (value, x) with x a list of nvars Fractions, or None when the LP
+    is infeasible or unbounded.
+    """
+    n, m = 2 * nvars, len(rows)
+    width = n + m + sum(rhs < 0 for _, rhs in rows)
+    tab, basis = [], []
+    phase1 = [Fraction(0)] * (width + 1)   # max -sum(artificials)
+    for r, (form, rhs) in enumerate(rows + [(objective, 0)]):
+        row = [Fraction(0)] * (width + 1)
+        for j, c in form.items():
+            row[j] += c
+            row[nvars + j] -= c
+        if r < m:
+            row[n + r], row[-1] = Fraction(1), Fraction(rhs)
+            basis.append(n + r)
+        if rhs < 0:   # flip to rhs > 0 and start from an artificial column
+            row = [-v for v in row]
+            phase1 = [u + v for u, v in zip(phase1, row)]
+            basis[r] = n + m + sum(b >= n + m for b in basis)
+            row[basis[r]] = Fraction(1)
+        tab.append(row)
+    tab.append(phase1)
+    _simplex(tab, basis, n + m)
+    if tab.pop()[-1] > 0:
+        return None
+    for r, b in enumerate(basis):
+        if b >= n + m:
+            # an artificial left basic sits at 0: swap in any real column of
+            # its row; a row with none is redundant and stays inert
+            j = next((j for j in range(n + m) if tab[r][j]), None)
+            if j is not None:
+                _pivot(tab, basis, r, j)
+    if not _simplex(tab, basis, n + m):
+        return None
+    x = [Fraction(0)] * (width + 1)
+    for r, b in enumerate(basis):
+        x[b] = tab[r][-1]
+    return -tab[-1][-1], [x[j] - x[nvars + j] for j in range(nvars)]
+
+
+def _dinkelbach(num_form: dict[int, Fraction], den_forms: list[dict[int, Fraction]],
+                rows, nvars: int) -> tuple[Fraction, list[Fraction]] | None:
+    """max num / (max den_forms) over the rows' polytope, exact. Variable 0
+    is the epigraph z >= every denominator form."""
+    # keep the polytope bounded in z (pieces are bounded on the box)
+    zbound = 1 + max(
+        (sum((abs(c) for c in f.values()), Fraction(0)) for f in den_forms),
+        default=Fraction(0))
+    rows = rows + [({**f, 0: -1}, 0) for f in den_forms] + [({0: 1}, zbound)]
+    t = Fraction(0)
+    best_point: list[Fraction] | None = None
+    for _ in range(200):
+        res = _lp_max({**num_form, 0: -t}, rows, nvars)
+        if res is None:
             return None
-        return self.to_fraction(val), {s: self.to_fraction(v) for s, v in point.items()}
-
-    def dinkelbach(self, num_form: dict[int, Fraction],
-                   den_forms: list[dict[int, Fraction]],
-                   extra_constraints) -> tuple[Fraction, dict[int, Fraction]] | None:
-        """max num / (max den_forms) over the constraint polytope, exact."""
-        num_expr = self.expr(num_form)
-        den_exprs = [self.expr(f) for f in den_forms]
-        base = list(extra_constraints)
-        for e in den_exprs:
-            base.append(self.z >= e)
-        # keep the polytope bounded in z (pieces are bounded on the box)
-        zbound = 1 + max(
-            (sum((abs(c) for c in f.values()), Fraction(0)) for f in den_forms),
-            default=Fraction(0))
-        base.append(self.z <= self.rat(zbound))
-        t = Fraction(0)
-        best_point: dict[int, Fraction] | None = None
-        for _ in range(200):
-            objective = num_expr - self.rat(t) * self.z
-            res = self.solve(objective, base)
-            if res is None:
-                return None
-            val, point = res
-            if val <= 0:
-                if best_point is None:
-                    return None
-                return t, best_point
-            a_point = {i: point.get(self.syms[i - 1], Fraction(0)) for i in range(1, self.dim + 1)}
-            num_val = sum((c * a_point[i] for i, c in num_form.items()), Fraction(0))
-            den_val = max(
-                (sum((c * a_point[i] for i, c in f.items()), Fraction(0)) for f in den_forms),
-                default=Fraction(0))
-            if den_val <= 0:
-                raise DomainError("denominator degenerates on the feasible set; "
-                                  "instance norm is not definite here")
-            t = num_val / den_val
-            best_point = a_point
-        raise InternalError("dinkelbach failed to converge")
+        val, point = res
+        if val <= 0:
+            return None if best_point is None else (t, best_point)
+        den_val = max((_dot(f, point) for f in den_forms), default=Fraction(0))
+        if den_val <= 0:
+            raise DomainError("denominator degenerates on the feasible set; "
+                              "instance norm is not definite here")
+        t = _dot(num_form, point) / den_val
+        best_point = point
+    raise InternalError("dinkelbach failed to converge")
 
 
 def _lp_cells(inst: NormInstance, query: ConstantQuery, pieces):
@@ -356,7 +395,7 @@ def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
     check_cap(inst.dim, caps.lp_dim, "lp dim")
     if query.mode in GRID_ONLY:
         raise DomainError(f"mode {query.mode} supports the grid method only")
-    solver = _LPSolver(inst.dim)
+    nvars = inst.dim + 1
     pieces = _dedupe_forms(_linear_pieces(inst))
     den_forms = pieces
     if query.mode == "Kstar":
@@ -368,55 +407,43 @@ def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
     for E, shape, nums, extras in _lp_cells(inst, query, pieces):
         for num_form in nums:
             cells += 1
-            constraints = []
+            rows = []   # (form, rhs): form . (z, a_1..a_dim) <= rhs
             signs = shape["signs"]
             support = shape["support"]
             if support is not None:
                 for i in range(1, inst.dim + 1):
                     if i not in support:
-                        constraints.append(solver.syms[i - 1] >= 0)
-                        constraints.append(solver.syms[i - 1] <= 0)
+                        rows += [({i: 1}, 0), ({i: -1}, 0)]
             if signs is not None:
                 lo = query.delta if query.mode in ("K", "Kprime", "L", "Lprime") else Fraction(0)
-                for i, s in signs.items():
-                    expr = s * solver.syms[i - 1]
-                    constraints.append(expr >= solver.rat(lo))
+                rows += [({i: -s}, -lo) for i, s in signs.items()]
             if "a_feasibility" in extras:
                 # delta * sum_E |a_i| <= piece(P_E a), with |a_i| fixed by signs
-                total = sum((signs[i] * solver.syms[i - 1] for i in E), solver.sympy.Integer(0))
-                constraints.append(
-                    solver.expr(extras["a_feasibility"]) >= solver.rat(query.delta) * total)
+                # (the piece is restricted to E)
+                piece = extras["a_feasibility"]
+                rows.append(({i: query.delta * signs[i] - piece.get(i, 0) for i in E}, 0))
             if value_form:
                 # ||a|| <= 1 turns the ratio into a plain LP
-                for f in den_forms:
-                    constraints.append(solver.expr(f) <= 1)
-                res = solver.solve(solver.expr(num_form), constraints)
-                if res is None:
-                    continue
-                val, point = res
-                ratio = val
-                a_point = {i: point.get(solver.syms[i - 1], Fraction(0))
-                           for i in range(1, inst.dim + 1)}
+                rows += [(f, 1) for f in den_forms]
+                res = _lp_max(num_form, rows, nvars)
             else:
                 for i in range(1, inst.dim + 1):
-                    constraints.append(solver.syms[i - 1] <= 1)
-                    constraints.append(solver.syms[i - 1] >= -1)
-                out = solver.dinkelbach(num_form, den_forms, constraints)
-                if out is None:
-                    continue
-                ratio, a_point = out
+                    rows += [({i: 1}, 1), ({i: -1}, 1)]
+                res = _dinkelbach(num_form, den_forms, rows, nvars)
+            if res is None:
+                continue
+            ratio, point = res
             if ratio <= 0:
                 continue
             if best is None or ratio > best:
                 a_vec = SparseVector.from_pairs(
-                    (i, v) for i, v in a_point.items() if v != 0)
+                    (i, point[i]) for i in range(1, nvars) if point[i] != 0)
                 den = (_kstar_denominator(inst, a_vec) if query.mode == "Kstar"
                        else eval_norm(inst, a_vec))
                 best = ratio
                 best_wit = ConstantWitness(
                     a=a_vec, E=E,
-                    numerator=sum((c * a_point.get(i, Fraction(0))
-                                   for i, c in num_form.items()), Fraction(0)),
+                    numerator=_dot(num_form, point),
                     denominator=den,
                     point_index=extras.get("point_index"),
                     piece=tuple(sorted(num_form.items())),

@@ -495,6 +495,14 @@ def layout_norm(layout: EltonLayout, v, method: str = "structured_dp") -> Fracti
 
 # ------------------------------------------------------------- certificates
 
+def _validated_universe(p: EltonParams) -> int:
+    """Universe of the standard layout for params that pass validate_params."""
+    check = validate_params(p)
+    if not check["ok"]:
+        raise DomainError("; ".join(check["failures"]))
+    return _n_slots(p, p.m2) + 2
+
+
 def _dp_norms(layout: EltonLayout, triple: VectorTriple, bound: Fraction):
     """Norms of a triple's companion and vector by the exact family DP.
 
@@ -518,11 +526,8 @@ def k_lower_certificate(p: EltonParams) -> dict:
     is symbolic: the canonical pairing gives the numerator lower bound 5/4
     and the case-bound maximum caps the denominator.
     """
-    check = validate_params(p)
-    if not check["ok"]:
-        raise DomainError("; ".join(check["failures"]))
+    universe = _validated_universe(p)
     bounds = case_bounds(p)
-    universe = _n_slots(p, p.m2) + 2
     out = {
         "params": p,
         "universe": universe,
@@ -566,15 +571,12 @@ def quasi_certificate(p: EltonParams, alpha: Fraction) -> dict:
     equals the level-2/3 threshold projection exactly when alpha < 2/3;
     at alpha = 2/3 the dropped coordinate ties into the threshold set.
     """
-    check = validate_params(p)
-    if not check["ok"]:
-        raise DomainError("; ".join(check["failures"]))
+    universe = _validated_universe(p)
     if not (0 < alpha <= 1):
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
     qb = quasi_case_bounds(p, alpha)
     eps_instance = Fraction(p.n1, 2 * p.n2) + TWO ** (-p.K)
     target = Fraction(8, 7) - eps_instance
-    universe = _n_slots(p, p.m2) + 2
     tie = alpha == Fraction(2, 3)
     out = {
         "params": p,

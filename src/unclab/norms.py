@@ -97,13 +97,6 @@ class SparseVector:
 Functional = SparseVector
 
 
-def _subsets(base: tuple[int, ...]):
-    # ascending bitmask order over the given base tuple
-    n = len(base)
-    for mask in range(1 << n):
-        yield tuple(base[i] for i in range(n) if mask >> i & 1)
-
-
 @dataclass(frozen=True)
 class NormInstance:
     dim: int
@@ -186,6 +179,7 @@ def eval_norm(inst: NormInstance, v: SparseVector) -> Fraction:
 
 
 def _enumerate_projections(inst: NormInstance):
+    # segments and intervals only: dual_certificate settles all_subsets directly
     if inst.projection_class == "initial_segments":
         for t in range(0, inst.dim + 1):
             yield tuple(range(1, t + 1))
@@ -194,8 +188,6 @@ def _enumerate_projections(inst: NormInstance):
         for s in range(1, inst.dim + 1):
             for t in range(s, inst.dim + 1):
                 yield tuple(range(s, t + 1))
-    else:
-        yield from _subsets(tuple(range(1, inst.dim + 1)))
 
 
 @dataclass(frozen=True)
@@ -212,9 +204,9 @@ def dual_certificate(inst: NormInstance, v: SparseVector) -> Certificate:
 
     Enumeration order: functionals in build order (given family then appended
     negations), projections canonically (segments by right end, intervals by
-    (start, end), subsets by ascending bitmask). The sup term is consulted
-    only when no functional attains the norm. Zero vector gets a zero
-    certificate with no witness.
+    (start, end); for all_subsets the functional's positive-part set). The
+    sup term is consulted only when no functional attains the norm. Zero
+    vector gets a zero certificate with no witness.
     """
     inst._check_vector(v)
     if v.is_zero():

@@ -266,6 +266,12 @@ def test_hereditary_verb():
     assert len(rep["runs"]) == 3
     assert rep["all_fail"] is True
     run("hereditary", "--universe", "12", "--samples", "3", check=2)
+    for extra in (["--samples", "3", "--seed", "1"], ["--samples", "3"],
+                  ["--seed", "1"]):
+        proc = run("hereditary", "--universe", "12", "--restrict", "1,2,4",
+                   *extra, check=1)
+        assert err_json(proc) == {"error": "--restrict excludes --samples and --seed",
+                                  "kind": "DomainError"}
 
 
 def test_fixture_round_trips(fixtures):

@@ -10,7 +10,9 @@ The files under `tests/golden/` were produced by the same invocation as
 `<name>.stderr` holds `result.stderr_bytes`, written unchanged. They were
 recorded before the sparse-type and verb-wrapper refactors and are meant to
 stay unchanged by refactors; a report that changes on purpose comes with
-its new file in the same commit. LP jobs are left out (9 s or more each).
+its new file in the same commit. The one LP case was recorded on the
+in-repo simplex; its value and cell count equal those of the earlier sympy
+path, while its witness is the optimal vertex this simplex reaches.
 """
 
 from pathlib import Path
@@ -41,6 +43,9 @@ CASES = [
                               "--mode", "C_uncond", "--step", "1/2"]),
     ("constant_bou", 0, ["constant", "--instance", INST, "--mode", "BOU",
                          "--D", "2", "--d", "1", "--step", "1/2"]),
+    ("constant_schreier_lp", 0, ["constant", "--instance", INST,
+                                 "--mode", "schreier", "--order", "1",
+                                 "--method", "lp"]),
     ("elton", 0, ["elton", "--n1", "1", "--n2", "8", "--K", "4",
                   "--eps", "13/100"]),
     ("quasi_dp", 0, ["quasi", "--n1", "1", "--n2", "8", "--K", "4",
