@@ -1,5 +1,6 @@
 """Projection-constant queries: grid certificates, LP exactness, witness audit."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,7 @@ from unclab.constants import (
     verify_witness,
 )
 from unclab.errors import DomainError, SizeError
-from unclab.norms import SparseVector, build_standard
+from unclab.norms import PROJECTION_CLASSES, NormInstance, SparseVector, build_standard
 
 
 def q(mode, **kw):
@@ -146,6 +147,47 @@ def test_lp_agrees_with_grid_on_summing2():
         assert lp.value_lower == lp.value_upper == 1
         assert grid.value_lower <= lp.value_lower
         assert verify_witness(inst, query, lp.witness) == lp.value_lower
+
+
+LP_MODES = [m for m in MODES if m not in GRID_ONLY]
+
+
+def random_lp_case(rng, mode):
+    """A random dim-2 instance whose two full functionals span Q^2, so the
+    norm and the point-cloud sup are definite, and a random query."""
+    def rational():
+        return F(rng.randint(-4, 4), rng.randint(1, 4))
+    while True:
+        funcs = [SparseVector.from_pairs((i, rational()) for i in (1, 2))
+                 for _ in range(rng.randint(2, 3))]
+        f, g = funcs[0], funcs[1]
+        if f.get(1) * g.get(2) != f.get(2) * g.get(1):
+            break
+    inst = NormInstance.build(2, funcs, rng.choice(PROJECTION_CLASSES),
+                              rng.random() < 0.5)
+    if mode == "C_uncond":
+        return inst, q(mode)
+    if mode == "schreier":
+        return inst, q(mode, order=rng.randint(1, 2))
+    return inst, q(mode, delta=rng.choice([F(1, 4), F(1, 2), F(3, 4), F(1)]))
+
+
+@pytest.mark.parametrize("mode", LP_MODES)
+def test_lp_oracle_every_lp_mode(mode):
+    # the exact LP is the supremum, so the step-1/4 lattice cannot beat it,
+    # it closes its own gap, and its witness recomputes to its value
+    assert len(LP_MODES) == 8
+    rng = random.Random(f"lp-oracle-{mode}")
+    for _ in range(3):
+        inst, query = random_lp_case(rng, mode)
+        grid = compute_constant(inst, query, method="grid", step=F(1, 4))
+        lp = compute_constant(inst, query, method="fractional_lp")
+        assert grid.value_lower <= lp.value_lower
+        assert lp.value_upper == lp.value_lower
+        if lp.witness is None:
+            assert lp.value_lower == 0
+        else:
+            assert verify_witness(inst, query, lp.witness) == lp.value_lower
 
 
 def test_grid_only_modes_reject_lp():

@@ -10,9 +10,12 @@ The files under `tests/golden/` were produced by the same invocation as
 `<name>.stderr` holds `result.stderr_bytes`, written unchanged. They were
 recorded before the sparse-type and verb-wrapper refactors and are meant to
 stay unchanged by refactors; a report that changes on purpose comes with
-its new file in the same commit. The one LP case was recorded on the
-in-repo simplex; its value and cell count equal those of the earlier sympy
-path, while its witness is the optimal vertex this simplex reaches.
+its new file in the same commit. The LP cases were recorded on the
+in-repo simplex; the schreier case's value and cell count equal those of
+the earlier sympy path, while its witness is the optimal vertex this
+simplex reaches. The mode A and Lprime cases on a dim-3 intervals instance
+pin the sign, support and A-feasibility rows of the LP cells, witness
+vertex included.
 """
 
 from pathlib import Path
@@ -25,6 +28,7 @@ from unclab.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 INST = "tests/fixtures/norm_summing4.json"
+INTERVALS3 = "tests/fixtures/norm_intervals3.json"
 
 CASES = [
     ("bracket_dp", 0, ["bracket", "tests/fixtures/resolution_r.json",
@@ -46,6 +50,11 @@ CASES = [
     ("constant_schreier_lp", 0, ["constant", "--instance", INST,
                                  "--mode", "schreier", "--order", "1",
                                  "--method", "lp"]),
+    ("constant_a_lp", 0, ["constant", "--instance", INTERVALS3, "--mode", "A",
+                          "--delta", "1/2", "--method", "lp"]),
+    ("constant_lprime_lp", 0, ["constant", "--instance", INTERVALS3,
+                               "--mode", "Lprime", "--delta", "1/2",
+                               "--method", "lp"]),
     ("elton", 0, ["elton", "--n1", "1", "--n2", "8", "--K", "4",
                   "--eps", "13/100"]),
     ("quasi_dp", 0, ["quasi", "--n1", "1", "--n2", "8", "--K", "4",
