@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .caps import check_cap, load_caps
 from .errors import DomainError, InternalError
-from .norms import NormInstance, SparseVector, eval_norm
+from .norms import NormInstance, SparseVector, _projections, eval_norm
 from .schreier import SchreierDecomposition, oscillation, schreier_decompose, schreier_member
 
 MODES = ("K", "Kprime", "L", "Lprime", "A", "C_uncond",
@@ -112,48 +112,35 @@ def _grid_points(dim: int, step: Fraction):
 
 def _feasible_pairs_grid(inst: NormInstance, query: ConstantQuery, a: SparseVector):
     """Yield per-mode feasible (E, extras) for a fixed lattice point."""
-    supp = a.support
     mode = query.mode
-    if mode == "C_uncond":
-        for E in _subsets(supp):
-            yield E, {}
-    elif mode in ("K", "Kprime"):
-        thr = tuple(i for i in supp if abs(a.get(i)) >= query.delta)
-        for E in _subsets(thr):
-            yield E, {}
-    elif mode in ("L", "Lprime"):
-        if all(abs(v) >= query.delta for _, v in a.entries):
-            for E in _subsets(supp):
-                yield E, {}
-    elif mode == "A":
-        for E in _subsets(supp):
-            yield E, {}
-    elif mode == "quasi_greedy":
-        levels = sorted({abs(v) for _, v in a.entries}, reverse=True)
-        for v in levels:
-            E = tuple(i for i in range(1, inst.dim + 1) if abs(a.get(i)) >= v)
-            yield E, {"threshold": v}
-    elif mode == "BOU":
-        for E in _subsets(supp):
-            if not E:
-                continue
-            if oscillation(a, E) > query.D:
-                continue
-            dec = schreier_decompose(a, E, query.d)
-            if dec is None:
-                continue
-            yield E, {"decomposition": dec}
-    elif mode == "schreier":
-        for E in _subsets(supp):
-            if schreier_member(query.order, E):
-                yield E, {}
-    elif mode == "Kstar":
+    if mode == "Kstar":
+        av = a.as_dict()
         for t, f in enumerate(inst.functionals):
-            thr = tuple(i for i, c in f.entries if abs(c) >= query.delta and a.get(i) != 0)
-            # all subsets of thr are allowed and the numerator is linear in E,
-            # so the best E is the positive part; keep it single-shot.
-            E = tuple(i for i in thr if f.get(i) * a.get(i) > 0)
+            # all subsets of the point's delta-large set are allowed and the
+            # numerator is linear in E, so the best E is the positive part;
+            # keep it single-shot.
+            E = tuple(i for i, c in f.entries
+                      if abs(c) >= query.delta and c * av.get(i, 0) > 0)
             yield E, {"point_index": t, "kstar_f": f}
+        return
+    if mode == "quasi_greedy":
+        for v in sorted({abs(x) for _, x in a.entries}, reverse=True):
+            yield tuple(i for i, x in a.entries if abs(x) >= v), {"threshold": v}
+        return
+    if mode in ("K", "Kprime"):
+        base = tuple(i for i, x in a.entries if abs(x) >= query.delta)
+    elif mode in ("L", "Lprime") and any(abs(x) < query.delta for _, x in a.entries):
+        return
+    else:
+        base = a.support
+    for E in _subsets(base):
+        if mode == "BOU":
+            dec = (schreier_decompose(a, E, query.d)
+                   if E and oscillation(a, E) <= query.D else None)
+            if dec is not None:
+                yield E, {"decomposition": dec}
+        elif mode != "schreier" or schreier_member(query.order, E):
+            yield E, {}
 
 
 def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> ConstantReport:
@@ -171,12 +158,12 @@ def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> Co
         if query.mode in ("Kprime", "Lprime") and den > 1:
             continue
         for E, extras in _feasible_pairs_grid(inst, query, a):
+            a_E = a.restrict(E)
             if query.mode == "Kstar":
-                num = extras["kstar_f"].apply(a.restrict(E))
+                num = extras["kstar_f"].apply(a_E)
             else:
-                num = eval_norm(inst, a.restrict(E))
-            if query.mode == "A" and query.delta * sum(
-                    (abs(a.get(i)) for i in E), Fraction(0)) > num:
+                num = eval_norm(inst, a_E)
+            if query.mode == "A" and query.delta * a_E.one_norm() > num:
                 continue
             ratio = num / den
             if best is None or ratio > best:
@@ -200,18 +187,16 @@ def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> Co
 
 def _linear_pieces(inst: NormInstance):
     """Linear forms whose max is the instance norm (negations included),
-    possibly repeated; `_dedupe_forms` keeps the first of each."""
+    possibly repeated or empty; `_dedupe_forms` keeps the first nonempty
+    one of each."""
     for f in inst.functionals:
-        if inst.projection_class == "initial_segments":
-            for t in range(1, inst.dim + 1):
-                yield {i: c for i, c in f.entries if i <= t}
-        elif inst.projection_class == "intervals":
-            for s in range(1, inst.dim + 1):
-                for t in range(s, inst.dim + 1):
-                    yield {i: c for i, c in f.entries if s <= i <= t}
+        form = f.as_dict()
+        if inst.projection_class == "all_subsets":
+            projections = _subsets(f.support)
         else:
-            for E in _subsets(f.support):
-                yield dict(f.restrict(E).entries)
+            projections = _projections(inst)
+        for E in projections:
+            yield _restrict_form(form, E)
     if inst.include_sup:
         for i in range(1, inst.dim + 1):
             yield {i: Fraction(1)}
@@ -338,56 +323,44 @@ def _dinkelbach(num_form: dict[int, Fraction], den_forms: list[dict[int, Fractio
 
 
 def _lp_cells(inst: NormInstance, query: ConstantQuery, pieces):
-    """Yield (E, constraints-builder data, numerator forms, mode extras)."""
-    dim = inst.dim
-    universe = tuple(range(1, dim + 1))
-    mode = query.mode
-    if mode in ("C_uncond", "schreier"):
-        for E in _subsets(universe):
-            if not E:
-                continue
-            if mode == "schreier" and not schreier_member(query.order, E):
-                continue
-            nums = _dedupe_forms(_restrict_form(p, E) for p in pieces)
-            yield E, {"signs": None, "support": None}, nums, {}
-    elif mode in ("K", "Kprime"):
-        for E in _subsets(universe):
-            if not E:
-                continue
-            nums = _dedupe_forms(_restrict_form(p, E) for p in pieces)
-            for signs in itertools.product((1, -1), repeat=len(E)):
-                yield E, {"signs": dict(zip(E, signs)), "support": None}, nums, {}
-    elif mode in ("L", "Lprime"):
-        for S in _subsets(universe):
-            if not S:
-                continue
-            for E in _subsets(S):
-                if not E:
-                    continue
-                nums = _dedupe_forms(_restrict_form(p, E) for p in pieces)
-                for signs in itertools.product((1, -1), repeat=len(S)):
-                    yield E, {"signs": dict(zip(S, signs)), "support": S}, nums, {}
-    elif mode == "A":
-        for E in _subsets(universe):
-            if not E:
-                continue
-            nums = _dedupe_forms(_restrict_form(p, E) for p in pieces)
-            for signs in itertools.product((1, -1), repeat=len(E)):
-                for num in nums:
-                    yield E, {"signs": dict(zip(E, signs)), "support": None}, [num], {
-                        "a_feasibility": num}
-    elif mode == "Kstar":
+    """Yield (E, numerator forms, rows, point index), one LP cell per
+    numerator form. The rows (form, rhs), meaning form . (z, a_1..a_dim) <=
+    rhs, are the mode's whole feasible set apart from the box or the norm
+    bound: zeros off the support S (L, Lprime), one sign row per signed
+    coordinate with |a_i| >= delta (>= 0 in A), and the A-feasibility row."""
+    mode, delta = query.mode, query.delta
+    universe = tuple(range(1, inst.dim + 1))
+    if mode == "Kstar":
         for t, f in enumerate(inst.functionals):
-            thr = tuple(i for i, c in f.entries if abs(c) >= query.delta)
+            thr = tuple(i for i, c in f.entries if abs(c) >= delta)
             for E in _subsets(thr):
-                if not E:
+                num = _restrict_form(f.as_dict(), E)
+                if num:
+                    yield E, [num], [], t
+        return
+    supports = _subsets(universe) if mode in ("L", "Lprime") else [universe]
+    for S in supports:
+        zeros = [row for i in universe if i not in S
+                 for row in (({i: 1}, 0), ({i: -1}, 0))]
+        for E in _subsets(S):
+            if not E or (mode == "schreier" and not schreier_member(query.order, E)):
+                continue
+            nums = _dedupe_forms(_restrict_form(p, E) for p in pieces)
+            if mode in ("C_uncond", "schreier"):
+                yield E, nums, [], None
+                continue
+            signed = S if mode in ("L", "Lprime") else E
+            lo = Fraction(0) if mode == "A" else delta
+            for signs in itertools.product((1, -1), repeat=len(signed)):
+                rows = zeros + [({i: -s}, -lo) for i, s in zip(signed, signs)]
+                if mode != "A":
+                    yield E, nums, rows, None
                     continue
-                num = _restrict_form(dict(f.entries), E)
-                if not num:
-                    continue
-                yield E, {"signs": None, "support": None}, [num], {"point_index": t}
-    else:
-        raise DomainError(f"mode {mode} has no LP method (grid only)")
+                for num in nums:
+                    # delta * sum_E |a_i| <= num(P_E a), with |a_i| fixed by
+                    # the signs (num is restricted to E)
+                    feasible = {i: delta * s - num.get(i, 0) for i, s in zip(E, signs)}
+                    yield E, [num], rows + [(feasible, 0)], None
 
 
 def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
@@ -399,36 +372,23 @@ def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
     pieces = _dedupe_forms(_linear_pieces(inst))
     den_forms = pieces
     if query.mode == "Kstar":
-        den_forms = _dedupe_forms(dict(f.entries) for f in inst.functionals)
+        den_forms = _dedupe_forms(f.as_dict() for f in inst.functionals)
+    value_form = query.mode in ("Kprime", "Lprime")
+    if value_form:
+        # ||a|| <= 1 turns the ratio into a plain LP
+        bound = [(f, 1) for f in den_forms]
+    else:
+        bound = [row for i in range(1, nvars) for row in (({i: 1}, 1), ({i: -1}, 1))]
     best: Fraction | None = None
     best_wit: ConstantWitness | None = None
     cells = 0
-    value_form = query.mode in ("Kprime", "Lprime")
-    for E, shape, nums, extras in _lp_cells(inst, query, pieces):
+    for E, nums, rows, point_index in _lp_cells(inst, query, pieces):
+        rows = rows + bound
         for num_form in nums:
             cells += 1
-            rows = []   # (form, rhs): form . (z, a_1..a_dim) <= rhs
-            signs = shape["signs"]
-            support = shape["support"]
-            if support is not None:
-                for i in range(1, inst.dim + 1):
-                    if i not in support:
-                        rows += [({i: 1}, 0), ({i: -1}, 0)]
-            if signs is not None:
-                lo = query.delta if query.mode in ("K", "Kprime", "L", "Lprime") else Fraction(0)
-                rows += [({i: -s}, -lo) for i, s in signs.items()]
-            if "a_feasibility" in extras:
-                # delta * sum_E |a_i| <= piece(P_E a), with |a_i| fixed by signs
-                # (the piece is restricted to E)
-                piece = extras["a_feasibility"]
-                rows.append(({i: query.delta * signs[i] - piece.get(i, 0) for i in E}, 0))
             if value_form:
-                # ||a|| <= 1 turns the ratio into a plain LP
-                rows += [(f, 1) for f in den_forms]
                 res = _lp_max(num_form, rows, nvars)
             else:
-                for i in range(1, inst.dim + 1):
-                    rows += [({i: 1}, 1), ({i: -1}, 1)]
                 res = _dinkelbach(num_form, den_forms, rows, nvars)
             if res is None:
                 continue
@@ -445,7 +405,7 @@ def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
                     a=a_vec, E=E,
                     numerator=_dot(num_form, point),
                     denominator=den,
-                    point_index=extras.get("point_index"),
+                    point_index=point_index,
                     piece=tuple(sorted(num_form.items())),
                 )
     if best is None:

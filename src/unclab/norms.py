@@ -178,8 +178,8 @@ def eval_norm(inst: NormInstance, v: SparseVector) -> Fraction:
     return best
 
 
-def _enumerate_projections(inst: NormInstance):
-    # segments and intervals only: dual_certificate settles all_subsets directly
+def _projections(inst: NormInstance):
+    # segments and intervals only: all_subsets callers take their own sets
     if inst.projection_class == "initial_segments":
         for t in range(0, inst.dim + 1):
             yield tuple(range(1, t + 1))
@@ -219,7 +219,7 @@ def dual_certificate(inst: NormInstance, v: SparseVector) -> Certificate:
         if inst.projection_class == "all_subsets":
             first = tuple(i for i, c in f.entries if c * dense[i] > 0)
             return Certificate(norm, "functional", fi, first)
-        for E in _enumerate_projections(inst):
+        for E in _projections(inst):
             if f.apply(v.restrict(E)) == norm:
                 return Certificate(norm, "functional", fi, E)
         raise InternalError("functional max not attained by any projection")
