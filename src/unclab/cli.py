@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from . import serialize as ser
-from .constants import ConstantQuery, compute_constant
+from .constants import QUERY_FIELDS, ConstantQuery, compute_constant
 from .elton import EltonParams, k_lower_certificate, quasi_certificate
 from .errors import DomainError, MissingInputError, UnclabError
 from .mrdemo import mr_demo
@@ -222,6 +222,8 @@ def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
                               step=parse_rational(step_text))
     inputs = {"instance": instance_path, "mode": mode, "method": method_name,
               "step": parse_rational(step_text)}
+    inputs.update((name, getattr(query, name)) for name in QUERY_FIELDS
+                  if getattr(query, name) is not None)
     return inputs, dict(ser.to_jsonable(report))
 
 

@@ -38,6 +38,9 @@ from .schreier import SchreierDecomposition, oscillation, schreier_decompose, sc
 MODES = ("K", "Kprime", "L", "Lprime", "A", "C_uncond",
          "quasi_greedy", "BOU", "Kstar", "schreier")
 GRID_ONLY = ("quasi_greedy", "BOU")
+# the modes that read each optional ConstantQuery field
+QUERY_FIELDS = {"delta": ("K", "Kprime", "L", "Lprime", "A", "Kstar"),
+                "D": ("BOU",), "d": ("BOU",), "order": ("schreier",)}
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,10 @@ class ConstantQuery:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}")
-        if self.mode in ("K", "Kprime", "L", "Lprime", "A", "Kstar"):
+        for name, modes in QUERY_FIELDS.items():
+            if getattr(self, name) is not None and self.mode not in modes:
+                raise DomainError(f"mode {self.mode} does not take {name}")
+        if self.mode in QUERY_FIELDS["delta"]:
             if self.delta is None:
                 raise DomainError(f"mode {self.mode} needs delta")
             if not (0 < self.delta <= 1):

@@ -222,6 +222,21 @@ def test_constant_verb():
         check=1)  # K needs delta
 
 
+def test_constant_echoes_its_query():
+    rep = out_json(run("constant", "--instance", fx("norm_summing4.json"),
+                       "--mode", "K", "--delta", "1/2", "--step", "1", check=0))
+    assert rep["inputs"]["delta"] == "1/2"
+    assert not {"D", "d", "order"} & set(rep["inputs"])
+    rep = out_json(run("constant", "--instance", fx("norm_summing4.json"),
+                       "--mode", "schreier", "--order", "2", "--step", "1",
+                       check=0))
+    assert rep["inputs"]["order"] == 2
+    # options the mode does not read are refused
+    err = run("constant", "--instance", fx("norm_summing4.json"),
+              "--mode", "C_uncond", "--delta", "1/2", "--order", "2", check=1)
+    assert json.loads(err.stderr)["kind"] == "DomainError"
+
+
 def test_mr_demo_verb():
     rep = out_json(run("mr-demo", "--family", fx("mr_family.json"), "--k", "4",
                        "--seed", "0", check=0))

@@ -50,6 +50,15 @@ def test_query_validation():
         ConstantQuery(mode="BOU", D=F(1, 2), d=F(1))
     with pytest.raises(DomainError):
         ConstantQuery(mode="schreier", order=3)
+    # a field the mode does not read is an error, not silently dropped
+    with pytest.raises(DomainError):
+        ConstantQuery(mode="C_uncond", delta=F(1, 2))
+    with pytest.raises(DomainError):
+        ConstantQuery(mode="K", delta=F(1, 2), order=1)
+    with pytest.raises(DomainError):
+        ConstantQuery(mode="BOU", D=F(2), d=F(1), delta=F(1, 2))
+    with pytest.raises(DomainError):
+        ConstantQuery(mode="schreier", order=1, D=F(2))
     assert len(ALL_MODE_QUERIES) == len(MODES)
 
 
