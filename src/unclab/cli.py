@@ -311,8 +311,8 @@ def match(maps_path, universe, horizon, strategy, seed, budget):
               help="comma separated restriction set, e.g. 1,2,4,7")
 @click.option("--samples", type=int, default=None,
               help="check this many random restriction sets")
-@click.option("--min-size", type=int, default=8,
-              help="minimum size of sampled restriction sets")
+@click.option("--min-size", type=int, default=None,
+              help="minimum size of sampled restriction sets (default 8)")
 @click.option("--seed", type=int, default=None)
 @verb
 def hereditary(universe, m1, m2, mode, restrict_text, samples, min_size,
@@ -321,6 +321,8 @@ def hereditary(universe, m1, m2, mode, restrict_text, samples, min_size,
     family = remark_family(universe, m1, m2)
     inputs = {"universe": universe, "m1": m1, "m2": m2, "mode": mode}
     out = {"family_size": len(family.members)}
+    if min_size is not None and samples is None:
+        raise DomainError("--min-size needs --samples")
     if restrict_text is not None:
         if samples is not None or seed is not None:
             raise DomainError("--restrict excludes --samples and --seed")
@@ -336,6 +338,10 @@ def hereditary(universe, m1, m2, mode, restrict_text, samples, min_size,
             raise MissingInputError("--seed is required with --samples")
         inputs["samples"] = samples
         inputs["seed"] = seed
+        if min_size is None:
+            min_size = 8
+        else:
+            inputs["min_size"] = min_size
         rng = random.Random(seed)
         floor = min(min_size, universe)
         runs = []

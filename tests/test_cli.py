@@ -287,6 +287,16 @@ def test_hereditary_verb():
                    *extra, check=1)
         assert err_json(proc) == {"error": "--restrict excludes --samples and --seed",
                                   "kind": "DomainError"}
+    # --min-size only shapes sampled sets; elsewhere it is refused, not dropped
+    for extra in (["--restrict", "1,2,4"], []):
+        proc = run("hereditary", "--universe", "12", *extra, "--min-size", "3",
+                   check=1)
+        assert err_json(proc) == {"error": "--min-size needs --samples",
+                                  "kind": "DomainError"}
+    rep = out_json(run("hereditary", "--universe", "12", "--samples", "2",
+                       "--seed", "7", "--min-size", "11", check=0))
+    assert rep["inputs"]["min_size"] == 11
+    assert all(len(r["M"]) >= 11 for r in rep["runs"])
 
 
 def test_fixture_round_trips(fixtures):
