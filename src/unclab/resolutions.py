@@ -56,14 +56,12 @@ class Resolution:
         return sum(self.alpha, Fraction(0))
 
 
-def pattern_embeds(c: tuple[int, ...], d: tuple[int, ...], k: int, k2: int | None = None) -> bool:
+def pattern_embeds(c: tuple[int, ...], d: tuple[int, ...], k: int) -> bool:
     """Whether c occurs inside d as a colour-preserving subsequence.
 
     Greedy left-to-right scan; greedily taking the earliest match is complete
-    for subsequence containment. Patterns must come from the same colour count.
+    for subsequence containment. Both patterns use colours 1..k.
     """
-    if k2 is not None and k2 != k:
-        raise DomainError(f"colour counts differ: {k} vs {k2}")
     for col in (*c, *d):
         if not (1 <= col <= k):
             raise DomainError(f"colour {col} outside 1..{k}")
@@ -86,26 +84,20 @@ def longest_chain(patterns: list[tuple[int, ...]], k: int) -> list[int]:
         for j in range(n):
             if i != j:
                 emb[i][j] = pattern_embeds(patterns[i], patterns[j], k)
-    # best[i] = (chain length, lex-smallest continuation) starting at i,
-    # computed over successors with larger... containment can relate any pair,
-    # so guard against two-cycles (equal patterns embed both ways): break ties
-    # by requiring j > i when patterns embed mutually, which keeps the relation
-    # acyclic without losing any chain up to reordering equal members.
+    # best_len[i] is the length of the longest chain starting at i. Equal
+    # patterns embed both ways, so a mutual pair only links i to j > i; that
+    # keeps the relation acyclic without losing any chain up to reordering
+    # equal members. A successor is never shorter, so visiting patterns by
+    # decreasing (length, index) settles every successor before i.
     order = sorted(range(n), key=lambda i: (len(patterns[i]), i), reverse=True)
     best_len = [1] * n
-    best_next: list[int | None] = [None] * n
     for i in order:
         for j in range(n):
             if j == i or not emb[i][j]:
                 continue
             if emb[j][i] and j < i:
                 continue
-            if len(patterns[j]) < len(patterns[i]):
-                continue
-            cand = 1 + best_len[j]
-            if cand > best_len[i]:
-                best_len[i] = cand
-                best_next[i] = j
+            best_len[i] = max(best_len[i], 1 + best_len[j])
     target = max(best_len)
     starts = [i for i in range(n) if best_len[i] == target]
     # lex-smallest full index sequence: among optimal starts walk preferring

@@ -12,7 +12,6 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .elton import EltonParams
 from .errors import DomainError, MissingInputError, SchemaError
 from .norms import NormInstance, SparseVector
 from .ramsey import (ColourFamily, MatchingWitness, PrefixContinuousMap,
@@ -159,20 +158,6 @@ def load_norm_instance(data, where: str = "instance") -> NormInstance:
         return NormInstance.build(
             dim=dim, functionals=tuple(functionals),
             projection_class=_CLASS_ALIASES[raw_class], include_sup=include_sup)
-    except DomainError as e:
-        raise SchemaError(f"{where}: {e}")
-
-
-def load_elton_params(data, where: str = "params") -> EltonParams:
-    try:
-        return EltonParams(
-            n1=_as_int(_require(data, "n1", where), f"{where}.n1"),
-            n2=_as_int(_require(data, "n2", where), f"{where}.n2"),
-            K=_as_int(_require(data, "K", where), f"{where}.K"),
-            eps=load_rational(_require(data, "eps", where), f"{where}.eps"),
-            m1=_as_int(data.get("m1", 1), f"{where}.m1"),
-            m2=_as_int(data.get("m2", 2), f"{where}.m2"),
-        )
     except DomainError as e:
         raise SchemaError(f"{where}: {e}")
 

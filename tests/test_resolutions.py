@@ -116,7 +116,7 @@ def test_bracket_laws_seeded():
         s = rand_resolution(rng, k=r.k)
         val, _ = bracket(r, s, "dp")
         assert bracket(r, r, "dp")[0] >= r.total_weight()
-        if pattern_embeds(r.pattern, s.pattern, r.k, s.k):
+        if pattern_embeds(r.pattern, s.pattern, r.k):
             assert val >= r.total_weight()
 
 
