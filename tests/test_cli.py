@@ -234,7 +234,7 @@ def test_constant_echoes_its_query():
     # options the mode does not read are refused
     err = run("constant", "--instance", fx("norm_summing4.json"),
               "--mode", "C_uncond", "--delta", "1/2", "--order", "2", check=1)
-    assert json.loads(err.stderr)["kind"] == "DomainError"
+    assert err_json(err)["kind"] == "DomainError"
 
 
 def test_mr_demo_verb():
