@@ -10,6 +10,10 @@ from unclab.constants import (
     MODES,
     ConstantQuery,
     ConstantWitness,
+    _dedupe_forms,
+    _linear_pieces,
+    _lp_cells,
+    _lp_max,
     compute_constant,
     verify_witness,
 )
@@ -196,6 +200,30 @@ def test_lp_oracle_every_lp_mode(mode):
             assert lp.value_lower == 0
         else:
             assert verify_witness(inst, query, lp.witness) == lp.value_lower
+
+
+RATIO_MODES = [m for m in LP_MODES if m not in ("Kprime", "Lprime")]
+
+
+@pytest.mark.parametrize("mode", RATIO_MODES)
+def test_lp_value_is_optimal_in_every_cell(mode):
+    # Dinkelbach's stopping condition as an exact upper-bound oracle: the
+    # reported value v bounds num(a) / ||a|| on a cell exactly when
+    # max num.a - v*z over the cell's rows, the box and z >= every
+    # denominator form is <= 0 (z is variable 0, as in the LP cells)
+    rng = random.Random(f"lp-optimality-{mode}")
+    for _ in range(2):
+        inst, query = random_lp_case(rng, mode)
+        v = compute_constant(inst, query, method="fractional_lp").value_lower
+        pieces = _dedupe_forms(_linear_pieces(inst))
+        dens = (_dedupe_forms(f.as_dict() for f in inst.functionals)
+                if mode == "Kstar" else pieces)
+        box = [({i: s}, 1) for i in (1, 2) for s in (1, -1)]
+        epigraph = [({**f, 0: -1}, 0) for f in dens]
+        for _, nums, rows, _ in _lp_cells(inst, query, pieces):
+            for num in nums:
+                res = _lp_max({**num, 0: -v}, rows + box + epigraph, 3)
+                assert res is None or res[0] <= 0, (mode, num)
 
 
 def test_grid_only_modes_reject_lp():
