@@ -19,9 +19,11 @@ feasible set of pairs (a, E):
 The grid method reports a certified lower bound: the exact maximum of the
 ratio over the lattice {0, +-step, ..., +-1}^dim intersected with the mode's
 constraints, witness attached. The fractional_lp method solves each
-(E, sign pattern, numerator piece) cell exactly by Dinkelbach iteration on a
-parametric LP whose epigraph variable carries the max-of-linear denominator,
-so value_upper == value_lower on convergence.
+(E, sign pattern, numerator piece) cell exactly as one LP: the
+Charnes-Cooper substitution y = a / ||a||, t = 1 / ||a|| turns the ratio of
+a linear numerator to the max-of-linear denominator into max num.y subject
+to ||y|| <= 1 and the cell's rows homogenised in t, so value_upper ==
+value_lower.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .caps import check_cap, load_caps
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .norms import NormInstance, SparseVector, _projections, eval_norm
 from .schreier import SchreierDecomposition, oscillation, schreier_decompose, schreier_member
 
@@ -301,37 +303,10 @@ def _lp_max(objective: dict[int, Fraction], rows, nvars: int):
     return -tab[-1][-1], [x[j] - x[nvars + j] for j in range(nvars)]
 
 
-def _dinkelbach(num_form: dict[int, Fraction], den_forms: list[dict[int, Fraction]],
-                rows, nvars: int) -> tuple[Fraction, list[Fraction]] | None:
-    """max num / (max den_forms) over the rows' polytope, exact. Variable 0
-    is the epigraph z >= every denominator form."""
-    # keep the polytope bounded in z (pieces are bounded on the box)
-    zbound = 1 + max(
-        (sum((abs(c) for c in f.values()), Fraction(0)) for f in den_forms),
-        default=Fraction(0))
-    rows = rows + [({**f, 0: -1}, 0) for f in den_forms] + [({0: 1}, zbound)]
-    t = Fraction(0)
-    best_point: list[Fraction] | None = None
-    for _ in range(200):
-        res = _lp_max({**num_form, 0: -t}, rows, nvars)
-        if res is None:
-            return None
-        val, point = res
-        if val <= 0:
-            return None if best_point is None else (t, best_point)
-        den_val = max((_dot(f, point) for f in den_forms), default=Fraction(0))
-        if den_val <= 0:
-            raise DomainError("denominator degenerates on the feasible set; "
-                              "instance norm is not definite here")
-        t = _dot(num_form, point) / den_val
-        best_point = point
-    raise InternalError("dinkelbach failed to converge")
-
-
 def _lp_cells(inst: NormInstance, query: ConstantQuery, pieces):
     """Yield (E, numerator forms, rows, point index), one LP cell per
-    numerator form. The rows (form, rhs), meaning form . (z, a_1..a_dim) <=
-    rhs, are the mode's whole feasible set apart from the box or the norm
+    numerator form. The rows (form, rhs), meaning form . a <= rhs over
+    a_1..a_dim (variable 0 is the LP's own), are the mode's whole feasible set apart from the box or the norm
     bound: zeros off the support S (L, Lprime), one sign row per signed
     coordinate with |a_i| >= delta (>= 0 in A), and the A-feasibility row."""
     mode, delta = query.mode, query.delta
@@ -390,17 +365,23 @@ def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
     cells = 0
     for E, nums, rows, point_index in _lp_cells(inst, query, pieces):
         rows = rows + bound
+        if not value_form:
+            # Charnes-Cooper: y = a * t with t = 1 / ||a|| (variable 0) turns
+            # the ratio into max num.y over the rows homogenised in t and
+            # ||y|| <= 1; (y, t) = 0 is feasible, so None means unbounded
+            rows = ([({**f, 0: -rhs}, 0) for f, rhs in rows]
+                    + [(f, 1) for f in den_forms] + [({0: -1}, 0)])
         for num_form in nums:
             cells += 1
-            if value_form:
-                res = _lp_max(num_form, rows, nvars)
-            else:
-                res = _dinkelbach(num_form, den_forms, rows, nvars)
-            if res is None:
+            res = _lp_max(num_form, rows, nvars)
+            if res is None and not value_form:
+                raise DomainError("denominator degenerates on the feasible set; "
+                                  "instance norm is not definite here")
+            if res is None or res[0] <= 0:
                 continue
             ratio, point = res
-            if ratio <= 0:
-                continue
+            if not value_form:   # t > 0 here: the box rows pin y = 0 at t = 0
+                point = [v / point[0] for v in point]
             if best is None or ratio > best:
                 a_vec = SparseVector.from_pairs(
                     (i, point[i]) for i in range(1, nvars) if point[i] != 0)
