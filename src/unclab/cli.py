@@ -204,7 +204,7 @@ def norm(instance_path, vector_path):
 @click.option("--d", "small_d_text", default=None)
 @click.option("--order", type=int, default=None)
 @click.option("--method", type=click.Choice(["grid", "lp"]), default="grid")
-@click.option("--step", "step_text", default="1/8")
+@click.option("--step", "step_text", default=None)
 @verb
 def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
              order, method, step_text):
@@ -218,10 +218,14 @@ def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
         order=order,
     )
     method_name = "fractional_lp" if method == "lp" else method
-    report = compute_constant(inst, query, method=method_name,
-                              step=parse_rational(step_text))
-    inputs = {"instance": instance_path, "mode": mode, "method": method_name,
-              "step": parse_rational(step_text)}
+    inputs = {"instance": instance_path, "mode": mode, "method": method_name}
+    if method == "lp":
+        if step_text is not None:
+            raise DomainError("--step applies to the grid method only")
+        report = compute_constant(inst, query, method=method_name)
+    else:
+        inputs["step"] = parse_rational("1/8" if step_text is None else step_text)
+        report = compute_constant(inst, query, method=method_name, step=inputs["step"])
     inputs.update((name, getattr(query, name)) for name in QUERY_FIELDS
                   if getattr(query, name) is not None)
     return inputs, dict(ser.to_jsonable(report))

@@ -400,7 +400,7 @@ def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
     return ConstantReport(
         mode=query.mode, method="fractional_lp",
         value_lower=best, value_upper=best, witness=best_wit,
-        details={"cells": cells, "converged": True},
+        details={"cells": cells},
     )
 
 

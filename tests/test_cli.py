@@ -235,6 +235,15 @@ def test_constant_echoes_its_query():
     err = run("constant", "--instance", fx("norm_summing4.json"),
               "--mode", "C_uncond", "--delta", "1/2", "--order", "2", check=1)
     assert err_json(err)["kind"] == "DomainError"
+    # --step is a grid option: the LP method refuses it and does not echo it
+    err = run("constant", "--instance", fx("norm_summing4.json"),
+              "--mode", "schreier", "--order", "1", "--method", "lp",
+              "--step", "2/3", check=1)
+    assert err_json(err)["kind"] == "DomainError"
+    rep = out_json(run("constant", "--instance", fx("norm_summing4.json"),
+                       "--mode", "C_uncond", "--method", "lp", check=0))
+    assert "step" not in rep["inputs"]
+    assert "converged" not in rep["details"]
 
 
 def test_mr_demo_verb():
