@@ -351,10 +351,7 @@ def _block_max_int(slot_nums: list[int], val_nums: list[int],
             table.append(list(M))
         seen += 1
         for j in range(min(n_slots, seen), 0, -1):
-            prev = M[j - 1]
-            if prev is None:
-                continue
-            cand = prev + slot_nums[j - 1] * x
+            cand = M[j - 1] + slot_nums[j - 1] * x
             cur = M[j]
             if cur is None or cand > cur:
                 M[j] = cand

@@ -31,6 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .caps import check_cap, load_caps
+from .constants import _subsets
 from .errors import DomainError, SchemaError
 
 
@@ -184,17 +185,6 @@ def validate_pure_matching(FL, FM, L, M, J, p, c) -> dict:
     return {"ok": not failures, "failures": failures, "selected_mass": mass}
 
 
-def _subset_from_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 def search_matching(pmap: PrefixContinuousMap, universe: int,
                     horizon: int | None = None,
                     strategy: str = "exhaustive", seed: int | None = None,
@@ -250,9 +240,8 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
                  "only found witnesses transfer"),
     }
     if strategy == "exhaustive":
-        for mask in range(1, 1 << universe):
-            L = _subset_from_mask(mask)
-            if len(L) < h:
+        for L in _subsets(tuple(range(1, universe + 1))):
+            if len(L) < h:   # h >= depth >= 1 skips the empty set
                 continue
             FL = table[L[:d]]
             for P in prefixes:
