@@ -306,9 +306,10 @@ def _lp_max(objective: dict[int, Fraction], rows, nvars: int):
 def _lp_cells(inst: NormInstance, query: ConstantQuery, pieces):
     """Yield (E, numerator forms, rows, point index), one LP cell per
     numerator form. The rows (form, rhs), meaning form . a <= rhs over
-    a_1..a_dim (variable 0 is the LP's own), are the mode's whole feasible set apart from the box or the norm
-    bound: zeros off the support S (L, Lprime), one sign row per signed
-    coordinate with |a_i| >= delta (>= 0 in A), and the A-feasibility row."""
+    a_1..a_dim (variable 0 is left to `_lp_search`), are the mode's whole
+    feasible set apart from the box or the norm bound: zeros off the
+    support S (L, Lprime), one sign row per signed coordinate with
+    |a_i| >= delta (>= 0 in A), and the A-feasibility row."""
     mode, delta = query.mode, query.delta
     universe = tuple(range(1, inst.dim + 1))
     if mode == "Kstar":

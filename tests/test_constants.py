@@ -130,8 +130,8 @@ def test_kstar_denominator_is_full_support_cloud_sup():
     assert wit.point_index is not None
     assert wit.numerator == 1 and wit.denominator == F(1, 2)
     assert verify_witness(inst, query, wit) == 2
-    # the cloud sup is only a seminorm here; the parametric LP detects the
-    # degeneracy (the true supremum is infinite) instead of reporting a number
+    # the cloud sup is only a seminorm here; the LP is unbounded, so the
+    # degeneracy (the true supremum is infinite) is reported, not a number
     with pytest.raises(DomainError):
         compute_constant(inst, query, method="fractional_lp")
 
