@@ -22,7 +22,7 @@ def main():
     print(f"{'eta':>8} {'seed':>5} {'size':>5} {'pairwise_max':>14} {'evals':>6}  note")
     for eta in etas:
         for seed in seeds:
-            rep = explore_orthogonal_family("rademacher", eta, args.budget, seed)
+            rep = explore_orthogonal_family(eta, args.budget, seed)
             pm = rep["pairwise_max"]
             print(f"{str(eta):>8} {seed:>5} {len(rep['family']):>5} "
                   f"{str(pm) if pm is not None else '-':>14} "

@@ -8,7 +8,6 @@ per-pair bound. Everything exact; the table cells are Fractions.
 
 import argparse
 import sys
-from fractions import Fraction
 
 from unclab.resolutions import (build_rademacher, choose_multiplicities,
                                 mutual_bracket, rademacher_bound,

@@ -8,9 +8,8 @@ from .constants import (ConstantQuery, ConstantReport, ConstantWitness,
 from .elton import (EltonLayout, EltonParams, LayoutVector,
                     StructuredFunctional, VectorTriple, brute_miniature,
                     build_layout, build_vectors, case_bounds, elton_ladder,
-                    k_lower_certificate, layout_norm, max_over_functionals,
-                    quasi_case_bounds, quasi_certificate, structured_dp,
-                    validate_params)
+                    k_lower_certificate, layout_norm, quasi_case_bounds,
+                    quasi_certificate, structured_dp, validate_params)
 from .errors import (DomainError, InternalError, MissingInputError,
                      RationalFormatError, SchemaError, SizeError, UnclabError)
 from .mrdemo import coded_norm_instance, mr_demo, special_sequence

@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from . import serialize as ser
-from .constants import QUERY_FIELDS, ConstantQuery, compute_constant
+from .constants import DEFAULT_STEP, QUERY_FIELDS, ConstantQuery, compute_constant
 from .elton import EltonParams, k_lower_certificate, quasi_certificate
 from .errors import DomainError, MissingInputError, UnclabError
 from .mrdemo import mr_demo
@@ -218,14 +218,11 @@ def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
         order=order,
     )
     method_name = "fractional_lp" if method == "lp" else method
+    step = parse_rational(step_text) if step_text is not None else None
+    report = compute_constant(inst, query, method=method_name, step=step)
     inputs = {"instance": instance_path, "mode": mode, "method": method_name}
-    if method == "lp":
-        if step_text is not None:
-            raise DomainError("--step applies to the grid method only")
-        report = compute_constant(inst, query, method=method_name)
-    else:
-        inputs["step"] = parse_rational("1/8" if step_text is None else step_text)
-        report = compute_constant(inst, query, method=method_name, step=inputs["step"])
+    if method == "grid":
+        inputs["step"] = DEFAULT_STEP if step is None else step
     inputs.update((name, getattr(query, name)) for name in QUERY_FIELDS
                   if getattr(query, name) is not None)
     return inputs, dict(ser.to_jsonable(report))

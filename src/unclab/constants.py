@@ -40,6 +40,7 @@ from .schreier import SchreierDecomposition, oscillation, schreier_decompose, sc
 MODES = ("K", "Kprime", "L", "Lprime", "A", "C_uncond",
          "quasi_greedy", "BOU", "Kstar", "schreier")
 GRID_ONLY = ("quasi_greedy", "BOU")
+DEFAULT_STEP = Fraction(1, 8)
 # the modes that read each optional ConstantQuery field
 QUERY_FIELDS = {"delta": ("K", "Kprime", "L", "Lprime", "A", "Kstar"),
                 "D": ("BOU",), "d": ("BOU",), "order": ("schreier",)}
@@ -406,10 +407,14 @@ def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
 
 
 def compute_constant(inst: NormInstance, query: ConstantQuery,
-                     method: str = "grid", step: Fraction = Fraction(1, 8)) -> ConstantReport:
+                     method: str = "grid", step: Fraction | None = None) -> ConstantReport:
+    """The mode's constant by the grid (step defaults to DEFAULT_STEP) or
+    by the fractional LP, which takes no step."""
     if method == "grid":
-        return _grid_search(inst, query, step)
+        return _grid_search(inst, query, DEFAULT_STEP if step is None else step)
     if method == "fractional_lp":
+        if step is not None:
+            raise DomainError("--step applies to the grid method only")
         return _lp_search(inst, query)
     raise DomainError(f"unknown method {method!r}")
 

@@ -6,7 +6,7 @@ an I-run of n1*2^(K(m2-m1)) slots then a J-run of n2*2^(K(m2-m1)) slots,
 for 2^(K*m1-1) rounds. E1 collects the I-slots (value u1 = 1/(n1*2^(K*m2-1))
 each on the canonical functional), E2 the J-slots (value u2 = 1/(n2*2^(K*m2-1))).
 
-The functional family evaluated by max_over_functionals consists of all
+The functional family evaluated by structured_dp consists of all
 shapes (a, b): coefficient 1/2 at coordinate a, 1 at coordinate b, then the
 slot value sequence of the (a, b)-shaped tiling assigned to freely chosen
 increasing coordinates above b, together with all initial-segment
@@ -96,11 +96,8 @@ def _n_slots(p: EltonParams, m2: int) -> int:
     return (p.n1 + p.n2) * 2 ** (p.K * m2 - 1)
 
 
-def build_layout(p: EltonParams, m1: int | None = None, m2: int | None = None) -> EltonLayout:
-    m1 = p.m1 if m1 is None else m1
-    m2 = p.m2 if m2 is None else m2
-    if not (1 <= m1 < m2):
-        raise DomainError("need 1 <= m1 < m2")
+def build_layout(p: EltonParams) -> EltonLayout:
+    m1, m2 = p.m1, p.m2
     n_slots = _n_slots(p, m2)
     universe = n_slots + 2
     check_cap(universe, load_caps().layout_universe, "layout universe")
@@ -109,8 +106,6 @@ def build_layout(p: EltonParams, m1: int | None = None, m2: int | None = None) -
     rounds = 2 ** (p.K * m1 - 1)
     e1_size = p.n1 * 2 ** (p.K * m2 - 1)
     e2_size = p.n2 * 2 ** (p.K * m2 - 1)
-    if rounds * i_len != e1_size or rounds * j_len != e2_size:
-        raise InternalError("layout rounds do not tile E1 and E2")
     return EltonLayout(
         params=p, universe=universe, n_slots=n_slots, rounds=rounds,
         i_len=i_len, j_len=j_len,
@@ -321,6 +316,9 @@ def brute_miniature(layout: EltonLayout, v) -> tuple[Fraction, dict]:
 
 # ------------------------------------------------------------ structured dp
 
+_DP_CELL_BUDGET = 30_000_000   # slot-by-coordinate DP cells one call may fill
+
+
 def _scaled_block(p: EltonParams, sv: list[Fraction], a: int, b: int):
     """Shape (a, b)'s slot values for the coordinates above b, and those
     slots and coordinate values as integers over one common denominator.
@@ -395,8 +393,7 @@ def _spans_from_assignment(assignment, slot_values):
     return spans
 
 
-def structured_dp(layout: EltonLayout, v, want_witness: bool = True,
-                  cell_budget: int = 30_000_000) -> tuple[Fraction, dict]:
+def structured_dp(layout: EltonLayout, v) -> tuple[Fraction, dict]:
     """Family maximum via per-shape slot-placement DP with sound pruning.
 
     Shapes are screened by the upper bound 1/2 max_half + pinned_b + tail(b),
@@ -455,9 +452,9 @@ def structured_dp(layout: EltonLayout, v, want_witness: bool = True,
                 # exact DP for shape (a, b)
                 slots, slot_nums, val_nums, denom = _scaled_block(p, sv, a, b)
                 cells_used += (N - b) * max(1, len(slots))
-                if cells_used > cell_budget:
-                    raise SizeError("structured dp expansion exceeded its cell budget; "
-                                    "tighten the vector or raise the budget")
+                if cells_used > _DP_CELL_BUDGET:
+                    raise SizeError("structured dp expansion exceeded its cell budget "
+                                    f"of {_DP_CELL_BUDGET} cells")
                 blk_int, _, _ = _block_max_int(slot_nums, val_nums)
                 blk = Fraction(blk_int, denom * denom)
                 value = Fraction(1, 2) * sv[a] + sv[b] + blk
@@ -465,28 +462,19 @@ def structured_dp(layout: EltonLayout, v, want_witness: bool = True,
                     best = value
                     best_wit = {"kind": "shape", "a": a, "b": b, "sigma": sigma,
                                 "block_value": blk}
-    if want_witness and best_wit.get("kind") == "shape" and "block_value" in best_wit:
+    if best_wit["kind"] == "shape":
         a, b, sigma = best_wit["a"], best_wit["b"], best_wit["sigma"]
         slots, slot_nums, val_nums, _ = _scaled_block(
             p, [sigma * x for x in vals], a, b)
         _, M_final, table = _block_max_int(slot_nums, val_nums, want_table=True)
         assignment = _backtrack_assignment(slot_nums, val_nums, M_final, table, b + 1)
-        best_wit = dict(best_wit)
         best_wit["assignment_spans"] = _spans_from_assignment(assignment, slots)
     return best, best_wit
 
 
-def max_over_functionals(layout: EltonLayout, v, method: str = "structured_dp"):
-    if method == "structured_dp":
-        return structured_dp(layout, v)
-    if method == "brute_miniature":
-        return brute_miniature(layout, v)
-    raise DomainError(f"unknown method {method!r}")
-
-
-def layout_norm(layout: EltonLayout, v, method: str = "structured_dp") -> Fraction:
+def layout_norm(layout: EltonLayout, v) -> Fraction:
     """Instance norm: sup term joined with the family maximum."""
-    fam, _ = max_over_functionals(layout, v, method)
+    fam, _ = structured_dp(layout, v)
     return max(v.sup_norm(), fam)
 
 
@@ -506,8 +494,8 @@ def _dp_norms(layout: EltonLayout, triple: VectorTriple, bound: Fraction):
     The vector's family maximum must not exceed its derived case bound.
     Returns (norm_plus, norm_minus, witness_plus, witness_minus).
     """
-    num, num_wit = max_over_functionals(layout, triple.plus)
-    den, den_wit = max_over_functionals(layout, triple.minus)
+    num, num_wit = structured_dp(layout, triple.plus)
+    den, den_wit = structured_dp(layout, triple.minus)
     if den > bound:
         raise InternalError(
             f"{triple.variant} family dp exceeded the case bound; bounds unsound")

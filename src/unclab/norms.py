@@ -12,7 +12,7 @@ Everything is exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .caps import check_cap, load_caps
@@ -103,7 +103,6 @@ class NormInstance:
     functionals: tuple[Functional, ...]
     projection_class: str = "initial_segments"
     include_sup: bool = True
-    base_count: int = field(default=0, compare=False)
 
     @staticmethod
     def build(dim: int, functionals, projection_class: str = "initial_segments",
@@ -126,7 +125,7 @@ class NormInstance:
             if neg.entries not in present:
                 closed.append(neg)
                 present.add(neg.entries)
-        return NormInstance(dim, tuple(closed), projection_class, include_sup, len(fams))
+        return NormInstance(dim, tuple(closed), projection_class, include_sup)
 
     def _check_vector(self, v: SparseVector) -> None:
         for i, _ in v.entries:

@@ -226,8 +226,6 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
         M = tuple(sorted(Pset | tail))
         if len(M) < h or set(M) == Lset:
             return None
-        if M[:d] != P:
-            return None
         wit = MatchingWitness(L, M, FL, FM)
         if not validate_matching(wit)["ok"]:
             return None
@@ -315,8 +313,7 @@ def _canonical_order(patterns):
     return sorted(patterns, key=lambda p: (len(p), sorted(p)))
 
 
-def weakly_hereditary(family: ColourFamily, M=None, mode: str = "weakly",
-                      max_checks: int | None = None) -> dict:
+def weakly_hereditary(family: ColourFamily, M=None, mode: str = "weakly") -> dict:
     """Closure check for the restriction family F_M, with a counterexample.
 
     mode "hereditary": every pattern obtained from a member by zeroing some
@@ -359,9 +356,6 @@ def weakly_hereditary(family: ColourFamily, M=None, mode: str = "weakly",
             continue
         for a, j in candidates(b):
             checked += 1
-            if max_checks is not None and checked > max_checks:
-                return {"hereditary": None, "mode": mode,
-                        "violation": None, "checked": checked - 1}
             if a not in fam_set:
                 return {"hereditary": False, "mode": mode, "checked": checked,
                         "violation": {"a": a, "b": b, "colour": j}}

@@ -186,8 +186,8 @@ def bracket(r: Resolution, s: Resolution, method: str = "dp") -> tuple[Fraction,
     raise DomainError(f"unknown bracket method {method!r}")
 
 
-def mutual_bracket(r: Resolution, s: Resolution, method: str = "dp") -> Fraction:
-    return max(bracket(r, s, method)[0], bracket(s, r, method)[0])
+def mutual_bracket(r: Resolution, s: Resolution) -> Fraction:
+    return max(bracket(r, s)[0], bracket(s, r)[0])
 
 
 def eta_orthogonal(r: Resolution, s: Resolution, eta: Fraction) -> bool:
@@ -292,22 +292,15 @@ def rademacher_bound(k0: int, ns: tuple[int, ...], l: int, l2: int) -> Fraction:
     return TWO ** (-k0) + cross / k0 + Fraction(3, k0)
 
 
-def explore_orthogonal_family(
-    family_class: str,
-    eta: Fraction,
-    budget: int,
-    seed: int,
-) -> dict:
+def explore_orthogonal_family(eta: Fraction, budget: int, seed: int) -> dict:
     """Greedy search for a mutually eta-orthogonal set of resolutions.
 
-    Candidate pool comes from the named class (currently "rademacher" with
-    colour base 2 and greedy multiplicities). Every class member has colour
-    weights 1/k0 and any two share enough colour positions to force
+    Candidate pool comes from the Rademacher class with colour base 2 and
+    greedy multiplicities. Every class member has colour weights 1/k0 and
+    any two share enough colour positions to force
     <r, s> >= 1/k0, so eta <= 1/k0 cannot support a family of size above 1;
     that case returns immediately with the floor noted.
     """
-    if family_class != "rademacher":
-        raise DomainError(f"unknown family class {family_class!r}")
     if eta <= 0:
         raise DomainError("eta must be positive")
     caps = load_caps()

@@ -14,8 +14,7 @@ from pathlib import Path
 
 from .errors import DomainError, MissingInputError, SchemaError
 from .norms import NormInstance, SparseVector
-from .ramsey import (ColourFamily, MatchingWitness, PrefixContinuousMap,
-                     make_pattern)
+from .ramsey import MatchingWitness, PrefixContinuousMap
 from .rationals import format_rational, parse_rational
 from .resolutions import Resolution
 
@@ -184,30 +183,6 @@ def load_prefix_map(data, where: str = "map") -> PrefixContinuousMap:
         table[prefix] = F
     try:
         return PrefixContinuousMap.from_dict(depth, table)
-    except DomainError as e:
-        raise SchemaError(f"{where}: {e}")
-
-
-def load_colour_family(data, where: str = "family") -> ColourFamily:
-    k = _as_int(_require(data, "k", where), f"{where}.k")
-    universe = _as_int(_require(data, "universe", where), f"{where}.universe")
-    members_raw = _require(data, "members", where)
-    if not isinstance(members_raw, list):
-        raise SchemaError(f"{where}.members: expected a list")
-    members = []
-    for i, item in enumerate(members_raw):
-        spot = f"{where}.members[{i}]"
-        if not isinstance(item, list):
-            raise SchemaError(f"{spot}: expected a list of [element, colour] pairs")
-        try:
-            members.append(make_pattern(
-                (_as_int(_require(p, "i", f"{spot}[{j}]"), f"{spot}[{j}].i"),
-                 _as_int(_require(p, "c", f"{spot}[{j}]"), f"{spot}[{j}].c"))
-                for j, p in enumerate(item)))
-        except DomainError as e:
-            raise SchemaError(f"{spot}: {e}")
-    try:
-        return ColourFamily(k=k, universe=universe, members=tuple(members))
     except DomainError as e:
         raise SchemaError(f"{where}: {e}")
 

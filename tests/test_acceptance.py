@@ -17,10 +17,11 @@ from pathlib import Path
 from conftest import rand_resolution, rand_sparse
 
 from unclab.constants import MODES, ConstantQuery, compute_constant, verify_witness
-from unclab.elton import (EltonParams, build_layout, build_vectors,
-                          brute_miniature, elton_ladder, k_lower_certificate,
+from unclab.elton import (EltonParams, LayoutVector, _slot_value_list,
+                          build_layout, build_vectors, brute_miniature,
+                          elton_ladder, k_lower_certificate,
                           quasi_certificate, structured_dp)
-from unclab.norms import Functional, NormInstance, build_standard
+from unclab.norms import Functional, NormInstance, SparseVector, build_standard
 from unclab.ramsey import (make_pattern, remark_family, restrict_pattern,
                            search_matching, validate_matching,
                            validate_matching_data, weakly_hereditary)
@@ -134,8 +135,38 @@ def test_criterion_4(capsys):
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
 
+def _replay_dp_witness(lay, v, value, wit):
+    """Recompute a structured-dp value from its witness and the vector alone."""
+    if isinstance(v, LayoutVector):
+        vals = {c: v.value(lay, c) for c in range(1, lay.universe + 1)}
+    else:
+        vals = dict(v.entries)
+
+    def sv(c):
+        return wit["sigma"] * vals.get(c, F(0))
+
+    a = wit["a"]
+    if wit["kind"] == "half_only":
+        assert value == F(1, 2) * sv(a)
+        return wit["kind"]
+    b = wit["b"]
+    assert wit["kind"] == "shape" and a < b
+    pairs = [(c, val) for lo, hi, val in wit["assignment_spans"]
+             for c in range(lo, hi + 1)]
+    coords = [b] + [c for c, _ in pairs]
+    assert all(x < y for x, y in zip(coords, coords[1:])) and coords[-1] <= lay.universe
+    assert [val for _, val in pairs] == _slot_value_list(lay.params, a, b, len(pairs))
+    assert value == F(1, 2) * sv(a) + sv(b) + sum((val * sv(c) for c, val in pairs), F(0))
+    return wit["kind"]
+
+
 def test_criterion_5(capsys):
     with criterion(capsys, 5, "structured dp equals exhaustive family max on miniatures", 300):
+        kinds = []
+        rung1 = build_layout(EltonParams(1, 8, 4, F(13, 100)))
+        trip = build_vectors(rung1, "standard")
+        for v in (trip.minus, trip.plus):
+            kinds.append(_replay_dp_witness(rung1, v, *structured_dp(rung1, v)))
         combos = [(n1, n2, 1, 1, 2) for n1 in range(1, 5) for n2 in range(1, 5)
                   if n1 + n2 <= 5]
         combos += [(1, 1, 1, m1, 3) for m1 in (1, 2)]
@@ -148,9 +179,10 @@ def test_criterion_5(capsys):
             vecs = [trip.minus, trip.plus] + [rand_sparse(rng, lay.universe)
                                               for _ in range(3)]
             for v in vecs:
-                a, _ = structured_dp(lay, v, want_witness=False)
+                a, wit = structured_dp(lay, v)
                 b, _ = brute_miniature(lay, v)
                 assert a == b, (n1, n2, K, m1, m2)
+                kinds.append(_replay_dp_witness(lay, v, a, wit))
         pool = [(n1, n2, 1, 1, 2) for n1 in range(1, 7) for n2 in range(1, 7)
                 if n1 + n2 <= 7]
         pool += [(n1, n2, 1, m1, 3)
@@ -161,9 +193,20 @@ def test_criterion_5(capsys):
             lay = build_layout(EltonParams(n1, n2, K, F(1, 10), m1, m2))
             assert lay.universe <= 16
             v = rand_sparse(rng, lay.universe)
-            a, _ = structured_dp(lay, v, want_witness=False)
+            a, wit = structured_dp(lay, v)
             b, _ = brute_miniature(lay, v)
             assert a == b, (n1, n2, K, m1, m2)
+            kinds.append(_replay_dp_witness(lay, v, a, wit))
+        # the witness replay is cheap, so it also runs where brute force would not
+        for _ in range(120):
+            n1, n2, K, m1, m2 = rng.choice(pool)
+            lay = build_layout(EltonParams(n1, n2, K, F(1, 10), m1, m2))
+            v = rand_sparse(rng, lay.universe)
+            kinds.append(_replay_dp_witness(lay, v, *structured_dp(lay, v)))
+        # a lone coordinate at 1 leaves every shape at half its value
+        lone = SparseVector.from_pairs([(1, F(1))])
+        kinds.append(_replay_dp_witness(lay, lone, *structured_dp(lay, lone)))
+        assert len(kinds) == 203 and set(kinds) == {"shape", "half_only"}
 
 
 def _mode_query(mode, rng=None):

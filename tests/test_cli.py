@@ -6,7 +6,6 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
-import pytest
 from click.testing import CliRunner
 
 import unclab

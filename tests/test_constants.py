@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from unclab.constants import (
+    DEFAULT_STEP,
     GRID_ONLY,
     MODES,
     ConstantQuery,
@@ -241,6 +242,12 @@ def test_method_and_step_validation():
     for bad in (F(0), F(2, 3), F(3, 2)):
         with pytest.raises(DomainError):
             compute_constant(inst, q("C_uncond"), method="grid", step=bad)
+    # the step is a grid option: the LP refuses every step, valid or not
+    for step in (F(1, 8), F(1, 2), F(2, 3)):
+        with pytest.raises(DomainError, match="grid method only"):
+            compute_constant(inst, q("C_uncond"), method="fractional_lp", step=step)
+    rep = compute_constant(inst, q("C_uncond"))
+    assert rep.method == f"grid(step={DEFAULT_STEP})" == "grid(step=1/8)"
 
 
 def test_grid_dim_cap():

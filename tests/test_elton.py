@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from unclab import elton
 from unclab.elton import (
     EltonParams,
     _slot_value_list,
@@ -16,7 +17,6 @@ from unclab.elton import (
     elton_ladder,
     k_lower_certificate,
     layout_norm,
-    max_over_functionals,
     quasi_case_bounds,
     quasi_certificate,
     structured_dp,
@@ -220,16 +220,14 @@ def test_dp_matches_brute_and_oracle(p, universe, minus_norm):
     vals = [F(0)] + [x.value(layout, c) for c in range(1, universe + 1)]
     assert d == b == literal_family_max(layout, vals)
     assert layout_norm(layout, x) == minus_norm
-    assert layout_norm(layout, x, method="brute_miniature") == minus_norm
 
 
-def test_dp_guardrails():
+def test_dp_guardrails(monkeypatch):
     layout = build_layout(P184)
     t = build_vectors(layout, "standard")
-    with pytest.raises(SizeError):
-        structured_dp(layout, t.minus, cell_budget=5)
-    with pytest.raises(DomainError):
-        max_over_functionals(layout, t.minus, method="magic")
+    monkeypatch.setattr(elton, "_DP_CELL_BUDGET", 5)
+    with pytest.raises(SizeError, match="cell budget of 5 cells"):
+        structured_dp(layout, t.minus)
     with pytest.raises(DomainError):
         structured_dp(layout, SparseVector.from_pairs([(2000, F(1))]))
     with pytest.raises(SizeError):

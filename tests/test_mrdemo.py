@@ -54,8 +54,9 @@ def test_coded_norm_instance_shape(family):
     assert inst.dim == 12
     assert inst.projection_class == "intervals"
     assert inst.include_sup
-    # one functional per block interval [j1, j2], 4 + 3 + 2 + 1 of them
-    assert inst.base_count == 10
+    # one functional per block interval [j1, j2], 4 + 3 + 2 + 1 of them,
+    # each with its negation
+    assert len(inst.functionals) == 20
 
 
 def test_mr_demo_frozen(family):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import unclab
 from conftest import rand_sparse
 from unclab.errors import DomainError, SizeError
-from unclab.norms import (Functional, NormInstance, SparseVector,
-                          build_standard, dual_certificate, eval_norm)
+from unclab.norms import (PROJECTION_CLASSES, Functional, NormInstance,
+                          SparseVector, build_standard, dual_certificate,
+                          eval_norm)
 
 F1 = Fraction(1)
 
@@ -56,7 +57,6 @@ def test_functional_is_sparse_vector():
 def test_build_closure_under_negation():
     f = Functional.from_pairs([(1, F1)])
     inst = NormInstance.build(2, [f])
-    assert inst.base_count == 1
     assert len(inst.functionals) == 2
     assert inst.functionals[1].entries == ((1, Fraction(-1)),)
     # negation-closed input family is not doubled
@@ -152,23 +152,28 @@ def test_sup_certificate():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_norm_axioms_summing(seed):
+    # summing 4, and a random family with the sup term in every class
     rng = random.Random(seed)
-    inst = build_standard("summing", 4)
+    instances = [build_standard("summing", 4)] + [
+        NormInstance.build(4, [rand_sparse(rng, 4) for _ in range(rng.randint(1, 3))],
+                           projection_class)
+        for projection_class in PROJECTION_CLASSES]
     u = rand_sparse(rng, 4)
     v = rand_sparse(rng, 4)
-    nu, nv = eval_norm(inst, u), eval_norm(inst, v)
-    assert nu > 0
-    assert eval_norm(inst, u.add(v)) <= nu + nv
     c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-    assert eval_norm(inst, u.scale(c)) == abs(c) * nu
-    # certificate re-verification
-    cert = dual_certificate(inst, u)
-    assert cert.value == nu
-    if cert.kind == "functional":
-        f = inst.functionals[cert.functional_index]
-        assert f.apply(u.restrict(cert.projection)) == nu
-    else:
-        assert abs(u.get(cert.coordinate)) == nu
+    for inst in instances:
+        nu, nv = eval_norm(inst, u), eval_norm(inst, v)
+        assert nu > 0
+        assert eval_norm(inst, u.add(v)) <= nu + nv
+        assert eval_norm(inst, u.scale(c)) == abs(c) * nu
+        # certificate re-verification
+        cert = dual_certificate(inst, u)
+        assert cert.value == nu
+        if cert.kind == "functional":
+            f = inst.functionals[cert.functional_index]
+            assert f.apply(u.restrict(cert.projection)) == nu
+        else:
+            assert abs(u.get(cert.coordinate)) == nu
 
 
 @settings(max_examples=40, deadline=None)

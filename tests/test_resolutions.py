@@ -179,15 +179,13 @@ def test_rademacher_bound_frozen():
 
 
 def test_explore_orthogonal_family_smoke():
-    rep = explore_orthogonal_family("rademacher", Fraction(5, 2), 500, seed=3)
+    rep = explore_orthogonal_family(Fraction(5, 2), 500, seed=3)
     assert len(rep["family"]) >= 2
     assert rep["pairwise_max"] is not None and rep["pairwise_max"] < Fraction(5, 2)
     for i, a in enumerate(rep["family"]):
         for b in rep["family"][i + 1:]:
             assert mutual_bracket(a, b) < Fraction(5, 2)
-    floor = explore_orthogonal_family("rademacher", Fraction(1, 2), 500, seed=3)
+    floor = explore_orthogonal_family(Fraction(1, 2), 500, seed=3)
     assert len(floor["family"]) == 1 and "floor" in floor["note"]
-    with pytest.raises(DomainError):
-        explore_orthogonal_family("other", Fraction(2), 10, seed=1)
     with pytest.raises(SizeError):
-        explore_orthogonal_family("rademacher", Fraction(2), 10**9, seed=1)
+        explore_orthogonal_family(Fraction(2), 10**9, seed=1)

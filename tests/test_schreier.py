@@ -7,8 +7,7 @@ import pytest
 from conftest import rand_sparse
 from unclab.errors import DomainError
 from unclab.norms import SparseVector
-from unclab.schreier import (LevelSplit, SchreierDecomposition,
-                             interval_ladder, level_split, oscillation,
+from unclab.schreier import (interval_ladder, level_split, oscillation,
                              schreier_decompose, schreier_member)
 
 H = Fraction(1, 2)

@@ -13,7 +13,7 @@ SRC = str(Path(unclab.__file__).resolve().parent.parent)
 
 RUNS = [
     ["rademacher_table.py"],
-    ["elton_ladder.py"],
+    ["elton_ladder.py", "--rung", "0"],
     ["orthogonal_family_search.py", "--etas", "1/2,7/8", "--seeds", "0",
      "--budget", "8"],
 ]
