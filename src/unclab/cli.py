@@ -28,8 +28,7 @@ from .norms import dual_certificate, eval_norm
 from .ramsey import remark_family, search_matching, weakly_hereditary
 from .rationals import parse_rational
 from .resolutions import (build_rademacher, bracket, choose_multiplicities,
-                          longest_chain, mutual_bracket, rademacher_bound,
-                          ris_condition)
+                          longest_chain, rademacher_bound, ris_condition)
 
 _SHORT_CLASS = {"initial_segments": "initial", "intervals": "interval",
                 "all_subsets": "all"}
@@ -140,7 +139,8 @@ def rademacher(k0, m, n, ns_text, auto_ns, as_table):
     mults = [n * k0 ** (m - l) for l in range(1, m + 1)]
     family = [build_rademacher(k0, ns, mults[l - 1], l) for l in range(1, m + 1)]
     labels = [f"R(n={mults[l - 1]},l={l})" for l in range(1, m + 1)]
-    matrix = [[mutual_bracket(a, b) for b in family] for a in family]
+    directed = [[bracket(a, b)[0] for b in family] for a in family]
+    matrix = [[max(directed[i][j], directed[j][i]) for j in range(m)] for i in range(m)]
     off_diag = [matrix[i][j] for i in range(m) for j in range(m) if i != j]
     out = {
         "ris_condition": ris_condition(k0, ns),

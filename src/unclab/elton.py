@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .caps import check_cap, load_caps
 from .errors import DomainError, InternalError, SizeError
 from .norms import SparseVector
+from .rationals import _common_denominator
 
 TWO = Fraction(2)
 
@@ -328,25 +328,23 @@ def _scaled_block(p: EltonParams, sv: list[Fraction], a: int, b: int):
     """
     values = sv[b + 1:]
     slots = _slot_value_list(p, a, b, len(values))
-    denom = lcm(*{x.denominator for x in slots}, *{x.denominator for x in values})
-    return (slots, [int(x * denom) for x in slots],
-            [int(x * denom) for x in values], denom)
+    denom, nums = _common_denominator(slots + values)
+    return slots, nums[:len(slots)], nums[len(slots):], denom
 
 
-def _block_max_int(slot_nums: list[int], val_nums: list[int],
-                   want_table: bool = False):
+def _block_max_int(slot_nums: list[int], val_nums: list[int]):
     """Max of sum slot_j * value(c_j) over increasing coordinate choices.
 
     Integer DP: M[j] = best with exactly j slots placed so far; coordinates
     stream left to right, slots consume in order, placement optional.
+    Returns (best, final M, table), table[i] being M before coordinate i.
     """
     n_slots = len(slot_nums)
     M: list[int | None] = [0] + [None] * n_slots
     table: list[list[int | None]] = []
     seen = 0
     for x in val_nums:
-        if want_table:
-            table.append(list(M))
+        table.append(list(M))
         seen += 1
         for j in range(min(n_slots, seen), 0, -1):
             cand = M[j - 1] + slot_nums[j - 1] * x
@@ -354,8 +352,6 @@ def _block_max_int(slot_nums: list[int], val_nums: list[int],
             if cur is None or cand > cur:
                 M[j] = cand
     best = max(m for m in M if m is not None)
-    if not want_table:
-        return best, M, None
     return best, M, table
 
 
@@ -455,19 +451,18 @@ def structured_dp(layout: EltonLayout, v) -> tuple[Fraction, dict]:
                 if cells_used > _DP_CELL_BUDGET:
                     raise SizeError("structured dp expansion exceeded its cell budget "
                                     f"of {_DP_CELL_BUDGET} cells")
-                blk_int, _, _ = _block_max_int(slot_nums, val_nums)
+                blk_int, M_final, table = _block_max_int(slot_nums, val_nums)
                 blk = Fraction(blk_int, denom * denom)
                 value = Fraction(1, 2) * sv[a] + sv[b] + blk
                 if value > best:
                     best = value
                     best_wit = {"kind": "shape", "a": a, "b": b, "sigma": sigma,
                                 "block_value": blk}
+                    best_block = (slots, slot_nums, val_nums, M_final, table)
     if best_wit["kind"] == "shape":
-        a, b, sigma = best_wit["a"], best_wit["b"], best_wit["sigma"]
-        slots, slot_nums, val_nums, _ = _scaled_block(
-            p, [sigma * x for x in vals], a, b)
-        _, M_final, table = _block_max_int(slot_nums, val_nums, want_table=True)
-        assignment = _backtrack_assignment(slot_nums, val_nums, M_final, table, b + 1)
+        slots, slot_nums, val_nums, M_final, table = best_block
+        assignment = _backtrack_assignment(slot_nums, val_nums, M_final, table,
+                                           best_wit["b"] + 1)
         best_wit["assignment_spans"] = _spans_from_assignment(assignment, slots)
     return best, best_wit
 

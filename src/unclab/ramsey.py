@@ -344,7 +344,6 @@ def weakly_hereditary(family: ColourFamily, M=None, mode: str = "weakly") -> dic
             for j in colours:
                 elems = [e for e, c in items if c == j]
                 for r in range(len(elems), 0, -1):
-                    a = None
                     for T in combinations(elems, r):
                         a = frozenset((e, j) for e in T)
                         if a != b:

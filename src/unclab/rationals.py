@@ -2,12 +2,14 @@
 
 Wire format is the string "p/q" in lowest terms with q > 0. Parsing is
 lenient (plain integers and surrounding whitespace accepted); emission is
-always canonical, so "2" round-trips to "2/1".
+always canonical, so "2" round-trips to "2/1". The integer kernels scale
+their Fractions to one common denominator here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import RationalFormatError
 
@@ -39,3 +41,12 @@ def parse_rational(text: object) -> Fraction:
 def format_rational(value: Fraction | int) -> str:
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _common_denominator(xs: list[Fraction]) -> tuple[int, list[int]]:
+    """The least denom > 0 with every x * denom an integer, and those integers.
+
+    Lets an exact kernel run on plain ints and build one Fraction at the end.
+    """
+    denom = lcm(*{x.denominator for x in xs})
+    return denom, [x.numerator * (denom // x.denominator) for x in xs]

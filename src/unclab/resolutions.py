@@ -6,6 +6,11 @@ maximum over monotone matchings (index pairs strictly increasing in both
 coordinates) of sum 2^(c_u - d_v) * alpha_u, taken over matched pairs (u, v).
 The symmetric form <r, s> = max([r, s], [s, r]) drives the orthogonality
 predicate: r and s are eta-orthogonal when <r, s> < eta.
+
+The bracket DP is integer-scaled and exact: every gain is an integer over
+one common denominator, the suffix table and the lex-first witness walk run
+on plain ints, and the one Fraction is built at the end. The exhaustive
+method "brute" is its oracle on short inputs.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from fractions import Fraction
 
 from .caps import load_caps
 from .errors import DomainError, InternalError, SizeError
+from .rationals import _common_denominator
 
 TWO = Fraction(2)
 
@@ -128,29 +134,44 @@ def _gain(r: Resolution, s: Resolution, u: int, v: int) -> Fraction:
 
 def _bracket_dp(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int, int]]]:
     n, m = len(r), len(s)
-    # suffix[u][v] = best total over matchings inside r[u:], s[v:]
-    suffix = [[Fraction(0)] * (m + 1) for _ in range(n + 1)]
+    # Every gain 2^(c_u - d_v) alpha_u is an integer over the one denominator
+    # lcm(alpha denominators) * 2^(top - 1), top the largest colour of s:
+    # gain(u, v) = xs[u] * ys[v] = (alpha_u denom) << (c_u - 1 + top - d_v).
+    denom, nums = _common_denominator(r.alpha)
+    top = max(s.pattern)
+    xs = [a << (c - 1) for a, c in zip(nums, r.pattern)]
+    ys = [1 << (top - d) for d in s.pattern]
+    # suffix[u][v] = best scaled total over matchings inside r[u:], s[v:]
+    suffix = [[0] * (m + 1) for _ in range(n + 1)]
     for u in range(n - 1, -1, -1):
+        x = xs[u]
         row = suffix[u]
         below = suffix[u + 1]
+        best = 0   # row[v + 1]
         for v in range(m - 1, -1, -1):
-            row[v] = max(below[v], row[v + 1], _gain(r, s, u, v) + below[v + 1])
+            cand = below[v + 1] + x * ys[v]
+            if below[v] > cand:
+                cand = below[v]
+            if best > cand:
+                cand = best
+            row[v] = best = cand
     # lex-first optimal witness: pairing u is lex-smaller than skipping it
     # (every later pair has first index > u), so take the first optimal pair
     # at u; only when none exists is skipping u the optimal move.
     witness: list[tuple[int, int]] = []
     u = v = 0
     while u < n and v < m:
+        x, target, below = xs[u], suffix[u][v], suffix[u + 1]
         for v2 in range(v, m):
-            if _gain(r, s, u, v2) + suffix[u + 1][v2 + 1] == suffix[u][v]:
+            if x * ys[v2] + below[v2 + 1] == target:
                 witness.append((u + 1, v2 + 1))
                 u, v = u + 1, v2 + 1
                 break
         else:
-            if suffix[u][v] != suffix[u + 1][v]:
+            if target != below[v]:
                 raise InternalError("dp table inconsistent")
             u += 1
-    return suffix[0][0], witness
+    return Fraction(suffix[0][0], denom << (top - 1)), witness
 
 
 def _bracket_brute(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int, int]]]:

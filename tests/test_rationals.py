@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unclab.errors import RationalFormatError
-from unclab.rationals import format_rational, parse_rational
+from unclab.rationals import (_common_denominator, format_rational,
+                              parse_rational)
 
 
 def test_parse_basic():
@@ -47,3 +48,19 @@ def test_format_lowest_terms(p, q):
     import math
     assert math.gcd(int(num), int(den)) == 1
     assert int(den) > 0
+
+
+@given(st.lists(st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)),
+                max_size=4))
+def test_common_denominator_is_least(xs):
+    denom, ints = _common_denominator(xs)
+    assert ints == [x * denom for x in xs]
+    assert all(type(i) is int for i in ints)
+    # no smaller positive scale clears every denominator
+    assert denom == min(d for d in range(1, denom + 1)
+                        if all((x * d).denominator == 1 for x in xs))
+
+
+def test_common_denominator_frozen():
+    assert _common_denominator([]) == (1, [])
+    assert _common_denominator([Fraction(1, 4), Fraction(-5, 6), Fraction(0)]) == (12, [3, -10, 0])

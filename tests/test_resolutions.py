@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_resolution
 from unclab.errors import DomainError, SizeError
@@ -99,6 +101,68 @@ def test_dp_equals_brute_two_colour_patterns():
     for r in rs:
         for s in rs:
             assert bracket(r, s, "dp")[0] == bracket(r, s, "brute")[0]
+
+
+WEIGHTS = st.builds(Fraction, st.integers(1, 30), st.integers(1, 30))
+
+
+@st.composite
+def resolution_pairs(draw):
+    # up to 8 colours, so gains span shifts of up to 2^7 either way, and
+    # weights whose denominators differ
+    k = draw(st.integers(1, 8))
+
+    def one() -> Resolution:
+        n = draw(st.integers(1, 6))
+        pattern = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+        alpha = draw(st.lists(WEIGHTS, min_size=n, max_size=n))
+        return Resolution(k, tuple(pattern), tuple(alpha))
+
+    return one(), one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(resolution_pairs())
+def test_dp_equals_brute_value_and_witness(pair):
+    r, s = pair
+    assert bracket(r, s, "dp") == bracket(r, s, "brute")
+
+
+def fraction_dp(r, s):
+    """The bracket DP over Fractions: suffix table and lex-first walk."""
+    n, m = len(r), len(s)
+
+    def gain(u, v):
+        return Fraction(2) ** (r.pattern[u] - s.pattern[v]) * r.alpha[u]
+
+    suffix = [[Fraction(0)] * (m + 1) for _ in range(n + 1)]
+    for u in range(n - 1, -1, -1):
+        for v in range(m - 1, -1, -1):
+            suffix[u][v] = max(suffix[u + 1][v], suffix[u][v + 1],
+                               gain(u, v) + suffix[u + 1][v + 1])
+    witness = []
+    u = v = 0
+    while u < n and v < m:
+        for v2 in range(v, m):
+            if gain(u, v2) + suffix[u + 1][v2 + 1] == suffix[u][v]:
+                witness.append((u + 1, v2 + 1))
+                u, v = u + 1, v2 + 1
+                break
+        else:
+            u += 1
+    return suffix[0][0], witness
+
+
+def test_dp_equals_fraction_dp_long_pairs():
+    # above the brute cap the Fraction DP is the oracle
+    rng = random.Random(8)
+    for n, m in ((50, 300), (300, 50), (173, 91), (64, 240)):
+        k = rng.randint(2, 8)
+        r, s = (Resolution(k, tuple(rng.randint(1, k) for _ in range(length)),
+                           tuple(Fraction(rng.randint(1, 12), rng.randint(1, 12))
+                                 for _ in range(length)))
+                for length in (n, m))
+        assert bracket(r, s) == fraction_dp(r, s)
 
 
 def test_brute_cap():
