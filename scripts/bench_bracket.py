@@ -2,14 +2,14 @@
 """Time the bracket DP alone on random pairs with no constant runs.
 
     python3 scripts/bench_bracket.py [--lengths 100,300,1000] [--runs 5]
-        [--seed 8] [--parent-src DIR] > BENCH.json
+        [--parent-src DIR] > BENCH.json
 
-For each length n one seeded n-by-n pair is drawn as the brackets workload
-of perfbench/workloads.py draws its pairs (colours 1..k with k in 2..6,
-weights p/q with p, q in 1..12, no two neighbours equal), and bracket(r, s)
-is timed `runs` times. Each length reports the median and the spread
-(slowest minus fastest) of its run times next to the work counter
-cells = n*m, with the value and a digest of the witness.
+For each length n one n-by-n pair, seeded with SEED, is drawn as the
+brackets workload of perfbench/workloads.py draws its pairs (colours 1..k
+with k in 2..6, weights p/q with p, q in 1..12, no two neighbours equal),
+and bracket(r, s) is timed `runs` times. Each length reports the median
+and the spread (slowest minus fastest) of its run times next to the work
+counter cells = n*m, with the value and a digest of the witness.
 
 With --parent-src the same measurement first runs in a child interpreter on
 the unclab package under DIR (say, an unpacked copy of the parent commit's
@@ -30,15 +30,16 @@ import time
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 8
 
 
-def measure(lengths: list[int], runs: int, seed: int) -> list[dict]:
+def measure(lengths: list[int], runs: int) -> list[dict]:
     sys.path.insert(0, str(PERFBENCH))
     from workloads import Brackets
 
     from unclab.resolutions import Resolution, bracket
 
-    stream = Brackets(seed, None, None)
+    stream = Brackets(SEED, None, None)
 
     def draw(n: int, k: int) -> Resolution:
         _, pattern, alpha = stream.resolution(n, k)
@@ -68,7 +69,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--lengths", default="100,300,1000")
     ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=8)
     ap.add_argument("--parent-src", default=None)
     args = ap.parse_args()
     lengths = [int(x) for x in args.lengths.split(",")]
@@ -76,22 +76,22 @@ def main() -> None:
     doc = {
         "kernel": "unclab.resolutions.bracket, method dp",
         "inputs": "one seeded n-by-n pair per length, no constant runs",
-        "seed": args.seed,
+        "seed": SEED,
         "runs": args.runs,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}",
     }
     ok = True
     if args.parent_src is None:
-        doc["sizes"] = measure(lengths, args.runs, args.seed)
+        doc["sizes"] = measure(lengths, args.runs)
     else:
         env = dict(os.environ, PYTHONPATH=args.parent_src)
         child = subprocess.run(
             [sys.executable, __file__, "--lengths", args.lengths,
-             "--runs", str(args.runs), "--seed", str(args.seed)],
+             "--runs", str(args.runs)],
             env=env, capture_output=True, text=True, check=True)
         parent = json.loads(child.stdout)["sizes"]
-        change = measure(lengths, args.runs, args.seed)
+        change = measure(lengths, args.runs)
         doc["sizes"] = []
         for p, c in zip(parent, change):
             same = (p["value"], p["witness_sha256"]) == (c["value"], c["witness_sha256"])

@@ -337,42 +337,43 @@ def _block_max_int(slot_nums: list[int], val_nums: list[int]):
 
     Integer DP: M[j] = best with exactly j slots placed so far; coordinates
     stream left to right, slots consume in order, placement optional.
-    Returns (best, final M, table), table[i] being M before coordinate i.
+    Returns (best, final M, placed), placed[i][j] being 1 where coordinate
+    i raised M[j], that is, where the best j-slot choice so far puts slot j
+    on coordinate i.
     """
     n_slots = len(slot_nums)
     M: list[int | None] = [0] + [None] * n_slots
-    table: list[list[int | None]] = []
+    placed: list[bytearray] = []
     seen = 0
     for x in val_nums:
-        table.append(list(M))
+        row = bytearray(n_slots + 1)
         seen += 1
         for j in range(min(n_slots, seen), 0, -1):
             cand = M[j - 1] + slot_nums[j - 1] * x
             cur = M[j]
             if cur is None or cand > cur:
                 M[j] = cand
+                row[j] = 1
+        placed.append(row)
     best = max(m for m in M if m is not None)
-    return best, M, table
+    return best, M, placed
 
 
-def _backtrack_assignment(slot_nums, val_nums, M_final, table, coords_base):
-    """Recover one optimal slot->coordinate assignment from the DP table."""
+def _backtrack_assignment(slot_nums, val_nums, M_final, placed, coords_base):
+    """Recover one optimal slot->coordinate assignment from the placements."""
     best = max(m for m in M_final if m is not None)
     j = max(idx for idx, m in enumerate(M_final) if m == best)
     assignment: list[tuple[int, int]] = []  # (slot index 1-based, coordinate)
-    cur = best
+    total = 0
     for ci in range(len(val_nums) - 1, -1, -1):
         if j == 0:
             break
-        before = table[ci][j]
-        if before is not None and before == cur:
-            continue
-        prev = table[ci][j - 1]
-        if prev is None or prev + slot_nums[j - 1] * val_nums[ci] != cur:
-            raise InternalError("dp backtrack lost the optimal path")
-        assignment.append((j, coords_base + ci))
-        cur = prev
-        j -= 1
+        if placed[ci][j]:
+            assignment.append((j, coords_base + ci))
+            total += slot_nums[j - 1] * val_nums[ci]
+            j -= 1
+    if j != 0 or total != best:
+        raise InternalError("dp backtrack lost the optimal path")
     assignment.reverse()
     return assignment
 
@@ -451,17 +452,17 @@ def structured_dp(layout: EltonLayout, v) -> tuple[Fraction, dict]:
                 if cells_used > _DP_CELL_BUDGET:
                     raise SizeError("structured dp expansion exceeded its cell budget "
                                     f"of {_DP_CELL_BUDGET} cells")
-                blk_int, M_final, table = _block_max_int(slot_nums, val_nums)
+                blk_int, M_final, placed = _block_max_int(slot_nums, val_nums)
                 blk = Fraction(blk_int, denom * denom)
                 value = Fraction(1, 2) * sv[a] + sv[b] + blk
                 if value > best:
                     best = value
                     best_wit = {"kind": "shape", "a": a, "b": b, "sigma": sigma,
                                 "block_value": blk}
-                    best_block = (slots, slot_nums, val_nums, M_final, table)
+                    best_block = (slots, slot_nums, val_nums, M_final, placed)
     if best_wit["kind"] == "shape":
-        slots, slot_nums, val_nums, M_final, table = best_block
-        assignment = _backtrack_assignment(slot_nums, val_nums, M_final, table,
+        slots, slot_nums, val_nums, M_final, placed = best_block
+        assignment = _backtrack_assignment(slot_nums, val_nums, M_final, placed,
                                            best_wit["b"] + 1)
         best_wit["assignment_spans"] = _spans_from_assignment(assignment, slots)
     return best, best_wit
