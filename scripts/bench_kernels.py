@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Time the exact kernels alone: the bracket DP, eval_norm and the grid.
+
+    python3 scripts/bench_kernels.py [--lengths 100,300,1000] [--runs 5]
+        [--parent-src DIR] > BENCH.json
+
+Inputs are seeded with SEED and drawn as perfbench/workloads.py draws the
+workloads' inputs:
+  bracket    bracket(r, s) on one n-by-n pair per length in --lengths, as the
+             brackets workload draws its pairs (colours 1..k with k in 2..6,
+             weights p/q with p, q in 1..12, no two neighbours equal);
+             work counter cells = n*m
+  eval_norm  eval_norm on a batch of CALLS vectors against one instance of
+             4 functionals per (dim, class) in NORM_SIZES, as the constants
+             workload draws its norm jobs; work counter calls
+  grid       compute_constant(method="grid") in mode C_uncond on one
+             instance of 3 functionals per (dim, 1/s, class) in GRID_SIZES,
+             as the constants workload draws its grid jobs; work counter
+             lattice_points
+Each size is timed `runs` times and reports the median and the spread
+(slowest minus fastest) of its run times next to its work counter, with a
+digest of its results.
+
+With --parent-src the same measurement first runs in a child interpreter on
+the unclab package under DIR (say, an unpacked copy of the parent commit's
+src/); the document then holds both sides per size and the ratio of their
+medians, and the script exits 1 if the two sides disagree on a result.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 8
+CALLS = 200
+NORM_SIZES = ((4, "all_subsets"), (8, "initial_segments"), (12, "intervals"))
+GRID_SIZES = ((2, 8, "initial_segments"), (3, 4, "intervals"), (3, 8, "all_subsets"))
+TIMES = ("median_s", "spread_s", "runs_s")
+
+
+def timed(run, runs: int) -> tuple[object, dict]:
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - start)
+    return result, {"median_s": statistics.median(times),
+                    "spread_s": max(times) - min(times), "runs_s": times}
+
+
+def measure(lengths: list[int], runs: int) -> dict[str, list[dict]]:
+    sys.path.insert(0, str(PERFBENCH))
+    from workloads import Brackets, Constants
+
+    from unclab.constants import ConstantQuery, compute_constant
+    from unclab.norms import SparseVector, eval_norm
+    from unclab.resolutions import Resolution, bracket
+    from unclab.serialize import dump_json, load_norm_instance
+
+    def digest(obj) -> str:
+        return hashlib.sha256(dump_json(obj).encode()).hexdigest()
+
+    out = {"bracket": [], "eval_norm": [], "grid": []}
+    pairs = Brackets(SEED, None, None)
+    for n in lengths:
+        k = pairs.rng.randint(2, 6)
+        r, s = (Resolution(k, tuple(pattern), tuple(alpha))
+                for _, pattern, alpha in (pairs.resolution(n, k), pairs.resolution(n, k)))
+        (value, witness), times = timed(lambda: bracket(r, s), runs)
+        out["bracket"].append({"n": n, "m": n, "cells": n * n, **times,
+                               "value": f"{value.numerator}/{value.denominator}",
+                               "digest": digest(witness)})
+
+    stream = Constants(SEED, None, None)
+    for dim, cls in NORM_SIZES:
+        inst = load_norm_instance(stream.instance(dim, cls, 4))
+        vectors = [SparseVector.from_pairs(
+            (i, stream.rational(-8, 8, 8))
+            for i in stream.rng.sample(range(1, dim + 1), stream.rng.randint(1, dim)))
+            for _ in range(CALLS)]
+        values, times = timed(lambda: [eval_norm(inst, v) for v in vectors], runs)
+        out["eval_norm"].append({"dim": dim, "class": cls, "calls": CALLS, **times,
+                                 "digest": digest(values)})
+    for dim, s, cls in GRID_SIZES:
+        inst = load_norm_instance(stream.instance(dim, cls, 3))
+        step = Fraction(1, s)
+        report, times = timed(
+            lambda: compute_constant(inst, ConstantQuery("C_uncond"), "grid", step), runs)
+        out["grid"].append({"dim": dim, "step": f"1/{s}", "class": cls,
+                            "lattice_points": report.details["lattice_points"], **times,
+                            "value": f"{report.value_lower.numerator}/"
+                                     f"{report.value_lower.denominator}",
+                            "digest": digest(report)})
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--lengths", default="100,300,1000")
+    ap.add_argument("--runs", type=int, default=5)
+    ap.add_argument("--parent-src", default=None)
+    args = ap.parse_args()
+    lengths = [int(x) for x in args.lengths.split(",")]
+
+    doc = {
+        "kernels": "unclab.resolutions.bracket (method dp), unclab.norms.eval_norm, "
+                   "unclab.constants.compute_constant (method grid, mode C_uncond)",
+        "seed": SEED,
+        "runs": args.runs,
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
+                   f"Python {platform.python_version()}",
+    }
+    ok = True
+    if args.parent_src is None:
+        doc["sizes"] = measure(lengths, args.runs)
+    else:
+        env = dict(os.environ, PYTHONPATH=args.parent_src)
+        child = subprocess.run(
+            [sys.executable, __file__, "--lengths", args.lengths,
+             "--runs", str(args.runs)],
+            env=env, capture_output=True, text=True, check=True)
+        parent = json.loads(child.stdout)["sizes"]
+        change = measure(lengths, args.runs)
+        doc["sizes"] = {}
+        for kernel, sizes in change.items():
+            doc["sizes"][kernel] = []
+            for p, c in zip(parent[kernel], sizes):
+                same = p["digest"] == c["digest"]
+                ok = ok and same
+                doc["sizes"][kernel].append({
+                    **{key: v for key, v in c.items() if key not in TIMES + ("digest",)},
+                    "parent": {key: p[key] for key in TIMES},
+                    "change": {key: c[key] for key in TIMES},
+                    "parent_over_change_median": p["median_s"] / c["median_s"],
+                    "same_results": same,
+                })
+    print(json.dumps(doc, indent=2))
+    if not ok:
+        sys.exit("parent and change disagree on a result")
+
+
+if __name__ == "__main__":
+    main()

@@ -9,8 +9,8 @@ per-pair bound. Everything exact; the table cells are Fractions.
 import argparse
 import sys
 
-from unclab.resolutions import (build_rademacher, choose_multiplicities,
-                                mutual_bracket, rademacher_bound,
+from unclab.resolutions import (bracket, build_rademacher,
+                                choose_multiplicities, rademacher_bound,
                                 ris_condition)
 
 
@@ -34,13 +34,19 @@ def main():
     print("lengths:", [len(r) for r in family])
     print()
 
+    # every directed bracket computed once (m * m of them); the
+    # mutual bracket of a pair is the larger of its two directions
+    directed = [[bracket(r, s)[0] for s in family] for r in family]
+    mutual = [[max(directed[i][j], directed[j][i]) for j in range(args.m)]
+              for i in range(args.m)]
+
     width = max(len(s) for s in labels) + 2
     header = " " * width + "".join(f"{lab:>{width}}" for lab in labels)
     print(header)
-    for i, r in enumerate(family):
+    for i in range(args.m):
         row = f"{labels[i]:>{width}}"
-        for s in family:
-            row += f"{str(mutual_bracket(r, s)):>{width}}"
+        for j in range(args.m):
+            row += f"{str(mutual[i][j]):>{width}}"
         print(row)
     print()
     print("bounds (same-level on the diagonal):")
@@ -50,7 +56,7 @@ def main():
             row += f"{str(rademacher_bound(args.k0, ns, i + 1, j + 1)):>{width}}"
         print(row)
 
-    worst = max(mutual_bracket(family[i], family[j]) /
+    worst = max(mutual[i][j] /
                 rademacher_bound(args.k0, ns, i + 1, j + 1)
                 for i in range(args.m) for j in range(args.m))
     print(f"\nworst bracket/bound ratio: {worst} ({float(worst):.4f})")

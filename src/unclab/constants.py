@@ -18,7 +18,11 @@ feasible set of pairs (a, E):
 
 The grid method reports a certified lower bound: the exact maximum of the
 ratio over the lattice {0, +-step, ..., +-1}^dim intersected with the mode's
-constraints, witness attached. The fractional_lp method solves each
+constraints, witness attached. It is integer-scaled and exact: with step
+1/s and the family over its common denominator L, a lattice point is its
+int vector, every norm and every mode test is an int comparison at scale
+s * L, and ratios compare by cross-multiplication. verify_witness stays in
+Fractions as the independent check. The fractional_lp method solves each
 (E, sign pattern, numerator piece) cell exactly as one LP: the
 Charnes-Cooper substitution y = a / ||a||, t = 1 / ||a|| turns the ratio of
 a linear numerator to the max-of-linear denominator into max num.y subject
@@ -34,7 +38,8 @@ from fractions import Fraction
 
 from .caps import check_cap, load_caps
 from .errors import DomainError
-from .norms import NormInstance, SparseVector, _projections, eval_norm
+from .norms import (NormInstance, SparseVector, _projections, _scaled_functionals,
+                    _scaled_norm, eval_norm)
 from .schreier import SchreierDecomposition, oscillation, schreier_decompose, schreier_member
 
 MODES = ("K", "Kprime", "L", "Lprime", "A", "C_uncond",
@@ -108,86 +113,98 @@ def _kstar_denominator(inst: NormInstance, a: SparseVector) -> Fraction:
     return max((f.apply(a) for f in inst.functionals), default=Fraction(0))
 
 
-def _grid_points(dim: int, step: Fraction):
+def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> ConstantReport:
+    """The lattice maximum on ints: the point a = t/s is its int vector t,
+    and every norm, numerator and denominator below is an int at scale
+    s * L. Fractions are built for the witness, BOU's oscillation tests and
+    quasi_greedy's thresholds only; the strict > keeps the first maximiser
+    in lattice order."""
+    caps = load_caps()
+    check_cap(inst.dim, caps.grid_dim, "grid dim")
     if step <= 0 or step > 1 or (1 / step).denominator != 1:
         raise DomainError(f"grid step must be 1/s for integer s >= 1, got {step}")
     s = int(1 / step)
-    values = [Fraction(t, s) for t in range(-s, s + 1)]
-    for combo in itertools.product(values, repeat=dim):
-        if any(combo):
-            yield SparseVector.from_pairs(
-                (i + 1, v) for i, v in enumerate(combo) if v != 0)
-
-
-def _feasible_pairs_grid(inst: NormInstance, query: ConstantQuery, a: SparseVector):
-    """Yield per-mode feasible (E, extras) for a fixed lattice point."""
+    L, funcs = _scaled_functionals(inst)
     mode = query.mode
-    if mode == "Kstar":
-        av = a.as_dict()
-        for t, f in enumerate(inst.functionals):
-            # all subsets of the point's delta-large set are allowed and the
-            # numerator is linear in E, so the best E is the positive part;
-            # keep it single-shot.
-            E = tuple(i for i, c in f.entries
-                      if abs(c) >= query.delta and c * av.get(i, 0) > 0)
-            yield E, {"point_index": t, "kstar_f": f}
-        return
-    if mode == "quasi_greedy":
-        for v in sorted({abs(x) for _, x in a.entries}, reverse=True):
-            yield tuple(i for i, x in a.entries if abs(x) >= v), {"threshold": v}
-        return
-    if mode in ("K", "Kprime"):
-        base = tuple(i for i, x in a.entries if abs(x) >= query.delta)
-    elif mode in ("L", "Lprime") and any(abs(x) < query.delta for _, x in a.entries):
-        return
-    else:
-        base = a.support
-    for E in _subsets(base):
-        if mode == "BOU":
-            dec = (schreier_decompose(a, E, query.d)
-                   if E and oscillation(a, E) <= query.D else None)
-            if dec is not None:
-                yield E, {"decomposition": dec}
-        elif mode != "schreier" or schreier_member(query.order, E):
-            yield E, {}
+    delta = query.delta or Fraction(0)   # read only by the modes that take one
+    dnum, dden = delta.numerator, delta.denominator
 
+    def point(t) -> SparseVector:
+        return SparseVector(tuple((i + 1, Fraction(x, s)) for i, x in enumerate(t) if x))
 
-def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> ConstantReport:
-    caps = load_caps()
-    check_cap(inst.dim, caps.grid_dim, "grid dim")
-    best: Fraction | None = None
-    best_wit: ConstantWitness | None = None
+    def norm_on(t, E) -> int:
+        x = [0] * inst.dim
+        for i in E:
+            x[i - 1] = t[i - 1]
+        return _scaled_norm(inst, L, funcs, x)
+
+    def pairs(t):
+        """Yield the mode's feasible (E, numerator, extras) at t."""
+        if mode == "Kstar":
+            for p, f in enumerate(funcs):
+                # all subsets of the row's delta-large set are allowed and the
+                # numerator is linear in E, so the best E is the positive part;
+                # keep it single-shot
+                terms = [(i + 1, c * t[i]) for i, c in f
+                         if abs(c) * dden >= dnum * L and c * t[i] > 0]
+                yield tuple(i for i, _ in terms), sum(v for _, v in terms), {"point_index": p}
+            return
+        if mode == "quasi_greedy":
+            for v in sorted({abs(x) for x in t if x}, reverse=True):
+                E = tuple(i + 1 for i, x in enumerate(t) if abs(x) >= v)
+                yield E, norm_on(t, E), {"threshold": Fraction(v, s)}
+            return
+        # |t_i / s| >= delta  <=>  |t_i| * delta.den >= delta.num * s
+        if mode in ("K", "Kprime"):
+            base = tuple(i + 1 for i, x in enumerate(t) if abs(x) * dden >= dnum * s)
+        elif mode in ("L", "Lprime") and any(x and abs(x) * dden < dnum * s for x in t):
+            return
+        else:
+            base = tuple(i + 1 for i, x in enumerate(t) if x)
+        a = point(t) if mode == "BOU" else None
+        for E in _subsets(base):
+            extras = {}
+            if mode == "BOU":
+                dec = (schreier_decompose(a, E, query.d)
+                       if E and oscillation(a, E) <= query.D else None)
+                if dec is None:
+                    continue
+                extras = {"decomposition": dec}
+            elif mode == "schreier" and not schreier_member(query.order, E):
+                continue
+            num = norm_on(t, E)
+            # delta * sum_E |a_i| > ||P_E a||, both sides times s * L * delta.den
+            if mode == "A" and dnum * L * sum(abs(t[i - 1]) for i in E) > num * dden:
+                continue
+            yield E, num, extras
+
+    best = None       # (numerator, denominator, t, E, extras) of the incumbent
     points = 0
-    for a in _grid_points(inst.dim, step):
+    for t in itertools.product(range(-s, s + 1), repeat=inst.dim):
+        if not any(t):
+            continue
         points += 1
         # lattice points satisfy sup <= 1 by construction (K and L need it)
-        den = _kstar_denominator(inst, a) if query.mode == "Kstar" else eval_norm(inst, a)
+        if mode == "Kstar":
+            den = max((sum(c * t[i] for i, c in f) for f in funcs), default=0)
+        else:
+            den = _scaled_norm(inst, L, funcs, t)
         if den == 0:
             continue
-        if query.mode in ("Kprime", "Lprime") and den > 1:
+        if mode in ("Kprime", "Lprime") and den > s * L:
             continue
-        for E, extras in _feasible_pairs_grid(inst, query, a):
-            a_E = a.restrict(E)
-            if query.mode == "Kstar":
-                num = extras["kstar_f"].apply(a_E)
-            else:
-                num = eval_norm(inst, a_E)
-            if query.mode == "A" and query.delta * a_E.one_norm() > num:
-                continue
-            ratio = num / den
-            if best is None or ratio > best:
-                best = ratio
-                best_wit = ConstantWitness(
-                    a=a, E=E, numerator=num, denominator=den,
-                    threshold=extras.get("threshold"),
-                    decomposition=extras.get("decomposition"),
-                    point_index=extras.get("point_index"),
-                )
-    if best is None:
-        best = Fraction(0)
+        for E, num, extras in pairs(t):
+            if best is None or num * best[1] > best[0] * den:
+                best = (num, den, t, E, extras)
+    value, wit = Fraction(0), None
+    if best is not None:
+        num, den, t, E, extras = best
+        value = Fraction(num, den)
+        wit = ConstantWitness(a=point(t), E=E, numerator=Fraction(num, s * L),
+                              denominator=Fraction(den, s * L), **extras)
     return ConstantReport(
         mode=query.mode, method=f"grid(step={step})",
-        value_lower=best, value_upper=None, witness=best_wit,
+        value_lower=value, value_upper=None, witness=wit,
         details={"lattice_points": points},
     )
 
@@ -422,18 +439,19 @@ def compute_constant(inst: NormInstance, query: ConstantQuery,
 def verify_witness(inst: NormInstance, query: ConstantQuery, wit: ConstantWitness) -> Fraction:
     """Recompute the witness ratio from scratch, checking mode feasibility."""
     a, E = wit.a, wit.E
+    av = a.as_dict()
     mode = query.mode
     if mode in ("K", "L") and a.sup_norm() > 1:
         raise DomainError("witness violates sup bound")
     if mode in ("K", "Kprime"):
-        if any(abs(a.get(i)) < query.delta for i in E):
+        if any(abs(av.get(i, 0)) < query.delta for i in E):
             raise DomainError("witness E leaves the threshold set")
     if mode in ("L", "Lprime"):
         if any(abs(v) < query.delta for _, v in a.entries):
             raise DomainError("witness support dips under delta")
     if mode == "quasi_greedy":
         v = wit.threshold
-        expect = tuple(i for i in range(1, inst.dim + 1) if abs(a.get(i)) >= v)
+        expect = tuple(i for i in range(1, inst.dim + 1) if abs(av.get(i, 0)) >= v)
         if tuple(sorted(E)) != expect:
             raise DomainError("witness E is not the threshold set")
     if mode == "BOU":
@@ -445,7 +463,8 @@ def verify_witness(inst: NormInstance, query: ConstantQuery, wit: ConstantWitnes
         raise DomainError("witness E is not Schreier-admissible")
     if mode == "Kstar":
         f = inst.functionals[wit.point_index]
-        if any(abs(f.get(i)) < query.delta for i in E):
+        fv = f.as_dict()
+        if any(abs(fv.get(i, 0)) < query.delta for i in E):
             raise DomainError("witness E leaves the point's delta-large set")
         num = f.apply(a.restrict(E))
         den = _kstar_denominator(inst, a)
@@ -453,7 +472,7 @@ def verify_witness(inst: NormInstance, query: ConstantQuery, wit: ConstantWitnes
         num = eval_norm(inst, a.restrict(E))
         den = eval_norm(inst, a)
     if mode == "A":
-        total = sum((abs(a.get(i)) for i in E), Fraction(0))
+        total = sum((abs(av.get(i, 0)) for i in E), Fraction(0))
         if query.delta * total > num:
             raise DomainError("witness fails the A-feasibility inequality")
     if mode in ("Kprime", "Lprime") and den > 1:

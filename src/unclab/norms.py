@@ -7,7 +7,11 @@ An instance on coordinates 1..dim evaluates
 
 where the family is closed under negation (closure taken at build time) and
 the projection class is one of initial_segments, intervals, all_subsets.
-Everything is exact rational arithmetic.
+Everything is exact rational arithmetic. Evaluation is integer-scaled: the
+family is put over one common denominator L and the vector over its own
+denominator s, so the one kernel `_functional_best` and the sup term run on
+plain ints at scale s * L and a single Fraction is built for the result.
+The grid search in constants.py calls the same kernel on its lattice points.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from fractions import Fraction
 
 from .caps import check_cap, load_caps
 from .errors import DomainError, InternalError, SizeError
+from .rationals import _common_denominator
 
 PROJECTION_CLASSES = ("initial_segments", "intervals", "all_subsets")
 
@@ -133,48 +138,63 @@ class NormInstance:
                 raise DomainError(f"vector touches coordinate {i} outside universe 1..{self.dim}")
 
 
-def _dense(v: SparseVector, dim: int) -> list[Fraction]:
-    out = [Fraction(0)] * (dim + 1)
-    for i, val in v.entries:
-        out[i] = val
-    return out
+def _scaled_functionals(inst: NormInstance) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+    """The family over one common denominator L: L, and per functional its
+    (coordinate - 1, L * coefficient) pairs."""
+    L, ints = _common_denominator([c for f in inst.functionals for _, c in f.entries])
+    it = iter(ints)
+    return L, [tuple((i - 1, next(it)) for i, _ in f.entries) for f in inst.functionals]
 
 
-def _functional_best(f: Functional, dense: list[Fraction], dim: int, projection_class: str) -> Fraction:
-    terms = [Fraction(0)] * (dim + 1)
-    for i, c in f.entries:
-        terms[i] = c * dense[i]
+def _scaled_vector(v: SparseVector, dim: int) -> tuple[int, list[int]]:
+    """v over its common denominator s: s, and the dense ints x with
+    x[i - 1] = s * v_i."""
+    s, ints = _common_denominator([val for _, val in v.entries])
+    x = [0] * dim
+    for (i, _), n in zip(v.entries, ints):
+        x[i - 1] = n
+    return s, x
+
+
+def _functional_best(f: tuple[tuple[int, int], ...], x, projection_class: str) -> int:
+    """max over E in the class of sum_{i in E} f_i x_i, empty E allowed.
+
+    The one norm kernel: f is a scaled functional (index, int coefficient)
+    in index order and x an int vector, so the result is an int at the
+    product of their scales. Coordinates f does not touch add nothing to a
+    run, so the scan visits f's own coordinates only.
+    """
     if projection_class == "all_subsets":
-        return sum((t for t in terms if t > 0), Fraction(0))
-    best = Fraction(0)
-    if projection_class == "initial_segments":
-        run = Fraction(0)
-        for i in range(1, dim + 1):
-            run += terms[i]
-            if run > best:
-                best = run
-        return best
-    # intervals: max over s <= t of sum(terms[s..t]), empty allowed
-    run = Fraction(0)
-    low = Fraction(0)
-    for i in range(1, dim + 1):
-        run += terms[i]
+        return sum(t for t in (c * x[i] for i, c in f) if t > 0)
+    # initial segments keep low at 0; intervals take max over s <= t of
+    # sum(terms[s..t]) as the best run minus the lowest run before it
+    intervals = projection_class == "intervals"
+    best = run = low = 0
+    for i, c in f:
+        run += c * x[i]
         if run - low > best:
             best = run - low
-        if run < low:
+        if intervals and run < low:
             low = run
+    return best
+
+
+def _scaled_norm(inst: NormInstance, L: int, funcs, x) -> int:
+    """||x / s|| * s * L for an int vector x at scale s and the scaled
+    family (L, funcs) of inst."""
+    best = L * max(map(abs, x), default=0) if inst.include_sup else 0
+    for f in funcs:
+        val = _functional_best(f, x, inst.projection_class)
+        if val > best:
+            best = val
     return best
 
 
 def eval_norm(inst: NormInstance, v: SparseVector) -> Fraction:
     inst._check_vector(v)
-    best = v.sup_norm() if inst.include_sup else Fraction(0)
-    dense = _dense(v, inst.dim)
-    for f in inst.functionals:
-        val = _functional_best(f, dense, inst.dim, inst.projection_class)
-        if val > best:
-            best = val
-    return best
+    L, funcs = _scaled_functionals(inst)
+    s, x = _scaled_vector(v, inst.dim)
+    return Fraction(_scaled_norm(inst, L, funcs, x), s * L)
 
 
 def _projections(inst: NormInstance):
@@ -211,15 +231,16 @@ def dual_certificate(inst: NormInstance, v: SparseVector) -> Certificate:
     if v.is_zero():
         return Certificate(Fraction(0), "zero")
     norm = eval_norm(inst, v)
-    dense = _dense(v, inst.dim)
-    for fi, f in enumerate(inst.functionals):
-        if _functional_best(f, dense, inst.dim, inst.projection_class) != norm:
+    L, funcs = _scaled_functionals(inst)
+    s, x = _scaled_vector(v, inst.dim)
+    target = norm * s * L
+    for fi, f in enumerate(funcs):
+        if _functional_best(f, x, inst.projection_class) != target:
             continue
         if inst.projection_class == "all_subsets":
-            first = tuple(i for i, c in f.entries if c * dense[i] > 0)
-            return Certificate(norm, "functional", fi, first)
+            return Certificate(norm, "functional", fi, tuple(i + 1 for i, c in f if c * x[i] > 0))
         for E in _projections(inst):
-            if f.apply(v.restrict(E)) == norm:
+            if sum(c * x[i] for i, c in f if i + 1 in E) == target:
                 return Certificate(norm, "functional", fi, E)
         raise InternalError("functional max not attained by any projection")
     for i, val in v.entries:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -87,21 +88,24 @@ class PrefixContinuousMap:
     def table(self) -> dict:
         return {p: fs for p, fs in self.entries}
 
+    @cached_property
+    def _by_prefix(self) -> dict:
+        # built on first lookup and kept: the map is frozen
+        return self.table()
+
     def apply(self, M) -> tuple[frozenset[int], ...]:
         Ms = _as_sorted_tuple(M)
         if len(Ms) < self.depth:
             raise DomainError(
                 f"set of size {len(Ms)} is below map depth {self.depth}")
         prefix = Ms[:self.depth]
-        table = self.table()
-        if prefix not in table:
+        if prefix not in self._by_prefix:
             raise SchemaError(f"map has no entry for prefix {prefix}")
-        return table[prefix]
+        return self._by_prefix[prefix]
 
     def missing_prefixes(self, universe: int) -> list[tuple[int, ...]]:
-        table = self.table()
         return [p for p in combinations(range(1, universe + 1), self.depth)
-                if p not in table]
+                if p not in self._by_prefix]
 
 
 def is_initial_segment(A, B) -> bool:

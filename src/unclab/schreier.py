@@ -20,7 +20,8 @@ TWO = Fraction(2)
 
 def oscillation(a: SparseVector, E) -> Fraction:
     """max |a_i| / min nonzero |a_j| over E; 1 when E misses the support."""
-    vals = [abs(a.get(i)) for i in set(E)]
+    av = a.as_dict()
+    vals = [abs(av.get(i, 0)) for i in set(E)]
     nonzero = [v for v in vals if v != 0]
     if not nonzero:
         return Fraction(1)
@@ -66,10 +67,11 @@ def level_split(a: SparseVector, delta: Fraction) -> LevelSplit:
         raise DomainError("level_split needs sup |a_i| <= 1")
     k = _dyadic_level_count(delta)
     threshold = tuple(i for i, v in a.entries if abs(v) >= delta)
+    av = a.as_dict()
     blocks = []
     for j in range(1, k + 1):
         lo, hi = TWO ** (-j), TWO ** (-j + 1)
-        blocks.append(tuple(i for i in threshold if lo < abs(a.get(i)) <= hi))
+        blocks.append(tuple(i for i in threshold if lo < abs(av[i]) <= hi))
     covered = [i for b in blocks for i in b]
     if sorted(covered) != sorted(threshold):
         raise InternalError("dyadic blocks must cover the threshold set")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,21 @@ def rand_sparse(rng: random.Random, dim: int, denom: int = 8,
         v = SparseVector.from_pairs([(i, x) for i, x in entries if x != 0])
         if allow_zero or not v.is_zero():
             return v
+
+
+def brute_norm(inst, v) -> Fraction:
+    """||v|| from the definition, in Fractions: the sup term and f(P_E v) for
+    every functional f and every E of the projection class."""
+    coords = range(1, inst.dim + 1)
+    if inst.projection_class == "all_subsets":
+        sets = [E for r in range(inst.dim + 1) for E in combinations(coords, r)]
+    elif inst.projection_class == "intervals":
+        sets = [()] + [tuple(range(s, t + 1)) for s in coords for t in range(s, inst.dim + 1)]
+    else:
+        sets = [tuple(range(1, t + 1)) for t in range(inst.dim + 1)]
+    av = v.as_dict()
+    vals = [sum((c * av.get(i, 0) for i, c in f.entries if i in E), Fraction(0))
+            for f in inst.functionals for E in sets]
+    if inst.include_sup:
+        vals.append(v.sup_norm())
+    return max(vals, default=Fraction(0))

@@ -1,25 +1,31 @@
 """Projection-constant queries: grid certificates, LP exactness, witness audit."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import brute_norm
 from unclab.constants import (
     DEFAULT_STEP,
     GRID_ONLY,
     MODES,
     ConstantQuery,
+    ConstantReport,
     ConstantWitness,
     _dedupe_forms,
+    _kstar_denominator,
     _linear_pieces,
     _lp_cells,
     _lp_max,
+    _subsets,
     compute_constant,
     verify_witness,
 )
 from unclab.errors import DomainError, SizeError
 from unclab.norms import PROJECTION_CLASSES, NormInstance, SparseVector, build_standard
+from unclab.schreier import oscillation, schreier_decompose, schreier_member
 
 
 def q(mode, **kw):
@@ -299,3 +305,105 @@ def test_verify_witness_rejects_infeasible():
     with pytest.raises(DomainError):
         verify_witness(s4, q("BOU", D=F(1), d=F(4)),
                        tampered([(1, 1), (2, F(1, 2))], (1, 2)))
+
+
+# The Fraction grid that the integer-scaled grid replaced, kept as its
+# oracle: every lattice point a SparseVector, every norm a Fraction from the
+# definition (brute_norm), every ratio a Fraction.
+
+def ref_grid_points(dim, step):
+    s = int(1 / step)
+    values = [F(t, s) for t in range(-s, s + 1)]
+    for combo in itertools.product(values, repeat=dim):
+        if any(combo):
+            yield SparseVector.from_pairs(
+                (i + 1, v) for i, v in enumerate(combo) if v != 0)
+
+
+def ref_feasible_pairs(inst, query, a):
+    mode = query.mode
+    if mode == "Kstar":
+        av = a.as_dict()
+        for t, f in enumerate(inst.functionals):
+            E = tuple(i for i, c in f.entries
+                      if abs(c) >= query.delta and c * av.get(i, 0) > 0)
+            yield E, {"point_index": t, "kstar_f": f}
+        return
+    if mode == "quasi_greedy":
+        for v in sorted({abs(x) for _, x in a.entries}, reverse=True):
+            yield tuple(i for i, x in a.entries if abs(x) >= v), {"threshold": v}
+        return
+    if mode in ("K", "Kprime"):
+        base = tuple(i for i, x in a.entries if abs(x) >= query.delta)
+    elif mode in ("L", "Lprime") and any(abs(x) < query.delta for _, x in a.entries):
+        return
+    else:
+        base = a.support
+    for E in _subsets(base):
+        if mode == "BOU":
+            dec = (schreier_decompose(a, E, query.d)
+                   if E and oscillation(a, E) <= query.D else None)
+            if dec is not None:
+                yield E, {"decomposition": dec}
+        elif mode != "schreier" or schreier_member(query.order, E):
+            yield E, {}
+
+
+def ref_grid_search(inst, query, step):
+    best, best_wit, points = None, None, 0
+    for a in ref_grid_points(inst.dim, step):
+        points += 1
+        den = _kstar_denominator(inst, a) if query.mode == "Kstar" else brute_norm(inst, a)
+        if den == 0:
+            continue
+        if query.mode in ("Kprime", "Lprime") and den > 1:
+            continue
+        for E, extras in ref_feasible_pairs(inst, query, a):
+            a_E = a.restrict(E)
+            if query.mode == "Kstar":
+                num = extras["kstar_f"].apply(a_E)
+            else:
+                num = brute_norm(inst, a_E)
+            if query.mode == "A" and query.delta * a_E.one_norm() > num:
+                continue
+            ratio = num / den
+            if best is None or ratio > best:
+                best = ratio
+                best_wit = ConstantWitness(
+                    a=a, E=E, numerator=num, denominator=den,
+                    threshold=extras.get("threshold"),
+                    decomposition=extras.get("decomposition"),
+                    point_index=extras.get("point_index"))
+    return ConstantReport(
+        mode=query.mode, method=f"grid(step={step})",
+        value_lower=F(0) if best is None else best, value_upper=None,
+        witness=best_wit, details={"lattice_points": points})
+
+
+def random_query(rng, mode):
+    if mode in ("K", "Kprime", "L", "Lprime", "A", "Kstar"):
+        return q(mode, delta=rng.choice([F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)]))
+    if mode == "BOU":
+        return q(mode, D=rng.choice([F(1), F(3, 2), F(2)]), d=rng.choice([F(1), F(3, 2)]))
+    if mode == "schreier":
+        return q(mode, order=rng.randint(1, 2))
+    return q(mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_grid_equals_fraction_reference(mode):
+    # value, every witness field and lattice_points, in every class with and
+    # without the sup term; dim 2 at step 1/4 and dim 3 at step 1/2 take
+    # turns so each class and each sup choice meets both; coefficients over
+    # denominators 1..6 so the family's scale L varies
+    rng = random.Random(f"grid-reference-{mode}")
+    for k, (include_sup, cls) in enumerate(itertools.product((True, False), PROJECTION_CLASSES)):
+        dim, step = ((2, F(1, 4)), (3, F(1, 2)))[k % 2]
+        funcs = [SparseVector.from_pairs(
+            (i, F(rng.randint(-4, 4), rng.randint(1, 6)))
+            for i in sorted(rng.sample(range(1, dim + 1), rng.randint(1, dim))))
+            for _ in range(rng.randint(1, 3))]
+        inst = NormInstance.build(dim, funcs, cls, include_sup)
+        query = random_query(rng, mode)
+        rep = compute_constant(inst, query, method="grid", step=step)
+        assert rep == ref_grid_search(inst, query, step), (dim, cls, include_sup, query)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unclab
-from conftest import rand_sparse
+from conftest import brute_norm, rand_sparse
 from unclab.errors import DomainError, SizeError
 from unclab.norms import (PROJECTION_CLASSES, Functional, NormInstance,
                           SparseVector, build_standard, dual_certificate,
@@ -208,3 +208,24 @@ def test_all_subsets_class():
     assert cert.projection == (1, 3)
     assert inst.functionals[cert.functional_index].apply(
         v.restrict(cert.projection)) == 4
+
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_eval_norm_equals_brute_force(data):
+    # the integer kernel against the definition: max over every projection
+    # of the class of f(P_E v), and the sup term; vector and functionals
+    # draw denominators 1..12 independently, so their scales differ
+    dim = data.draw(st.integers(1, 5))
+    rows = st.lists(RATIONALS, min_size=dim, max_size=dim).map(
+        lambda row: SparseVector.from_pairs((i + 1, x) for i, x in enumerate(row)))
+    funcs = data.draw(st.lists(rows, min_size=1, max_size=4))
+    inst = NormInstance.build(dim, funcs, data.draw(st.sampled_from(PROJECTION_CLASSES)),
+                              data.draw(st.booleans()))
+    v = data.draw(rows)
+    want = brute_norm(inst, v)
+    assert eval_norm(inst, v) == want
+    assert dual_certificate(inst, v).value == want

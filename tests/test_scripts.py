@@ -12,7 +12,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = str(Path(unclab.__file__).resolve().parent.parent)
 
 RUNS = [
-    ["bench_bracket.py", "--lengths", "12", "--runs", "1"],
+    ["bench_kernels.py", "--lengths", "12", "--runs", "1"],
     ["rademacher_table.py"],
     ["elton_ladder.py", "--rung", "0"],
     ["orthogonal_family_search.py", "--etas", "1/2,7/8", "--seeds", "0",
