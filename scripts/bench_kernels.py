@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the exact kernels alone: the bracket DP, eval_norm and the grid.
+"""Time the exact kernels alone (the bracket DP, eval_norm, the grid) and start-up.
 
     python3 scripts/bench_kernels.py [--lengths 100,300,1000] [--runs 5]
         [--parent-src DIR] > BENCH.json
@@ -17,6 +17,14 @@ workloads' inputs:
              instance of 3 functionals per (dim, 1/s, class) in GRID_SIZES,
              as the constants workload draws its grid jobs; work counter
              lattice_points
+  startup    one CLI job in a fresh interpreter, started as perfbench/run.py
+             starts its jobs ([python, -c, "from unclab.cli import main;
+             main()", ...] from the repository root), timed from spawn to
+             exit: `--help` and a `bracket` on the two resolution fixtures;
+             work counter modules_executed, the unclab module bodies the job
+             runs (counted in one more, untimed, run through an audit hook).
+             Where PYTHONDONTWRITEBYTECODE is set every job compiles what it
+             executes; the document records it as dont_write_bytecode
 Each size is timed `runs` times and reports the median and the spread
 (slowest minus fastest) of its run times next to its work counter, with a
 digest of its results.
@@ -39,12 +47,28 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 SEED = 8
 CALLS = 200
 NORM_SIZES = ((4, "all_subsets"), (8, "initial_segments"), (12, "intervals"))
 GRID_SIZES = ((2, 8, "initial_segments"), (3, 4, "intervals"), (3, 8, "all_subsets"))
+STARTUP = (("help", ["--help"]),
+           ("bracket", ["bracket", "tests/fixtures/resolution_r.json",
+                        "tests/fixtures/resolution_s.json"]))
+JOB = "from unclab.cli import main; main()"
+# prints the number of unclab module bodies executed as the last stderr line
+COUNT_MODULES = """\
+import atexit, os, sys
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec"
+                 and getattr(args[0], "co_name", None) == "<module>"
+                 and os.path.basename(os.path.dirname(args[0].co_filename)) == "unclab"
+                 and ran.add(args[0].co_filename))
+atexit.register(lambda: sys.stderr.write(f"\\n{len(ran)}\\n"))
+"""
 TIMES = ("median_s", "spread_s", "runs_s")
+PER_SIDE = TIMES + ("modules_executed",)   # reported for parent and change apart
 
 
 def timed(run, runs: int) -> tuple[object, dict]:
@@ -55,6 +79,25 @@ def timed(run, runs: int) -> tuple[object, dict]:
         times.append(time.perf_counter() - start)
     return result, {"median_s": statistics.median(times),
                     "spread_s": max(times) - min(times), "runs_s": times}
+
+
+def startup(runs: int) -> list[dict]:
+    import unclab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(unclab.__file__).parent.parent))
+    env.pop("UNCLAB_CAPS", None)
+
+    def job(code: str, argv: list[str]) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT, env=env,
+                              capture_output=True, text=True, check=True)
+
+    out = []
+    for case, argv in STARTUP:
+        modules = int(job(COUNT_MODULES + JOB, argv).stderr.split()[-1])
+        proc, times = timed(lambda: job(JOB, argv), runs)
+        out.append({"case": case, "argv": argv, "modules_executed": modules, **times,
+                    "digest": hashlib.sha256(proc.stdout.encode()).hexdigest()})
+    return out
 
 
 def measure(lengths: list[int], runs: int) -> dict[str, list[dict]]:
@@ -69,7 +112,7 @@ def measure(lengths: list[int], runs: int) -> dict[str, list[dict]]:
     def digest(obj) -> str:
         return hashlib.sha256(dump_json(obj).encode()).hexdigest()
 
-    out = {"bracket": [], "eval_norm": [], "grid": []}
+    out = {"startup": startup(runs), "bracket": [], "eval_norm": [], "grid": []}
     pairs = Brackets(SEED, None, None)
     for n in lengths:
         k = pairs.rng.randint(2, 6)
@@ -112,12 +155,14 @@ def main() -> None:
     lengths = [int(x) for x in args.lengths.split(",")]
 
     doc = {
-        "kernels": "unclab.resolutions.bracket (method dp), unclab.norms.eval_norm, "
+        "kernels": "CLI start-up (--help, bracket), "
+                   "unclab.resolutions.bracket (method dp), unclab.norms.eval_norm, "
                    "unclab.constants.compute_constant (method grid, mode C_uncond)",
         "seed": SEED,
         "runs": args.runs,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}",
+        "dont_write_bytecode": sys.dont_write_bytecode,
     }
     ok = True
     if args.parent_src is None:
@@ -137,9 +182,9 @@ def main() -> None:
                 same = p["digest"] == c["digest"]
                 ok = ok and same
                 doc["sizes"][kernel].append({
-                    **{key: v for key, v in c.items() if key not in TIMES + ("digest",)},
-                    "parent": {key: p[key] for key in TIMES},
-                    "change": {key: c[key] for key in TIMES},
+                    **{key: v for key, v in c.items() if key not in PER_SIDE + ("digest",)},
+                    "parent": {key: p[key] for key in PER_SIDE if key in p},
+                    "change": {key: c[key] for key in PER_SIDE if key in c},
                     "parent_over_change_median": p["median_s"] / c["median_s"],
                     "same_results": same,
                 })

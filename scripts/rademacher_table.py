@@ -9,8 +9,8 @@ per-pair bound. Everything exact; the table cells are Fractions.
 import argparse
 import sys
 
-from unclab.resolutions import (bracket, build_rademacher,
-                                choose_multiplicities, rademacher_bound,
+from unclab.resolutions import (bracket, choose_multiplicities,
+                                rademacher_bound, rademacher_family,
                                 ris_condition)
 
 
@@ -27,10 +27,9 @@ def main():
           if args.ns else choose_multiplicities(args.k0))
     print(f"k0={args.k0} ns={ns} ris_condition={ris_condition(args.k0, ns)}")
 
-    mults = [args.n * args.k0 ** (args.m - l) for l in range(1, args.m + 1)]
-    family = [build_rademacher(args.k0, ns, mults[l - 1], l)
+    family = rademacher_family(args.k0, ns, args.n, args.m)
+    labels = [f"R(n={args.n * args.k0 ** (args.m - l)},l={l})"
               for l in range(1, args.m + 1)]
-    labels = [f"R(n={mults[l - 1]},l={l})" for l in range(1, args.m + 1)]
     print("lengths:", [len(r) for r in family])
     print()
 

@@ -26,6 +26,7 @@ class Caps:
     match_universe: int = 16        # max universe for exhaustive search_matching
     remark_universe: int = 20       # max universe for remark_family
     orthogonal_budget: int = 100_000  # max candidate evaluations in explore_orthogonal_family
+    rademacher_cells: int = 4_000_000  # max bracket DP cells of a Rademacher family or member
 
 
 def load_caps() -> Caps:

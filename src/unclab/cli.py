@@ -18,17 +18,9 @@ import time
 
 import click
 
-from . import __version__
+from . import (__version__, constants, elton, errors, mrdemo, norms, ramsey,
+               rationals, resolutions)
 from . import serialize as ser
-from .constants import DEFAULT_STEP, QUERY_FIELDS, ConstantQuery, compute_constant
-from .elton import EltonParams, k_lower_certificate, quasi_certificate
-from .errors import DomainError, MissingInputError, UnclabError
-from .mrdemo import mr_demo
-from .norms import dual_certificate, eval_norm
-from .ramsey import remark_family, search_matching, weakly_hereditary
-from .rationals import parse_rational
-from .resolutions import (build_rademacher, bracket, choose_multiplicities,
-                          longest_chain, rademacher_bound, ris_condition)
 
 _SHORT_CLASS = {"initial_segments": "initial", "intervals": "interval",
                 "all_subsets": "all"}
@@ -63,7 +55,7 @@ def verb(fn):
             if timing:
                 report["wall_ms"] = wall_ms
             _echo_json(report)
-        except UnclabError as e:
+        except errors.UnclabError as e:
             click.echo(ser.dump_json({"error": str(e),
                                       "kind": type(e).__name__}),
                        nl=False, err=True)
@@ -101,13 +93,13 @@ def bracket_cmd(left_path, right_path, method, mutual):
     s = ser.load_resolution(ser.read_json_file(right_path), "right")
     inputs = {"left": left_path, "right": right_path, "mutual": mutual}
     if mutual:
-        lr, lr_wit = bracket(r, s, method)
-        rl, rl_wit = bracket(s, r, method)
+        lr, lr_wit = resolutions.bracket(r, s, method)
+        rl, rl_wit = resolutions.bracket(s, r, method)
         out = {"value": max(lr, rl), "left_right": lr, "right_left": rl,
                "witness_direction": "left_right" if lr >= rl else "right_left",
                "witness": [list(p) for p in (lr_wit if lr >= rl else rl_wit)]}
     else:
-        value, wit = bracket(r, s, method)
+        value, wit = resolutions.bracket(r, s, method)
         out = {"value": value, "witness": [list(p) for p in wit]}
     out["method"] = method
     return inputs, out
@@ -126,31 +118,30 @@ def bracket_cmd(left_path, right_path, method, mutual):
 def rademacher(k0, m, n, ns_text, auto_ns, as_table):
     """Pairwise interaction table for a Rademacher-class family."""
     if (ns_text is None) == (not auto_ns):
-        raise DomainError("give exactly one of --ns or --auto-ns")
+        raise errors.DomainError("give exactly one of --ns or --auto-ns")
     if auto_ns:
-        ns = choose_multiplicities(k0)
+        ns = resolutions.choose_multiplicities(k0)
     else:
         try:
             ns = tuple(int(x) for x in ns_text.split(","))
         except ValueError:
-            raise DomainError(f"--ns must be comma separated integers, got {ns_text!r}")
-    if m < 1:
-        raise DomainError("need m >= 1 levels")
-    mults = [n * k0 ** (m - l) for l in range(1, m + 1)]
-    family = [build_rademacher(k0, ns, mults[l - 1], l) for l in range(1, m + 1)]
-    labels = [f"R(n={mults[l - 1]},l={l})" for l in range(1, m + 1)]
-    directed = [[bracket(a, b)[0] for b in family] for a in family]
+            raise errors.DomainError(
+                f"--ns must be comma separated integers, got {ns_text!r}")
+    family = resolutions.rademacher_family(k0, ns, n, m)
+    labels = [f"R(n={n * k0 ** (m - l)},l={l})" for l in range(1, m + 1)]
+    directed = [[resolutions.bracket(a, b)[0] for b in family] for a in family]
     matrix = [[max(directed[i][j], directed[j][i]) for j in range(m)] for i in range(m)]
     off_diag = [matrix[i][j] for i in range(m) for j in range(m) if i != j]
     out = {
-        "ris_condition": ris_condition(k0, ns),
+        "ris_condition": resolutions.ris_condition(k0, ns),
         "labels": labels,
         "lengths": [len(r) for r in family],
         "pairwise": matrix,
         "max_diagonal": max(matrix[i][i] for i in range(m)),
         "max_off_diagonal": max(off_diag) if off_diag else None,
-        "bound_same_level": rademacher_bound(k0, ns, 1, 1),
-        "bound_cross_levels": rademacher_bound(k0, ns, 1, 2) if m > 1 else None,
+        "bound_same_level": resolutions.rademacher_bound(k0, ns, 1, 1),
+        "bound_cross_levels": (resolutions.rademacher_bound(k0, ns, 1, 2)
+                               if m > 1 else None),
     }
     if as_table:
         headers = [""] + labels
@@ -171,10 +162,10 @@ def chain(patterns_path, k):
     """Longest embedding chain among colour patterns."""
     data = ser.read_json_file(patterns_path)
     if not isinstance(data, list):
-        raise ser.SchemaError("patterns: expected a list of colour lists")
+        raise errors.SchemaError("patterns: expected a list of colour lists")
     patterns = [tuple(ser._as_int_list(p, f"patterns[{i}]"))
                 for i, p in enumerate(data)]
-    indices = longest_chain(patterns, k)
+    indices = resolutions.longest_chain(patterns, k)
     out = {"count": len(patterns), "length": len(indices),
            "chain": indices,
            "chain_patterns": [list(patterns[i]) for i in indices]}
@@ -189,10 +180,10 @@ def norm(instance_path, vector_path):
     """Evaluate an instance norm on a vector, with the attaining functional."""
     inst = ser.load_norm_instance(ser.read_json_file(instance_path))
     v = ser.load_sparse_vector(ser.read_json_file(vector_path))
-    value = eval_norm(inst, v)
+    value = norms.eval_norm(inst, v)
     out = {"value": value, "dim": inst.dim,
            "projection_class": _SHORT_CLASS[inst.projection_class],
-           "certificate": dual_certificate(inst, v)}
+           "certificate": norms.dual_certificate(inst, v)}
     return {"instance": instance_path, "vector": vector_path}, out
 
 
@@ -210,25 +201,25 @@ def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
              order, method, step_text):
     """Extremal constant of an instance norm in the given mode."""
     inst = ser.load_norm_instance(ser.read_json_file(instance_path))
-    query = ConstantQuery(
+    query = constants.ConstantQuery(
         mode=mode,
-        delta=parse_rational(delta_text) if delta_text is not None else None,
-        D=parse_rational(big_d_text) if big_d_text is not None else None,
-        d=parse_rational(small_d_text) if small_d_text is not None else None,
+        delta=rationals.parse_rational(delta_text) if delta_text is not None else None,
+        D=rationals.parse_rational(big_d_text) if big_d_text is not None else None,
+        d=rationals.parse_rational(small_d_text) if small_d_text is not None else None,
         order=order,
     )
     method_name = "fractional_lp" if method == "lp" else method
-    step = parse_rational(step_text) if step_text is not None else None
-    report = compute_constant(inst, query, method=method_name, step=step)
+    step = rationals.parse_rational(step_text) if step_text is not None else None
+    report = constants.compute_constant(inst, query, method=method_name, step=step)
     inputs = {"instance": instance_path, "mode": mode, "method": method_name}
     if method == "grid":
-        inputs["step"] = DEFAULT_STEP if step is None else step
-    inputs.update((name, getattr(query, name)) for name in QUERY_FIELDS
+        inputs["step"] = constants.DEFAULT_STEP if step is None else step
+    inputs.update((name, getattr(query, name)) for name in constants.QUERY_FIELDS
                   if getattr(query, name) is not None)
     return inputs, dict(ser.to_jsonable(report))
 
 
-@main.command()
+@main.command("elton")
 @click.option("--n1", type=int, required=True)
 @click.option("--n2", type=int, required=True)
 @click.option("--K", "big_k", type=int, required=True)
@@ -236,11 +227,11 @@ def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
 @click.option("--m1", type=int, default=1)
 @click.option("--m2", type=int, default=2)
 @verb
-def elton(n1, n2, big_k, eps_text, m1, m2):
+def elton_cmd(n1, n2, big_k, eps_text, m1, m2):
     """Certified norm-ratio lower bound for a two-scale layout."""
-    eps = parse_rational(eps_text)
-    p = EltonParams(n1, n2, big_k, eps, m1, m2)
-    cert = k_lower_certificate(p)
+    eps = rationals.parse_rational(eps_text)
+    p = elton.EltonParams(n1, n2, big_k, eps, m1, m2)
+    cert = elton.k_lower_certificate(p)
     out = dict(cert)
     out["ratio"] = cert["ratio_case"]
     return {"n1": n1, "n2": n2, "K": big_k, "eps": eps, "m1": m1, "m2": m2}, out
@@ -257,10 +248,10 @@ def elton(n1, n2, big_k, eps_text, m1, m2):
 @verb
 def quasi(n1, n2, big_k, eps_text, alpha_text, m1, m2):
     """Quasi-variant certificate with the threshold-projection diagnosis."""
-    eps = parse_rational(eps_text)
-    alpha = parse_rational(alpha_text)
-    p = EltonParams(n1, n2, big_k, eps, m1, m2)
-    cert = quasi_certificate(p, alpha)
+    eps = rationals.parse_rational(eps_text)
+    alpha = rationals.parse_rational(alpha_text)
+    p = elton.EltonParams(n1, n2, big_k, eps, m1, m2)
+    cert = elton.quasi_certificate(p, alpha)
     out = dict(cert)
     out["ratio"] = cert["ratio_lower"]
     return {"n1": n1, "n2": n2, "K": big_k, "eps": eps, "alpha": alpha,
@@ -275,7 +266,7 @@ def quasi(n1, n2, big_k, eps_text, alpha_text, m1, m2):
 def mr_demo_cmd(family_path, k, seed):
     """Exploratory alternating-sum demo over a placed special sequence."""
     family = ser.load_resolution_list(ser.read_json_file(family_path))
-    return {"family": family_path, "k": k, "seed": seed}, mr_demo(family, k, seed)
+    return {"family": family_path, "k": k, "seed": seed}, mrdemo.mr_demo(family, k, seed)
 
 
 @main.command()
@@ -292,10 +283,10 @@ def mr_demo_cmd(family_path, k, seed):
 def match(maps_path, universe, horizon, strategy, seed, budget):
     """Search a universe for a matched pair under a prefix-determined map."""
     if strategy == "random" and seed is None:
-        raise MissingInputError("--seed is required for the random strategy")
+        raise errors.MissingInputError("--seed is required for the random strategy")
     pmap = ser.load_prefix_map(ser.read_json_file(maps_path))
-    result = search_matching(pmap, universe, horizon=horizon,
-                             strategy=strategy, seed=seed, budget=budget)
+    result = ramsey.search_matching(pmap, universe, horizon=horizon,
+                                    strategy=strategy, seed=seed, budget=budget)
     inputs = {"maps": maps_path, "universe": universe, "strategy": strategy}
     if seed is not None:
         inputs["seed"] = seed
@@ -319,24 +310,24 @@ def match(maps_path, universe, horizon, strategy, seed, budget):
 def hereditary(universe, m1, m2, mode, restrict_text, samples, min_size,
                seed):
     """Hereditariness of colour-pattern family restrictions."""
-    family = remark_family(universe, m1, m2)
+    family = ramsey.remark_family(universe, m1, m2)
     inputs = {"universe": universe, "m1": m1, "m2": m2, "mode": mode}
     out = {"family_size": len(family.members)}
     if min_size is not None and samples is None:
-        raise DomainError("--min-size needs --samples")
+        raise errors.DomainError("--min-size needs --samples")
     if restrict_text is not None:
         if samples is not None or seed is not None:
-            raise DomainError("--restrict excludes --samples and --seed")
+            raise errors.DomainError("--restrict excludes --samples and --seed")
         try:
             M = sorted(int(x) for x in restrict_text.split(","))
         except ValueError:
-            raise DomainError(
+            raise errors.DomainError(
                 f"--restrict must be comma separated integers, got {restrict_text!r}")
         inputs["restrict"] = M
-        out.update(weakly_hereditary(family, M, mode=mode))
+        out.update(ramsey.weakly_hereditary(family, M, mode=mode))
     elif samples is not None:
         if seed is None:
-            raise MissingInputError("--seed is required with --samples")
+            raise errors.MissingInputError("--seed is required with --samples")
         inputs["samples"] = samples
         inputs["seed"] = seed
         if min_size is None:
@@ -349,11 +340,11 @@ def hereditary(universe, m1, m2, mode, restrict_text, samples, min_size,
         for _ in range(samples):
             size = rng.randint(floor, universe)
             M = sorted(rng.sample(range(1, universe + 1), size))
-            runs.append({"M": M, **weakly_hereditary(family, M, mode=mode)})
+            runs.append({"M": M, **ramsey.weakly_hereditary(family, M, mode=mode)})
         out["runs"] = runs
         out["all_fail"] = all(r["hereditary"] is False for r in runs)
     else:
-        out.update(weakly_hereditary(family, None, mode=mode))
+        out.update(ramsey.weakly_hereditary(family, None, mode=mode))
     return inputs, out
 
 

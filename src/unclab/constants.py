@@ -40,6 +40,7 @@ from .caps import check_cap, load_caps
 from .errors import DomainError
 from .norms import (NormInstance, SparseVector, _projections, _scaled_functionals,
                     _scaled_norm, eval_norm)
+from .rationals import _subsets
 from .schreier import SchreierDecomposition, oscillation, schreier_decompose, schreier_member
 
 MODES = ("K", "Kprime", "L", "Lprime", "A", "C_uncond",
@@ -100,13 +101,6 @@ class ConstantReport:
     value_upper: Fraction | None
     witness: ConstantWitness | None
     details: dict = field(default_factory=dict)
-
-
-def _subsets(base: tuple[int, ...]):
-    # ascending bitmask order over the given base tuple
-    n = len(base)
-    for mask in range(1 << n):
-        yield tuple(base[i] for i in range(n) if mask >> i & 1)
 
 
 def _kstar_denominator(inst: NormInstance, a: SparseVector) -> Fraction:

@@ -32,8 +32,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .caps import check_cap, load_caps
-from .constants import _subsets
 from .errors import DomainError, SchemaError
+from .rationals import _subsets
 
 
 def _as_sorted_tuple(xs) -> tuple[int, ...]:

@@ -3,7 +3,9 @@
 Wire format is the string "p/q" in lowest terms with q > 0. Parsing is
 lenient (plain integers and surrounding whitespace accepted); emission is
 always canonical, so "2" round-trips to "2/1". The integer kernels scale
-their Fractions to one common denominator here.
+their Fractions to one common denominator here, and the subset generator
+that the LP cells and the matching search share lives here too, so that
+neither layer imports the other for it.
 """
 
 from __future__ import annotations
@@ -50,3 +52,10 @@ def _common_denominator(xs: list[Fraction]) -> tuple[int, list[int]]:
     """
     denom = lcm(*{x.denominator for x in xs})
     return denom, [x.numerator * (denom // x.denominator) for x in xs]
+
+
+def _subsets(base: tuple[int, ...]):
+    """Every subset of base as a tuple, in ascending bitmask order."""
+    n = len(base)
+    for mask in range(1 << n):
+        yield tuple(base[i] for i in range(n) if mask >> i & 1)

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .caps import load_caps
+from .caps import check_cap, load_caps
 from .errors import DomainError, InternalError, SizeError
 from .rationals import _common_denominator
 
@@ -224,14 +224,8 @@ def repeat_resolution(r: Resolution, m: int) -> Resolution:
     return Resolution(r.k, r.pattern * m, tuple(a / m for a in r.alpha) * m)
 
 
-def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int = 1) -> Resolution:
-    """Level-l Rademacher resolution for colour base k0 and multiplicities ns.
-
-    Base block: colour j*k0 appears n*ns[j-1] times (colours ascending), each
-    with weight 1/(n*ns[j-1]*k0), so every used colour carries weight 1/k0.
-    Level l repeats the base block k0^(l-1) times with weights scaled down,
-    which preserves the colour weights.
-    """
+def _rademacher_length(k0: int, ns: tuple[int, ...], n: int, l: int) -> int:
+    """Check build_rademacher's arguments; the length of the member they give."""
     if k0 < 2:
         raise DomainError("k0 must be >= 2")
     if l < 1:
@@ -242,6 +236,24 @@ def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int = 1) -> Resolu
         raise DomainError(f"need {k0} multiplicities, got {len(ns)}")
     if any(x < 1 for x in ns):
         raise DomainError("multiplicities must be positive")
+    return n * sum(ns) * k0 ** (l - 1)
+
+
+def _check_rademacher_cells(cells: int) -> None:
+    check_cap(cells, load_caps().rademacher_cells, "rademacher_cells: bracket DP cells")
+
+
+def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int = 1) -> Resolution:
+    """Level-l Rademacher resolution for colour base k0 and multiplicities ns.
+
+    Base block: colour j*k0 appears n*ns[j-1] times (colours ascending), each
+    with weight 1/(n*ns[j-1]*k0), so every used colour carries weight 1/k0.
+    Level l repeats the base block k0^(l-1) times with weights scaled down,
+    which preserves the colour weights. The member's self-bracket, length^2
+    DP cells, is checked against the rademacher_cells cap before building.
+    """
+    length = _rademacher_length(k0, ns, n, l)
+    _check_rademacher_cells(length * length)
     k = k0 * k0
     pattern: list[int] = []
     alpha: list[Fraction] = []
@@ -251,6 +263,19 @@ def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int = 1) -> Resolu
         alpha.extend([Fraction(1, n * ns[j - 1] * k0)] * count)
     base = Resolution(k, tuple(pattern), tuple(alpha))
     return repeat_resolution(base, k0 ** (l - 1)) if l > 1 else base
+
+
+def rademacher_family(k0: int, ns: tuple[int, ...], n: int, m: int) -> list[Resolution]:
+    """One member per level l = 1..m, with multiplicity n*k0^(m-l).
+
+    Every member has the length n*sum(ns)*k0^(m-1), so the m*m directed
+    brackets among them fill (m*length)^2 DP cells; that estimate is checked
+    against the rademacher_cells cap before any member is built.
+    """
+    if m < 1:
+        raise DomainError("need m >= 1 levels")
+    _check_rademacher_cells((m * _rademacher_length(k0, ns, n, m)) ** 2)
+    return [build_rademacher(k0, ns, n * k0 ** (m - l), l) for l in range(1, m + 1)]
 
 
 def ris_condition(k0: int, ns: tuple[int, ...]) -> bool:

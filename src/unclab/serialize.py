@@ -12,11 +12,9 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+from . import norms, ramsey, resolutions
 from .errors import DomainError, MissingInputError, SchemaError
-from .norms import NormInstance, SparseVector
-from .ramsey import MatchingWitness, PrefixContinuousMap
 from .rationals import format_rational, parse_rational
-from .resolutions import Resolution
 
 _CLASS_ALIASES = {
     "initial": "initial_segments",
@@ -96,7 +94,7 @@ def load_rational(value, where: str) -> Fraction:
     raise SchemaError(f"{where}: expected a rational, got {value!r}")
 
 
-def load_resolution(data, where: str = "resolution") -> Resolution:
+def load_resolution(data, where: str = "resolution") -> resolutions.Resolution:
     k = _as_int(_require(data, "k", where), f"{where}.k")
     pattern = _as_int_list(_require(data, "pattern", where), f"{where}.pattern")
     alpha_raw = _require(data, "alpha", where)
@@ -104,18 +102,18 @@ def load_resolution(data, where: str = "resolution") -> Resolution:
         raise SchemaError(f"{where}.alpha: expected a list")
     alpha = [load_rational(x, f"{where}.alpha[{i}]") for i, x in enumerate(alpha_raw)]
     try:
-        return Resolution(k, tuple(pattern), tuple(alpha))
+        return resolutions.Resolution(k, tuple(pattern), tuple(alpha))
     except DomainError as e:
         raise SchemaError(f"{where}: {e}")
 
 
-def load_resolution_list(data, where: str = "family") -> list[Resolution]:
+def load_resolution_list(data, where: str = "family") -> list[resolutions.Resolution]:
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{where}: expected a nonempty list")
     return [load_resolution(x, f"{where}[{i}]") for i, x in enumerate(data)]
 
 
-def _load_entries(items: list, where: str) -> SparseVector:
+def _load_entries(items: list, where: str) -> norms.SparseVector:
     """A list of {"i": coordinate, "v": rational} entries."""
     pairs = []
     for j, item in enumerate(items):
@@ -123,12 +121,12 @@ def _load_entries(items: list, where: str) -> SparseVector:
         pairs.append((_as_int(_require(item, "i", spot), f"{spot}.i"),
                       load_rational(_require(item, "v", spot), f"{spot}.v")))
     try:
-        return SparseVector.from_pairs(pairs)
+        return norms.SparseVector.from_pairs(pairs)
     except DomainError as e:
         raise SchemaError(f"{where}: {e}")
 
 
-def load_sparse_vector(data, where: str = "vector") -> SparseVector:
+def load_sparse_vector(data, where: str = "vector") -> norms.SparseVector:
     if isinstance(data, dict):
         data = _require(data, "entries", where)
     if not isinstance(data, list):
@@ -136,7 +134,7 @@ def load_sparse_vector(data, where: str = "vector") -> SparseVector:
     return _load_entries(data, where)
 
 
-def load_norm_instance(data, where: str = "instance") -> NormInstance:
+def load_norm_instance(data, where: str = "instance") -> norms.NormInstance:
     dim = _as_int(_require(data, "dim", where), f"{where}.dim")
     raw_class = _require(data, "projection_class", where)
     if raw_class not in _CLASS_ALIASES:
@@ -154,14 +152,14 @@ def load_norm_instance(data, where: str = "instance") -> NormInstance:
             raise SchemaError(f"{spot}: expected a list")
         functionals.append(_load_entries(entries, spot))
     try:
-        return NormInstance.build(
+        return norms.NormInstance.build(
             dim=dim, functionals=tuple(functionals),
             projection_class=_CLASS_ALIASES[raw_class], include_sup=include_sup)
     except DomainError as e:
         raise SchemaError(f"{where}: {e}")
 
 
-def load_prefix_map(data, where: str = "map") -> PrefixContinuousMap:
+def load_prefix_map(data, where: str = "map") -> ramsey.PrefixContinuousMap:
     """One document per map: {"depth": d, "entries": [{"prefix": [...],
     "F": [[...], ...]}, ...]}. Per-entry shape (components inside the prefix
     and successive) is checked on construction."""
@@ -182,12 +180,12 @@ def load_prefix_map(data, where: str = "map") -> PrefixContinuousMap:
             raise SchemaError(f"{spot}: duplicate prefix {prefix}")
         table[prefix] = F
     try:
-        return PrefixContinuousMap.from_dict(depth, table)
+        return ramsey.PrefixContinuousMap.from_dict(depth, table)
     except DomainError as e:
         raise SchemaError(f"{where}: {e}")
 
 
-def load_matching_witness(data, where: str = "witness") -> MatchingWitness:
+def load_matching_witness(data, where: str = "witness") -> ramsey.MatchingWitness:
     L = tuple(_as_int_list(_require(data, "L", where), f"{where}.L"))
     M = tuple(_as_int_list(_require(data, "M", where), f"{where}.M"))
     FL_raw = _require(data, "FL", where)
@@ -198,4 +196,4 @@ def load_matching_witness(data, where: str = "witness") -> MatchingWitness:
                for i, x in enumerate(FL_raw))
     FM = tuple(frozenset(_as_int_list(x, f"{where}.FM[{i}]"))
                for i, x in enumerate(FM_raw))
-    return MatchingWitness(L, M, FL, FM)
+    return ramsey.MatchingWitness(L, M, FL, FM)

@@ -97,7 +97,7 @@ def test_exit_code_5_internal_error(monkeypatch):
     def broken(*args, **kwargs):
         raise unclab.InternalError("dp table inconsistent")
 
-    monkeypatch.setattr(cli, "bracket", broken)
+    monkeypatch.setattr(unclab.resolutions, "bracket", broken)
     result = CliRunner().invoke(cli.main, ["bracket", fx("resolution_r.json"),
                                            fx("resolution_s.json")])
     assert result.exit_code == 5
@@ -158,6 +158,17 @@ def test_quasi_verb():
     assert rep["passes_target"] is True
     assert rep["verification"] == "symbolic"
     assert rep["threshold_tie_at_alpha"] is True
+
+
+def test_rademacher_k0_3_is_refused_by_its_cap():
+    proc = run("rademacher", "--k0", "3", "--m", "2", "--n", "1", "--auto-ns",
+               check=1)
+    err = err_json(proc)
+    assert err["kind"] == "SizeError"
+    assert err["error"] == ("rademacher_cells: bracket DP cells = "
+                            f"{(2 * 3 * 135005699) ** 2} exceeds cap 4000000 "
+                            "(override with UNCLAB_CAPS)")
+    assert proc.stdout == ""
 
 
 def test_rademacher_json_and_table():

@@ -19,12 +19,12 @@ from unclab.constants import (
     _linear_pieces,
     _lp_cells,
     _lp_max,
-    _subsets,
     compute_constant,
     verify_witness,
 )
 from unclab.errors import DomainError, SizeError
 from unclab.norms import PROJECTION_CLASSES, NormInstance, SparseVector, build_standard
+from unclab.rationals import _subsets
 from unclab.schreier import oscillation, schreier_decompose, schreier_member
 
 

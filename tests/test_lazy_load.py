@@ -1,0 +1,135 @@
+"""Which unclab modules a CLI job executes, and that lazy loading keeps the API.
+
+Every case runs in a fresh interpreter started the way perfbench/run.py
+starts a job: `python -c "from unclab.cli import main; main()" VERB ...`
+from the repository root with `src` on PYTHONPATH. An audit hook placed in
+front of that line records each module body that `exec` runs, and prints the
+unclab ones as the last line of stderr when the interpreter exits.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import unclab
+
+ROOT = Path(__file__).resolve().parent.parent
+# the source tree this test process imported unclab from; the child uses it too
+SRC = str(Path(unclab.__file__).resolve().parent.parent)
+LAYERS = ("serialize", "rationals", "resolutions", "norms", "constants",
+          "schreier", "elton", "mrdemo", "ramsey")
+
+RECORD = """\
+import atexit, json, os, sys
+_ran = []
+def _hook(event, args):
+    if event == "exec" and getattr(args[0], "co_name", None) == "<module>":
+        path = args[0].co_filename
+        if os.path.basename(os.path.dirname(path)) == "unclab":
+            stem = os.path.splitext(os.path.basename(path))[0]
+            _ran.append("unclab" if stem == "__init__" else "unclab." + stem)
+sys.addaudithook(_hook)
+atexit.register(lambda: sys.stderr.write("\\n" + json.dumps(sorted(_ran)) + "\\n"))
+"""
+JOB = "from unclab.cli import main; main()"
+
+# the package-level names of unclab before its imports became lazy
+EXPORTS = {
+    "caps": "Caps load_caps",
+    "constants": "ConstantQuery ConstantReport ConstantWitness compute_constant "
+                 "verify_witness",
+    "elton": "EltonLayout EltonParams LayoutVector StructuredFunctional VectorTriple "
+             "brute_miniature build_layout build_vectors case_bounds elton_ladder "
+             "k_lower_certificate layout_norm quasi_case_bounds quasi_certificate "
+             "structured_dp validate_params",
+    "errors": "DomainError InternalError MissingInputError RationalFormatError "
+              "SchemaError SizeError UnclabError",
+    "mrdemo": "coded_norm_instance mr_demo special_sequence",
+    "norms": "Certificate Functional NormInstance SparseVector build_standard "
+             "dual_certificate eval_norm",
+    "ramsey": "ColourFamily MatchingWitness PrefixContinuousMap is_initial_segment "
+              "make_pattern matching_from_map remark_family restrict_pattern "
+              "search_matching validate_matching validate_matching_data "
+              "validate_pure_matching weakly_hereditary",
+    "rationals": "format_rational parse_rational",
+    "resolutions": "Resolution bracket build_rademacher choose_multiplicities "
+                   "eta_orthogonal explore_orthogonal_family longest_chain "
+                   "mutual_bracket pattern_embeds rademacher_bound "
+                   "repeat_resolution ris_condition",
+    "schreier": "LevelSplit SchreierDecomposition interval_ladder level_split "
+                "oscillation schreier_decompose schreier_member",
+}
+
+
+def python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env.pop("UNCLAB_CAPS", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def executed(*argv: str) -> set[str]:
+    proc = python(RECORD + JOB, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def mods(*names: str) -> set[str]:
+    return {"unclab", "unclab.cli", *(f"unclab.{n}" for n in names)}
+
+
+RESOLUTION_JOB = mods("serialize", "resolutions", "rationals", "caps", "errors")
+
+
+def test_help_executes_no_layer():
+    assert executed("--help") == mods()
+
+
+def test_bracket_executes_only_its_layers():
+    # none of constants, elton, mrdemo, norms, ramsey or schreier
+    assert executed("bracket", "tests/fixtures/resolution_r.json",
+                    "tests/fixtures/resolution_s.json", "--mutual") == RESOLUTION_JOB
+
+
+def test_chain_executes_only_its_layers():
+    assert executed("chain", "--patterns", "tests/fixtures/patterns.json",
+                    "--k", "2") == RESOLUTION_JOB
+
+
+def test_constant_executes_only_its_layers():
+    assert executed("constant", "--instance", "tests/fixtures/norm_summing4.json",
+                    "--mode", "C_uncond", "--step", "1/2") == mods(
+        "serialize", "constants", "norms", "schreier", "rationals", "caps", "errors")
+
+
+def test_match_executes_only_its_layers():
+    assert executed("match", "--maps", "tests/fixtures/map_family_a.json",
+                    "--universe", "12", "--horizon", "4") == mods(
+        "serialize", "ramsey", "rationals", "caps", "errors")
+
+
+def test_import_cli_registers_every_layer_and_runs_none():
+    proc = python(RECORD + "import sys, unclab.cli\n"
+                  "print(json.dumps(sorted(n for n in sys.modules if n.startswith('unclab'))))")
+    assert proc.returncode == 0, proc.stderr
+    registered = set(json.loads(proc.stdout))
+    assert {f"unclab.{layer}" for layer in LAYERS} <= registered
+    assert set(json.loads(proc.stderr.splitlines()[-1])) == mods()
+
+
+def test_old_package_exports_resolve():
+    code = ("import importlib, json, unclab\n"
+            "from unclab import ConstantQuery, Functional, NormInstance, compute_constant\n"
+            f"exports = {EXPORTS!r}\n"
+            "bad = [name for home, names in exports.items() for name in names.split()\n"
+            "       if getattr(unclab, name) is not\n"
+            "       getattr(importlib.import_module('unclab.' + home), name)]\n"
+            "print(json.dumps([bad, unclab.Functional is unclab.SparseVector,\n"
+            "                  Functional is unclab.norms.SparseVector,\n"
+            "                  hasattr(unclab, 'no_such_name')]))")
+    proc = python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], True, True, False]

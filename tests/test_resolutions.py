@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -12,8 +13,8 @@ from unclab.resolutions import (Resolution, bracket, build_rademacher,
                                 choose_multiplicities, eta_orthogonal,
                                 explore_orthogonal_family, longest_chain,
                                 mutual_bracket, pattern_embeds,
-                                rademacher_bound, repeat_resolution,
-                                ris_condition)
+                                rademacher_bound, rademacher_family,
+                                repeat_resolution, ris_condition)
 
 H = Fraction(1, 2)
 
@@ -222,6 +223,42 @@ def test_build_rademacher_base():
         build_rademacher(1, (1,), 1, 1)
     with pytest.raises(DomainError):
         build_rademacher(2, (1,), 1, 1)
+
+
+def test_rademacher_family_lengths():
+    fam = rademacher_family(2, (1, 17), 1, 3)
+    assert [len(r) for r in fam] == [72, 72, 72]
+    assert fam == [build_rademacher(2, (1, 17), 4 // 2 ** (l - 1), l) for l in (1, 2, 3)]
+    with pytest.raises(DomainError, match="need m >= 1 levels"):
+        rademacher_family(2, (1, 17), 1, 0)
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        rademacher_family(2, (1, 17), -10 ** 6, 3)
+
+
+def test_rademacher_cap_refuses_k0_3_before_building(monkeypatch):
+    monkeypatch.delenv("UNCLAB_CAPS", raising=False)
+    ns = choose_multiplicities(3)
+    # one length-405 017 097 member per level: 2 * 2 directed brackets
+    family_cells = (2 * 3 * sum(ns)) ** 2
+    member_cells = sum(ns) ** 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError) as family_err:
+            rademacher_family(3, ns, 1, 2)
+        with pytest.raises(SizeError) as member_err:
+            build_rademacher(3, ns, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20   # nothing was built
+    for err, cells in ((family_err, family_cells), (member_err, member_cells)):
+        assert str(err.value) == (f"rademacher_cells: bracket DP cells = {cells} "
+                                  "exceeds cap 4000000 (override with UNCLAB_CAPS)")
+    monkeypatch.setenv("UNCLAB_CAPS", "rademacher_cells=46655")
+    with pytest.raises(SizeError):
+        rademacher_family(2, (1, 17), 1, 3)
+    monkeypatch.setenv("UNCLAB_CAPS", "rademacher_cells=46656")
+    assert len(rademacher_family(2, (1, 17), 1, 3)) == 3
 
 
 def test_choose_multiplicities_frozen():
