@@ -6,6 +6,17 @@
 
 Inputs are seeded with SEED and drawn as perfbench/workloads.py draws the
 workloads' inputs:
+  startup    one CLI job in a fresh interpreter, started as perfbench/run.py
+             starts its jobs ([python, -c, "from unclab.cli import main;
+             main()", ...] from the repository root), timed from spawn to
+             exit: `--help` and a `bracket` on the two resolution fixtures;
+             work counters modules_executed, the unclab module bodies the
+             job runs, and modules_loaded, len(sys.modules) when it exits
+             (both counted in one more, untimed, run through an audit hook).
+             The `--help` result is the sorted verb names it lists, so
+             usage text that differs in layout compares equal.
+             Where PYTHONDONTWRITEBYTECODE is set every job compiles what it
+             executes; the document records it as dont_write_bytecode
   bracket    bracket(r, s) on one n-by-n pair per length in --lengths, as the
              brackets workload draws its pairs (colours 1..k with k in 2..6,
              weights p/q with p, q in 1..12, no two neighbours equal);
@@ -17,29 +28,26 @@ workloads' inputs:
              instance of 3 functionals per (dim, 1/s, class) in GRID_SIZES,
              as the constants workload draws its grid jobs; work counter
              lattice_points
-  startup    one CLI job in a fresh interpreter, started as perfbench/run.py
-             starts its jobs ([python, -c, "from unclab.cli import main;
-             main()", ...] from the repository root), timed from spawn to
-             exit: `--help` and a `bracket` on the two resolution fixtures;
-             work counter modules_executed, the unclab module bodies the job
-             runs (counted in one more, untimed, run through an audit hook).
-             Where PYTHONDONTWRITEBYTECODE is set every job compiles what it
-             executes; the document records it as dont_write_bytecode
 Each size is timed `runs` times and reports the median and the spread
 (slowest minus fastest) of its run times next to its work counter, with a
 digest of its results.
 
-With --parent-src the same measurement first runs in a child interpreter on
-the unclab package under DIR (say, an unpacked copy of the parent commit's
-src/); the document then holds both sides per size and the ratio of their
-medians, and the script exits 1 if the two sides disagree on a result.
+With --parent-src every size is measured twice, each time in a child
+interpreter of this script started with --size: once on the unclab package
+under DIR (say, an unpacked copy of the parent commit's src/) and once on
+the package this interpreter imports. The two sides alternate size by size,
+and which side goes first alternates too, so drift of the machine spreads
+over both. The document then holds both sides per size and the ratio of
+their medians, and the script exits 1 if the two sides disagree on a result.
 """
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -57,7 +65,7 @@ STARTUP = (("help", ["--help"]),
            ("bracket", ["bracket", "tests/fixtures/resolution_r.json",
                         "tests/fixtures/resolution_s.json"]))
 JOB = "from unclab.cli import main; main()"
-# prints the number of unclab module bodies executed as the last stderr line
+# prints the unclab module bodies executed and the modules loaded as the last stderr line
 COUNT_MODULES = """\
 import atexit, os, sys
 ran = set()
@@ -65,10 +73,12 @@ sys.addaudithook(lambda event, args: event == "exec"
                  and getattr(args[0], "co_name", None) == "<module>"
                  and os.path.basename(os.path.dirname(args[0].co_filename)) == "unclab"
                  and ran.add(args[0].co_filename))
-atexit.register(lambda: sys.stderr.write(f"\\n{len(ran)}\\n"))
+atexit.register(lambda: sys.stderr.write(f"\\n{len(ran)} {len(sys.modules)}\\n"))
 """
+# a verb line of a usage text: an indented lower-case name, then its help or nothing
+VERB_LINE = re.compile(r"^ {2,}([a-z][a-z0-9-]*)(?: {2,}\S|$)", re.M)
 TIMES = ("median_s", "spread_s", "runs_s")
-PER_SIDE = TIMES + ("modules_executed",)   # reported for parent and change apart
+PER_SIDE = TIMES + ("modules_executed", "modules_loaded")   # reported for each side apart
 
 
 def timed(run, runs: int) -> tuple[object, dict]:
@@ -81,29 +91,18 @@ def timed(run, runs: int) -> tuple[object, dict]:
                     "spread_s": max(times) - min(times), "runs_s": times}
 
 
-def startup(runs: int) -> list[dict]:
-    import unclab
+def sizes(lengths: list[int]):
+    """Every size in a fixed order, as (kernel, fields, run, summarize).
 
-    env = dict(os.environ, PYTHONPATH=str(Path(unclab.__file__).parent.parent))
-    env.pop("UNCLAB_CAPS", None)
-
-    def job(code: str, argv: list[str]) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT, env=env,
-                              capture_output=True, text=True, check=True)
-
-    out = []
-    for case, argv in STARTUP:
-        modules = int(job(COUNT_MODULES + JOB, argv).stderr.split()[-1])
-        proc, times = timed(lambda: job(JOB, argv), runs)
-        out.append({"case": case, "argv": argv, "modules_executed": modules, **times,
-                    "digest": hashlib.sha256(proc.stdout.encode()).hexdigest()})
-    return out
-
-
-def measure(lengths: list[int], runs: int) -> dict[str, list[dict]]:
+    Inputs are drawn as the generator advances, so the i-th size gets the
+    same inputs whether or not the sizes before it are measured. `run()`
+    computes the timed result; `summarize(result)` gives its value and
+    digest, and for start-up its work counters.
+    """
     sys.path.insert(0, str(PERFBENCH))
     from workloads import Brackets, Constants
 
+    import unclab
     from unclab.constants import ConstantQuery, compute_constant
     from unclab.norms import SparseVector, eval_norm
     from unclab.resolutions import Resolution, bracket
@@ -112,16 +111,35 @@ def measure(lengths: list[int], runs: int) -> dict[str, list[dict]]:
     def digest(obj) -> str:
         return hashlib.sha256(dump_json(obj).encode()).hexdigest()
 
-    out = {"startup": startup(runs), "bracket": [], "eval_norm": [], "grid": []}
+    env = dict(os.environ, PYTHONPATH=str(Path(unclab.__file__).parent.parent))
+    env.pop("UNCLAB_CAPS", None)
+
+    def job(code: str, argv: list[str]) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT, env=env,
+                              capture_output=True, text=True, check=True)
+
+    def startup_summary(case: str, argv: list[str]):
+        def summarize(proc) -> dict:
+            executed, loaded = job(COUNT_MODULES + JOB, argv).stderr.split()[-2:]
+            result = (" ".join(sorted(VERB_LINE.findall(proc.stdout))) if case == "help"
+                      else proc.stdout)
+            return {"modules_executed": int(executed), "modules_loaded": int(loaded),
+                    "digest": hashlib.sha256(result.encode()).hexdigest()}
+        return summarize
+
+    for case, argv in STARTUP:
+        yield ("startup", {"case": case, "argv": argv},
+               lambda argv=argv: job(JOB, argv), startup_summary(case, argv))
+
     pairs = Brackets(SEED, None, None)
     for n in lengths:
         k = pairs.rng.randint(2, 6)
         r, s = (Resolution(k, tuple(pattern), tuple(alpha))
                 for _, pattern, alpha in (pairs.resolution(n, k), pairs.resolution(n, k)))
-        (value, witness), times = timed(lambda: bracket(r, s), runs)
-        out["bracket"].append({"n": n, "m": n, "cells": n * n, **times,
-                               "value": f"{value.numerator}/{value.denominator}",
-                               "digest": digest(witness)})
+        yield ("bracket", {"n": n, "m": n, "cells": n * n},
+               lambda r=r, s=s: bracket(r, s),
+               lambda out: {"value": f"{out[0].numerator}/{out[0].denominator}",
+                            "digest": digest(out[1])})
 
     stream = Constants(SEED, None, None)
     for dim, cls in NORM_SIZES:
@@ -130,20 +148,24 @@ def measure(lengths: list[int], runs: int) -> dict[str, list[dict]]:
             (i, stream.rational(-8, 8, 8))
             for i in stream.rng.sample(range(1, dim + 1), stream.rng.randint(1, dim)))
             for _ in range(CALLS)]
-        values, times = timed(lambda: [eval_norm(inst, v) for v in vectors], runs)
-        out["eval_norm"].append({"dim": dim, "class": cls, "calls": CALLS, **times,
-                                 "digest": digest(values)})
+        yield ("eval_norm", {"dim": dim, "class": cls, "calls": CALLS},
+               lambda inst=inst, vectors=vectors: [eval_norm(inst, v) for v in vectors],
+               lambda values: {"digest": digest(values)})
     for dim, s, cls in GRID_SIZES:
         inst = load_norm_instance(stream.instance(dim, cls, 3))
-        step = Fraction(1, s)
-        report, times = timed(
-            lambda: compute_constant(inst, ConstantQuery("C_uncond"), "grid", step), runs)
-        out["grid"].append({"dim": dim, "step": f"1/{s}", "class": cls,
-                            "lattice_points": report.details["lattice_points"], **times,
-                            "value": f"{report.value_lower.numerator}/"
-                                     f"{report.value_lower.denominator}",
-                            "digest": digest(report)})
-    return out
+        yield ("grid", {"dim": dim, "step": f"1/{s}", "class": cls},
+               lambda inst=inst, s=s: compute_constant(
+                   inst, ConstantQuery("C_uncond"), "grid", Fraction(1, s)),
+               lambda report: {"lattice_points": report.details["lattice_points"],
+                               "value": f"{report.value_lower.numerator}/"
+                                        f"{report.value_lower.denominator}",
+                               "digest": digest(report)})
+
+
+def measure(size, runs: int) -> dict:
+    kernel, fields, run, summarize = size
+    result, times = timed(run, runs)
+    return {"kernel": kernel, **fields, **times, **summarize(result)}
 
 
 def main() -> None:
@@ -151,8 +173,14 @@ def main() -> None:
     ap.add_argument("--lengths", default="100,300,1000")
     ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--parent-src", default=None)
+    ap.add_argument("--size", type=int, default=None,
+                    help="measure only the size with this index and print its entry")
     args = ap.parse_args()
     lengths = [int(x) for x in args.lengths.split(",")]
+    if args.size is not None:
+        size = next(itertools.islice(sizes(lengths), args.size, None))
+        print(json.dumps(measure(size, args.runs)))
+        return
 
     doc = {
         "kernels": "CLI start-up (--help, bracket), "
@@ -163,31 +191,37 @@ def main() -> None:
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}",
         "dont_write_bytecode": sys.dont_write_bytecode,
+        "sizes": {},
     }
     ok = True
     if args.parent_src is None:
-        doc["sizes"] = measure(lengths, args.runs)
+        for size in sizes(lengths):
+            entry = measure(size, args.runs)
+            doc["sizes"].setdefault(entry.pop("kernel"), []).append(entry)
     else:
-        env = dict(os.environ, PYTHONPATH=args.parent_src)
-        child = subprocess.run(
-            [sys.executable, __file__, "--lengths", args.lengths,
-             "--runs", str(args.runs)],
-            env=env, capture_output=True, text=True, check=True)
-        parent = json.loads(child.stdout)["sizes"]
-        change = measure(lengths, args.runs)
-        doc["sizes"] = {}
-        for kernel, sizes in change.items():
-            doc["sizes"][kernel] = []
-            for p, c in zip(parent[kernel], sizes):
-                same = p["digest"] == c["digest"]
-                ok = ok and same
-                doc["sizes"][kernel].append({
-                    **{key: v for key, v in c.items() if key not in PER_SIDE + ("digest",)},
-                    "parent": {key: p[key] for key in PER_SIDE if key in p},
-                    "change": {key: c[key] for key in PER_SIDE if key in c},
-                    "parent_over_change_median": p["median_s"] / c["median_s"],
-                    "same_results": same,
-                })
+        import unclab
+
+        sides = {"parent": args.parent_src, "change": str(Path(unclab.__file__).parent.parent)}
+        for i in range(len(STARTUP) + len(lengths) + len(NORM_SIZES) + len(GRID_SIZES)):
+            got = {}
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                child = subprocess.run(
+                    [sys.executable, __file__, "--lengths", args.lengths,
+                     "--runs", str(args.runs), "--size", str(i)],
+                    env=dict(os.environ, PYTHONPATH=sides[side]),
+                    capture_output=True, text=True, check=True)
+                got[side] = json.loads(child.stdout)
+            p, c = got["parent"], got["change"]
+            same = p["digest"] == c["digest"]
+            ok = ok and same
+            doc["sizes"].setdefault(c["kernel"], []).append({
+                **{key: v for key, v in c.items()
+                   if key not in PER_SIDE + ("kernel", "digest")},
+                "parent": {key: p[key] for key in PER_SIDE if key in p},
+                "change": {key: c[key] for key in PER_SIDE if key in c},
+                "parent_over_change_median": p["median_s"] / c["median_s"],
+                "same_results": same,
+            })
     print(json.dumps(doc, indent=2))
     if not ok:
         sys.exit("parent and change disagree on a result")

@@ -19,6 +19,7 @@ from .errors import DomainError, SizeError
 class Caps:
     brute_bracket: int = 8          # max resolution length for bracket method="brute"
     grid_dim: int = 10              # max instance dim for compute_constant grid
+    grid_points: int = 1_000_000    # max lattice points (2s+1)^dim - 1 of a grid at step 1/s
     lp_dim: int = 14                # max instance dim for compute_constant fractional_lp
     all_subsets_dim: int = 22       # max dim for the all_subsets projection class
     layout_universe: int = 10_000   # max canonical layout universe size

@@ -11,12 +11,10 @@ errors in input documents, 5 internal invariant failures.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import random
 import sys
 import time
-
-import click
 
 from . import (__version__, constants, elton, errors, mrdemo, norms, ramsey,
                rationals, resolutions)
@@ -26,12 +24,48 @@ _SHORT_CLASS = {"initial_segments": "initial", "intervals": "interval",
                 "all_subsets": "all"}
 
 
-def _echo_json(data) -> None:
-    click.echo(ser.dump_json(data), nl=False)
+def arg(*names: str, **kwargs):
+    """One `ArgumentParser.add_argument` call, kept for the verb's parser."""
+    return names, kwargs
 
 
-def verb(fn):
-    """Wrap a verb body: adds --timing, prints the report, maps errors.
+class Command:
+    """A verb: its one-line help, its arguments and the callback that runs
+    it. `main` reads `callback` when the verb runs, so a wrapper set on it
+    after import is the one called."""
+
+    def __init__(self, help: str, arguments: tuple, callback):
+        self.help, self.arguments, self.callback = help, arguments, callback
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Exact-rational workbench for sequence-space combinatorics."""
+    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__,
+                                     allow_abbrev=False)
+    verbs = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
+    takes_value = {}
+    for name, command in main.commands.items():
+        sub = verbs.add_parser(name, help=command.help, description=command.help,
+                               allow_abbrev=False)
+        actions = [sub.add_argument(*names, **kwargs) for names, kwargs in command.arguments]
+        takes_value[name] = {s for a in actions if a.nargs != 0 for s in a.option_strings}
+    argv = sys.argv[1:] if args is None else list(args)
+    if argv and argv[0] in takes_value:
+        # an option takes the next word as its value, even one such as -1/2
+        # that argparse would read as an option: pass it as --opt=VALUE
+        words, argv = iter(argv[1:]), argv[:1]
+        for word in words:
+            value = next(words, None) if word in takes_value[argv[0]] else None
+            argv.append(word if value is None else f"{word}={value}")
+    kwargs = vars(parser.parse_args(argv))
+    main.commands[kwargs.pop("verb")].callback(**kwargs)
+
+
+main.commands: dict[str, Command] = {}
+
+
+def verb(name: str, *arguments):
+    """Register a verb body under `name` with its arguments, plus --timing.
 
     The body returns (inputs, out), which becomes the report together with
     the verb's name and the package version, or None when it has printed
@@ -39,28 +73,29 @@ def verb(fn):
     either. An UnclabError prints as JSON on stderr and exits with the
     error's exit code.
     """
-    @functools.wraps(fn)
-    def wrapper(timing, **kwargs):
-        t0 = time.monotonic()
-        try:
-            result = fn(**kwargs)
-            wall_ms = int((time.monotonic() - t0) * 1000)
-            if result is None:
+    def register(fn):
+        def callback(timing, **kwargs):
+            t0 = time.monotonic()
+            try:
+                result = fn(**kwargs)
+                wall_ms = int((time.monotonic() - t0) * 1000)
+                if result is None:
+                    if timing:
+                        print(f"wall_ms            {wall_ms}")
+                    return
+                inputs, out = result
+                report = {"verb": name, "version": __version__, "inputs": inputs, **out}
                 if timing:
-                    click.echo(f"wall_ms            {wall_ms}")
-                return
-            inputs, out = result
-            report = {"verb": click.get_current_context().info_name,
-                      "version": __version__, "inputs": inputs, **out}
-            if timing:
-                report["wall_ms"] = wall_ms
-            _echo_json(report)
-        except errors.UnclabError as e:
-            click.echo(ser.dump_json({"error": str(e),
-                                      "kind": type(e).__name__}),
-                       nl=False, err=True)
-            sys.exit(e.exit_code)
-    return click.option("--timing", is_flag=True)(wrapper)
+                    report["wall_ms"] = wall_ms
+                sys.stdout.write(ser.dump_json(report))
+            except errors.UnclabError as e:
+                sys.stderr.write(ser.dump_json({"error": str(e), "kind": type(e).__name__}))
+                sys.exit(e.exit_code)
+
+        main.commands[name] = Command(fn.__doc__, arguments + (
+            arg("--timing", action="store_true", help="add the wall-clock time"),), callback)
+        return fn
+    return register
 
 
 def _align_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -76,17 +111,11 @@ def _align_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-@click.group()
-def main():
-    """Exact-rational workbench for sequence-space combinatorics."""
-
-
-@main.command("bracket")
-@click.argument("left_path", metavar="LEFT", type=click.Path())
-@click.argument("right_path", metavar="RIGHT", type=click.Path())
-@click.option("--method", type=click.Choice(["dp", "brute"]), default="dp")
-@click.option("--mutual", is_flag=True, help="symmetrized value")
-@verb
+@verb("bracket",
+      arg("left_path", metavar="LEFT"),
+      arg("right_path", metavar="RIGHT"),
+      arg("--method", choices=["dp", "brute"], default="dp"),
+      arg("--mutual", action="store_true", help="symmetrized value"))
 def bracket_cmd(left_path, right_path, method, mutual):
     """Weighted matching value of two resolutions."""
     r = ser.load_resolution(ser.read_json_file(left_path), "left")
@@ -105,16 +134,14 @@ def bracket_cmd(left_path, right_path, method, mutual):
     return inputs, out
 
 
-@main.command()
-@click.option("--k0", type=int, required=True)
-@click.option("--m", type=int, required=True, help="number of levels")
-@click.option("--n", type=int, required=True, help="base multiplicity")
-@click.option("--ns", "ns_text", default=None,
-              help="comma separated multiplicities, e.g. 1,17")
-@click.option("--auto-ns", is_flag=True,
-              help="greedy minimal multiplicities for this k0")
-@click.option("--table", "as_table", is_flag=True)
-@verb
+@verb("rademacher",
+      arg("--k0", type=int, required=True),
+      arg("--m", type=int, required=True, help="number of levels"),
+      arg("--n", type=int, required=True, help="base multiplicity"),
+      arg("--ns", dest="ns_text", help="comma separated multiplicities, e.g. 1,17"),
+      arg("--auto-ns", action="store_true",
+          help="greedy minimal multiplicities for this k0"),
+      arg("--table", dest="as_table", action="store_true"))
 def rademacher(k0, m, n, ns_text, auto_ns, as_table):
     """Pairwise interaction table for a Rademacher-class family."""
     if (ns_text is None) == (not auto_ns):
@@ -146,18 +173,17 @@ def rademacher(k0, m, n, ns_text, auto_ns, as_table):
     if as_table:
         headers = [""] + labels
         rows = [[labels[i]] + [str(v) for v in matrix[i]] for i in range(m)]
-        click.echo(_align_table(headers, rows))
-        click.echo(f"same-level bound   {out['bound_same_level']}")
+        print(_align_table(headers, rows))
+        print(f"same-level bound   {out['bound_same_level']}")
         if out["bound_cross_levels"] is not None:
-            click.echo(f"cross-level bound  {out['bound_cross_levels']}")
+            print(f"cross-level bound  {out['bound_cross_levels']}")
         return None
     return {"k0": k0, "m": m, "n": n, "ns": list(ns)}, out
 
 
-@main.command()
-@click.option("--patterns", "patterns_path", required=True, type=click.Path())
-@click.option("--k", type=int, required=True)
-@verb
+@verb("chain",
+      arg("--patterns", dest="patterns_path", required=True),
+      arg("--k", type=int, required=True))
 def chain(patterns_path, k):
     """Longest embedding chain among colour patterns."""
     data = ser.read_json_file(patterns_path)
@@ -172,10 +198,9 @@ def chain(patterns_path, k):
     return {"patterns": patterns_path, "k": k}, out
 
 
-@main.command()
-@click.option("--instance", "instance_path", required=True, type=click.Path())
-@click.option("--vector", "vector_path", required=True, type=click.Path())
-@verb
+@verb("norm",
+      arg("--instance", dest="instance_path", required=True),
+      arg("--vector", dest="vector_path", required=True))
 def norm(instance_path, vector_path):
     """Evaluate an instance norm on a vector, with the attaining functional."""
     inst = ser.load_norm_instance(ser.read_json_file(instance_path))
@@ -187,16 +212,15 @@ def norm(instance_path, vector_path):
     return {"instance": instance_path, "vector": vector_path}, out
 
 
-@main.command()
-@click.option("--instance", "instance_path", required=True, type=click.Path())
-@click.option("--mode", required=True)
-@click.option("--delta", "delta_text", default=None)
-@click.option("--D", "big_d_text", default=None)
-@click.option("--d", "small_d_text", default=None)
-@click.option("--order", type=int, default=None)
-@click.option("--method", type=click.Choice(["grid", "lp"]), default="grid")
-@click.option("--step", "step_text", default=None)
-@verb
+@verb("constant",
+      arg("--instance", dest="instance_path", required=True),
+      arg("--mode", required=True),
+      arg("--delta", dest="delta_text"),
+      arg("--D", dest="big_d_text"),
+      arg("--d", dest="small_d_text"),
+      arg("--order", type=int),
+      arg("--method", choices=["grid", "lp"], default="grid"),
+      arg("--step", dest="step_text"))
 def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
              order, method, step_text):
     """Extremal constant of an instance norm in the given mode."""
@@ -219,14 +243,13 @@ def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
     return inputs, dict(ser.to_jsonable(report))
 
 
-@main.command("elton")
-@click.option("--n1", type=int, required=True)
-@click.option("--n2", type=int, required=True)
-@click.option("--K", "big_k", type=int, required=True)
-@click.option("--eps", "eps_text", required=True)
-@click.option("--m1", type=int, default=1)
-@click.option("--m2", type=int, default=2)
-@verb
+@verb("elton",
+      arg("--n1", type=int, required=True),
+      arg("--n2", type=int, required=True),
+      arg("--K", dest="big_k", type=int, required=True),
+      arg("--eps", dest="eps_text", required=True),
+      arg("--m1", type=int, default=1),
+      arg("--m2", type=int, default=2))
 def elton_cmd(n1, n2, big_k, eps_text, m1, m2):
     """Certified norm-ratio lower bound for a two-scale layout."""
     eps = rationals.parse_rational(eps_text)
@@ -237,15 +260,14 @@ def elton_cmd(n1, n2, big_k, eps_text, m1, m2):
     return {"n1": n1, "n2": n2, "K": big_k, "eps": eps, "m1": m1, "m2": m2}, out
 
 
-@main.command()
-@click.option("--n1", type=int, required=True)
-@click.option("--n2", type=int, required=True)
-@click.option("--K", "big_k", type=int, required=True)
-@click.option("--eps", "eps_text", required=True)
-@click.option("--alpha", "alpha_text", required=True)
-@click.option("--m1", type=int, default=1)
-@click.option("--m2", type=int, default=2)
-@verb
+@verb("quasi",
+      arg("--n1", type=int, required=True),
+      arg("--n2", type=int, required=True),
+      arg("--K", dest="big_k", type=int, required=True),
+      arg("--eps", dest="eps_text", required=True),
+      arg("--alpha", dest="alpha_text", required=True),
+      arg("--m1", type=int, default=1),
+      arg("--m2", type=int, default=2))
 def quasi(n1, n2, big_k, eps_text, alpha_text, m1, m2):
     """Quasi-variant certificate with the threshold-projection diagnosis."""
     eps = rationals.parse_rational(eps_text)
@@ -258,28 +280,25 @@ def quasi(n1, n2, big_k, eps_text, alpha_text, m1, m2):
             "m1": m1, "m2": m2}, out
 
 
-@main.command("mr-demo")
-@click.option("--family", "family_path", required=True, type=click.Path())
-@click.option("--k", type=int, required=True)
-@click.option("--seed", type=int, required=True)
-@verb
+@verb("mr-demo",
+      arg("--family", dest="family_path", required=True),
+      arg("--k", type=int, required=True),
+      arg("--seed", type=int, required=True))
 def mr_demo_cmd(family_path, k, seed):
     """Exploratory alternating-sum demo over a placed special sequence."""
     family = ser.load_resolution_list(ser.read_json_file(family_path))
     return {"family": family_path, "k": k, "seed": seed}, mrdemo.mr_demo(family, k, seed)
 
 
-@main.command()
-@click.option("--maps", "maps_path", required=True, type=click.Path(),
-              help="prefix-determined map document")
-@click.option("--universe", type=int, required=True)
-@click.option("--horizon", type=int, default=None,
-              help="minimum size of both sets (default: map depth)")
-@click.option("--strategy", type=click.Choice(["exhaustive", "random"]),
-              default="exhaustive")
-@click.option("--seed", type=int, default=None)
-@click.option("--budget", type=int, default=200_000)
-@verb
+@verb("match",
+      arg("--maps", dest="maps_path", required=True,
+          help="prefix-determined map document"),
+      arg("--universe", type=int, required=True),
+      arg("--horizon", type=int,
+          help="minimum size of both sets (default: map depth)"),
+      arg("--strategy", choices=["exhaustive", "random"], default="exhaustive"),
+      arg("--seed", type=int),
+      arg("--budget", type=int, default=200_000))
 def match(maps_path, universe, horizon, strategy, seed, budget):
     """Search a universe for a matched pair under a prefix-determined map."""
     if strategy == "random" and seed is None:
@@ -293,20 +312,17 @@ def match(maps_path, universe, horizon, strategy, seed, budget):
     return inputs, result
 
 
-@main.command()
-@click.option("--universe", type=int, required=True)
-@click.option("--m1", type=int, default=1)
-@click.option("--m2", type=int, default=2)
-@click.option("--mode", type=click.Choice(["hereditary", "weakly"]),
-              default="hereditary")
-@click.option("--restrict", "restrict_text", default=None,
-              help="comma separated restriction set, e.g. 1,2,4,7")
-@click.option("--samples", type=int, default=None,
-              help="check this many random restriction sets")
-@click.option("--min-size", type=int, default=None,
-              help="minimum size of sampled restriction sets (default 8)")
-@click.option("--seed", type=int, default=None)
-@verb
+@verb("hereditary",
+      arg("--universe", type=int, required=True),
+      arg("--m1", type=int, default=1),
+      arg("--m2", type=int, default=2),
+      arg("--mode", choices=["hereditary", "weakly"], default="hereditary"),
+      arg("--restrict", dest="restrict_text",
+          help="comma separated restriction set, e.g. 1,2,4,7"),
+      arg("--samples", type=int, help="check this many random restriction sets"),
+      arg("--min-size", type=int,
+          help="minimum size of sampled restriction sets (default 8)"),
+      arg("--seed", type=int))
 def hereditary(universe, m1, m2, mode, restrict_text, samples, min_size,
                seed):
     """Hereditariness of colour-pattern family restrictions."""

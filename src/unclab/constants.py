@@ -118,6 +118,7 @@ def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> Co
     if step <= 0 or step > 1 or (1 / step).denominator != 1:
         raise DomainError(f"grid step must be 1/s for integer s >= 1, got {step}")
     s = int(1 / step)
+    check_cap((2 * s + 1) ** inst.dim - 1, caps.grid_points, "grid_points: lattice points")
     L, funcs = _scaled_functionals(inst)
     mode = query.mode
     delta = query.delta or Fraction(0)   # read only by the modes that take one

@@ -157,16 +157,21 @@ def _bracket_dp(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int,
             row[v] = best = cand
     # lex-first optimal witness: pairing u is lex-smaller than skipping it
     # (every later pair has first index > u), so take the first optimal pair
-    # at u; only when none exists is skipping u the optimal move.
+    # at u; only when none exists is skipping u the optimal move. A pair
+    # (u, v2) scores at most row[v2] and the row never increases, so the
+    # scan stops at the first v2 with row[v2] < target; row[m] = 0 < target,
+    # as every weight is positive.
     witness: list[tuple[int, int]] = []
     u = v = 0
     while u < n and v < m:
-        x, target, below = xs[u], suffix[u][v], suffix[u + 1]
-        for v2 in range(v, m):
-            if x * ys[v2] + below[v2 + 1] == target:
-                witness.append((u + 1, v2 + 1))
-                u, v = u + 1, v2 + 1
-                break
+        x, row, below = xs[u], suffix[u], suffix[u + 1]
+        target = row[v]
+        v2 = v
+        while row[v2] == target and x * ys[v2] + below[v2 + 1] != target:
+            v2 += 1
+        if row[v2] == target:
+            witness.append((u + 1, v2 + 1))
+            u, v = u + 1, v2 + 1
         else:
             if target != below[v]:
                 raise InternalError("dp table inconsistent")

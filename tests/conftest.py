@@ -1,10 +1,14 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
+from unclab import cli
 from unclab.resolutions import Resolution
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -13,6 +17,39 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture
 def fixtures():
     return FIXTURES
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout_bytes: bytes
+    stderr_bytes: bytes
+
+    @property
+    def stdout(self) -> str:
+        return self.stdout_bytes.decode()
+
+    @property
+    def stderr(self) -> str:
+        return self.stderr_bytes.decode()
+
+
+def _invoke_cli(args: list[str]) -> CliResult:
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(args, prog_name="unclab")
+        except SystemExit as e:
+            code = e.code or 0
+    return CliResult(code, out.getvalue().encode(), err.getvalue().encode())
+
+
+@pytest.fixture
+def invoke_cli():
+    """Run `unclab ARGS...` in this process: its exit code and its stdout
+    and stderr as UTF-8 bytes. An exception other than SystemExit
+    propagates."""
+    return _invoke_cli
 
 
 def rand_resolution(rng: random.Random, max_len: int = 6, max_k: int = 4,

@@ -6,8 +6,6 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
-from click.testing import CliRunner
-
 import unclab
 from unclab import cli
 from unclab import serialize as ser
@@ -80,26 +78,41 @@ def test_exit_code_3_malformed_rational(tmp_path):
     proc = run("bracket", str(bad), fx("resolution_s.json"), check=3)
     err = err_json(proc)
     assert err["kind"] == "RationalFormatError"
+    # an option value that starts with "-" is still the option's value
+    proc = run("constant", "--instance", fx("norm_summing4.json"),
+               "--mode", "C_uncond", "--step", "-abc", check=3)
+    assert err_json(proc) == {"error": "malformed rational '-abc'",
+                              "kind": "RationalFormatError"}
 
 
 def test_exit_code_2_missing_inputs():
     proc = run("bracket", "/nonexistent/r.json", fx("resolution_s.json"), check=2)
     assert err_json(proc)["kind"] == "MissingInputError"
-    # click's own usage failures share exit code 2
+    # the argument parser's own usage failures share exit code 2
     proc = run("norm", "--instance", fx("norm_summing4.json"), check=2)
     assert "Usage" in proc.stderr or "usage" in proc.stderr
     proc = run("bracket", fx("resolution_r.json"), fx("resolution_s.json"),
                "--no-such-flag", check=2)
     assert "no-such-flag" in proc.stderr
+    # options are not abbreviated: --mut is neither --mutual nor --method
+    proc = run("bracket", fx("resolution_r.json"), fx("resolution_s.json"),
+               "--mut", check=2)
+    assert "--mut" in proc.stderr
 
 
-def test_exit_code_5_internal_error(monkeypatch):
+def test_help_lists_every_verb():
+    verbs = {"bracket", "rademacher", "chain", "norm", "constant", "elton",
+             "quasi", "mr-demo", "match", "hereditary"}
+    assert set(cli.main.commands) == verbs
+    assert verbs <= set(run("--help", check=0).stdout.split())
+
+
+def test_exit_code_5_internal_error(monkeypatch, invoke_cli):
     def broken(*args, **kwargs):
         raise unclab.InternalError("dp table inconsistent")
 
     monkeypatch.setattr(unclab.resolutions, "bracket", broken)
-    result = CliRunner().invoke(cli.main, ["bracket", fx("resolution_r.json"),
-                                           fx("resolution_s.json")])
+    result = invoke_cli(["bracket", fx("resolution_r.json"), fx("resolution_s.json")])
     assert result.exit_code == 5
     assert result.stdout == ""
     assert json.loads(result.stderr) == {"error": "dp table inconsistent",
@@ -126,6 +139,13 @@ def test_exit_code_1_domain_and_caps():
     proc = run("rademacher", "--k0", "2", "--m", "0", "--n", "1", "--auto-ns",
                check=1)
     assert err_json(proc)["kind"] == "DomainError"
+    # option values that start with "-" reach the domain checks
+    for args in (["constant", "--instance", fx("norm_summing4.json"), "--mode", "K",
+                  "--delta", "-1/2"],
+                 ["constant", "--instance", fx("norm_summing4.json"), "--mode", "BOU",
+                  "--D", "-1/2", "--d", "1"],
+                 ["elton", "--n1", "1", "--n2", "8", "--K", "4", "--eps", "-1/2"]):
+        assert err_json(run(*args, check=1))["kind"] == "DomainError"
     proc = run("match", "--maps", fx("map_family_a.json"), "--universe", "12",
                env_extra={"UNCLAB_CAPS": "match_universe=4"}, check=1)
     assert err_json(proc)["kind"] == "SizeError"

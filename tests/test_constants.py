@@ -262,6 +262,22 @@ def test_grid_dim_cap():
         compute_constant(inst, q("C_uncond"), method="grid", step=F(1))
 
 
+def test_grid_points_cap(monkeypatch):
+    # the estimate (2s+1)^dim - 1 is checked before the search starts
+    with pytest.raises(SizeError) as err:
+        compute_constant(build_standard("linf", 10), q("C_uncond"), method="grid")
+    assert str(err.value) == (f"grid_points: lattice points = {17 ** 10 - 1} "
+                              "exceeds cap 1000000 (override with UNCLAB_CAPS)")
+    # and it is exact: the search visits that many points
+    inst = build_standard("linf", 3)
+    monkeypatch.setenv("UNCLAB_CAPS", "grid_points=124")
+    rep = compute_constant(inst, q("C_uncond"), method="grid", step=F(1, 2))
+    assert rep.details["lattice_points"] == 5 ** 3 - 1
+    monkeypatch.setenv("UNCLAB_CAPS", "grid_points=123")
+    with pytest.raises(SizeError, match="grid_points"):
+        compute_constant(inst, q("C_uncond"), method="grid", step=F(1, 2))
+
+
 def tampered(a_pairs, E, **kw):
     a = SparseVector.from_pairs((i, F(v)) for i, v in a_pairs)
     return ConstantWitness(a=a, E=E, numerator=F(0), denominator=F(1), **kw)

@@ -1,13 +1,13 @@
 """Golden report corpus: every verb's report pinned byte for byte.
 
-Each case runs the CLI in-process through `click.testing.CliRunner`, with
+Each case runs the CLI in-process through the `invoke_cli` fixture, with
 the working directory at the repository root and fixture paths relative to
 it, so the echoed `inputs` are the same on every checkout. Stdout, stderr
 and the exit code must match exactly.
 
-The files under `tests/golden/` were produced by the same invocation as
-`_invoke` below: `<name>.stdout` holds `result.stdout_bytes` and
-`<name>.stderr` holds `result.stderr_bytes`, written unchanged. They were
+The files under `tests/golden/` hold the output of the same invocation as
+`test_golden_report` below: `<name>.stdout` is `result.stdout_bytes` and
+`<name>.stderr` is `result.stderr_bytes`, written unchanged. They were
 recorded before the sparse-type and verb-wrapper refactors and are meant to
 stay unchanged by refactors; a report that changes on purpose comes with
 its new file in the same commit. The LP cases were recorded on the
@@ -21,9 +21,6 @@ vertex included.
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from unclab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -75,17 +72,12 @@ CASES = [
 ]
 
 
-def _invoke(args, monkeypatch):
-    monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("UNCLAB_CAPS", raising=False)
-    return CliRunner().invoke(main, args, prog_name="unclab",
-                              catch_exceptions=False)
-
-
 @pytest.mark.parametrize("name,exit_code,args", CASES,
                          ids=[c[0] for c in CASES])
-def test_golden_report(name, exit_code, args, monkeypatch):
-    result = _invoke(args, monkeypatch)
+def test_golden_report(name, exit_code, args, monkeypatch, invoke_cli):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("UNCLAB_CAPS", raising=False)
+    result = invoke_cli(args)
     assert result.exit_code == exit_code
     assert result.stdout_bytes == (GOLDEN / f"{name}.stdout").read_bytes()
     assert result.stderr_bytes == (GOLDEN / f"{name}.stderr").read_bytes()

@@ -3,8 +3,11 @@
 Every case runs in a fresh interpreter started the way perfbench/run.py
 starts a job: `python -c "from unclab.cli import main; main()" VERB ...`
 from the repository root with `src` on PYTHONPATH. An audit hook placed in
-front of that line records each module body that `exec` runs, and prints the
-unclab ones as the last line of stderr when the interpreter exits.
+front of that line records each module body that `exec` runs. When the
+interpreter exits, the last line of stderr lists the unclab ones, and the
+top-level packages the job imported that are neither unclab nor in the
+standard library: unclab has no runtime dependency, so every job's list
+must be empty.
 """
 
 import json
@@ -23,6 +26,7 @@ LAYERS = ("serialize", "rationals", "resolutions", "norms", "constants",
 
 RECORD = """\
 import atexit, json, os, sys
+_start = set(sys.modules)
 _ran = []
 def _hook(event, args):
     if event == "exec" and getattr(args[0], "co_name", None) == "<module>":
@@ -30,8 +34,12 @@ def _hook(event, args):
         if os.path.basename(os.path.dirname(path)) == "unclab":
             stem = os.path.splitext(os.path.basename(path))[0]
             _ran.append("unclab" if stem == "__init__" else "unclab." + stem)
+def _report():
+    foreign = ({name.partition(".")[0] for name in set(sys.modules) - _start}
+               - {"unclab", *sys.stdlib_module_names})
+    sys.stderr.write("\\n" + json.dumps([sorted(_ran), sorted(foreign)]) + "\\n")
 sys.addaudithook(_hook)
-atexit.register(lambda: sys.stderr.write("\\n" + json.dumps(sorted(_ran)) + "\\n"))
+atexit.register(_report)
 """
 JOB = "from unclab.cli import main; main()"
 
@@ -74,7 +82,9 @@ def python(code: str, *args: str) -> subprocess.CompletedProcess:
 def executed(*argv: str) -> set[str]:
     proc = python(RECORD + JOB, *argv)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stderr.splitlines()[-1]))
+    ran, foreign = json.loads(proc.stderr.splitlines()[-1])
+    assert foreign == []
+    return set(ran)
 
 
 def mods(*names: str) -> set[str]:
@@ -117,7 +127,7 @@ def test_import_cli_registers_every_layer_and_runs_none():
     assert proc.returncode == 0, proc.stderr
     registered = set(json.loads(proc.stdout))
     assert {f"unclab.{layer}" for layer in LAYERS} <= registered
-    assert set(json.loads(proc.stderr.splitlines()[-1])) == mods()
+    assert json.loads(proc.stderr.splitlines()[-1]) == [sorted(mods()), []]
 
 
 def test_old_package_exports_resolve():

@@ -157,7 +157,7 @@ def fraction_dp(r, s):
 def test_dp_equals_fraction_dp_long_pairs():
     # above the brute cap the Fraction DP is the oracle
     rng = random.Random(8)
-    for n, m in ((50, 300), (300, 50), (173, 91), (64, 240)):
+    for n, m in ((50, 300), (300, 50), (173, 91), (64, 240), (200, 18)):
         k = rng.randint(2, 8)
         r, s = (Resolution(k, tuple(rng.randint(1, k) for _ in range(length)),
                            tuple(Fraction(rng.randint(1, 12), rng.randint(1, 12))
