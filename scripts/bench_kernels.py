@@ -32,13 +32,15 @@ Each size is timed `runs` times and reports the median and the spread
 (slowest minus fastest) of its run times next to its work counter, with a
 digest of its results.
 
-With --parent-src every size is measured twice, each time in a child
-interpreter of this script started with --size: once on the unclab package
-under DIR (say, an unpacked copy of the parent commit's src/) and once on
-the package this interpreter imports. The two sides alternate size by size,
-and which side goes first alternates too, so drift of the machine spreads
-over both. The document then holds both sides per size and the ratio of
-their medians, and the script exits 1 if the two sides disagree on a result.
+With --parent-src every size is measured on two sides: the unclab package
+under DIR (say, an unpacked copy of the parent commit's src/) and the
+package this interpreter imports. Each run of a size is one child
+interpreter of this script, started with --size and --runs 1, and the two
+sides alternate run by run, the side that goes first alternating too, so
+drift of the machine spreads over both. Each side's times are pooled into
+its median, spread and run list. The document then holds both sides per
+size and the ratio of their medians, and the script exits 1 if any two
+children disagree on a result.
 """
 
 import argparse
@@ -81,14 +83,18 @@ TIMES = ("median_s", "spread_s", "runs_s")
 PER_SIDE = TIMES + ("modules_executed", "modules_loaded")   # reported for each side apart
 
 
+def summary(times: list[float]) -> dict:
+    return {"median_s": statistics.median(times),
+            "spread_s": max(times) - min(times), "runs_s": times}
+
+
 def timed(run, runs: int) -> tuple[object, dict]:
     times = []
     for _ in range(runs):
         start = time.perf_counter()
         result = run()
         times.append(time.perf_counter() - start)
-    return result, {"median_s": statistics.median(times),
-                    "spread_s": max(times) - min(times), "runs_s": times}
+    return result, summary(times)
 
 
 def sizes(lengths: list[int]):
@@ -203,17 +209,20 @@ def main() -> None:
 
         sides = {"parent": args.parent_src, "change": str(Path(unclab.__file__).parent.parent)}
         for i in range(len(STARTUP) + len(lengths) + len(NORM_SIZES) + len(GRID_SIZES)):
-            got = {}
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                child = subprocess.run(
-                    [sys.executable, __file__, "--lengths", args.lengths,
-                     "--runs", str(args.runs), "--size", str(i)],
-                    env=dict(os.environ, PYTHONPATH=sides[side]),
-                    capture_output=True, text=True, check=True)
-                got[side] = json.loads(child.stdout)
-            p, c = got["parent"], got["change"]
-            same = p["digest"] == c["digest"]
+            got = {"parent": [], "change": []}
+            for run in range(args.runs):
+                for side in (("parent", "change") if (i + run) % 2 == 0
+                             else ("change", "parent")):
+                    child = subprocess.run(
+                        [sys.executable, __file__, "--lengths", args.lengths,
+                         "--runs", "1", "--size", str(i)],
+                        env=dict(os.environ, PYTHONPATH=sides[side]),
+                        capture_output=True, text=True, check=True)
+                    got[side].append(json.loads(child.stdout))
+            same = len({e["digest"] for entries in got.values() for e in entries}) == 1
             ok = ok and same
+            p, c = ({**entries[0], **summary([t for e in entries for t in e["runs_s"]])}
+                    for entries in (got["parent"], got["change"]))
             doc["sizes"].setdefault(c["kernel"], []).append({
                 **{key: v for key, v in c.items()
                    if key not in PER_SIDE + ("kernel", "digest")},

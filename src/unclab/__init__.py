@@ -19,7 +19,7 @@ _EXPORTS = {
                   "compute_constant", "verify_witness"),
     "elton": ("EltonLayout", "EltonParams", "LayoutVector", "StructuredFunctional",
               "VectorTriple", "brute_miniature", "build_layout", "build_vectors",
-              "case_bounds", "elton_ladder", "k_lower_certificate", "layout_norm",
+              "case_bounds", "elton_ladder", "k_lower_certificate",
               "quasi_case_bounds", "quasi_certificate", "structured_dp",
               "validate_params"),
     "errors": ("DomainError", "InternalError", "MissingInputError",
@@ -28,16 +28,14 @@ _EXPORTS = {
     "norms": ("Certificate", "Functional", "NormInstance", "SparseVector",
               "build_standard", "dual_certificate", "eval_norm"),
     "ramsey": ("ColourFamily", "MatchingWitness", "PrefixContinuousMap",
-               "is_initial_segment", "make_pattern", "matching_from_map",
-               "remark_family", "restrict_pattern", "search_matching",
-               "validate_matching", "validate_matching_data",
-               "validate_pure_matching", "weakly_hereditary"),
+               "is_initial_segment", "make_pattern", "remark_family",
+               "restrict_pattern", "search_matching", "validate_matching",
+               "validate_matching_data", "weakly_hereditary"),
     "rationals": ("format_rational", "parse_rational"),
     "resolutions": ("Resolution", "bracket", "build_rademacher",
-                    "choose_multiplicities", "eta_orthogonal",
-                    "explore_orthogonal_family", "longest_chain", "mutual_bracket",
-                    "pattern_embeds", "rademacher_bound", "repeat_resolution",
-                    "ris_condition"),
+                    "choose_multiplicities", "explore_orthogonal_family",
+                    "longest_chain", "mutual_bracket", "pattern_embeds",
+                    "rademacher_bound", "repeat_resolution", "ris_condition"),
     "schreier": ("LevelSplit", "SchreierDecomposition", "interval_ladder",
                  "level_split", "oscillation", "schreier_decompose",
                  "schreier_member"),

@@ -138,22 +138,22 @@ def bracket_cmd(left_path, right_path, method, mutual):
       arg("--k0", type=int, required=True),
       arg("--m", type=int, required=True, help="number of levels"),
       arg("--n", type=int, required=True, help="base multiplicity"),
-      arg("--ns", dest="ns_text", help="comma separated multiplicities, e.g. 1,17"),
+      arg("--ns", help="comma separated multiplicities, e.g. 1,17"),
       arg("--auto-ns", action="store_true",
           help="greedy minimal multiplicities for this k0"),
-      arg("--table", dest="as_table", action="store_true"))
-def rademacher(k0, m, n, ns_text, auto_ns, as_table):
+      arg("--table", action="store_true"))
+def rademacher(k0, m, n, ns, auto_ns, table):
     """Pairwise interaction table for a Rademacher-class family."""
-    if (ns_text is None) == (not auto_ns):
+    if (ns is None) == (not auto_ns):
         raise errors.DomainError("give exactly one of --ns or --auto-ns")
     if auto_ns:
         ns = resolutions.choose_multiplicities(k0)
     else:
         try:
-            ns = tuple(int(x) for x in ns_text.split(","))
+            ns = tuple(int(x) for x in ns.split(","))
         except ValueError:
             raise errors.DomainError(
-                f"--ns must be comma separated integers, got {ns_text!r}")
+                f"--ns must be comma separated integers, got {ns!r}")
     family = resolutions.rademacher_family(k0, ns, n, m)
     labels = [f"R(n={n * k0 ** (m - l)},l={l})" for l in range(1, m + 1)]
     directed = [[resolutions.bracket(a, b)[0] for b in family] for a in family]
@@ -170,7 +170,7 @@ def rademacher(k0, m, n, ns_text, auto_ns, as_table):
         "bound_cross_levels": (resolutions.rademacher_bound(k0, ns, 1, 2)
                                if m > 1 else None),
     }
-    if as_table:
+    if table:
         headers = [""] + labels
         rows = [[labels[i]] + [str(v) for v in matrix[i]] for i in range(m)]
         print(_align_table(headers, rows))
@@ -182,60 +182,59 @@ def rademacher(k0, m, n, ns_text, auto_ns, as_table):
 
 
 @verb("chain",
-      arg("--patterns", dest="patterns_path", required=True),
+      arg("--patterns", required=True),
       arg("--k", type=int, required=True))
-def chain(patterns_path, k):
+def chain(patterns, k):
     """Longest embedding chain among colour patterns."""
-    data = ser.read_json_file(patterns_path)
+    data = ser.read_json_file(patterns)
     if not isinstance(data, list):
         raise errors.SchemaError("patterns: expected a list of colour lists")
-    patterns = [tuple(ser._as_int_list(p, f"patterns[{i}]"))
-                for i, p in enumerate(data)]
-    indices = resolutions.longest_chain(patterns, k)
-    out = {"count": len(patterns), "length": len(indices),
+    colour_lists = [tuple(ser._as_int_list(p, f"patterns[{i}]"))
+                    for i, p in enumerate(data)]
+    indices = resolutions.longest_chain(colour_lists, k)
+    out = {"count": len(colour_lists), "length": len(indices),
            "chain": indices,
-           "chain_patterns": [list(patterns[i]) for i in indices]}
-    return {"patterns": patterns_path, "k": k}, out
+           "chain_patterns": [list(colour_lists[i]) for i in indices]}
+    return {"patterns": patterns, "k": k}, out
 
 
 @verb("norm",
-      arg("--instance", dest="instance_path", required=True),
-      arg("--vector", dest="vector_path", required=True))
-def norm(instance_path, vector_path):
+      arg("--instance", required=True),
+      arg("--vector", required=True))
+def norm(instance, vector):
     """Evaluate an instance norm on a vector, with the attaining functional."""
-    inst = ser.load_norm_instance(ser.read_json_file(instance_path))
-    v = ser.load_sparse_vector(ser.read_json_file(vector_path))
+    inst = ser.load_norm_instance(ser.read_json_file(instance))
+    v = ser.load_sparse_vector(ser.read_json_file(vector))
     value = norms.eval_norm(inst, v)
     out = {"value": value, "dim": inst.dim,
            "projection_class": _SHORT_CLASS[inst.projection_class],
            "certificate": norms.dual_certificate(inst, v)}
-    return {"instance": instance_path, "vector": vector_path}, out
+    return {"instance": instance, "vector": vector}, out
 
 
 @verb("constant",
-      arg("--instance", dest="instance_path", required=True),
+      arg("--instance", required=True),
       arg("--mode", required=True),
-      arg("--delta", dest="delta_text"),
-      arg("--D", dest="big_d_text"),
-      arg("--d", dest="small_d_text"),
+      arg("--delta"),
+      arg("--D"),
+      arg("--d"),
       arg("--order", type=int),
       arg("--method", choices=["grid", "lp"], default="grid"),
-      arg("--step", dest="step_text"))
-def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
-             order, method, step_text):
+      arg("--step"))
+def constant(instance, mode, delta, D, d, order, method, step):
     """Extremal constant of an instance norm in the given mode."""
-    inst = ser.load_norm_instance(ser.read_json_file(instance_path))
+    inst = ser.load_norm_instance(ser.read_json_file(instance))
     query = constants.ConstantQuery(
         mode=mode,
-        delta=rationals.parse_rational(delta_text) if delta_text is not None else None,
-        D=rationals.parse_rational(big_d_text) if big_d_text is not None else None,
-        d=rationals.parse_rational(small_d_text) if small_d_text is not None else None,
+        delta=rationals.parse_rational(delta) if delta is not None else None,
+        D=rationals.parse_rational(D) if D is not None else None,
+        d=rationals.parse_rational(d) if d is not None else None,
         order=order,
     )
     method_name = "fractional_lp" if method == "lp" else method
-    step = rationals.parse_rational(step_text) if step_text is not None else None
+    step = rationals.parse_rational(step) if step is not None else None
     report = constants.compute_constant(inst, query, method=method_name, step=step)
-    inputs = {"instance": instance_path, "mode": mode, "method": method_name}
+    inputs = {"instance": instance, "mode": mode, "method": method_name}
     if method == "grid":
         inputs["step"] = constants.DEFAULT_STEP if step is None else step
     inputs.update((name, getattr(query, name)) for name in constants.QUERY_FIELDS
@@ -246,67 +245,66 @@ def constant(instance_path, mode, delta_text, big_d_text, small_d_text,
 @verb("elton",
       arg("--n1", type=int, required=True),
       arg("--n2", type=int, required=True),
-      arg("--K", dest="big_k", type=int, required=True),
-      arg("--eps", dest="eps_text", required=True),
+      arg("--K", type=int, required=True),
+      arg("--eps", required=True),
       arg("--m1", type=int, default=1),
       arg("--m2", type=int, default=2))
-def elton_cmd(n1, n2, big_k, eps_text, m1, m2):
+def elton_cmd(n1, n2, K, eps, m1, m2):
     """Certified norm-ratio lower bound for a two-scale layout."""
-    eps = rationals.parse_rational(eps_text)
-    p = elton.EltonParams(n1, n2, big_k, eps, m1, m2)
+    eps = rationals.parse_rational(eps)
+    p = elton.EltonParams(n1, n2, K, eps, m1, m2)
     cert = elton.k_lower_certificate(p)
     out = dict(cert)
     out["ratio"] = cert["ratio_case"]
-    return {"n1": n1, "n2": n2, "K": big_k, "eps": eps, "m1": m1, "m2": m2}, out
+    return {"n1": n1, "n2": n2, "K": K, "eps": eps, "m1": m1, "m2": m2}, out
 
 
 @verb("quasi",
       arg("--n1", type=int, required=True),
       arg("--n2", type=int, required=True),
-      arg("--K", dest="big_k", type=int, required=True),
-      arg("--eps", dest="eps_text", required=True),
-      arg("--alpha", dest="alpha_text", required=True),
+      arg("--K", type=int, required=True),
+      arg("--eps", required=True),
+      arg("--alpha", required=True),
       arg("--m1", type=int, default=1),
       arg("--m2", type=int, default=2))
-def quasi(n1, n2, big_k, eps_text, alpha_text, m1, m2):
+def quasi(n1, n2, K, eps, alpha, m1, m2):
     """Quasi-variant certificate with the threshold-projection diagnosis."""
-    eps = rationals.parse_rational(eps_text)
-    alpha = rationals.parse_rational(alpha_text)
-    p = elton.EltonParams(n1, n2, big_k, eps, m1, m2)
+    eps = rationals.parse_rational(eps)
+    alpha = rationals.parse_rational(alpha)
+    p = elton.EltonParams(n1, n2, K, eps, m1, m2)
     cert = elton.quasi_certificate(p, alpha)
     out = dict(cert)
     out["ratio"] = cert["ratio_lower"]
-    return {"n1": n1, "n2": n2, "K": big_k, "eps": eps, "alpha": alpha,
+    return {"n1": n1, "n2": n2, "K": K, "eps": eps, "alpha": alpha,
             "m1": m1, "m2": m2}, out
 
 
 @verb("mr-demo",
-      arg("--family", dest="family_path", required=True),
+      arg("--family", required=True),
       arg("--k", type=int, required=True),
       arg("--seed", type=int, required=True))
-def mr_demo_cmd(family_path, k, seed):
+def mr_demo_cmd(family, k, seed):
     """Exploratory alternating-sum demo over a placed special sequence."""
-    family = ser.load_resolution_list(ser.read_json_file(family_path))
-    return {"family": family_path, "k": k, "seed": seed}, mrdemo.mr_demo(family, k, seed)
+    members = ser.load_resolution_list(ser.read_json_file(family))
+    return {"family": family, "k": k, "seed": seed}, mrdemo.mr_demo(members, k, seed)
 
 
 @verb("match",
-      arg("--maps", dest="maps_path", required=True,
-          help="prefix-determined map document"),
+      arg("--maps", required=True, help="prefix-determined map document"),
       arg("--universe", type=int, required=True),
       arg("--horizon", type=int,
           help="minimum size of both sets (default: map depth)"),
       arg("--strategy", choices=["exhaustive", "random"], default="exhaustive"),
       arg("--seed", type=int),
       arg("--budget", type=int, default=200_000))
-def match(maps_path, universe, horizon, strategy, seed, budget):
+def match(maps, universe, horizon, strategy, seed, budget):
     """Search a universe for a matched pair under a prefix-determined map."""
     if strategy == "random" and seed is None:
         raise errors.MissingInputError("--seed is required for the random strategy")
-    pmap = ser.load_prefix_map(ser.read_json_file(maps_path))
+    pmap = ser.load_prefix_map(ser.read_json_file(maps))
     result = ramsey.search_matching(pmap, universe, horizon=horizon,
                                     strategy=strategy, seed=seed, budget=budget)
-    inputs = {"maps": maps_path, "universe": universe, "strategy": strategy}
+    inputs = {"maps": maps, "universe": universe, "strategy": strategy}
     if seed is not None:
         inputs["seed"] = seed
     return inputs, result
@@ -317,28 +315,26 @@ def match(maps_path, universe, horizon, strategy, seed, budget):
       arg("--m1", type=int, default=1),
       arg("--m2", type=int, default=2),
       arg("--mode", choices=["hereditary", "weakly"], default="hereditary"),
-      arg("--restrict", dest="restrict_text",
-          help="comma separated restriction set, e.g. 1,2,4,7"),
+      arg("--restrict", help="comma separated restriction set, e.g. 1,2,4,7"),
       arg("--samples", type=int, help="check this many random restriction sets"),
       arg("--min-size", type=int,
           help="minimum size of sampled restriction sets (default 8)"),
       arg("--seed", type=int))
-def hereditary(universe, m1, m2, mode, restrict_text, samples, min_size,
-               seed):
+def hereditary(universe, m1, m2, mode, restrict, samples, min_size, seed):
     """Hereditariness of colour-pattern family restrictions."""
     family = ramsey.remark_family(universe, m1, m2)
     inputs = {"universe": universe, "m1": m1, "m2": m2, "mode": mode}
     out = {"family_size": len(family.members)}
     if min_size is not None and samples is None:
         raise errors.DomainError("--min-size needs --samples")
-    if restrict_text is not None:
+    if restrict is not None:
         if samples is not None or seed is not None:
             raise errors.DomainError("--restrict excludes --samples and --seed")
         try:
-            M = sorted(int(x) for x in restrict_text.split(","))
+            M = sorted(int(x) for x in restrict.split(","))
         except ValueError:
             raise errors.DomainError(
-                f"--restrict must be comma separated integers, got {restrict_text!r}")
+                f"--restrict must be comma separated integers, got {restrict!r}")
         inputs["restrict"] = M
         out.update(ramsey.weakly_hereditary(family, M, mode=mode))
     elif samples is not None:

@@ -85,11 +85,6 @@ class EltonLayout:
         offset = (c - 3) % (self.i_len + self.j_len)
         return "E1" if offset < self.i_len else "E2"
 
-    def e_coords(self, which: str):
-        for c in range(3, self.universe + 1):
-            if self.region(c) == which:
-                yield c
-
 
 def _n_slots(p: EltonParams, m2: int) -> int:
     """Slots of a layout whose finer scale is m2 (the universe is this + 2)."""
@@ -135,14 +130,6 @@ class LayoutVector:
         return max(abs(self.at_first), abs(self.at_second),
                    abs(self.on_e1), abs(self.on_e2))
 
-    def to_sparse(self, layout: EltonLayout) -> SparseVector:
-        pairs = []
-        for c in range(1, layout.universe + 1):
-            v = self.value(layout, c)
-            if v != 0:
-                pairs.append((c, v))
-        return SparseVector.from_pairs(pairs)
-
 
 @dataclass(frozen=True)
 class StructuredFunctional:
@@ -155,20 +142,6 @@ class StructuredFunctional:
         return (Fraction(1, 2) * v.at_first + v.at_second
                 + self.u1 * layout.e1_size * v.on_e1
                 + self.u2 * layout.e2_size * v.on_e2)
-
-    def pair_sparse(self, layout: EltonLayout, v: SparseVector) -> Fraction:
-        total = Fraction(0)
-        for c, val in v.entries:
-            region = layout.region(c)
-            if region == "first":
-                total += Fraction(1, 2) * val
-            elif region == "second":
-                total += val
-            elif region == "E1":
-                total += self.u1 * val
-            else:
-                total += self.u2 * val
-        return total
 
 
 @dataclass(frozen=True)
@@ -466,12 +439,6 @@ def structured_dp(layout: EltonLayout, v) -> tuple[Fraction, dict]:
                                            best_wit["b"] + 1)
         best_wit["assignment_spans"] = _spans_from_assignment(assignment, slots)
     return best, best_wit
-
-
-def layout_norm(layout: EltonLayout, v) -> Fraction:
-    """Instance norm: sup term joined with the family maximum."""
-    fam, _ = structured_dp(layout, v)
-    return max(v.sup_norm(), fam)
 
 
 # ------------------------------------------------------------- certificates

@@ -52,12 +52,6 @@ class SparseVector:
     def zero() -> "SparseVector":
         return SparseVector(())
 
-    def get(self, i: int) -> Fraction:
-        for j, v in self.entries:
-            if j == i:
-                return v
-        return Fraction(0)
-
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.entries)
 
@@ -70,9 +64,6 @@ class SparseVector:
 
     def sup_norm(self) -> Fraction:
         return max((abs(v) for _, v in self.entries), default=Fraction(0))
-
-    def one_norm(self) -> Fraction:
-        return sum((abs(c) for _, c in self.entries), Fraction(0))
 
     def restrict(self, keep) -> "SparseVector":
         keep = set(keep)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from itertools import combinations
 
 from .caps import check_cap, load_caps
@@ -85,13 +84,10 @@ class PrefixContinuousMap:
             raise DomainError("empty map table")
         return PrefixContinuousMap(depth, len(items[0][1]), tuple(items))
 
-    def table(self) -> dict:
-        return {p: fs for p, fs in self.entries}
-
     @cached_property
     def _by_prefix(self) -> dict:
         # built on first lookup and kept: the map is frozen
-        return self.table()
+        return dict(self.entries)
 
     def apply(self, M) -> tuple[frozenset[int], ...]:
         Ms = _as_sorted_tuple(M)
@@ -157,38 +153,6 @@ def validate_matching_data(L, M, FL, FM) -> dict:
     return out
 
 
-def matching_from_map(pmap: PrefixContinuousMap, L, M) -> MatchingWitness:
-    return MatchingWitness(_as_sorted_tuple(L), _as_sorted_tuple(M),
-                           pmap.apply(L), pmap.apply(M))
-
-
-def validate_pure_matching(FL, FM, L, M, J, p, c) -> dict:
-    """Weighted sufficient condition: the selected components carry weight at
-    least c, their F_j(L) sit inside F_j(M), and the whole overlap L cap M
-    lies in the union of the F's on both sides."""
-    weights = [Fraction(x) for x in p]
-    if sum(weights, Fraction(0)) != 1:
-        raise DomainError("component weights must sum to 1")
-    if len(FL) != len(FM) or len(weights) != len(FL):
-        raise DomainError("FL, FM, p must have equal length")
-    J = sorted(set(int(j) for j in J))
-    if any(not (1 <= j <= len(FL)) for j in J):
-        raise DomainError("J must index components 1..n")
-    failures = []
-    mass = sum((weights[j - 1] for j in J), Fraction(0))
-    if mass < c:
-        failures.append(f"selected weight {mass} is below the floor {c}")
-    for j in J:
-        if not set(FL[j - 1]) <= set(FM[j - 1]):
-            failures.append(f"component {j}: F_{j}(L) is not inside F_{j}(M)")
-    FLu = set().union(*(set(x) for x in FL)) if FL else set()
-    FMu = set().union(*(set(x) for x in FM)) if FM else set()
-    overlap = set(_as_sorted_tuple(L)) & set(_as_sorted_tuple(M))
-    if not overlap <= (FLu & FMu):
-        failures.append("overlap escapes the union of the F's")
-    return {"ok": not failures, "failures": failures, "selected_mass": mass}
-
-
 def search_matching(pmap: PrefixContinuousMap, universe: int,
                     horizon: int | None = None,
                     strategy: str = "exhaustive", seed: int | None = None,
@@ -208,7 +172,7 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
             f"universe {universe}, first {missing[0]}")
     d = pmap.depth
     h = max(d, horizon if horizon is not None else d)
-    table = pmap.table()
+    table = pmap._by_prefix
     prefixes = list(combinations(range(1, universe + 1), d))
     checked = 0
 

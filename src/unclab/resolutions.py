@@ -52,12 +52,6 @@ class Resolution:
     def weight_of_colour(self, j: int) -> Fraction:
         return sum((a for c, a in zip(self.pattern, self.alpha) if c == j), Fraction(0))
 
-    def colour_weights(self) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for c, a in zip(self.pattern, self.alpha):
-            out[c] = out.get(c, Fraction(0)) + a
-        return out
-
     def total_weight(self) -> Fraction:
         return sum(self.alpha, Fraction(0))
 
@@ -214,12 +208,6 @@ def bracket(r: Resolution, s: Resolution, method: str = "dp") -> tuple[Fraction,
 
 def mutual_bracket(r: Resolution, s: Resolution) -> Fraction:
     return max(bracket(r, s)[0], bracket(s, r)[0])
-
-
-def eta_orthogonal(r: Resolution, s: Resolution, eta: Fraction) -> bool:
-    if eta <= 0:
-        raise DomainError("eta must be positive")
-    return mutual_bracket(r, s) < eta
 
 
 def repeat_resolution(r: Resolution, m: int) -> Resolution:

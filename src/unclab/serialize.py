@@ -183,17 +183,3 @@ def load_prefix_map(data, where: str = "map") -> ramsey.PrefixContinuousMap:
         return ramsey.PrefixContinuousMap.from_dict(depth, table)
     except DomainError as e:
         raise SchemaError(f"{where}: {e}")
-
-
-def load_matching_witness(data, where: str = "witness") -> ramsey.MatchingWitness:
-    L = tuple(_as_int_list(_require(data, "L", where), f"{where}.L"))
-    M = tuple(_as_int_list(_require(data, "M", where), f"{where}.M"))
-    FL_raw = _require(data, "FL", where)
-    FM_raw = _require(data, "FM", where)
-    if not isinstance(FL_raw, list) or not isinstance(FM_raw, list):
-        raise SchemaError(f"{where}: FL and FM must be lists of sets")
-    FL = tuple(frozenset(_as_int_list(x, f"{where}.FL[{i}]"))
-               for i, x in enumerate(FL_raw))
-    FM = tuple(frozenset(_as_int_list(x, f"{where}.FM[{i}]"))
-               for i, x in enumerate(FM_raw))
-    return ramsey.MatchingWitness(L, M, FL, FM)

@@ -105,6 +105,9 @@ def test_help_lists_every_verb():
              "quasi", "mr-demo", "match", "hereditary"}
     assert set(cli.main.commands) == verbs
     assert verbs <= set(run("--help", check=0).stdout.split())
+    # option metavars are argparse's defaults, not renamed destinations
+    usage = run("constant", "--help", check=0).stdout
+    assert "--delta DELTA" in usage and "_TEXT" not in usage and "_PATH" not in usage
 
 
 def test_exit_code_5_internal_error(monkeypatch, invoke_cli):

@@ -180,8 +180,8 @@ def random_lp_case(rng, mode):
     while True:
         funcs = [SparseVector.from_pairs((i, rational()) for i in (1, 2))
                  for _ in range(rng.randint(2, 3))]
-        f, g = funcs[0], funcs[1]
-        if f.get(1) * g.get(2) != f.get(2) * g.get(1):
+        f, g = funcs[0].as_dict(), funcs[1].as_dict()
+        if f.get(1, 0) * g.get(2, 0) != f.get(2, 0) * g.get(1, 0):
             break
     inst = NormInstance.build(2, funcs, rng.choice(PROJECTION_CLASSES),
                               rng.random() < 0.5)
@@ -380,7 +380,7 @@ def ref_grid_search(inst, query, step):
                 num = extras["kstar_f"].apply(a_E)
             else:
                 num = brute_norm(inst, a_E)
-            if query.mode == "A" and query.delta * a_E.one_norm() > num:
+            if query.mode == "A" and query.delta * sum(abs(c) for _, c in a_E.entries) > num:
                 continue
             ratio = num / den
             if best is None or ratio > best:

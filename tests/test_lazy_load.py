@@ -43,14 +43,14 @@ atexit.register(_report)
 """
 JOB = "from unclab.cli import main; main()"
 
-# the package-level names of unclab before its imports became lazy
+# every package-level name of unclab, by the module it comes from
 EXPORTS = {
     "caps": "Caps load_caps",
     "constants": "ConstantQuery ConstantReport ConstantWitness compute_constant "
                  "verify_witness",
     "elton": "EltonLayout EltonParams LayoutVector StructuredFunctional VectorTriple "
              "brute_miniature build_layout build_vectors case_bounds elton_ladder "
-             "k_lower_certificate layout_norm quasi_case_bounds quasi_certificate "
+             "k_lower_certificate quasi_case_bounds quasi_certificate "
              "structured_dp validate_params",
     "errors": "DomainError InternalError MissingInputError RationalFormatError "
               "SchemaError SizeError UnclabError",
@@ -58,12 +58,11 @@ EXPORTS = {
     "norms": "Certificate Functional NormInstance SparseVector build_standard "
              "dual_certificate eval_norm",
     "ramsey": "ColourFamily MatchingWitness PrefixContinuousMap is_initial_segment "
-              "make_pattern matching_from_map remark_family restrict_pattern "
-              "search_matching validate_matching validate_matching_data "
-              "validate_pure_matching weakly_hereditary",
+              "make_pattern remark_family restrict_pattern search_matching "
+              "validate_matching validate_matching_data weakly_hereditary",
     "rationals": "format_rational parse_rational",
     "resolutions": "Resolution bracket build_rademacher choose_multiplicities "
-                   "eta_orthogonal explore_orthogonal_family longest_chain "
+                   "explore_orthogonal_family longest_chain "
                    "mutual_bracket pattern_embeds rademacher_bound "
                    "repeat_resolution ris_condition",
     "schreier": "LevelSplit SchreierDecomposition interval_ladder level_split "
@@ -131,6 +130,7 @@ def test_import_cli_registers_every_layer_and_runs_none():
 
 
 def test_old_package_exports_resolve():
+    assert {home: tuple(names.split()) for home, names in EXPORTS.items()} == unclab._EXPORTS
     code = ("import importlib, json, unclab\n"
             "from unclab import ConstantQuery, Functional, NormInstance, compute_constant\n"
             f"exports = {EXPORTS!r}\n"

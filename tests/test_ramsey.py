@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction as F
 
 import pytest
 
@@ -14,13 +13,11 @@ from unclab.ramsey import (
     PrefixContinuousMap,
     is_initial_segment,
     make_pattern,
-    matching_from_map,
     remark_family,
     restrict_pattern,
     search_matching,
     validate_matching,
     validate_matching_data,
-    validate_pure_matching,
     weakly_hereditary,
 )
 
@@ -109,45 +106,12 @@ def test_validate_matching_basic():
 
 
 def test_matching_fixtures(fixtures):
-    for i in range(1, 11):
-        data = ser.read_json_file(str(fixtures / "matching" / f"pos_{i:02d}.json"))
-        w = ser.load_matching_witness(data)
-        assert validate_matching(w)["ok"], f"pos_{i:02d}"
-    for i in range(1, 11):
-        data = ser.read_json_file(str(fixtures / "matching" / f"neg_{i:02d}.json"))
-        w = ser.load_matching_witness(data)
-        res = validate_matching(w)
-        assert not res["ok"], f"neg_{i:02d}"
-        assert res["failures"]
-
-
-def test_validate_pure_matching():
-    ok = validate_pure_matching(
-        FL=[{1}], FM=[{1, 2}], L=(1, 3), M=(1, 2, 4), J=[1], p=[F(1)], c=F(1, 2))
-    assert ok["ok"] and ok["selected_mass"] == 1
-    # empty selection carries zero mass: fine iff the floor is <= 0
-    base = dict(FL=[{1}], FM=[{1, 2}], L=(1, 3), M=(1, 2, 4), p=[F(1)])
-    assert validate_pure_matching(J=[], c=F(0), **base)["ok"]
-    assert not validate_pure_matching(J=[], c=F(1, 2), **base)["ok"]
-    # selected component not nested
-    res = validate_pure_matching(
-        FL=[{1, 3}], FM=[{1, 2}], L=(1, 3), M=(1, 2), J=[1],
-        p=[F(1)], c=F(1, 2))
-    assert not res["ok"]
-    # overlap escapes the F unions
-    res = validate_pure_matching(
-        FL=[{1}], FM=[{1}], L=(1, 2), M=(1, 2), J=[1], p=[F(1)], c=F(1))
-    assert not res["ok"]
-    assert any("escapes" in f for f in res["failures"])
-    with pytest.raises(DomainError):
-        validate_pure_matching(FL=[{1}], FM=[{1}], L=(1,), M=(1,), J=[1],
-                               p=[F(1, 2)], c=F(0))
-    with pytest.raises(DomainError):
-        validate_pure_matching(FL=[{1}], FM=[{1}], L=(1,), M=(1,), J=[2],
-                               p=[F(1)], c=F(0))
-    with pytest.raises(DomainError):
-        validate_pure_matching(FL=[{1}, {2}], FM=[{1}], L=(1,), M=(1,), J=[1],
-                               p=[F(1)], c=F(0))
+    for sign, expect in (("pos", True), ("neg", False)):
+        for i in range(1, 11):
+            d = ser.read_json_file(str(fixtures / "matching" / f"{sign}_{i:02d}.json"))
+            res = validate_matching_data(d["L"], d["M"], d["FL"], d["FM"])
+            assert res["ok"] is expect, f"{sign}_{i:02d}"
+            assert (res["failures"] == []) is expect
 
 
 # -------------------------------------------------------------------- search
@@ -182,7 +146,8 @@ def test_search_family_b_frozen(map_b):
 def test_search_reported_pair_from_small_universe(map_a):
     # the classic small example for the one-component prefix map: shared
     # leading block, disjoint continuations
-    w = matching_from_map(map_a, (1, 2, 3, 5), (1, 2, 4, 6))
+    L, M = (1, 2, 3, 5), (1, 2, 4, 6)
+    w = MatchingWitness(L, M, map_a.apply(L), map_a.apply(M))
     assert validate_matching(w)["ok"]
 
 
