@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the exact kernels alone (the bracket DP, eval_norm, the grid) and start-up.
+"""Time the exact kernels alone (the bracket DP, eval_norm, the grid, the
+structured DP) and start-up.
 
     python3 scripts/bench_kernels.py [--lengths 100,300,1000] [--runs 5]
         [--parent-src DIR] > BENCH.json
@@ -28,6 +29,11 @@ workloads' inputs:
              instance of 3 functionals per (dim, 1/s, class) in GRID_SIZES,
              as the constants workload draws its grid jobs; work counter
              lattice_points
+  structured_dp
+             structured_dp on the standard vector of ladder rung 1 and of one
+             K = 3 layout, their parameters drawn as the certificates
+             workload draws its rung-1 and K = 3 layout jobs; work counter
+             universe
 Each size is timed `runs` times and reports the median and the spread
 (slowest minus fastest) of its run times next to its work counter, with a
 digest of its results.
@@ -63,6 +69,7 @@ SEED = 8
 CALLS = 200
 NORM_SIZES = ((4, "all_subsets"), (8, "initial_segments"), (12, "intervals"))
 GRID_SIZES = ((2, 8, "initial_segments"), (3, 4, "intervals"), (3, 8, "all_subsets"))
+DP_SLOTS = (("rung1", "elton"), ("layout", "elton", 3))   # Certificates.SLOTS entries
 STARTUP = (("help", ["--help"]),
            ("bracket", ["bracket", "tests/fixtures/resolution_r.json",
                         "tests/fixtures/resolution_s.json"]))
@@ -106,11 +113,13 @@ def sizes(lengths: list[int]):
     digest, and for start-up its work counters.
     """
     sys.path.insert(0, str(PERFBENCH))
-    from workloads import Brackets, Constants
+    from workloads import Brackets, Certificates, Constants
 
     import unclab
     from unclab.constants import ConstantQuery, compute_constant
+    from unclab.elton import EltonParams, build_layout, build_vectors, structured_dp
     from unclab.norms import SparseVector, eval_norm
+    from unclab.rationals import parse_rational
     from unclab.resolutions import Resolution, bracket
     from unclab.serialize import dump_json, load_norm_instance
 
@@ -167,6 +176,20 @@ def sizes(lengths: list[int]):
                                         f"{report.value_lower.denominator}",
                                "digest": digest(report)})
 
+    certs = Certificates(SEED, None, None)
+    for slot in DP_SLOTS:
+        argv = getattr(certs, "make_" + slot[0])(*slot[1:])[1]
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        p = EltonParams(int(opts["--n1"]), int(opts["--n2"]), int(opts["--K"]),
+                        parse_rational(opts["--eps"]))
+        layout = build_layout(p)
+        x = build_vectors(layout, "standard").minus
+        yield ("structured_dp", {"case": slot[0], "n1": p.n1, "n2": p.n2, "K": p.K,
+                                 "universe": layout.universe},
+               lambda layout=layout, x=x: structured_dp(layout, x),
+               lambda out: {"value": f"{out[0].numerator}/{out[0].denominator}",
+                            "digest": digest(list(out))})
+
 
 def measure(size, runs: int) -> dict:
     kernel, fields, run, summarize = size
@@ -191,7 +214,8 @@ def main() -> None:
     doc = {
         "kernels": "CLI start-up (--help, bracket), "
                    "unclab.resolutions.bracket (method dp), unclab.norms.eval_norm, "
-                   "unclab.constants.compute_constant (method grid, mode C_uncond)",
+                   "unclab.constants.compute_constant (method grid, mode C_uncond), "
+                   "unclab.elton.structured_dp",
         "seed": SEED,
         "runs": args.runs,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
@@ -208,7 +232,8 @@ def main() -> None:
         import unclab
 
         sides = {"parent": args.parent_src, "change": str(Path(unclab.__file__).parent.parent)}
-        for i in range(len(STARTUP) + len(lengths) + len(NORM_SIZES) + len(GRID_SIZES)):
+        for i in range(len(STARTUP) + len(lengths) + len(NORM_SIZES) + len(GRID_SIZES)
+                       + len(DP_SLOTS)):
             got = {"parent": [], "change": []}
             for run in range(args.runs):
                 for side in (("parent", "change") if (i + run) % 2 == 0

@@ -205,10 +205,10 @@ def norm(instance, vector):
     """Evaluate an instance norm on a vector, with the attaining functional."""
     inst = ser.load_norm_instance(ser.read_json_file(instance))
     v = ser.load_sparse_vector(ser.read_json_file(vector))
-    value = norms.eval_norm(inst, v)
-    out = {"value": value, "dim": inst.dim,
+    cert = norms.dual_certificate(inst, v)
+    out = {"value": cert.value, "dim": inst.dim,
            "projection_class": _SHORT_CLASS[inst.projection_class],
-           "certificate": norms.dual_certificate(inst, v)}
+           "certificate": cert}
     return {"instance": instance, "vector": vector}, out
 
 

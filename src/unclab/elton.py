@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .caps import check_cap, load_caps
 from .errors import DomainError, InternalError, SizeError
@@ -211,22 +213,21 @@ def quasi_case_bounds(p: EltonParams, alpha: Fraction) -> dict:
 
 # ------------------------------------------------------------ slot sequences
 
-def _slot_value_list(p: EltonParams, a: int, b: int, count: int) -> list[Fraction]:
-    """First `count` slot values of the (a, b)-shaped tiling."""
-    u1 = Fraction(1, p.n1 * 2 ** (p.K * b - 1))
-    u2 = Fraction(1, p.n2 * 2 ** (p.K * b - 1))
+def _slot_tiling(p: EltonParams, a: int, b: int, count: int) -> tuple[list[int], int]:
+    """First `count` slot values of the (a, b)-shaped tiling, as integers
+    over the unit lcm(n1, n2) 2^(Kb-1): u1 on the I-runs, u2 on the J-runs.
+
+    Returns (slots, unit).
+    """
+    l = lcm(p.n1, p.n2)
     i_len = p.n1 * 2 ** (p.K * (b - a))
     j_len = p.n2 * 2 ** (p.K * (b - a))
     count = min(count, _n_slots(p, b))
-    out: list[Fraction] = []
+    out: list[int] = []
     while len(out) < count:
-        take = min(i_len, count - len(out))
-        out.extend([u1] * take)
-        if len(out) >= count:
-            break
-        take = min(j_len, count - len(out))
-        out.extend([u2] * take)
-    return out
+        out += [l // p.n1] * min(i_len, count - len(out))
+        out += [l // p.n2] * min(j_len, count - len(out))
+    return out, l * 2 ** (p.K * b - 1)
 
 
 def _dense_values(layout: EltonLayout, v) -> list[Fraction]:
@@ -270,7 +271,8 @@ def brute_miniature(layout: EltonLayout, v) -> tuple[Fraction, dict]:
             for b in range(a + 1, N + 1):
                 pinned = Fraction(1, 2) * sv[a] + sv[b]
                 coords = list(range(b + 1, N + 1))
-                slots = _slot_value_list(p, a, b, len(coords))
+                nums, unit = _slot_tiling(p, a, b, len(coords))
+                slots = [Fraction(x, unit) for x in nums]
 
                 def rec(idx: int, slot_i: int, acc: Fraction):
                     nonlocal best, best_wit
@@ -290,19 +292,6 @@ def brute_miniature(layout: EltonLayout, v) -> tuple[Fraction, dict]:
 # ------------------------------------------------------------ structured dp
 
 _DP_CELL_BUDGET = 30_000_000   # slot-by-coordinate DP cells one call may fill
-
-
-def _scaled_block(p: EltonParams, sv: list[Fraction], a: int, b: int):
-    """Shape (a, b)'s slot values for the coordinates above b, and those
-    slots and coordinate values as integers over one common denominator.
-
-    Returns (slots, slot_nums, val_nums, denom); a slot times a value then
-    carries the denominator denom^2.
-    """
-    values = sv[b + 1:]
-    slots = _slot_value_list(p, a, b, len(values))
-    denom, nums = _common_denominator(slots + values)
-    return slots, nums[:len(slots)], nums[len(slots):], denom
 
 
 def _block_max_int(slot_nums: list[int], val_nums: list[int]):
@@ -366,6 +355,10 @@ def _spans_from_assignment(assignment, slot_values):
 def structured_dp(layout: EltonLayout, v) -> tuple[Fraction, dict]:
     """Family maximum via per-shape slot-placement DP with sound pruning.
 
+    Integer-scaled: the vector is put over its common denominator s once,
+    and shape (a, b)'s slots are ints over the unit lcm(n1, n2) 2^(Kb-1), so
+    the DP, the bounds and the half-coefficient scan run on ints and a
+    Fraction is built only for each solved shape's value and the witness.
     Shapes are screened by the upper bound 1/2 max_half + pinned_b + tail(b),
     where tail(b) bounds every slot by the shape's largest slot value (the
     sparser side's unit 1/(min(n1,n2) 2^(Kb-1))) against the positive
@@ -373,71 +366,63 @@ def structured_dp(layout: EltonLayout, v) -> tuple[Fraction, dict]:
     expansion stops once bounds fall under the incumbent.
     """
     N = layout.universe
-    vals = _dense_values(layout, v)
     p = layout.params
+    s, vals = _common_denominator(_dense_values(layout, v))
+    # every bound is an int at the scale S = 2 s min(n1,n2) 2^200; slot
+    # exponents are clamped at 200 for cheap bounds
+    top = min(p.n1, p.n2) << 200
+    S = 2 * s * top
     best = Fraction(0)
     best_wit: dict = {"kind": "zero"}
     cells_used = 0
 
     for sigma in (1, -1):
         sv = [sigma * x for x in vals]
-        pos = [x if x > 0 else Fraction(0) for x in sv]
-        # suffix positive mass above each coordinate
-        tail = [Fraction(0)] * (N + 2)
-        for c in range(N, 0, -1):
-            tail[c] = tail[c + 1] + pos[c]
-        prefmax = [Fraction(0)] * (N + 1)
-        run = Fraction(0)
-        for c in range(1, N + 1):
-            if pos[c] > run:
-                run = pos[c]
-            prefmax[c] = run
-        for a in range(1, N + 1):
-            cand = Fraction(1, 2) * sv[a]
-            if cand > best:
-                best = cand
-                best_wit = {"kind": "half_only", "a": a, "sigma": sigma}
-        # bound per b, sorted descending; exponents clamped for cheap bounds
-        def slot_upper(b: int) -> Fraction:
-            # largest slot value of an (a, b) shape; the sparser side's unit
-            e = min(p.K * b - 1, 200)
-            return Fraction(1, min(p.n1, p.n2) * 2 ** e)
+        pos = [max(x, 0) for x in sv]
+        # positive mass at and above each coordinate, 0 past the universe
+        tail = list(accumulate(reversed(pos), initial=0))[::-1]
+        prefmax = list(accumulate(pos, max))
+        half = max(sv[1:])
+        if Fraction(half, 2 * s) > best:   # the first coordinate attaining it
+            best = Fraction(half, 2 * s)
+            best_wit = {"kind": "half_only", "a": sv.index(half, 1), "sigma": sigma}
 
-        b_bounds = []
-        for b in range(2, N + 1):
-            bound = Fraction(1, 2) * prefmax[b - 1] + pos[b] + slot_upper(b) * tail[b + 1]
-            b_bounds.append((bound, b))
-        b_bounds.sort(key=lambda t: t[0], reverse=True)
+        def tail_term(b: int) -> int:
+            # the slots above b, each at most the sparser side's unit
+            return (2 * tail[b + 1]) << (200 - min(p.K * b - 1, 200))
+
+        b_bounds = sorted(((top * (prefmax[b - 1] + 2 * pos[b]) + tail_term(b), b)
+                           for b in range(2, N + 1)), key=lambda t: t[0], reverse=True)
         order_by_half = sorted(range(1, N + 1), key=lambda c: pos[c], reverse=True)
         for bound, b in b_bounds:
-            if bound <= best:
+            if bound <= best * S:
                 break
-            tail_term = slot_upper(b) * tail[b + 1]
+            tail_b = tail_term(b)
             for a in order_by_half:
                 if a >= b:
                     continue
-                shape_bound = Fraction(1, 2) * pos[a] + pos[b] + tail_term
-                if shape_bound <= best:
+                if top * (pos[a] + 2 * pos[b]) + tail_b <= best * S:
                     break
-                # exact DP for shape (a, b)
-                slots, slot_nums, val_nums, denom = _scaled_block(p, sv, a, b)
+                # exact DP for shape (a, b): a slot times a value is over s * unit
+                slots, unit = _slot_tiling(p, a, b, N - b)
                 cells_used += (N - b) * max(1, len(slots))
                 if cells_used > _DP_CELL_BUDGET:
                     raise SizeError("structured dp expansion exceeded its cell budget "
                                     f"of {_DP_CELL_BUDGET} cells")
-                blk_int, M_final, placed = _block_max_int(slot_nums, val_nums)
-                blk = Fraction(blk_int, denom * denom)
-                value = Fraction(1, 2) * sv[a] + sv[b] + blk
+                blk, M_final, placed = _block_max_int(slots, sv[b + 1:])
+                value = Fraction((sv[a] + 2 * sv[b]) * unit + 2 * blk, 2 * s * unit)
                 if value > best:
                     best = value
                     best_wit = {"kind": "shape", "a": a, "b": b, "sigma": sigma,
-                                "block_value": blk}
-                    best_block = (slots, slot_nums, val_nums, M_final, placed)
+                                "block_value": Fraction(blk, s * unit)}
+                    best_block = (slots, unit, sv[b + 1:], M_final, placed)
     if best_wit["kind"] == "shape":
-        slots, slot_nums, val_nums, M_final, placed = best_block
-        assignment = _backtrack_assignment(slot_nums, val_nums, M_final, placed,
+        slots, unit, val_nums, M_final, placed = best_block
+        assignment = _backtrack_assignment(slots, val_nums, M_final, placed,
                                            best_wit["b"] + 1)
-        best_wit["assignment_spans"] = _spans_from_assignment(assignment, slots)
+        best_wit["assignment_spans"] = [
+            (lo, hi, Fraction(x, unit))
+            for lo, hi, x in _spans_from_assignment(assignment, slots)]
     return best, best_wit
 
 

@@ -221,10 +221,10 @@ def dual_certificate(inst: NormInstance, v: SparseVector) -> Certificate:
     inst._check_vector(v)
     if v.is_zero():
         return Certificate(Fraction(0), "zero")
-    norm = eval_norm(inst, v)
     L, funcs = _scaled_functionals(inst)
     s, x = _scaled_vector(v, inst.dim)
-    target = norm * s * L
+    target = _scaled_norm(inst, L, funcs, x)
+    norm = Fraction(target, s * L)
     for fi, f in enumerate(funcs):
         if _functional_best(f, x, inst.projection_class) != target:
             continue

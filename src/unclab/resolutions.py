@@ -79,46 +79,27 @@ def longest_chain(patterns: list[tuple[int, ...]], k: int) -> list[int]:
     n = len(patterns)
     if n == 0:
         return []
-    emb = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                emb[i][j] = pattern_embeds(patterns[i], patterns[j], k)
-    # best_len[i] is the length of the longest chain starting at i. Equal
+    emb = [[i != j and pattern_embeds(patterns[i], patterns[j], k) for j in range(n)]
+           for i in range(n)]
+    # succ[i] lists, ascending, the patterns a chain may take after i. Equal
     # patterns embed both ways, so a mutual pair only links i to j > i; that
     # keeps the relation acyclic without losing any chain up to reordering
-    # equal members. A successor is never shorter, so visiting patterns by
-    # decreasing (length, index) settles every successor before i.
+    # equal members.
+    succ = [[j for j in range(n) if emb[i][j] and not (emb[j][i] and j < i)]
+            for i in range(n)]
+    # best_len[i] is the length of the longest chain starting at i. A
+    # successor is never shorter, so visiting patterns by decreasing
+    # (length, index) settles every successor before i.
     order = sorted(range(n), key=lambda i: (len(patterns[i]), i), reverse=True)
     best_len = [1] * n
     for i in order:
-        for j in range(n):
-            if j == i or not emb[i][j]:
-                continue
-            if emb[j][i] and j < i:
-                continue
-            best_len[i] = max(best_len[i], 1 + best_len[j])
+        best_len[i] = 1 + max((best_len[j] for j in succ[i]), default=0)
     target = max(best_len)
-    starts = [i for i in range(n) if best_len[i] == target]
-    # lex-smallest full index sequence: among optimal starts walk preferring
-    # the smallest next index that preserves optimal length.
-    chain: list[int] = []
-    cur = min(starts)
-    need = target
-    while True:
-        chain.append(cur)
-        need -= 1
-        if need == 0:
-            break
-        nxts = []
-        for j in range(n):
-            if j == cur or not emb[cur][j]:
-                continue
-            if emb[j][cur] and j < cur:
-                continue
-            if best_len[j] >= need:
-                nxts.append(j)
-        cur = min(nxts)
+    # lex-smallest full index sequence: start at the first optimal pattern and
+    # take the smallest successor that preserves optimal length.
+    chain = [best_len.index(target)]
+    for need in range(target - 1, 0, -1):
+        chain.append(next(j for j in succ[chain[-1]] if best_len[j] >= need))
     return chain
 
 
@@ -292,21 +273,16 @@ def choose_multiplicities(k0: int) -> tuple[int, ...]:
         raise DomainError("k0 must be >= 2")
     bound = TWO ** (-k0 * k0)
     ns: list[int] = [1]
+    fixed = Fraction(0)   # sum over j < j' of ns_j / ns_j' so far
     for _ in range(1, k0):
-        fixed = Fraction(0)
-        for j in range(len(ns)):
-            for j2 in range(j + 1, len(ns)):
-                fixed += Fraction(ns[j], ns[j2])
         prev_sum = sum(ns)
         # adding value v contributes prev_sum / v on top of fixed
-        # minimal integer v with fixed + prev_sum/v < bound
         room = bound - fixed
         if room <= 0:
             raise DomainError("greedy multiplicities stuck; constraint already violated")
-        # prev_sum / v < room  <=>  v > prev_sum / room
+        # prev_sum / v < room  <=>  v > prev_sum / room, so the least v is
         v = prev_sum * room.denominator // room.numerator + 1
-        while fixed + Fraction(prev_sum, v) >= bound:
-            v += 1
+        fixed += Fraction(prev_sum, v)
         ns.append(v)
     return tuple(ns)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from conftest import rand_resolution, rand_sparse
 
 from unclab.constants import MODES, ConstantQuery, compute_constant, verify_witness
-from unclab.elton import (EltonParams, LayoutVector, _slot_value_list,
+from unclab.elton import (EltonParams, LayoutVector, _slot_tiling,
                           build_layout, build_vectors, brute_miniature,
                           elton_ladder, k_lower_certificate,
                           quasi_certificate, structured_dp)
@@ -155,7 +155,8 @@ def _replay_dp_witness(lay, v, value, wit):
              for c in range(lo, hi + 1)]
     coords = [b] + [c for c, _ in pairs]
     assert all(x < y for x, y in zip(coords, coords[1:])) and coords[-1] <= lay.universe
-    assert [val for _, val in pairs] == _slot_value_list(lay.params, a, b, len(pairs))
+    slots, unit = _slot_tiling(lay.params, a, b, len(pairs))
+    assert [val for _, val in pairs] == [F(x, unit) for x in slots]
     assert value == F(1, 2) * sv(a) + sv(b) + sum((val * sv(c) for c, val in pairs), F(0))
     return wit["kind"]
 

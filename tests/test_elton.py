@@ -9,7 +9,11 @@ import pytest
 from unclab import elton
 from unclab.elton import (
     EltonParams,
-    _slot_value_list,
+    LayoutVector,
+    _backtrack_assignment,
+    _block_max_int,
+    _dense_values,
+    _slot_tiling,
     brute_miniature,
     build_layout,
     build_vectors,
@@ -23,6 +27,8 @@ from unclab.elton import (
 )
 from unclab.errors import DomainError, SizeError
 from unclab.norms import SparseVector
+from unclab.rationals import _common_denominator
+from unclab.serialize import dump_json
 
 P184 = EltonParams(1, 8, 4, F(13, 100))
 P1648 = EltonParams(1, 64, 8, F(1, 50))
@@ -178,7 +184,8 @@ def literal_family_max(layout, vals):
             for b in range(a + 1, N + 1):
                 pinned = F(1, 2) * sv[a] + sv[b]
                 coords = range(b + 1, N + 1)
-                slots = _slot_value_list(p, a, b, N - b)
+                nums, unit = _slot_tiling(p, a, b, N - b)
+                slots = [F(x, unit) for x in nums]
                 for r in range(min(N - b, len(slots)) + 1):
                     for sub in itertools.combinations(coords, r):
                         tot = pinned + sum(
@@ -231,3 +238,112 @@ def test_dp_guardrails(monkeypatch):
         build_layout(P1648)  # universe 2129922 over the layout cap
     with pytest.raises(SizeError):
         brute_miniature(layout, t.minus)  # 1154 over the brute cap
+
+
+def ref_slot_values(p, a, b, count):
+    # the (a, b) tiling in Fractions: I-runs of u1, J-runs of u2 alternating
+    u1 = F(1, p.n1 * 2 ** (p.K * b - 1))
+    u2 = F(1, p.n2 * 2 ** (p.K * b - 1))
+    i_len = p.n1 * 2 ** (p.K * (b - a))
+    j_len = p.n2 * 2 ** (p.K * (b - a))
+    count = min(count, (p.n1 + p.n2) * 2 ** (p.K * b - 1))
+    out = []
+    while len(out) < count:
+        take = min(i_len, count - len(out))
+        out.extend([u1] * take)
+        if len(out) >= count:
+            break
+        take = min(j_len, count - len(out))
+        out.extend([u2] * take)
+    return out
+
+
+def ref_structured_dp(layout, v):
+    # structured_dp with Fraction pruning bounds and each shape's slots and
+    # values put over their own common denominator; the int block DP and
+    # its backtrack are the library's
+    N = layout.universe
+    vals = _dense_values(layout, v)
+    p = layout.params
+    best, best_wit = F(0), {"kind": "zero"}
+    for sigma in (1, -1):
+        sv = [sigma * x for x in vals]
+        pos = [max(x, F(0)) for x in sv]
+        tail = [F(0)] * (N + 2)
+        for c in range(N, 0, -1):
+            tail[c] = tail[c + 1] + pos[c]
+        prefmax = [F(0)] * (N + 1)
+        for c in range(1, N + 1):
+            prefmax[c] = max(prefmax[c - 1], pos[c])
+        for a in range(1, N + 1):
+            if F(1, 2) * sv[a] > best:
+                best = F(1, 2) * sv[a]
+                best_wit = {"kind": "half_only", "a": a, "sigma": sigma}
+
+        def slot_upper(b):
+            return F(1, min(p.n1, p.n2) * 2 ** min(p.K * b - 1, 200))
+
+        b_bounds = sorted(((F(1, 2) * prefmax[b - 1] + pos[b] + slot_upper(b) * tail[b + 1], b)
+                           for b in range(2, N + 1)), key=lambda t: t[0], reverse=True)
+        order_by_half = sorted(range(1, N + 1), key=lambda c: pos[c], reverse=True)
+        for bound, b in b_bounds:
+            if bound <= best:
+                break
+            for a in order_by_half:
+                if a >= b:
+                    continue
+                if F(1, 2) * pos[a] + pos[b] + slot_upper(b) * tail[b + 1] <= best:
+                    break
+                slots = ref_slot_values(p, a, b, N - b)
+                denom, nums = _common_denominator(slots + sv[b + 1:])
+                slot_nums, val_nums = nums[:len(slots)], nums[len(slots):]
+                blk_int, M_final, placed = _block_max_int(slot_nums, val_nums)
+                blk = F(blk_int, denom * denom)
+                if F(1, 2) * sv[a] + sv[b] + blk > best:
+                    best = F(1, 2) * sv[a] + sv[b] + blk
+                    best_wit = {"kind": "shape", "a": a, "b": b, "sigma": sigma,
+                                "block_value": blk}
+                    best_block = (slots, slot_nums, val_nums, M_final, placed)
+    if best_wit["kind"] == "shape":
+        slots, slot_nums, val_nums, M_final, placed = best_block
+        spans = []
+        for j, c in _backtrack_assignment(slot_nums, val_nums, M_final, placed,
+                                          best_wit["b"] + 1):
+            if spans and spans[-1][1] == c - 1 and spans[-1][2] == slots[j - 1]:
+                spans[-1] = (spans[-1][0], c, slots[j - 1])
+            else:
+                spans.append((c, c, slots[j - 1]))
+        best_wit["assignment_spans"] = spans
+    return best, best_wit
+
+
+def test_dp_equals_fraction_reference():
+    # beyond the brute cap: K = 3/4 layouts drawn as the certificates
+    # workload draws them (universe 98..642) and ladder rung 1, against
+    # region-constant and random sparse vectors of either sign
+    rng = random.Random("structured-dp-reference")
+
+    def rat():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    layouts = [build_layout(P184)]
+    for K in (3, 3, 3, 4, 4, 4):
+        if K == 3:
+            n1 = rng.randint(1, 2)
+            n2 = rng.randint(n1 + 1, min(6 * n1 - 1, 13 - n1))
+        else:
+            n1, n2 = rng.choice([(1, 2), (1, 3), (1, 4), (2, 3)])
+        layouts.append(build_layout(EltonParams(n1, n2, K, F(1, 2))))
+    assert 98 <= min(lay.universe for lay in layouts[1:])
+    assert max(lay.universe for lay in layouts[1:]) <= 642
+    sigmas = set()
+    for lay in layouts:
+        t = build_vectors(lay, "standard")
+        vecs = [t.minus, t.plus, LayoutVector(rat(), rat(), rat(), rat()),
+                SparseVector.from_pairs((c, rat()) for c in range(1, lay.universe + 1)
+                                        if rng.random() < 0.05)]
+        for v in vecs:
+            got = structured_dp(lay, v)
+            assert dump_json(list(got)) == dump_json(list(ref_structured_dp(lay, v)))
+            sigmas.add(got[1].get("sigma"))
+    assert {1, -1} <= sigmas

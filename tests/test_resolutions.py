@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -267,6 +267,23 @@ def test_choose_multiplicities_frozen():
     # greedy minimality: decrementing any later multiplicity breaks the bound
     assert not ris_condition(3, (1, 512, 135005185))
     assert not ris_condition(3, (1, 513, 135005184))
+
+
+@pytest.mark.parametrize("k0", [2, 3, 4, 5])
+def test_choose_multiplicities_greedy_minimal(k0):
+    def pair_sum(ms):
+        return sum((Fraction(a, b) for a, b in combinations(ms, 2)), Fraction(0))
+
+    ns = choose_multiplicities(k0)
+    bound = Fraction(1, 2 ** (k0 * k0))
+    assert len(ns) == k0 and ns[0] == 1
+    # each value is the least one keeping the fixed part below the bound
+    for i in range(1, k0):
+        assert pair_sum(ns[:i + 1]) < bound
+        assert pair_sum(ns[:i] + (ns[i] - 1,)) >= bound
+    assert ris_condition(k0, ns)
+    if k0 == 2:
+        assert ns == (1, 17)
 
 
 def test_rademacher_bound_frozen():
