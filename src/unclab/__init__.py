@@ -26,18 +26,16 @@ _EXPORTS = {
                "RationalFormatError", "SchemaError", "SizeError", "UnclabError"),
     "mrdemo": ("coded_norm_instance", "mr_demo", "special_sequence"),
     "norms": ("Certificate", "Functional", "NormInstance", "SparseVector",
-              "build_standard", "dual_certificate", "eval_norm"),
+              "dual_certificate", "eval_norm"),
     "ramsey": ("ColourFamily", "MatchingWitness", "PrefixContinuousMap",
-               "is_initial_segment", "make_pattern", "remark_family",
-               "restrict_pattern", "search_matching", "validate_matching",
-               "validate_matching_data", "weakly_hereditary"),
+               "is_initial_segment", "remark_family", "restrict_pattern",
+               "search_matching", "validate_matching", "weakly_hereditary"),
     "rationals": ("format_rational", "parse_rational"),
     "resolutions": ("Resolution", "bracket", "build_rademacher",
                     "choose_multiplicities", "explore_orthogonal_family",
                     "longest_chain", "mutual_bracket", "pattern_embeds",
                     "rademacher_bound", "repeat_resolution", "ris_condition"),
-    "schreier": ("LevelSplit", "SchreierDecomposition", "interval_ladder",
-                 "level_split", "oscillation", "schreier_decompose",
+    "schreier": ("SchreierDecomposition", "oscillation", "schreier_decompose",
                  "schreier_member"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -70,7 +68,3 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(globals()[module], name)
-
-
-def __dir__():
-    return sorted({*globals(), *_HOME})

@@ -253,40 +253,50 @@ def brute_miniature(layout: EltonLayout, v) -> tuple[Fraction, dict]:
     the slot sequence; shorter subsets are the slot truncations) and takes
     the best total. Half-coefficient-only candidates cover truncations that
     cut before b.
+
+    Kept apart from structured_dp's scaling and tiling: every candidate is
+    an int at the scale d * W, with d the values' common denominator and
+    W = lcm(n1, n2) 2^(K N), at which the coefficients 1/2 and 1 and every
+    slot value 1/(n 2^(Kb-1)), b <= N, are ints.
     """
     N = layout.universe
     check_cap(N, load_caps().brute_universe, "brute universe")
     vals = _dense_values(layout, v)
     p = layout.params
-    best = Fraction(0)
+    d = lcm(*(x.denominator for x in vals))
+    l = lcm(p.n1, p.n2)
+    W = l << (p.K * N)
+    best = 0
     best_wit: dict = {"kind": "zero"}
     for sigma in (1, -1):
-        sv = [sigma * x for x in vals]
+        sv = [sigma * x.numerator * (d // x.denominator) for x in vals]
         for a in range(1, N + 1):
-            cand = Fraction(1, 2) * sv[a]
-            if cand > best:
-                best = cand
+            if W // 2 * sv[a] > best:
+                best = W // 2 * sv[a]
                 best_wit = {"kind": "half_only", "a": a, "sigma": sigma}
         for a in range(1, N + 1):
             for b in range(a + 1, N + 1):
-                pinned = Fraction(1, 2) * sv[a] + sv[b]
-                coords = list(range(b + 1, N + 1))
-                nums, unit = _slot_tiling(p, a, b, len(coords))
-                slots = [Fraction(x, unit) for x in nums]
+                # slot j lies in an I-run (value u1) or a J-run (u2); the runs
+                # hold n1 2^(K(b-a)) and n2 2^(K(b-a)) slots
+                run = 2 ** (p.K * (b - a))
+                count = min(N - b, (p.n1 + p.n2) * 2 ** (p.K * b - 1))
+                slots = [(l // p.n1 if j % ((p.n1 + p.n2) * run) < p.n1 * run
+                          else l // p.n2) << (p.K * (N - b) + 1) for j in range(count)]
+                above = sv[b + 1:]
 
-                def rec(idx: int, slot_i: int, acc: Fraction):
+                def rec(idx: int, slot_i: int, acc: int):
                     nonlocal best, best_wit
                     if acc > best:
                         best = acc
                         best_wit = {"kind": "shape", "a": a, "b": b,
                                     "sigma": sigma, "slots_used": slot_i}
-                    if idx >= len(coords) or slot_i >= len(slots):
+                    if idx >= len(above) or slot_i >= len(slots):
                         return
                     rec(idx + 1, slot_i, acc)
-                    rec(idx + 1, slot_i + 1, acc + slots[slot_i] * sv[coords[idx]])
+                    rec(idx + 1, slot_i + 1, acc + slots[slot_i] * above[idx])
 
-                rec(0, 0, pinned)
-    return best, best_wit
+                rec(0, 0, W // 2 * sv[a] + W * sv[b])
+    return Fraction(best, d * W), best_wit
 
 
 # ------------------------------------------------------------ structured dp
@@ -439,7 +449,9 @@ def _validated_universe(p: EltonParams) -> int:
 def _dp_norms(layout: EltonLayout, triple: VectorTriple, bound: Fraction):
     """Norms of a triple's companion and vector by the exact family DP.
 
-    The vector's family maximum must not exceed its derived case bound.
+    The vector's family maximum must not exceed its derived case bound, and
+    its sup term (1/2 standard, 1 quasi) is at most every case maximum, so
+    norm_minus is itself an upper bound on the vector's norm.
     Returns (norm_plus, norm_minus, witness_plus, witness_minus).
     """
     num, num_wit = structured_dp(layout, triple.plus)
@@ -472,15 +484,14 @@ def k_lower_certificate(p: EltonParams) -> dict:
         triple = build_vectors(layout, "standard")
         norm_plus, norm_minus, num_wit, den_wit = _dp_norms(
             layout, triple, bounds["max"])
-        norm_minus_upper = min(bounds["max"], norm_minus)
         out.update({
             "verification": "dp",
             "pairing_plus": triple.functional.pair_layout_vector(layout, triple.plus),
             "pairing_minus": triple.functional.pair_layout_vector(layout, triple.minus),
             "norm_plus_lower": norm_plus,
-            "norm_minus_upper": norm_minus_upper,
+            "norm_minus_upper": norm_minus,
             "ratio_exact": norm_plus / norm_minus,
-            "ratio_lower": norm_plus / norm_minus_upper,
+            "ratio_lower": norm_plus / norm_minus,
             "witness_plus": num_wit,
             "witness_minus": den_wit,
         })
@@ -525,12 +536,11 @@ def quasi_certificate(p: EltonParams, alpha: Fraction) -> dict:
         layout = build_layout(p)
         norm_plus, norm_minus, _, _ = _dp_norms(
             layout, build_vectors(layout, "quasi", alpha), qb["max"])
-        norm_minus_upper = min(qb["max"], norm_minus)
         out.update({
             "verification": "dp",
             "norm_plus_lower": norm_plus,
-            "norm_minus_upper": norm_minus_upper,
-            "ratio_lower": norm_plus / norm_minus_upper,
+            "norm_minus_upper": norm_minus,
+            "ratio_lower": norm_plus / norm_minus,
         })
     else:
         num = Fraction(8, 3)

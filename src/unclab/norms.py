@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .caps import check_cap, load_caps
-from .errors import DomainError, InternalError, SizeError
+from .errors import DomainError, InternalError
 from .rationals import _common_denominator
 
 PROJECTION_CLASSES = ("initial_segments", "intervals", "all_subsets")
@@ -238,42 +238,3 @@ def dual_certificate(inst: NormInstance, v: SparseVector) -> Certificate:
         if abs(val) == norm:
             return Certificate(norm, "sup", coordinate=i)
     raise InternalError("norm not attained")
-
-
-def build_standard(kind: str, n: int, points: list[list[Fraction]] | None = None) -> NormInstance:
-    """Stock instances: l1, linf, summing, pointcloud.
-
-    l1: all sign-pattern functionals over all_subsets (the fully
-    unconditional reference). linf: coordinate functionals. summing: partial
-    sum functionals over initial segments (the classic conditional example).
-    pointcloud: one functional per point row; the instance norm carries no
-    sup term so that full-support evaluation is the sup over the cloud.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if kind == "l1":
-        if n > 10:
-            raise SizeError("l1 builder capped at n <= 10 (2^n functionals)")
-        fams = []
-        for mask in range(1 << n):
-            fams.append(Functional.from_pairs(
-                (i + 1, Fraction(1) if mask >> i & 1 else Fraction(-1)) for i in range(n)))
-        return NormInstance.build(n, fams, "all_subsets", True)
-    if kind == "linf":
-        fams = [Functional.from_pairs([(i, Fraction(1))]) for i in range(1, n + 1)]
-        return NormInstance.build(n, fams, "initial_segments", True)
-    if kind == "summing":
-        fams = [Functional.from_pairs((i, Fraction(1)) for i in range(1, m + 1))
-                for m in range(1, n + 1)]
-        return NormInstance.build(n, fams, "initial_segments", True)
-    if kind == "pointcloud":
-        if not points:
-            raise DomainError("pointcloud needs point rows")
-        fams = []
-        for row in points:
-            if len(row) != n:
-                raise DomainError("point row length != n")
-            fams.append(Functional.from_pairs(
-                (i + 1, Fraction(c)) for i, c in enumerate(row)))
-        return NormInstance.build(n, fams, "initial_segments", False)
-    raise DomainError(f"unknown standard instance kind {kind!r}")

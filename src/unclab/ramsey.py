@@ -89,16 +89,6 @@ class PrefixContinuousMap:
         # built on first lookup and kept: the map is frozen
         return dict(self.entries)
 
-    def apply(self, M) -> tuple[frozenset[int], ...]:
-        Ms = _as_sorted_tuple(M)
-        if len(Ms) < self.depth:
-            raise DomainError(
-                f"set of size {len(Ms)} is below map depth {self.depth}")
-        prefix = Ms[:self.depth]
-        if prefix not in self._by_prefix:
-            raise SchemaError(f"map has no entry for prefix {prefix}")
-        return self._by_prefix[prefix]
-
     def missing_prefixes(self, universe: int) -> list[tuple[int, ...]]:
         return [p for p in combinations(range(1, universe + 1), self.depth)
                 if p not in self._by_prefix]
@@ -142,15 +132,6 @@ def validate_matching(w: MatchingWitness) -> dict:
             f"overlap condition: L cap M = {sorted(overlap)} but the union of "
             f"component overlaps is {sorted(glued)}")
     return {"ok": not failures, "failures": failures}
-
-
-def validate_matching_data(L, M, FL, FM) -> dict:
-    w = MatchingWitness(
-        _as_sorted_tuple(L), _as_sorted_tuple(M),
-        tuple(frozenset(x) for x in FL), tuple(frozenset(x) for x in FM))
-    out = validate_matching(w)
-    out["witness"] = w
-    return out
 
 
 def search_matching(pmap: PrefixContinuousMap, universe: int,
@@ -258,18 +239,6 @@ class ColourFamily:
                     raise DomainError(f"support element {e} outside universe")
                 if not (1 <= c <= self.k):
                     raise DomainError(f"colour {c} outside 1..{self.k}")
-
-
-def make_pattern(pairs) -> Pattern:
-    out = {}
-    for e, c in pairs:
-        e, c = int(e), int(c)
-        if e < 1 or c < 1:
-            raise DomainError("pattern entries need positive element and colour")
-        if e in out and out[e] != c:
-            raise DomainError(f"element {e} coloured twice")
-        out[e] = c
-    return frozenset(out.items())
 
 
 def restrict_pattern(pattern: Pattern, M) -> Pattern:

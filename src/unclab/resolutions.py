@@ -49,9 +49,6 @@ class Resolution:
     def __len__(self) -> int:
         return len(self.pattern)
 
-    def weight_of_colour(self, j: int) -> Fraction:
-        return sum((a for c, a in zip(self.pattern, self.alpha) if c == j), Fraction(0))
-
     def total_weight(self) -> Fraction:
         return sum(self.alpha, Fraction(0))
 
@@ -180,9 +177,8 @@ def bracket(r: Resolution, s: Resolution, method: str = "dp") -> tuple[Fraction,
     if method == "dp":
         return _bracket_dp(r, s)
     if method == "brute":
-        cap = load_caps().brute_bracket
-        if len(r) > cap or len(s) > cap:
-            raise SizeError(f"brute bracket capped at length {cap}")
+        check_cap(max(len(r), len(s)), load_caps().brute_bracket,
+                  "brute_bracket: resolution length")
         return _bracket_brute(r, s)
     raise DomainError(f"unknown bracket method {method!r}")
 

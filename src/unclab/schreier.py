@@ -1,4 +1,4 @@
-"""Oscillation, Schreier-style admissibility, and dyadic level machinery.
+"""Oscillation and Schreier-style admissibility.
 
 A finite set E of coordinates is first-order admissible when |E| <= min E.
 Second order means E splits into successive first-order blocks whose count
@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .norms import SparseVector
-
-TWO = Fraction(2)
 
 
 def oscillation(a: SparseVector, E) -> Fraction:
@@ -26,56 +24,6 @@ def oscillation(a: SparseVector, E) -> Fraction:
     if not nonzero:
         return Fraction(1)
     return max(nonzero) / min(nonzero)
-
-
-def _dyadic_level_count(delta: Fraction) -> int:
-    # k = floor(log2(1/delta)) + 1, exact
-    if not (0 < delta <= 1):
-        raise DomainError(f"delta must be in (0, 1], got {delta}")
-    inv = 1 / delta
-    m = 0
-    while TWO ** (m + 1) <= inv:
-        m += 1
-    return m + 1
-
-
-def interval_ladder(delta: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Closed dyadic intervals [2^-j, 2^-j+1], j = 1..k, covering [delta, 1].
-
-    k = floor(log2(1/delta)) + 1, so the lowest endpoint 2^-k is <= delta and
-    each interval has max = 2 * min.
-    """
-    k = _dyadic_level_count(delta)
-    return [(TWO ** (-j), TWO ** (-j + 1)) for j in range(1, k + 1)]
-
-
-@dataclass(frozen=True)
-class LevelSplit:
-    threshold_set: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    levels: int
-
-
-def level_split(a: SparseVector, delta: Fraction) -> LevelSplit:
-    """Partition the delta-threshold set of a by dyadic coefficient size.
-
-    Block j collects coordinates with 2^-j < |a_i| <= 2^-(j-1); requires
-    sup |a_i| <= 1 so the blocks cover everything at or above delta. Each
-    block has oscillation at most 2.
-    """
-    if a.sup_norm() > 1:
-        raise DomainError("level_split needs sup |a_i| <= 1")
-    k = _dyadic_level_count(delta)
-    threshold = tuple(i for i, v in a.entries if abs(v) >= delta)
-    av = a.as_dict()
-    blocks = []
-    for j in range(1, k + 1):
-        lo, hi = TWO ** (-j), TWO ** (-j + 1)
-        blocks.append(tuple(i for i in threshold if lo < abs(av[i]) <= hi))
-    covered = [i for b in blocks for i in b]
-    if sorted(covered) != sorted(threshold):
-        raise InternalError("dyadic blocks must cover the threshold set")
-    return LevelSplit(threshold, tuple(blocks), k)
 
 
 def schreier_member(order: int, E) -> bool:
@@ -108,10 +56,6 @@ def schreier_member(order: int, E) -> bool:
 @dataclass(frozen=True)
 class SchreierDecomposition:
     blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.blocks)
 
 
 def schreier_decompose(a: SparseVector, E, d: Fraction) -> SchreierDecomposition | None:

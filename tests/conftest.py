@@ -63,6 +63,68 @@ def rand_resolution(rng: random.Random, max_len: int = 6, max_k: int = 4,
     return Resolution(k, pattern, alpha)
 
 
+def colour_weight(r: Resolution, j: int) -> Fraction:
+    """Total weight of r's colour-j coordinates."""
+    return sum((a for c, a in zip(r.pattern, r.alpha) if c == j), Fraction(0))
+
+
+def build_standard(kind: str, n: int, points: list[list[Fraction]] | None = None):
+    """Stock norm instances on coordinates 1..n: l1, linf, summing, pointcloud.
+
+    l1: all sign-pattern functionals over all_subsets (the fully
+    unconditional reference). linf: coordinate functionals. summing: partial
+    sum functionals over initial segments (the classic conditional example).
+    pointcloud: one functional per point row; the instance norm carries no
+    sup term so that full-support evaluation is the sup over the cloud.
+    """
+    from unclab.norms import Functional, NormInstance
+    if kind == "l1":
+        fams = [Functional.from_pairs((i + 1, 1 if mask >> i & 1 else -1) for i in range(n))
+                for mask in range(1 << n)]
+        return NormInstance.build(n, fams, "all_subsets", True)
+    if kind == "linf":
+        fams = [Functional.from_pairs([(i, 1)]) for i in range(1, n + 1)]
+        return NormInstance.build(n, fams, "initial_segments", True)
+    if kind == "summing":
+        fams = [Functional.from_pairs((i, 1) for i in range(1, m + 1))
+                for m in range(1, n + 1)]
+        return NormInstance.build(n, fams, "initial_segments", True)
+    if kind == "pointcloud":
+        fams = [Functional.from_pairs((i + 1, c) for i, c in enumerate(row)) for row in points]
+        return NormInstance.build(n, fams, "initial_segments", False)
+    raise ValueError(f"unknown standard instance kind {kind!r}")
+
+
+class LevelSplit(NamedTuple):
+    threshold_set: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...]
+    levels: int
+
+
+def interval_ladder(delta: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Closed dyadic intervals [2^-j, 2^-j+1], j = 1..k, covering [delta, 1].
+
+    k = floor(log2(1/delta)) + 1, so the lowest endpoint 2^-k is <= delta and
+    each interval has max = 2 * min.
+    """
+    k = (delta.denominator // delta.numerator).bit_length()
+    return [(Fraction(1, 2 ** j), Fraction(1, 2 ** (j - 1))) for j in range(1, k + 1)]
+
+
+def level_split(a, delta: Fraction) -> LevelSplit:
+    """Partition the delta-threshold set of a by dyadic coefficient size.
+
+    Block j collects coordinates with 2^-j < |a_i| <= 2^-(j-1); with
+    sup |a_i| <= 1 the blocks cover everything at or above delta. Each
+    block has oscillation at most 2.
+    """
+    threshold = tuple(i for i, v in a.entries if abs(v) >= delta)
+    av = a.as_dict()
+    blocks = tuple(tuple(i for i in threshold if lo < abs(av[i]) <= hi)
+                   for lo, hi in interval_ladder(delta))
+    return LevelSplit(threshold, blocks, len(blocks))
+
+
 def rand_sparse(rng: random.Random, dim: int, denom: int = 8,
                 allow_zero: bool = False):
     from unclab.norms import SparseVector

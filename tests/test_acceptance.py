@@ -14,22 +14,21 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 from pathlib import Path
 
-from conftest import rand_resolution, rand_sparse
+from conftest import (build_standard, colour_weight, interval_ladder, level_split,
+                      rand_resolution, rand_sparse)
 
 from unclab.constants import MODES, ConstantQuery, compute_constant, verify_witness
 from unclab.elton import (EltonParams, LayoutVector, _slot_tiling,
                           build_layout, build_vectors, brute_miniature,
                           elton_ladder, k_lower_certificate,
                           quasi_certificate, structured_dp)
-from unclab.norms import Functional, NormInstance, SparseVector, build_standard
-from unclab.ramsey import (make_pattern, remark_family, restrict_pattern,
-                           search_matching, validate_matching,
-                           validate_matching_data, weakly_hereditary)
+from unclab.norms import Functional, NormInstance, SparseVector
+from unclab.ramsey import (MatchingWitness, remark_family, restrict_pattern,
+                           search_matching, validate_matching, weakly_hereditary)
 from unclab.resolutions import (Resolution, bracket, build_rademacher,
                                 mutual_bracket, pattern_embeds,
                                 rademacher_bound, ris_condition)
-from unclab.schreier import (interval_ladder, level_split, oscillation,
-                             schreier_decompose)
+from unclab.schreier import oscillation, schreier_decompose
 from unclab.serialize import load_prefix_map
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -78,14 +77,14 @@ def test_criterion_2(capsys):
             s = rand_resolution(rng, max_len=6, k=k)
             v, _ = bracket(r, s)
             # each matched left coordinate gains at most 2^(c_u - 1)
-            assert v <= sum(F(2) ** (j - 1) * r.weight_of_colour(j)
+            assert v <= sum(F(2) ** (j - 1) * colour_weight(r, j)
                             for j in range(1, k + 1))
             # colour-j-to-colour-j matching from the smaller side
-            floor = max(min(r.weight_of_colour(j), s.weight_of_colour(j))
+            floor = max(min(colour_weight(r, j), colour_weight(s, j))
                         for j in range(1, k + 1))
             assert mutual_bracket(r, s) >= floor
             dv, _ = bracket(r, r)
-            heaviest = max(r.weight_of_colour(j) for j in range(1, k + 1))
+            heaviest = max(colour_weight(r, j) for j in range(1, k + 1))
             assert dv >= heaviest >= r.total_weight() / k
             if pattern_embeds(r.pattern, s.pattern, k):
                 assert v >= r.total_weight()
@@ -295,7 +294,7 @@ def test_criterion_7(capsys):
                         if dec is None:
                             assert mn > min(E)
                         else:
-                            assert dec.count == mn <= min(E)
+                            assert len(dec.blocks) == mn <= min(E)
         for _ in range(200):
             dim = rng.randint(4, 12)
             a = rand_sparse(rng, dim)
@@ -307,7 +306,7 @@ def test_criterion_7(capsys):
             if dec is None:
                 assert mn > min(E)
             else:
-                assert dec.count == mn
+                assert len(dec.blocks) == mn
         for _ in range(200):
             a = rand_sparse(rng, rng.randint(3, 10))
             delta = F(rng.randint(1, 8), 8)
@@ -332,7 +331,9 @@ def test_criterion_8(capsys):
         npos = nneg = 0
         for f in sorted((FIXTURES / "matching").glob("*.json")):
             d = json.loads(f.read_text())
-            rep = validate_matching_data(d["L"], d["M"], d["FL"], d["FM"])
+            rep = validate_matching(MatchingWitness(
+                tuple(d["L"]), tuple(d["M"]),
+                tuple(map(frozenset, d["FL"])), tuple(map(frozenset, d["FM"]))))
             if f.name.startswith("pos"):
                 assert rep["ok"], f.name
                 npos += 1
@@ -352,7 +353,7 @@ def test_criterion_8(capsys):
             rep = weakly_hereditary(fam, M=L, mode="hereditary")
             assert rep["hereditary"] is False, (s, L)
             v = rep["violation"]
-            a, b = make_pattern(v["a"]), make_pattern(v["b"])
+            a, b = v["a"], v["b"]
             restricted = {restrict_pattern(p, L) for p in fam.members}
             assert b in restricted and a not in restricted
             sa, sb = dict(a), dict(b)

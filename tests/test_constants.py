@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_norm
+from conftest import brute_norm, build_standard
 from unclab.constants import (
     DEFAULT_STEP,
     GRID_ONLY,
@@ -23,7 +23,7 @@ from unclab.constants import (
     verify_witness,
 )
 from unclab.errors import DomainError, SizeError
-from unclab.norms import PROJECTION_CLASSES, NormInstance, SparseVector, build_standard
+from unclab.norms import PROJECTION_CLASSES, NormInstance, SparseVector
 from unclab.rationals import _subsets
 from unclab.schreier import oscillation, schreier_decompose, schreier_member
 

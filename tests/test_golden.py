@@ -15,7 +15,11 @@ in-repo simplex; the schreier case's value and cell count equal those of
 the earlier sympy path, while its witness is the optimal vertex this
 simplex reaches. The mode A and Lprime cases on a dim-3 intervals instance
 pin the sign, support and A-feasibility rows of the LP cells, witness
-vertex included.
+vertex included. The Kstar case on a dim-2 point cloud and the C_uncond
+case on a dim-3 all_subsets instance pin the point-row denominators and
+the all_subsets pieces of the LP; with the brute bracket and the
+restricted hereditary check they run the CLI paths that
+`tests/test_reachability.py` needs entered.
 """
 
 from pathlib import Path
@@ -26,12 +30,16 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 INST = "tests/fixtures/norm_summing4.json"
 INTERVALS3 = "tests/fixtures/norm_intervals3.json"
+POINTCLOUD2 = "tests/fixtures/norm_pointcloud2.json"
+SUBSETS3 = "tests/fixtures/norm_subsets3.json"
 
 CASES = [
     ("bracket_dp", 0, ["bracket", "tests/fixtures/resolution_r.json",
                        "tests/fixtures/resolution_s.json"]),
     ("bracket_mutual", 0, ["bracket", "tests/fixtures/resolution_r.json",
                            "tests/fixtures/resolution_s.json", "--mutual"]),
+    ("bracket_brute", 0, ["bracket", "tests/fixtures/resolution_r.json",
+                          "tests/fixtures/resolution_s.json", "--method", "brute"]),
     ("rademacher_json", 0, ["rademacher", "--k0", "2", "--m", "3", "--n", "1",
                             "--auto-ns"]),
     ("rademacher_table", 0, ["rademacher", "--k0", "2", "--m", "3", "--n", "1",
@@ -52,6 +60,10 @@ CASES = [
     ("constant_lprime_lp", 0, ["constant", "--instance", INTERVALS3,
                                "--mode", "Lprime", "--delta", "1/2",
                                "--method", "lp"]),
+    ("constant_kstar_lp", 0, ["constant", "--instance", POINTCLOUD2,
+                              "--mode", "Kstar", "--delta", "1/2", "--method", "lp"]),
+    ("constant_c_uncond_lp", 0, ["constant", "--instance", SUBSETS3,
+                                 "--mode", "C_uncond", "--method", "lp"]),
     ("elton", 0, ["elton", "--n1", "1", "--n2", "8", "--K", "4",
                   "--eps", "13/100"]),
     ("quasi_dp", 0, ["quasi", "--n1", "1", "--n2", "8", "--K", "4",
@@ -65,6 +77,8 @@ CASES = [
                          "--strategy", "random", "--seed", "5"]),
     ("hereditary_weakly", 0, ["hereditary", "--universe", "12",
                               "--mode", "weakly"]),
+    ("hereditary_restrict", 0, ["hereditary", "--universe", "12",
+                                "--restrict", "1,2,4,7,9,11"]),
     ("error_missing_file", 2, ["bracket", "tests/fixtures/no_such_file.json",
                                "tests/fixtures/resolution_s.json"]),
     ("error_k_without_delta", 1, ["constant", "--instance", INST,

@@ -55,18 +55,17 @@ EXPORTS = {
     "errors": "DomainError InternalError MissingInputError RationalFormatError "
               "SchemaError SizeError UnclabError",
     "mrdemo": "coded_norm_instance mr_demo special_sequence",
-    "norms": "Certificate Functional NormInstance SparseVector build_standard "
-             "dual_certificate eval_norm",
+    "norms": "Certificate Functional NormInstance SparseVector dual_certificate "
+             "eval_norm",
     "ramsey": "ColourFamily MatchingWitness PrefixContinuousMap is_initial_segment "
-              "make_pattern remark_family restrict_pattern search_matching "
-              "validate_matching validate_matching_data weakly_hereditary",
+              "remark_family restrict_pattern search_matching validate_matching "
+              "weakly_hereditary",
     "rationals": "format_rational parse_rational",
     "resolutions": "Resolution bracket build_rademacher choose_multiplicities "
                    "explore_orthogonal_family longest_chain "
                    "mutual_bracket pattern_embeds rademacher_bound "
                    "repeat_resolution ris_condition",
-    "schreier": "LevelSplit SchreierDecomposition interval_ladder level_split "
-                "oscillation schreier_decompose schreier_member",
+    "schreier": "SchreierDecomposition oscillation schreier_decompose schreier_member",
 }
 
 

@@ -128,9 +128,11 @@ def test_lp_path_imports_no_sympy():
     code = ("import sys\n"
             "import unclab.cli\n"
             "from unclab.constants import ConstantQuery, compute_constant\n"
-            "from unclab.norms import build_standard\n"
-            "rep = compute_constant(build_standard('summing', 3),\n"
-            "                       ConstantQuery('C_uncond'), method='fractional_lp')\n"
+            "from unclab.norms import Functional, NormInstance\n"
+            "summing3 = NormInstance.build(3, [Functional.from_pairs(\n"
+            "    (i, 1) for i in range(1, m + 1)) for m in range(1, 4)])\n"
+            "rep = compute_constant(summing3, ConstantQuery('C_uncond'),\n"
+            "                       method='fractional_lp')\n"
             "print(rep.value_lower, 'sympy' in sys.modules)\n")
     env = dict(os.environ)
     env.pop("UNCLAB_CAPS", None)

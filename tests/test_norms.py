@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unclab
-from conftest import brute_norm, rand_sparse
+from conftest import brute_norm, build_standard, rand_sparse
 from unclab.errors import DomainError, SizeError
 from unclab.norms import (PROJECTION_CLASSES, Functional, NormInstance,
-                          SparseVector, build_standard, dual_certificate,
-                          eval_norm)
+                          SparseVector, dual_certificate, eval_norm)
 
 F1 = Fraction(1)
 
@@ -120,10 +119,6 @@ def test_pointcloud_no_sup():
     # full-support row evaluation only reaches 0 on (1, -1) for row one,
     # 2 for row two
     assert eval_norm(inst, vec(1, -1)) == 2
-    with pytest.raises(DomainError):
-        build_standard("pointcloud", 2)
-    with pytest.raises(DomainError):
-        build_standard("nope", 2)
 
 
 def test_vector_outside_dim():

@@ -12,12 +12,10 @@ from unclab.ramsey import (
     MatchingWitness,
     PrefixContinuousMap,
     is_initial_segment,
-    make_pattern,
     remark_family,
     restrict_pattern,
     search_matching,
     validate_matching,
-    validate_matching_data,
     weakly_hereditary,
 )
 
@@ -62,15 +60,9 @@ def test_map_construction_errors():
     PrefixContinuousMap(2, 3, (((1, 2), (frozenset({1}), frozenset(), frozenset({2}))),))
 
 
-def test_map_apply_and_missing():
+def test_map_missing_prefixes():
     pmap = identity_map(4, 2)
-    assert pmap.apply((3, 1, 4)) == (frozenset({1, 3}),)
-    assert pmap.apply((2, 3)) == (frozenset({2, 3}),)
-    with pytest.raises(DomainError):
-        pmap.apply((1,))  # below depth
     small = PrefixContinuousMap.from_dict(2, {(1, 2): (frozenset({1}),)})
-    with pytest.raises(SchemaError):
-        small.apply((1, 3))
     assert len(small.missing_prefixes(4)) == 5
     assert pmap.missing_prefixes(4) == []
 
@@ -84,6 +76,11 @@ def test_is_initial_segment():
 
 
 # ---------------------------------------------------------- matching validity
+
+def validate_matching_data(L, M, FL, FM) -> dict:
+    return validate_matching(MatchingWitness(
+        tuple(L), tuple(M), tuple(map(frozenset, FL)), tuple(map(frozenset, FM))))
+
 
 def test_validate_matching_basic():
     ok = validate_matching_data(
@@ -147,7 +144,8 @@ def test_search_reported_pair_from_small_universe(map_a):
     # the classic small example for the one-component prefix map: shared
     # leading block, disjoint continuations
     L, M = (1, 2, 3, 5), (1, 2, 4, 6)
-    w = MatchingWitness(L, M, map_a.apply(L), map_a.apply(M))
+    table = dict(map_a.entries)
+    w = MatchingWitness(L, M, table[L[:map_a.depth]], table[M[:map_a.depth]])
     assert validate_matching(w)["ok"]
 
 
@@ -196,17 +194,13 @@ def test_search_guards(map_a):
 # -------------------------------------------------------------- colour families
 
 def test_pattern_helpers():
-    p = make_pattern([(1, 2), (2, 1), (5, 2)])
+    p = frozenset({(1, 2), (2, 1), (5, 2)})
     assert restrict_pattern(p, {1, 5}) == frozenset({(1, 2), (5, 2)})
     assert restrict_pattern(p, range(10, 20)) == frozenset()
     with pytest.raises(DomainError):
-        make_pattern([(1, 1), (1, 2)])
+        ColourFamily(k=1, universe=3, members=(frozenset({(4, 1)}),))
     with pytest.raises(DomainError):
-        make_pattern([(0, 1)])
-    with pytest.raises(DomainError):
-        ColourFamily(k=1, universe=3, members=(make_pattern([(4, 1)]),))
-    with pytest.raises(DomainError):
-        ColourFamily(k=1, universe=3, members=(make_pattern([(2, 2)]),))
+        ColourFamily(k=1, universe=3, members=(frozenset({(2, 2)}),))
 
 
 def test_remark_family_frozen():
@@ -216,10 +210,10 @@ def test_remark_family_frozen():
     assert len(fam.members) == 286
     members = set(fam.members)
     assert frozenset() in members
-    assert make_pattern([(1, 2), (2, 1), (3, 2)]) in members
+    assert frozenset({(1, 2), (2, 1), (3, 2)}) in members
     # truncations keep the leading colours: dropping the first entry of a
     # member does not produce a member
-    assert make_pattern([(2, 1), (3, 2)]) not in members
+    assert frozenset({(2, 1), (3, 2)}) not in members
     # all defined truncations of every member are members
     for m in members:
         items = sorted(m)

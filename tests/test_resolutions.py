@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_resolution
+from conftest import colour_weight, rand_resolution
 from unclab.errors import DomainError, SizeError
 from unclab.resolutions import (Resolution, bracket, build_rademacher,
                                 choose_multiplicities,
@@ -34,9 +34,6 @@ def test_resolution_validation():
 
 def test_colour_weights():
     r = Resolution(3, (1, 2, 1), (Fraction(1, 4), H, Fraction(1, 8)))
-    assert r.weight_of_colour(1) == Fraction(3, 8)
-    assert r.weight_of_colour(2) == H
-    assert r.weight_of_colour(3) == 0
     assert r.total_weight() == Fraction(7, 8)
     assert len(r) == 3
 
@@ -167,7 +164,8 @@ def test_dp_equals_fraction_dp_long_pairs():
 
 def test_brute_cap():
     r = Resolution(1, (1,) * 9, (Fraction(1, 9),) * 9)
-    with pytest.raises(SizeError):
+    with pytest.raises(SizeError, match=r"^brute_bracket: resolution length = 9 "
+                       r"exceeds cap 8 \(override with UNCLAB_CAPS\)$"):
         bracket(r, r, "brute")
 
 
@@ -200,7 +198,7 @@ def test_repeat_resolution():
     assert rr.pattern == (1, 2) * 3
     assert rr.alpha == (Fraction(1, 6),) * 6
     assert rr.total_weight() == r.total_weight()
-    assert all(rr.weight_of_colour(j) == r.weight_of_colour(j) for j in (1, 2))
+    assert all(colour_weight(rr, j) == colour_weight(r, j) for j in (1, 2))
     with pytest.raises(DomainError):
         repeat_resolution(r, 0)
 
@@ -210,11 +208,11 @@ def test_build_rademacher_base():
     assert len(r) == 18 and r.k == 4
     assert r.pattern[0] == 2 and set(r.pattern[1:]) == {4}
     assert r.pattern.count(2) == 1 and r.pattern.count(4) == 17
-    assert r.weight_of_colour(2) == H and r.weight_of_colour(4) == H
+    assert colour_weight(r, 2) == H and colour_weight(r, 4) == H
     assert r.alpha[0] == H and r.alpha[1] == Fraction(1, 34)
     lvl2 = build_rademacher(2, (1, 17), 1, 2)
     assert len(lvl2) == 36
-    assert all(lvl2.weight_of_colour(j) == r.weight_of_colour(j) for j in range(1, 5))
+    assert all(colour_weight(lvl2, j) == colour_weight(r, j) for j in range(1, 5))
     with pytest.raises(DomainError):
         build_rademacher(1, (1,), 1, 1)
     with pytest.raises(DomainError):
