@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the exact kernels alone (the bracket DP, eval_norm, the grid, the
-structured DP) and start-up.
+structured DP, the matching search) and start-up.
 
     python3 scripts/bench_kernels.py [--lengths 100,300,1000] [--runs 5]
         [--parent-src DIR] > BENCH.json
@@ -32,8 +32,15 @@ workloads' inputs:
   structured_dp
              structured_dp on the standard vector of ladder rung 1 and of one
              K = 3 layout, their parameters drawn as the certificates
-             workload draws its rung-1 and K = 3 layout jobs; work counter
-             universe
+             workload draws its rung-1 and K = 3 layout jobs; work counters
+             universe and cells, the value runs above b times the slots,
+             summed over the shapes (a, b) the search expands (counted in one
+             more, untimed, call)
+  search_matching
+             the exhaustive scan at universe 10 and 11, horizon 6, on a map
+             drawn as the certificates workload draws its match jobs (depth
+             2, every component empty, so no pair matches); work counter
+             checked
 Each size is timed `runs` times and reports the median and the spread
 (slowest minus fastest) of its run times next to its work counter, with a
 digest of its results.
@@ -70,6 +77,7 @@ CALLS = 200
 NORM_SIZES = ((4, "all_subsets"), (8, "initial_segments"), (12, "intervals"))
 GRID_SIZES = ((2, 8, "initial_segments"), (3, 4, "intervals"), (3, 8, "all_subsets"))
 DP_SLOTS = (("rung1", "elton"), ("layout", "elton", 3))   # Certificates.SLOTS entries
+MATCH_SLOTS = (("match", 10, 6), ("match", 11, 6))   # Certificates.SLOTS entries
 STARTUP = (("help", ["--help"]),
            ("bracket", ["bracket", "tests/fixtures/resolution_r.json",
                         "tests/fixtures/resolution_s.json"]))
@@ -116,12 +124,14 @@ def sizes(lengths: list[int]):
     from workloads import Brackets, Certificates, Constants
 
     import unclab
+    from unclab import elton
     from unclab.constants import ConstantQuery, compute_constant
     from unclab.elton import EltonParams, build_layout, build_vectors, structured_dp
     from unclab.norms import SparseVector, eval_norm
+    from unclab.ramsey import search_matching
     from unclab.rationals import parse_rational
     from unclab.resolutions import Resolution, bracket
-    from unclab.serialize import dump_json, load_norm_instance
+    from unclab.serialize import dump_json, load_norm_instance, load_prefix_map
 
     def digest(obj) -> str:
         return hashlib.sha256(dump_json(obj).encode()).hexdigest()
@@ -176,7 +186,31 @@ def sizes(lengths: list[int]):
                                         f"{report.value_lower.denominator}",
                                "digest": digest(report)})
 
-    certs = Certificates(SEED, None, None)
+    def dp_cells(layout, x) -> int:
+        values = [x.value(layout, c) for c in range(1, layout.universe + 1)]
+        expanded = []   # (b, slots) of each shape structured_dp expands
+        tiling = elton._slot_tiling
+
+        def spy(p, a, b, count):
+            slots, unit = tiling(p, a, b, count)
+            expanded.append((b, len(slots)))
+            return slots, unit
+
+        elton._slot_tiling = spy
+        try:
+            structured_dp(layout, x)
+        finally:
+            elton._slot_tiling = tiling
+        return sum(len(list(itertools.groupby(values[b:]))) * n for b, n in expanded)
+
+    class Drawn(Certificates):
+        """Keeps the input document a job would write in `doc`."""
+
+        def write(self, name: str, doc) -> str:
+            self.doc = doc
+            return name
+
+    certs = Drawn(SEED, None, None)
     for slot in DP_SLOTS:
         argv = getattr(certs, "make_" + slot[0])(*slot[1:])[1]
         opts = dict(zip(argv[1::2], argv[2::2]))
@@ -187,8 +221,20 @@ def sizes(lengths: list[int]):
         yield ("structured_dp", {"case": slot[0], "n1": p.n1, "n2": p.n2, "K": p.K,
                                  "universe": layout.universe},
                lambda layout=layout, x=x: structured_dp(layout, x),
-               lambda out: {"value": f"{out[0].numerator}/{out[0].denominator}",
-                            "digest": digest(list(out))})
+               lambda out, layout=layout, x=x: {
+                   "cells": dp_cells(layout, x),
+                   "value": f"{out[0].numerator}/{out[0].denominator}",
+                   "digest": digest(list(out))})
+    for slot in MATCH_SLOTS:
+        argv = certs.make_match(*slot[1:])[1]
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        pmap = load_prefix_map(certs.doc)
+        universe, horizon = int(opts["--universe"]), int(opts["--horizon"])
+        yield ("search_matching", {"universe": universe, "horizon": horizon,
+                                   "components": pmap.components},
+               lambda pmap=pmap, universe=universe, horizon=horizon: search_matching(
+                   pmap, universe, horizon=horizon),
+               lambda report: {"checked": report["checked"], "digest": digest(report)})
 
 
 def measure(size, runs: int) -> dict:
@@ -215,7 +261,7 @@ def main() -> None:
         "kernels": "CLI start-up (--help, bracket), "
                    "unclab.resolutions.bracket (method dp), unclab.norms.eval_norm, "
                    "unclab.constants.compute_constant (method grid, mode C_uncond), "
-                   "unclab.elton.structured_dp",
+                   "unclab.elton.structured_dp, unclab.ramsey.search_matching",
         "seed": SEED,
         "runs": args.runs,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
@@ -233,7 +279,7 @@ def main() -> None:
 
         sides = {"parent": args.parent_src, "change": str(Path(unclab.__file__).parent.parent)}
         for i in range(len(STARTUP) + len(lengths) + len(NORM_SIZES) + len(GRID_SIZES)
-                       + len(DP_SLOTS)):
+                       + len(DP_SLOTS) + len(MATCH_SLOTS)):
             got = {"parent": [], "change": []}
             for run in range(args.runs):
                 for side in (("parent", "change") if (i + run) % 2 == 0

@@ -17,9 +17,11 @@ by partial slot placement.
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import lcm
 
 from .caps import check_cap, load_caps
@@ -301,49 +303,64 @@ def brute_miniature(layout: EltonLayout, v) -> tuple[Fraction, dict]:
 
 # ------------------------------------------------------------ structured dp
 
-_DP_CELL_BUDGET = 30_000_000   # slot-by-coordinate DP cells one call may fill
+_DP_CELL_BUDGET = 30_000_000   # value-run-by-slot DP cells one call may fill
 
 
-def _block_max_int(slot_nums: list[int], val_nums: list[int]):
+def _block_max_runs(slot_nums: list[int], runs: list[tuple[int, int]]):
     """Max of sum slot_j * value(c_j) over increasing coordinate choices.
 
-    Integer DP: M[j] = best with exactly j slots placed so far; coordinates
-    stream left to right, slots consume in order, placement optional.
-    Returns (best, final M, placed), placed[i][j] being 1 where coordinate
-    i raised M[j], that is, where the best j-slot choice so far puts slot j
-    on coordinate i.
+    Slots consume in order and placement is optional, so a run of r equal
+    values x that takes slots K'+1..K (K - K' <= r) adds x (S(K) - S(K')),
+    S being the slot prefix sum. With f(K) the best total with exactly K
+    slots placed, run A = (x, r) gives
+        f_A(K) = x S(K) + max over K - r <= K' <= K of (f_{A-1}(K') - x S(K')),
+    the window max kept in a monotone deque that keeps the largest K' among
+    ties. Returns (best, final f, argmax), f[K] being None where fewer than
+    K coordinates exist and argmax[A][K] the K' that run A's f(K) extends.
     """
     n_slots = len(slot_nums)
-    M: list[int | None] = [0] + [None] * n_slots
-    placed: list[bytearray] = []
+    S = list(accumulate(slot_nums, initial=0))
+    f: list[int | None] = [0] + [None] * n_slots
     seen = 0
-    for x in val_nums:
-        row = bytearray(n_slots + 1)
-        seen += 1
-        for j in range(min(n_slots, seen), 0, -1):
-            cand = M[j - 1] + slot_nums[j - 1] * x
-            cur = M[j]
-            if cur is None or cand > cur:
-                M[j] = cand
-                row[j] = 1
-        placed.append(row)
-    best = max(m for m in M if m is not None)
-    return best, M, placed
+    argmax: list[array] = []
+    for x, r in runs:
+        lim = min(seen, n_slots)
+        h = [f[k] - x * S[k] for k in range(lim + 1)]
+        window: deque[int] = deque()
+        g: list[int | None] = []
+        arg = array("I")
+        for K in range(min(seen + r, n_slots) + 1):
+            if K <= lim:
+                hk = h[K]
+                while window and h[window[-1]] <= hk:
+                    window.pop()
+                window.append(K)
+            k = window[0]
+            if k < K - r:
+                window.popleft()
+                k = window[0]
+            g.append(h[k] + x * S[K])
+            arg.append(k)
+        f = g + [None] * (n_slots + 1 - len(g))
+        argmax.append(arg)
+        seen += r
+    return max(m for m in f if m is not None), f, argmax
 
 
-def _backtrack_assignment(slot_nums, val_nums, M_final, placed, coords_base):
-    """Recover one optimal slot->coordinate assignment from the placements."""
-    best = max(m for m in M_final if m is not None)
-    j = max(idx for idx, m in enumerate(M_final) if m == best)
+def _backtrack_runs(slot_nums, runs, f_final, argmax, coords_base):
+    """Recover one optimal slot->coordinate assignment, last run first: the
+    run's argmax gives the slots it took, put on its leftmost coordinates."""
+    best = max(m for m in f_final if m is not None)
+    j = max(idx for idx, m in enumerate(f_final) if m == best)
+    end = coords_base + sum(r for _, r in runs)
     assignment: list[tuple[int, int]] = []  # (slot index 1-based, coordinate)
     total = 0
-    for ci in range(len(val_nums) - 1, -1, -1):
-        if j == 0:
-            break
-        if placed[ci][j]:
-            assignment.append((j, coords_base + ci))
-            total += slot_nums[j - 1] * val_nums[ci]
-            j -= 1
+    for (x, r), arg in zip(reversed(runs), reversed(argmax)):
+        end -= r
+        k = arg[j]
+        assignment += [(slot, end + slot - k - 1) for slot in range(j, k, -1)]
+        total += x * sum(slot_nums[k:j])
+        j = k
     if j != 0 or total != best:
         raise InternalError("dp backtrack lost the optimal path")
     assignment.reverse()
@@ -369,6 +386,9 @@ def structured_dp(layout: EltonLayout, v) -> tuple[Fraction, dict]:
     and shape (a, b)'s slots are ints over the unit lcm(n1, n2) 2^(Kb-1), so
     the DP, the bounds and the half-coefficient scan run on ints and a
     Fraction is built only for each solved shape's value and the witness.
+    A shape's DP runs over the value runs of the coordinates above b, so it
+    fills value runs x slots cells, and that count is what the cell budget
+    caps; a region-constant vector has few runs.
     Shapes are screened by the upper bound 1/2 max_half + pinned_b + tail(b),
     where tail(b) bounds every slot by the shape's largest slot value (the
     sparser side's unit 1/(min(n1,n2) 2^(Kb-1))) against the positive
@@ -415,21 +435,21 @@ def structured_dp(layout: EltonLayout, v) -> tuple[Fraction, dict]:
                     break
                 # exact DP for shape (a, b): a slot times a value is over s * unit
                 slots, unit = _slot_tiling(p, a, b, N - b)
-                cells_used += (N - b) * max(1, len(slots))
+                runs = [(x, sum(1 for _ in grp)) for x, grp in groupby(sv[b + 1:])]
+                cells_used += len(runs) * len(slots)
                 if cells_used > _DP_CELL_BUDGET:
                     raise SizeError("structured dp expansion exceeded its cell budget "
                                     f"of {_DP_CELL_BUDGET} cells")
-                blk, M_final, placed = _block_max_int(slots, sv[b + 1:])
+                blk, f_final, argmax = _block_max_runs(slots, runs)
                 value = Fraction((sv[a] + 2 * sv[b]) * unit + 2 * blk, 2 * s * unit)
                 if value > best:
                     best = value
                     best_wit = {"kind": "shape", "a": a, "b": b, "sigma": sigma,
                                 "block_value": Fraction(blk, s * unit)}
-                    best_block = (slots, unit, sv[b + 1:], M_final, placed)
+                    best_block = (slots, unit, runs, f_final, argmax)
     if best_wit["kind"] == "shape":
-        slots, unit, val_nums, M_final, placed = best_block
-        assignment = _backtrack_assignment(slots, val_nums, M_final, placed,
-                                           best_wit["b"] + 1)
+        slots, unit, runs, f_final, argmax = best_block
+        assignment = _backtrack_runs(slots, runs, f_final, argmax, best_wit["b"] + 1)
         best_wit["assignment_spans"] = [
             (lo, hi, Fraction(x, unit))
             for lo, hi, x in _spans_from_assignment(assignment, slots)]
@@ -490,7 +510,6 @@ def k_lower_certificate(p: EltonParams) -> dict:
             "pairing_minus": triple.functional.pair_layout_vector(layout, triple.minus),
             "norm_plus_lower": norm_plus,
             "norm_minus_upper": norm_minus,
-            "ratio_exact": norm_plus / norm_minus,
             "ratio_lower": norm_plus / norm_minus,
             "witness_plus": num_wit,
             "witness_minus": den_wit,

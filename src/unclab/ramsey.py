@@ -31,8 +31,13 @@ from functools import cached_property
 from itertools import combinations
 
 from .caps import check_cap, load_caps
-from .errors import DomainError, SchemaError
+from .errors import DomainError, InternalError, SchemaError
 from .rationals import _subsets
+
+
+def _mask(xs) -> int:
+    """A set of positive integers as an int with bit c - 1 set for each c."""
+    return sum(1 << (c - 1) for c in xs)
 
 
 def _as_sorted_tuple(xs) -> tuple[int, ...]:
@@ -142,8 +147,9 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
 
     Deterministic order: L by ascending bitmask over {1..universe}, then the
     leading block of M in lexicographic order, completed by the maximal
-    admissible tail. Reports carry the fixed-depth determinacy note and are
-    inconclusive on absence.
+    admissible tail. Sets are int bitmasks, bit c - 1 for coordinate c.
+    Reports carry the fixed-depth determinacy note and are inconclusive on
+    absence.
     """
     check_cap(universe, load_caps().match_universe, "match universe")
     missing = pmap.missing_prefixes(universe)
@@ -154,30 +160,38 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
     d = pmap.depth
     h = max(d, horizon if horizon is not None else d)
     table = pmap._by_prefix
+    full = (1 << universe) - 1
     prefixes = list(combinations(range(1, universe + 1), d))
+    rows: dict = {}   # L's leading block -> its pair() with every block in prefixes
     checked = 0
 
-    def try_pair(L: tuple[int, ...], FL, P: tuple[int, ...]):
-        FM = table[P]
-        S = set()
-        for a, b in zip(FL, FM):
-            S |= set(a) & set(b)
-        Lset = set(L)
-        Pset = set(P)
-        top = P[-1]
-        if {s for s in S if s <= top} != (Pset & Lset):
-            return None
-        S_high = {s for s in S if s > top}
-        if not S_high <= Lset:
-            return None
-        tail = S_high | {u for u in range(top + 1, universe + 1)
-                         if u not in Lset}
-        M = tuple(sorted(Pset | tail))
-        if len(M) < h or set(M) == Lset:
-            return None
-        wit = MatchingWitness(L, M, FL, FM)
+    def pair(Lpre: tuple[int, ...], P: tuple[int, ...]) -> tuple[int, int, int]:
+        """As masks: S, the union of the component overlaps of Lpre and P (-1
+        when some component pair is not initial-segment comparable), P, and
+        the coordinates above P."""
+        FL, FM = table[Lpre], table[P]
+        comparable = all(is_initial_segment(a, b) or is_initial_segment(b, a)
+                         for a, b in zip(FL, FM))
+        S = _mask(set().union(*(a & b for a, b in zip(FL, FM)))) if comparable else -1
+        return S, _mask(P), full >> P[-1] << P[-1]
+
+    def scan(Lm: int, pairs) -> tuple[int, int] | None:
+        """The first (position, M as a mask) in `pairs` at which L (the mask
+        Lm) and the block P complete to a matched pair. Every F_j(M) lies in
+        P, so S does too, and they match exactly when S = P cap L: M is P
+        plus every coordinate above P outside L, so L cap M = P cap L."""
+        for i, (S, Pm, above) in enumerate(pairs):
+            if S == Pm & Lm:
+                Mm = Pm | above & ~Lm
+                if Mm != Lm and Mm.bit_count() >= h:
+                    return i, Mm
+        return None
+
+    def witness(L: tuple[int, ...], Mm: int, P: tuple[int, ...]) -> MatchingWitness:
+        M = tuple(c for c in range(1, universe + 1) if Mm >> (c - 1) & 1)
+        wit = MatchingWitness(L, M, table[L[:d]], table[P])
         if not validate_matching(wit)["ok"]:
-            return None
+            raise InternalError(f"matched pair {L}, {M} fails validate_matching")
         return wit
 
     base = {
@@ -190,13 +204,16 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
         for L in _subsets(tuple(range(1, universe + 1))):
             if len(L) < h:   # h >= depth >= 1 skips the empty set
                 continue
-            FL = table[L[:d]]
-            for P in prefixes:
-                checked += 1
-                wit = try_pair(L, FL, P)
-                if wit is not None:
-                    return {**base, "found": True, "witness": wit,
-                            "checked": checked, "strategy": strategy}
+            Lpre = L[:d]
+            if Lpre not in rows:
+                rows[Lpre] = [pair(Lpre, P) for P in prefixes]
+            hit = scan(_mask(L), rows[Lpre])
+            if hit is None:
+                checked += len(prefixes)
+                continue
+            i, Mm = hit
+            return {**base, "found": True, "witness": witness(L, Mm, prefixes[i]),
+                    "checked": checked + i + 1, "strategy": strategy}
         return {**base, "found": False, "witness": None, "checked": checked,
                 "strategy": strategy}
     if strategy == "random":
@@ -209,9 +226,9 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
             L = tuple(sorted(rng.sample(population, size)))
             P = tuple(sorted(rng.sample(population, d)))
             checked += 1
-            wit = try_pair(L, table[L[:d]], P)
-            if wit is not None:
-                return {**base, "found": True, "witness": wit,
+            hit = scan(_mask(L), [pair(L[:d], P)])
+            if hit is not None:
+                return {**base, "found": True, "witness": witness(L, hit[1], P),
                         "checked": checked, "strategy": strategy,
                         "seed": seed}
         return {**base, "found": False, "witness": None, "checked": checked,

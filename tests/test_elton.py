@@ -10,8 +10,8 @@ from unclab import elton
 from unclab.elton import (
     EltonParams,
     LayoutVector,
-    _backtrack_assignment,
-    _block_max_int,
+    _backtrack_runs,
+    _block_max_runs,
     _dense_values,
     _slot_tiling,
     brute_miniature,
@@ -101,14 +101,13 @@ def test_k_lower_certificate_184():
     cert = k_lower_certificate(P184)
     assert sorted(cert) == [
         "case_bounds", "norm_minus_upper", "norm_plus_lower", "pairing_minus",
-        "pairing_plus", "params", "ratio_case", "ratio_exact", "ratio_lower",
-        "universe", "verification", "witness_minus", "witness_plus"]
+        "pairing_plus", "params", "ratio_case", "ratio_lower", "universe",
+        "verification", "witness_minus", "witness_plus"]
     assert cert["universe"] == 1154
     assert cert["verification"] == "dp"
     assert cert["pairing_plus"] == F(5, 4) and cert["pairing_minus"] == 1
     assert cert["norm_plus_lower"] == F(5, 4)
     assert cert["norm_minus_upper"] == 1
-    assert cert["ratio_exact"] == F(5, 4)
     assert cert["ratio_lower"] == F(5, 4)
     assert cert["ratio_case"] == F(10, 9)
     # the optimal functional grabs both distinguished coordinates and tiles
@@ -258,10 +257,71 @@ def ref_slot_values(p, a, b, count):
     return out
 
 
+def ref_block_max(slot_nums, val_nums):
+    # the per-coordinate block DP: M[j] = best with exactly j slots placed so
+    # far; coordinates stream left to right, slots consume in order,
+    # placement optional; placed[i][j] is 1 where coordinate i raised M[j]
+    n_slots = len(slot_nums)
+    M = [0] + [None] * n_slots
+    placed = []
+    for seen, x in enumerate(val_nums, start=1):
+        row = bytearray(n_slots + 1)
+        for j in range(min(n_slots, seen), 0, -1):
+            cand = M[j - 1] + slot_nums[j - 1] * x
+            if M[j] is None or cand > M[j]:
+                M[j] = cand
+                row[j] = 1
+        placed.append(row)
+    return max(m for m in M if m is not None), M, placed
+
+
+def ref_backtrack(val_nums, M_final, placed, coords_base):
+    # one optimal (slot, coordinate) assignment: the largest optimal slot
+    # count, each slot on the last coordinate that placed it
+    best = max(m for m in M_final if m is not None)
+    j = max(idx for idx, m in enumerate(M_final) if m == best)
+    assignment = []
+    for ci in range(len(val_nums) - 1, -1, -1):
+        if j and placed[ci][j]:
+            assignment.append((j, coords_base + ci))
+            j -= 1
+    assert j == 0
+    return assignment[::-1]
+
+
+def test_block_dp_equals_per_coordinate_reference():
+    # run-length values (negative, zero, long and tied runs), dense values
+    # (every run of length 1), and slot counts from one to beyond the
+    # coordinates, each against the per-coordinate DP
+    rng = random.Random("value-run-block")
+    covered = set()
+    for trial in range(1500):
+        n_slots = rng.choice([1, rng.randint(1, 6), rng.randint(1, 40)])
+        if trial % 3:
+            unit = rng.randint(1, 4)
+            slots = [unit * rng.choice([1, 8]) for _ in range(n_slots)]
+        else:
+            slots = [rng.randint(1, 9) for _ in range(n_slots)]
+        if trial % 2:
+            vals = [x for _ in range(rng.randint(0, 7))
+                    for x in [rng.randint(-3, 3)] * rng.randint(1, 9)]
+        else:
+            vals = [rng.randint(-4, 4) for _ in range(rng.randint(0, 30))]
+        runs = [(x, len(list(grp))) for x, grp in itertools.groupby(vals)]
+        covered |= {("more slots than coordinates", len(slots) > len(vals)),
+                    ("dense", len(runs) == len(vals)), ("one slot", len(slots) == 1)}
+        best, M_final, placed = ref_block_max(slots, vals)
+        got_best, f_final, argmax = _block_max_runs(slots, runs)
+        assert (got_best, f_final) == (best, M_final)
+        assert (_backtrack_runs(slots, runs, f_final, argmax, 5)
+                == ref_backtrack(vals, M_final, placed, 5))
+    assert len(covered) == 6
+
+
 def ref_structured_dp(layout, v):
-    # structured_dp with Fraction pruning bounds and each shape's slots and
-    # values put over their own common denominator; the int block DP and
-    # its backtrack are the library's
+    # structured_dp with Fraction pruning bounds, each shape's slots and
+    # values put over their own common denominator, and the per-coordinate
+    # block DP
     N = layout.universe
     vals = _dense_values(layout, v)
     p = layout.params
@@ -297,18 +357,17 @@ def ref_structured_dp(layout, v):
                 slots = ref_slot_values(p, a, b, N - b)
                 denom, nums = _common_denominator(slots + sv[b + 1:])
                 slot_nums, val_nums = nums[:len(slots)], nums[len(slots):]
-                blk_int, M_final, placed = _block_max_int(slot_nums, val_nums)
+                blk_int, M_final, placed = ref_block_max(slot_nums, val_nums)
                 blk = F(blk_int, denom * denom)
                 if F(1, 2) * sv[a] + sv[b] + blk > best:
                     best = F(1, 2) * sv[a] + sv[b] + blk
                     best_wit = {"kind": "shape", "a": a, "b": b, "sigma": sigma,
                                 "block_value": blk}
-                    best_block = (slots, slot_nums, val_nums, M_final, placed)
+                    best_block = (slots, val_nums, M_final, placed)
     if best_wit["kind"] == "shape":
-        slots, slot_nums, val_nums, M_final, placed = best_block
+        slots, val_nums, M_final, placed = best_block
         spans = []
-        for j, c in _backtrack_assignment(slot_nums, val_nums, M_final, placed,
-                                          best_wit["b"] + 1):
+        for j, c in ref_backtrack(val_nums, M_final, placed, best_wit["b"] + 1):
             if spans and spans[-1][1] == c - 1 and spans[-1][2] == slots[j - 1]:
                 spans[-1] = (spans[-1][0], c, slots[j - 1])
             else:

@@ -191,6 +191,87 @@ def test_search_guards(map_a):
         search_matching(identity_map(4, 1), 40)  # over the match cap
 
 
+def ref_search_matching(pmap, universe, horizon, strategy, seed=None, budget=300):
+    # the set-based scan: every (L, P) pair in the library's order, the tail
+    # built from Python sets and each candidate pair checked with
+    # validate_matching; returns (found, witness, checked)
+    d = pmap.depth
+    h = max(d, horizon)
+    table = dict(pmap.entries)
+    prefixes = list(itertools.combinations(range(1, universe + 1), d))
+
+    def try_pair(L, FL, P):
+        FM = table[P]
+        S = set()
+        for a, b in zip(FL, FM):
+            S |= set(a) & set(b)
+        Lset, Pset, top = set(L), set(P), P[-1]
+        if {s for s in S if s <= top} != (Pset & Lset):
+            return None
+        S_high = {s for s in S if s > top}
+        if not S_high <= Lset:
+            return None
+        tail = S_high | {u for u in range(top + 1, universe + 1) if u not in Lset}
+        M = tuple(sorted(Pset | tail))
+        if len(M) < h or set(M) == Lset:
+            return None
+        wit = MatchingWitness(L, M, FL, FM)
+        return wit if validate_matching(wit)["ok"] else None
+
+    checked = 0
+    if strategy == "exhaustive":
+        for mask in range(1 << universe):
+            L = tuple(c for c in range(1, universe + 1) if mask >> (c - 1) & 1)
+            if len(L) < h:
+                continue
+            for P in prefixes:
+                checked += 1
+                wit = try_pair(L, table[L[:d]], P)
+                if wit is not None:
+                    return True, wit, checked
+        return False, None, checked
+    rng = random.Random(seed)
+    population = list(range(1, universe + 1))
+    for _ in range(budget):
+        L = tuple(sorted(rng.sample(population, rng.randint(h, universe))))
+        P = tuple(sorted(rng.sample(population, d)))
+        checked += 1
+        wit = try_pair(L, table[L[:d]], P)
+        if wit is not None:
+            return True, wit, checked
+    return False, None, checked
+
+
+def random_prefix_map(rng, universe, depth, components):
+    # each prefix is cut into `components` successive blocks (some empty
+    # when there are more components than elements) and F_j is a random
+    # nonempty subset of block j
+    table = {}
+    for P in itertools.combinations(range(1, universe + 1), depth):
+        cuts = sorted(rng.choices(range(depth + 1), k=components - 1))
+        blocks = [P[lo:hi] for lo, hi in zip([0] + cuts, cuts + [depth])]
+        table[P] = tuple(frozenset(rng.sample(b, rng.randint(1, len(b))) if b else ())
+                         for b in blocks)
+    return PrefixContinuousMap.from_dict(depth, table)
+
+
+def test_search_equals_set_based_reference():
+    rng = random.Random("bitmask-match")
+    outcomes = set()
+    for trial in range(48):
+        universe, depth = rng.randint(5, 9), rng.randint(1, 3)
+        pmap = random_prefix_map(rng, universe, depth, rng.randint(1, 3))
+        horizon = rng.randint(depth, universe)
+        strategy = ("exhaustive", "random")[trial % 2]
+        seed = rng.randint(0, 10 ** 6)
+        got = search_matching(pmap, universe, horizon=horizon, strategy=strategy,
+                              seed=seed, budget=300)
+        want = ref_search_matching(pmap, universe, horizon, strategy, seed)
+        assert (got["found"], got["witness"], got["checked"]) == want
+        outcomes.add((strategy, got["found"]))
+    assert len(outcomes) == 4
+
+
 # -------------------------------------------------------------- colour families
 
 def test_pattern_helpers():
