@@ -10,7 +10,8 @@ workloads' inputs:
   startup    one CLI job in a fresh interpreter, started as perfbench/run.py
              starts its jobs ([python, -c, "from unclab.cli import main;
              main()", ...] from the repository root), timed from spawn to
-             exit: `--help` and a `bracket` on the two resolution fixtures;
+             exit: `--help`, a `bracket` on the two resolution fixtures and
+             a grid `constant` (C_uncond, step 1/2) on norm_summing4.json;
              work counters modules_executed, the unclab module bodies the
              job runs, and modules_loaded, len(sys.modules) when it exits
              (both counted in one more, untimed, run through an audit hook).
@@ -80,7 +81,9 @@ DP_SLOTS = (("rung1", "elton"), ("layout", "elton", 3))   # Certificates.SLOTS e
 MATCH_SLOTS = (("match", 10, 6), ("match", 11, 6))   # Certificates.SLOTS entries
 STARTUP = (("help", ["--help"]),
            ("bracket", ["bracket", "tests/fixtures/resolution_r.json",
-                        "tests/fixtures/resolution_s.json"]))
+                        "tests/fixtures/resolution_s.json"]),
+           ("constant", ["constant", "--instance", "tests/fixtures/norm_summing4.json",
+                         "--mode", "C_uncond", "--step", "1/2"]))
 JOB = "from unclab.cli import main; main()"
 # prints the unclab module bodies executed and the modules loaded as the last stderr line
 COUNT_MODULES = """\
@@ -258,7 +261,7 @@ def main() -> None:
         return
 
     doc = {
-        "kernels": "CLI start-up (--help, bracket), "
+        "kernels": "CLI start-up (--help, bracket, constant), "
                    "unclab.resolutions.bracket (method dp), unclab.norms.eval_norm, "
                    "unclab.constants.compute_constant (method grid, mode C_uncond), "
                    "unclab.elton.structured_dp, unclab.ramsey.search_matching",

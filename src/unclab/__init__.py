@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "caps": ("Caps", "load_caps"),
     "constants": ("ConstantQuery", "ConstantReport", "ConstantWitness",
-                  "compute_constant", "verify_witness"),
+                  "compute_constant"),
     "elton": ("EltonLayout", "EltonParams", "LayoutVector", "StructuredFunctional",
               "VectorTriple", "brute_miniature", "build_layout", "build_vectors",
               "case_bounds", "elton_ladder", "k_lower_certificate",
@@ -54,10 +54,12 @@ caps = _register_lazy("caps")
 constants = _register_lazy("constants")
 elton = _register_lazy("elton")
 errors = _register_lazy("errors")
+lp = _register_lazy("lp")
 mrdemo = _register_lazy("mrdemo")
 norms = _register_lazy("norms")
 ramsey = _register_lazy("ramsey")
 rationals = _register_lazy("rationals")
+record = _register_lazy("record")
 resolutions = _register_lazy("resolutions")
 schreier = _register_lazy("schreier")
 serialize = _register_lazy("serialize")

@@ -10,13 +10,12 @@ Unknown names are rejected so typos do not silently keep defaults.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
 
 from .errors import DomainError, SizeError
+from .record import Record
 
 
-@dataclass
-class Caps:
+class Caps(Record, frozen=False):
     brute_bracket: int = 8          # max resolution length for bracket method="brute"
     grid_dim: int = 10              # max instance dim for compute_constant grid
     grid_points: int = 1_000_000    # max lattice points (2s+1)^dim - 1 of a grid at step 1/s
@@ -35,7 +34,6 @@ def load_caps() -> Caps:
     raw = os.environ.get("UNCLAB_CAPS", "").strip()
     if not raw:
         return caps
-    names = {f.name for f in fields(Caps)}
     for item in raw.split(","):
         item = item.strip()
         if not item:
@@ -44,7 +42,7 @@ def load_caps() -> Caps:
             raise DomainError(f"UNCLAB_CAPS entry {item!r} is not name=value")
         name, _, value = item.partition("=")
         name = name.strip()
-        if name not in names:
+        if name not in Caps._fields:
             raise DomainError(f"UNCLAB_CAPS names unknown cap {name!r}")
         try:
             setattr(caps, name, int(value))

@@ -43,19 +43,21 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__,
                                      allow_abbrev=False)
     verbs = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
-    takes_value = {}
+    argv = sys.argv[1:] if args is None else list(args)
+    # every verb is listed, but only the one that runs, argv[0], gets its arguments
+    takes_value = None
     for name, command in main.commands.items():
         sub = verbs.add_parser(name, help=command.help, description=command.help,
                                allow_abbrev=False)
-        actions = [sub.add_argument(*names, **kwargs) for names, kwargs in command.arguments]
-        takes_value[name] = {s for a in actions if a.nargs != 0 for s in a.option_strings}
-    argv = sys.argv[1:] if args is None else list(args)
-    if argv and argv[0] in takes_value:
+        if argv[:1] == [name]:
+            actions = [sub.add_argument(*names, **kwargs) for names, kwargs in command.arguments]
+            takes_value = {s for a in actions if a.nargs != 0 for s in a.option_strings}
+    if takes_value is not None:
         # an option takes the next word as its value, even one such as -1/2
         # that argparse would read as an option: pass it as --opt=VALUE
         words, argv = iter(argv[1:]), argv[:1]
         for word in words:
-            value = next(words, None) if word in takes_value[argv[0]] else None
+            value = next(words, None) if word in takes_value else None
             argv.append(word if value is None else f"{word}={value}")
     kwargs = vars(parser.parse_args(argv))
     main.commands[kwargs.pop("verb")].callback(**kwargs)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
 from math import lcm
@@ -28,12 +27,12 @@ from .caps import check_cap, load_caps
 from .errors import DomainError, InternalError, SizeError
 from .norms import SparseVector
 from .rationals import _common_denominator
+from .record import Record
 
 TWO = Fraction(2)
 
 
-@dataclass(frozen=True)
-class EltonParams:
+class EltonParams(Record):
     n1: int
     n2: int
     K: int
@@ -66,8 +65,7 @@ def validate_params(p: EltonParams) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
-@dataclass(frozen=True)
-class EltonLayout:
+class EltonLayout(Record):
     params: EltonParams
     universe: int          # n_slots + 2
     n_slots: int
@@ -114,8 +112,7 @@ def build_layout(p: EltonParams) -> EltonLayout:
     )
 
 
-@dataclass(frozen=True)
-class LayoutVector:
+class LayoutVector(Record):
     """Vector constant on each layout region."""
     at_first: Fraction
     at_second: Fraction
@@ -135,8 +132,7 @@ class LayoutVector:
                    abs(self.on_e1), abs(self.on_e2))
 
 
-@dataclass(frozen=True)
-class StructuredFunctional:
+class StructuredFunctional(Record):
     """The canonical dual vector of a layout: 1/2 and 1 at the distinguished
     pair, u1 on E1, u2 on E2. u1*|E1| = u2*|E2| = 1."""
     u1: Fraction
@@ -148,8 +144,7 @@ class StructuredFunctional:
                 + self.u2 * layout.e2_size * v.on_e2)
 
 
-@dataclass(frozen=True)
-class VectorTriple:
+class VectorTriple(Record):
     minus: LayoutVector
     plus: LayoutVector
     functional: StructuredFunctional

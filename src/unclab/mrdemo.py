@@ -16,11 +16,11 @@ here is a finite exact-arithmetic model; results are labelled exploratory.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .norms import Functional, NormInstance, SparseVector, eval_norm
+from .record import Record
 from .resolutions import Resolution, mutual_bracket
 
 MAX_BLOCKS = 32
@@ -33,8 +33,7 @@ def phi_index(seed: int, stage: int, prev_index: int, start: int, size: int) -> 
     return int.from_bytes(digest[:8], "big") % size
 
 
-@dataclass(frozen=True)
-class PlacedBlock:
+class PlacedBlock(Record):
     family_index: int
     start: int
     vector: SparseVector

@@ -16,12 +16,12 @@ The grid search in constants.py calls the same kernel on its lattice points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .caps import check_cap, load_caps
 from .errors import DomainError, InternalError
 from .rationals import _common_denominator
+from .record import Record
 
 PROJECTION_CLASSES = ("initial_segments", "intervals", "all_subsets")
 
@@ -39,8 +39,7 @@ def _canon_entries(entries) -> tuple[tuple[int, Fraction], ...]:
     return tuple(sorted(seen.items()))
 
 
-@dataclass(frozen=True)
-class SparseVector:
+class SparseVector(Record):
     """Sorted nonzero (coordinate, value) pairs; a functional is one too."""
     entries: tuple[tuple[int, Fraction], ...]
 
@@ -61,13 +60,6 @@ class SparseVector:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def sup_norm(self) -> Fraction:
-        return max((abs(v) for _, v in self.entries), default=Fraction(0))
-
-    def restrict(self, keep) -> "SparseVector":
-        keep = set(keep)
-        return SparseVector(tuple((i, v) for i, v in self.entries if i in keep))
 
     def scale(self, c) -> "SparseVector":
         c = Fraction(c)
@@ -93,8 +85,7 @@ class SparseVector:
 Functional = SparseVector
 
 
-@dataclass(frozen=True)
-class NormInstance:
+class NormInstance(Record):
     dim: int
     functionals: tuple[Functional, ...]
     projection_class: str = "initial_segments"
@@ -200,8 +191,7 @@ def _projections(inst: NormInstance):
                 yield tuple(range(s, t + 1))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     value: Fraction
     kind: str                      # "functional" | "sup" | "zero"
     functional_index: int | None = None

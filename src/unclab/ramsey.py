@@ -26,13 +26,13 @@ entries and zeroing everything else.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
 from .caps import check_cap, load_caps
 from .errors import DomainError, InternalError, SchemaError
 from .rationals import _subsets
+from .record import Record
 
 
 def _mask(xs) -> int:
@@ -47,8 +47,7 @@ def _as_sorted_tuple(xs) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class PrefixContinuousMap:
+class PrefixContinuousMap(Record):
     """F_1 < ... < F_n read off the `depth` smallest elements of the set."""
     depth: int
     components: int
@@ -105,8 +104,7 @@ def is_initial_segment(A, B) -> bool:
     return len(a) <= len(b) and b[:len(a)] == a
 
 
-@dataclass(frozen=True)
-class MatchingWitness:
+class MatchingWitness(Record):
     L: tuple[int, ...]
     M: tuple[int, ...]
     FL: tuple[frozenset[int], ...]
@@ -241,11 +239,10 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
 Pattern = frozenset  # of (element, colour) pairs; colour 0 is encoded by absence
 
 
-@dataclass(frozen=True)
-class ColourFamily:
+class ColourFamily(Record, uncompared=("members",)):
     k: int
     universe: int
-    members: tuple[Pattern, ...] = field(compare=False)
+    members: tuple[Pattern, ...]
 
     def __post_init__(self):
         if self.k < 1 or self.universe < 1:

@@ -16,18 +16,17 @@ method "brute" is its oracle on short inputs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .caps import check_cap, load_caps
 from .errors import DomainError, InternalError, SizeError
 from .rationals import _common_denominator
+from .record import Record
 
 TWO = Fraction(2)
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(Record):
     k: int
     pattern: tuple[int, ...]
     alpha: tuple[Fraction, ...]

@@ -9,11 +9,11 @@ far as possible never increases the number of parts needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .norms import SparseVector
+from .record import Record
 
 
 def oscillation(a: SparseVector, E) -> Fraction:
@@ -53,8 +53,7 @@ def schreier_member(order: int, E) -> bool:
     raise DomainError(f"schreier order must be 1 or 2, got {order}")
 
 
-@dataclass(frozen=True)
-class SchreierDecomposition:
+class SchreierDecomposition(Record):
     blocks: tuple[tuple[int, ...], ...]
 
 

@@ -7,7 +7,6 @@ trailing newline. Byte-identical across runs for identical inputs.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +14,7 @@ from pathlib import Path
 from . import norms, ramsey, resolutions
 from .errors import DomainError, MissingInputError, SchemaError
 from .rationals import format_rational, parse_rational
+from .record import Record
 
 _CLASS_ALIASES = {
     "initial": "initial_segments",
@@ -41,9 +41,8 @@ def to_jsonable(obj):
         return [to_jsonable(x) for x in sorted(obj)]
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+    if isinstance(obj, Record):
+        return {name: to_jsonable(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, float):
         raise DomainError("refusing to serialize a float; use exact rationals")
     return str(obj)

@@ -9,7 +9,11 @@ from typing import NamedTuple
 import pytest
 
 from unclab import cli
+from unclab.errors import DomainError
+from unclab.lp import _kstar_denominator
+from unclab.norms import SparseVector, eval_norm
 from unclab.resolutions import Resolution
+from unclab.schreier import oscillation, schreier_decompose, schreier_member
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -127,7 +131,6 @@ def level_split(a, delta: Fraction) -> LevelSplit:
 
 def rand_sparse(rng: random.Random, dim: int, denom: int = 8,
                 allow_zero: bool = False):
-    from unclab.norms import SparseVector
     while True:
         entries = [(i, Fraction(rng.randint(-denom, denom), denom))
                    for i in range(1, dim + 1)]
@@ -150,5 +153,63 @@ def brute_norm(inst, v) -> Fraction:
     vals = [sum((c * av.get(i, 0) for i, c in f.entries if i in E), Fraction(0))
             for f in inst.functionals for E in sets]
     if inst.include_sup:
-        vals.append(v.sup_norm())
+        vals.append(sup_norm(v))
     return max(vals, default=Fraction(0))
+
+
+def sup_norm(v) -> Fraction:
+    """max |v_i| of a SparseVector, 0 for the zero vector."""
+    return max((abs(x) for _, x in v.entries), default=Fraction(0))
+
+
+def restrict(v, keep):
+    """P_keep v: the SparseVector v with the coordinates outside keep dropped."""
+    keep = set(keep)
+    return SparseVector(tuple((i, x) for i, x in v.entries if i in keep))
+
+
+def verify_witness(inst, query, wit) -> Fraction:
+    """Recompute a constant witness's ratio from scratch in Fractions,
+    checking the mode's feasibility; a DomainError names the first failure."""
+    a, E = wit.a, wit.E
+    av = a.as_dict()
+    mode = query.mode
+    if mode in ("K", "L") and sup_norm(a) > 1:
+        raise DomainError("witness violates sup bound")
+    if mode in ("K", "Kprime"):
+        if any(abs(av.get(i, 0)) < query.delta for i in E):
+            raise DomainError("witness E leaves the threshold set")
+    if mode in ("L", "Lprime"):
+        if any(abs(v) < query.delta for _, v in a.entries):
+            raise DomainError("witness support dips under delta")
+    if mode == "quasi_greedy":
+        v = wit.threshold
+        expect = tuple(i for i in range(1, inst.dim + 1) if abs(av.get(i, 0)) >= v)
+        if tuple(sorted(E)) != expect:
+            raise DomainError("witness E is not the threshold set")
+    if mode == "BOU":
+        if oscillation(a, E) > query.D:
+            raise DomainError("witness oscillation exceeds D")
+        if schreier_decompose(a, E, query.d) is None:
+            raise DomainError("witness has no admissible block split")
+    if mode == "schreier" and not schreier_member(query.order, E):
+        raise DomainError("witness E is not Schreier-admissible")
+    if mode == "Kstar":
+        f = inst.functionals[wit.point_index]
+        fv = f.as_dict()
+        if any(abs(fv.get(i, 0)) < query.delta for i in E):
+            raise DomainError("witness E leaves the point's delta-large set")
+        num = f.apply(restrict(a, E))
+        den = _kstar_denominator(inst, a)
+    else:
+        num = eval_norm(inst, restrict(a, E))
+        den = eval_norm(inst, a)
+    if mode == "A":
+        total = sum((abs(av.get(i, 0)) for i in E), Fraction(0))
+        if query.delta * total > num:
+            raise DomainError("witness fails the A-feasibility inequality")
+    if mode in ("Kprime", "Lprime") and den > 1:
+        raise DomainError("witness norm exceeds 1")
+    if den == 0:
+        raise DomainError("witness denominator vanishes")
+    return num / den

@@ -15,9 +15,9 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from conftest import (build_standard, colour_weight, interval_ladder, level_split,
-                      rand_resolution, rand_sparse)
+                      rand_resolution, rand_sparse, verify_witness)
 
-from unclab.constants import MODES, ConstantQuery, compute_constant, verify_witness
+from unclab.constants import MODES, ConstantQuery, compute_constant
 from unclab.elton import (EltonParams, LayoutVector, _slot_tiling,
                           build_layout, build_vectors, brute_miniature,
                           elton_ladder, k_lower_certificate,

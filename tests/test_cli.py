@@ -110,6 +110,69 @@ def test_help_lists_every_verb():
     assert "--delta DELTA" in usage and "_TEXT" not in usage and "_PATH" not in usage
 
 
+HELP = """\
+usage: unclab [-h] VERB ...
+
+Exact-rational workbench for sequence-space combinatorics.
+
+positional arguments:
+  VERB
+    bracket   Weighted matching value of two resolutions.
+    rademacher
+              Pairwise interaction table for a Rademacher-class family.
+    chain     Longest embedding chain among colour patterns.
+    norm      Evaluate an instance norm on a vector, with the attaining
+              functional.
+    constant  Extremal constant of an instance norm in the given mode.
+    elton     Certified norm-ratio lower bound for a two-scale layout.
+    quasi     Quasi-variant certificate with the threshold-projection
+              diagnosis.
+    mr-demo   Exploratory alternating-sum demo over a placed special sequence.
+    match     Search a universe for a matched pair under a prefix-determined
+              map.
+    hereditary
+              Hereditariness of colour-pattern family restrictions.
+
+options:
+  -h, --help  show this help message and exit
+"""
+CONSTANT_HELP = """\
+usage: unclab constant [-h] --instance INSTANCE --mode MODE [--delta DELTA]
+                       [--D D] [--d D] [--order ORDER] [--method {grid,lp}]
+                       [--step STEP] [--timing]
+
+Extremal constant of an instance norm in the given mode.
+
+options:
+  -h, --help           show this help message and exit
+  --instance INSTANCE
+  --mode MODE
+  --delta DELTA
+  --D D
+  --d D
+  --order ORDER
+  --method {grid,lp}
+  --step STEP
+  --timing             add the wall-clock time
+"""
+UNKNOWN_VERB = """\
+usage: unclab [-h] VERB ...
+unclab: error: argument VERB: invalid choice: 'nosuch' (choose from 'bracket', \
+'rademacher', 'chain', 'norm', 'constant', 'elton', 'quasi', 'mr-demo', 'match', \
+'hereditary')
+"""
+
+
+def test_usage_text_is_pinned(monkeypatch, invoke_cli):
+    # main builds only the running verb's arguments; the verb listing, a
+    # verb's own help and the unknown-verb error keep their text (argparse
+    # layout at 80 columns, Python 3.11)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke_cli(["--help"]) == (0, HELP.encode(), b"")
+    assert invoke_cli(["constant", "--help"]) == (0, CONSTANT_HELP.encode(), b"")
+    assert invoke_cli(["nosuch"]) == (2, b"", UNKNOWN_VERB.encode())
+
+
 def test_exit_code_5_internal_error(monkeypatch, invoke_cli):
     def broken(*args, **kwargs):
         raise unclab.InternalError("dp table inconsistent")

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_norm, build_standard
+from conftest import brute_norm, build_standard, restrict, verify_witness
 from unclab.constants import (
     DEFAULT_STEP,
     GRID_ONLY,
@@ -14,15 +14,10 @@ from unclab.constants import (
     ConstantQuery,
     ConstantReport,
     ConstantWitness,
-    _dedupe_forms,
-    _kstar_denominator,
-    _linear_pieces,
-    _lp_cells,
-    _lp_max,
     compute_constant,
-    verify_witness,
 )
 from unclab.errors import DomainError, SizeError
+from unclab.lp import _dedupe_forms, _kstar_denominator, _linear_pieces, _lp_cells, _lp_max
 from unclab.norms import PROJECTION_CLASSES, NormInstance, SparseVector
 from unclab.rationals import _subsets
 from unclab.schreier import oscillation, schreier_decompose, schreier_member
@@ -375,7 +370,7 @@ def ref_grid_search(inst, query, step):
         if query.mode in ("Kprime", "Lprime") and den > 1:
             continue
         for E, extras in ref_feasible_pairs(inst, query, a):
-            a_E = a.restrict(E)
+            a_E = restrict(a, E)
             if query.mode == "Kstar":
                 num = extras["kstar_f"].apply(a_E)
             else:

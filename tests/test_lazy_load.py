@@ -4,10 +4,12 @@ Every case runs in a fresh interpreter started the way perfbench/run.py
 starts a job: `python -c "from unclab.cli import main; main()" VERB ...`
 from the repository root with `src` on PYTHONPATH. An audit hook placed in
 front of that line records each module body that `exec` runs. When the
-interpreter exits, the last line of stderr lists the unclab ones, and the
+interpreter exits, the last line of stderr lists the unclab ones; the
 top-level packages the job imported that are neither unclab nor in the
-standard library: unclab has no runtime dependency, so every job's list
-must be empty.
+standard library; and which of `dataclasses` and `inspect` it imported.
+unclab has no runtime dependency, and its records do without
+`dataclasses` (which imports `inspect`, `ast`, `dis` and `tokenize`), so
+every job's last two lists must be empty.
 """
 
 import json
@@ -21,8 +23,8 @@ import unclab
 ROOT = Path(__file__).resolve().parent.parent
 # the source tree this test process imported unclab from; the child uses it too
 SRC = str(Path(unclab.__file__).resolve().parent.parent)
-LAYERS = ("serialize", "rationals", "resolutions", "norms", "constants",
-          "schreier", "elton", "mrdemo", "ramsey")
+LAYERS = ("serialize", "rationals", "resolutions", "norms", "constants", "lp",
+          "schreier", "elton", "mrdemo", "ramsey", "record")
 
 RECORD = """\
 import atexit, json, os, sys
@@ -37,7 +39,8 @@ def _hook(event, args):
 def _report():
     foreign = ({name.partition(".")[0] for name in set(sys.modules) - _start}
                - {"unclab", *sys.stdlib_module_names})
-    sys.stderr.write("\\n" + json.dumps([sorted(_ran), sorted(foreign)]) + "\\n")
+    heavy = {"dataclasses", "inspect"} & set(sys.modules)
+    sys.stderr.write("\\n" + json.dumps([sorted(_ran), sorted(foreign), sorted(heavy)]) + "\\n")
 sys.addaudithook(_hook)
 atexit.register(_report)
 """
@@ -46,8 +49,7 @@ JOB = "from unclab.cli import main; main()"
 # every package-level name of unclab, by the module it comes from
 EXPORTS = {
     "caps": "Caps load_caps",
-    "constants": "ConstantQuery ConstantReport ConstantWitness compute_constant "
-                 "verify_witness",
+    "constants": "ConstantQuery ConstantReport ConstantWitness compute_constant",
     "elton": "EltonLayout EltonParams LayoutVector StructuredFunctional VectorTriple "
              "brute_miniature build_layout build_vectors case_bounds elton_ladder "
              "k_lower_certificate quasi_case_bounds quasi_certificate "
@@ -80,8 +82,8 @@ def python(code: str, *args: str) -> subprocess.CompletedProcess:
 def executed(*argv: str) -> set[str]:
     proc = python(RECORD + JOB, *argv)
     assert proc.returncode == 0, proc.stderr
-    ran, foreign = json.loads(proc.stderr.splitlines()[-1])
-    assert foreign == []
+    ran, foreign, heavy = json.loads(proc.stderr.splitlines()[-1])
+    assert foreign == [] and heavy == []
     return set(ran)
 
 
@@ -89,7 +91,9 @@ def mods(*names: str) -> set[str]:
     return {"unclab", "unclab.cli", *(f"unclab.{n}" for n in names)}
 
 
-RESOLUTION_JOB = mods("serialize", "resolutions", "rationals", "caps", "errors")
+RESOLUTION_JOB = mods("serialize", "resolutions", "rationals", "caps", "errors", "record")
+# a constant job's modules before its method and mode add theirs
+CONSTANT_JOB = ("serialize", "constants", "norms", "rationals", "caps", "errors", "record")
 
 
 def test_help_executes_no_layer():
@@ -108,15 +112,27 @@ def test_chain_executes_only_its_layers():
 
 
 def test_constant_executes_only_its_layers():
+    # a grid job in a mode other than BOU or schreier runs neither lp nor schreier
     assert executed("constant", "--instance", "tests/fixtures/norm_summing4.json",
-                    "--mode", "C_uncond", "--step", "1/2") == mods(
-        "serialize", "constants", "norms", "schreier", "rationals", "caps", "errors")
+                    "--mode", "C_uncond", "--step", "1/2") == mods(*CONSTANT_JOB)
+
+
+def test_bou_constant_executes_schreier():
+    assert executed("constant", "--instance", "tests/fixtures/norm_summing4.json",
+                    "--mode", "BOU", "--D", "2", "--d", "1", "--step", "1/2") == mods(
+        *CONSTANT_JOB, "schreier")
+
+
+def test_lp_constant_executes_lp():
+    assert executed("constant", "--instance", "tests/fixtures/norm_pointcloud2.json",
+                    "--mode", "Kstar", "--delta", "1/2", "--method", "lp") == mods(
+        *CONSTANT_JOB, "lp")
 
 
 def test_match_executes_only_its_layers():
     assert executed("match", "--maps", "tests/fixtures/map_family_a.json",
                     "--universe", "12", "--horizon", "4") == mods(
-        "serialize", "ramsey", "rationals", "caps", "errors")
+        "serialize", "ramsey", "rationals", "caps", "errors", "record")
 
 
 def test_import_cli_registers_every_layer_and_runs_none():
@@ -125,7 +141,7 @@ def test_import_cli_registers_every_layer_and_runs_none():
     assert proc.returncode == 0, proc.stderr
     registered = set(json.loads(proc.stdout))
     assert {f"unclab.{layer}" for layer in LAYERS} <= registered
-    assert json.loads(proc.stderr.splitlines()[-1]) == [sorted(mods()), []]
+    assert json.loads(proc.stderr.splitlines()[-1]) == [sorted(mods()), [], []]
 
 
 def test_old_package_exports_resolve():

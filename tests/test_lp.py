@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unclab
-from unclab.constants import _lp_max
+from unclab.lp import _lp_max
 
 SRC = os.path.dirname(os.path.dirname(unclab.__file__))
 

@@ -35,14 +35,14 @@ REPORT_SCRIPTS = ("rademacher_table.py", "elton_ladder.py",
 # defs no golden case or report script enters, by module-qualified name,
 # each with the reason it stays
 UNREACHED = {
-    "constants.verify_witness": "oracle: re-checks a reported constant's witness "
-                                "(criterion 6)",
     "elton.brute_miniature": "oracle: exhaustive family maximum that structured_dp "
                              "is checked against (criterion 5)",
-    "norms.SparseVector.restrict": "read by the oracle verify_witness only",
-    "norms.SparseVector.sup_norm": "read by the oracle verify_witness only",
     "__init__.__getattr__": "package-level names; perfbench's LP_FIRST_CALL job "
                             "imports four of them from `unclab`",
+    "record.Record.__eq__": "value equality of records: the tests compare reports, "
+                            "witnesses and inputs; no entry point compares two",
+    "record.Record.__hash__": "frozen records hash by their compared fields, as they "
+                              "compare; no entry point hashes one",
 }
 
 RUN = """\

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import interval_ladder, level_split, rand_sparse
+from conftest import interval_ladder, level_split, rand_sparse, sup_norm
 from unclab.errors import DomainError
 from unclab.norms import SparseVector
 from unclab.schreier import oscillation, schreier_decompose, schreier_member
@@ -59,7 +59,7 @@ def test_level_split_seeded():
     rng = random.Random(21)
     for _ in range(200):
         a = rand_sparse(rng, 6, denom=32)
-        a = a.scale(Fraction(1, max(1, a.sup_norm())))
+        a = a.scale(Fraction(1, max(1, sup_norm(a))))
         delta = Fraction(rng.randint(1, 32), 32)
         split = level_split(a, delta)
         threshold = tuple(i for i, v in a.entries if abs(v) >= delta)
