@@ -15,7 +15,7 @@ from .errors import DomainError, SizeError
 from .record import Record
 
 
-class Caps(Record, frozen=False):
+class Caps(Record):
     brute_bracket: int = 8          # max resolution length for bracket method="brute"
     grid_dim: int = 10              # max instance dim for compute_constant grid
     grid_points: int = 1_000_000    # max lattice points (2s+1)^dim - 1 of a grid at step 1/s
@@ -30,10 +30,8 @@ class Caps(Record, frozen=False):
 
 
 def load_caps() -> Caps:
-    caps = Caps()
+    values = {}
     raw = os.environ.get("UNCLAB_CAPS", "").strip()
-    if not raw:
-        return caps
     for item in raw.split(","):
         item = item.strip()
         if not item:
@@ -45,10 +43,10 @@ def load_caps() -> Caps:
         if name not in Caps._fields:
             raise DomainError(f"UNCLAB_CAPS names unknown cap {name!r}")
         try:
-            setattr(caps, name, int(value))
+            values[name] = int(value)
         except ValueError:
             raise DomainError(f"UNCLAB_CAPS value for {name!r} is not an integer")
-    return caps
+    return Caps(**values)
 
 
 def check_cap(actual: int, cap: int, what: str) -> None:

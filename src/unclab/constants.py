@@ -77,7 +77,7 @@ class ConstantQuery(Record):
                 raise DomainError("mode schreier needs order 1 or 2")
 
 
-class ConstantWitness(Record, frozen=False):
+class ConstantWitness(Record):
     a: SparseVector
     E: tuple[int, ...]
     numerator: Fraction
@@ -88,7 +88,7 @@ class ConstantWitness(Record, frozen=False):
     piece: tuple[tuple[int, Fraction], ...] | None = None  # lp numerator form
 
 
-class ConstantReport(Record, frozen=False):
+class ConstantReport(Record):
     mode: str
     method: str
     value_lower: Fraction

@@ -239,7 +239,7 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
 Pattern = frozenset  # of (element, colour) pairs; colour 0 is encoded by absence
 
 
-class ColourFamily(Record, uncompared=("members",)):
+class ColourFamily(Record):
     k: int
     universe: int
     members: tuple[Pattern, ...]

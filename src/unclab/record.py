@@ -4,22 +4,16 @@ A subclass of `Record` declares its fields as class annotations, in order,
 with class-level defaults for the trailing ones; `_fields` lists their
 names. A record is built from its fields by position or by keyword, a dict
 default is copied for each record, and `__post_init__` runs last, so a
-subclass validates its fields there. Records compare and hash by their
-fields, leaving out the names a subclass gives in `uncompared`. A record is
-frozen unless its class is declared with `frozen=False`: the constructor
-writes each field once, and every later assignment raises AttributeError.
-A settable record is unhashable.
+subclass validates its fields there. Records are frozen: the constructor
+writes the fields into the instance dict, and every assignment raises
+AttributeError. Records compare, hash and print by their fields.
 """
 
 
 class Record:
-    def __init_subclass__(cls, frozen: bool = True, uncompared: tuple = ()):
+    def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
-        cls._compared = tuple(n for n in cls._fields if n not in uncompared)
         cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -32,22 +26,23 @@ class Record:
             args += tuple(kwargs[n] if n in kwargs else
                           dict(defaults[n]) if type(defaults[n]) is dict else defaults[n]
                           for n in rest)
-        for name, value in zip(names, args):
-            self.__setattr__(name, value)
+        self.__dict__.update(zip(names, args))
         self.__post_init__()
 
     def __post_init__(self):
         pass
 
     def __setattr__(self, name: str, value) -> None:
-        if name in self.__dict__ or name not in self._fields:
-            raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
-        self.__dict__[name] = value
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in self._compared)
+        return all(getattr(self, n) == getattr(other, n) for n in self._fields)
 
     def __hash__(self) -> int:
-        return hash(tuple(getattr(self, n) for n in self._compared))
+        return hash(tuple(getattr(self, n) for n in self._fields))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"

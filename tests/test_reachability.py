@@ -41,8 +41,11 @@ UNREACHED = {
                             "imports four of them from `unclab`",
     "record.Record.__eq__": "value equality of records: the tests compare reports, "
                             "witnesses and inputs; no entry point compares two",
-    "record.Record.__hash__": "frozen records hash by their compared fields, as they "
-                              "compare; no entry point hashes one",
+    "record.Record.__hash__": "records hash by their fields, as they compare; "
+                              "no entry point hashes one",
+    "record.Record.__setattr__": "records are frozen; no entry point assigns to one",
+    "record.Record.__repr__": "the tests' assertion diffs and debugging print "
+                              "records; no entry point prints one",
 }
 
 RUN = """\
