@@ -129,7 +129,7 @@ def sizes(lengths: list[int]):
     import unclab
     from unclab import elton
     from unclab.constants import ConstantQuery, compute_constant
-    from unclab.elton import EltonParams, build_layout, build_vectors, structured_dp
+    from unclab.elton import EltonParams, LayoutVector, build_layout, structured_dp
     from unclab.norms import SparseVector, eval_norm
     from unclab.ramsey import search_matching
     from unclab.rationals import parse_rational
@@ -190,7 +190,7 @@ def sizes(lengths: list[int]):
                                "digest": digest(report)})
 
     def dp_cells(layout, x) -> int:
-        values = [x.value(layout, c) for c in range(1, layout.universe + 1)]
+        values = elton._dense_values(layout, x)[1:]   # coordinates 1..universe
         expanded = []   # (b, slots) of each shape structured_dp expands
         tiling = elton._slot_tiling
 
@@ -220,7 +220,7 @@ def sizes(lengths: list[int]):
         p = EltonParams(int(opts["--n1"]), int(opts["--n2"]), int(opts["--K"]),
                         parse_rational(opts["--eps"]))
         layout = build_layout(p)
-        x = build_vectors(layout, "standard").minus
+        x = LayoutVector(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
         yield ("structured_dp", {"case": slot[0], "n1": p.n1, "n2": p.n2, "K": p.K,
                                  "universe": layout.universe},
                lambda layout=layout, x=x: structured_dp(layout, x),

@@ -4,8 +4,8 @@ Importing the package runs none of its modules. Every module except `cli`
 is registered through `importlib.util.LazyLoader`: it sits in `sys.modules`
 and on the package from the start, and its code runs the first time one of
 its attributes is read. The package-level names below resolve through a
-PEP 562 `__getattr__`, so `unclab.bracket` runs `unclab.resolutions` (and
-what that module imports) and nothing else.
+PEP 562 `__getattr__`, so `unclab.compute_constant` runs `unclab.constants`
+(and what that module imports) and nothing else.
 """
 
 import importlib.util
@@ -13,30 +13,10 @@ import sys
 
 __version__ = "0.1.0"
 
+# the names imported from the package itself rather than from their modules
 _EXPORTS = {
-    "caps": ("Caps", "load_caps"),
-    "constants": ("ConstantQuery", "ConstantReport", "ConstantWitness",
-                  "compute_constant"),
-    "elton": ("EltonLayout", "EltonParams", "LayoutVector", "StructuredFunctional",
-              "VectorTriple", "brute_miniature", "build_layout", "build_vectors",
-              "case_bounds", "elton_ladder", "k_lower_certificate",
-              "quasi_case_bounds", "quasi_certificate", "structured_dp",
-              "validate_params"),
-    "errors": ("DomainError", "InternalError", "MissingInputError",
-               "RationalFormatError", "SchemaError", "SizeError", "UnclabError"),
-    "mrdemo": ("coded_norm_instance", "mr_demo", "special_sequence"),
-    "norms": ("Certificate", "Functional", "NormInstance", "SparseVector",
-              "dual_certificate", "eval_norm"),
-    "ramsey": ("ColourFamily", "MatchingWitness", "PrefixContinuousMap",
-               "is_initial_segment", "remark_family", "restrict_pattern",
-               "search_matching", "validate_matching", "weakly_hereditary"),
-    "rationals": ("format_rational", "parse_rational"),
-    "resolutions": ("Resolution", "bracket", "build_rademacher",
-                    "choose_multiplicities", "explore_orthogonal_family",
-                    "longest_chain", "mutual_bracket", "pattern_embeds",
-                    "rademacher_bound", "repeat_resolution", "ris_condition"),
-    "schreier": ("SchreierDecomposition", "oscillation", "schreier_decompose",
-                 "schreier_member"),
+    "constants": ("ConstantQuery", "compute_constant"),
+    "norms": ("Functional", "NormInstance"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -342,10 +342,14 @@ def hereditary(universe, m1, m2, mode, restrict, samples, min_size, seed):
     elif samples is not None:
         if seed is None:
             raise errors.MissingInputError("--seed is required with --samples")
+        if samples < 1:
+            raise errors.DomainError(f"--samples must be >= 1, got {samples}")
         inputs["samples"] = samples
         inputs["seed"] = seed
         if min_size is None:
             min_size = 8
+        elif min_size < 0:
+            raise errors.DomainError(f"--min-size must be >= 0, got {min_size}")
         else:
             inputs["min_size"] = min_size
         rng = random.Random(seed)

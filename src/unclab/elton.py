@@ -67,25 +67,7 @@ def validate_params(p: EltonParams) -> dict:
 
 class EltonLayout(Record):
     params: EltonParams
-    universe: int          # n_slots + 2
-    n_slots: int
-    rounds: int
-    i_len: int
-    j_len: int
-    u1: Fraction
-    u2: Fraction
-    e1_size: int
-    e2_size: int
-
-    def region(self, c: int) -> str:
-        if c == 1:
-            return "first"
-        if c == 2:
-            return "second"
-        if not (3 <= c <= self.universe):
-            raise DomainError(f"coordinate {c} outside universe 1..{self.universe}")
-        offset = (c - 3) % (self.i_len + self.j_len)
-        return "E1" if offset < self.i_len else "E2"
+    universe: int          # the slots plus the distinguished pair
 
 
 def _n_slots(p: EltonParams, m2: int) -> int:
@@ -94,22 +76,9 @@ def _n_slots(p: EltonParams, m2: int) -> int:
 
 
 def build_layout(p: EltonParams) -> EltonLayout:
-    m1, m2 = p.m1, p.m2
-    n_slots = _n_slots(p, m2)
-    universe = n_slots + 2
+    universe = _n_slots(p, p.m2) + 2
     check_cap(universe, load_caps().layout_universe, "layout universe")
-    i_len = p.n1 * 2 ** (p.K * (m2 - m1))
-    j_len = p.n2 * 2 ** (p.K * (m2 - m1))
-    rounds = 2 ** (p.K * m1 - 1)
-    e1_size = p.n1 * 2 ** (p.K * m2 - 1)
-    e2_size = p.n2 * 2 ** (p.K * m2 - 1)
-    return EltonLayout(
-        params=p, universe=universe, n_slots=n_slots, rounds=rounds,
-        i_len=i_len, j_len=j_len,
-        u1=Fraction(1, p.n1 * 2 ** (p.K * m2 - 1)),
-        u2=Fraction(1, p.n2 * 2 ** (p.K * m2 - 1)),
-        e1_size=e1_size, e2_size=e2_size,
-    )
+    return EltonLayout(p, universe)
 
 
 class LayoutVector(Record):
@@ -119,64 +88,32 @@ class LayoutVector(Record):
     on_e1: Fraction
     on_e2: Fraction
 
-    def value(self, layout: EltonLayout, c: int) -> Fraction:
-        region = layout.region(c)
-        if region == "first":
-            return self.at_first
-        if region == "second":
-            return self.at_second
-        return self.on_e1 if region == "E1" else self.on_e2
-
     def sup_norm(self) -> Fraction:
         return max(abs(self.at_first), abs(self.at_second),
                    abs(self.on_e1), abs(self.on_e2))
 
-
-class StructuredFunctional(Record):
-    """The canonical dual vector of a layout: 1/2 and 1 at the distinguished
-    pair, u1 on E1, u2 on E2. u1*|E1| = u2*|E2| = 1."""
-    u1: Fraction
-    u2: Fraction
-
-    def pair_layout_vector(self, layout: EltonLayout, v: LayoutVector) -> Fraction:
-        return (Fraction(1, 2) * v.at_first + v.at_second
-                + self.u1 * layout.e1_size * v.on_e1
-                + self.u2 * layout.e2_size * v.on_e2)
+    def pairing(self) -> Fraction:
+        """Value of the layout's canonical functional on this vector: 1/2 and
+        1 at the distinguished pair, u1 on E1 and u2 on E2. u1*|E1| = u2*|E2|
+        = 1, so each block adds its value once, whatever the layout."""
+        return self.at_first / 2 + self.at_second + self.on_e1 + self.on_e2
 
 
-class VectorTriple(Record):
-    minus: LayoutVector
-    plus: LayoutVector
-    functional: StructuredFunctional
-    variant: str
-    alpha: Fraction | None = None
+# the standard vector x = -1/2 e_1 + 1/2 e_2 + 1/2 on E1 + 1/4 on E2 and its
+# companion, which drops the negative coordinate
+STANDARD_PAIR = (
+    LayoutVector(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)),
+    LayoutVector(Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)))
 
 
-def build_vectors(layout: EltonLayout, variant: str = "standard",
-                  alpha: Fraction | None = None) -> VectorTriple:
-    """The distinguished vector, its positive-part companion, and the dual.
-
-    standard: x = -1/2 e_1 + 1/2 e_2 + 1/2 on E1 + 1/4 on E2; the companion
-    drops the negative coordinate. quasi(alpha): y = -alpha e_1 + e_2 +
-    1 on E1 + 2/3 on E2, companion drops coordinate 1; at alpha < 2/3 the
-    companion equals the threshold projection of y at level 2/3.
-    """
-    f = StructuredFunctional(layout.u1, layout.u2)
-    if variant == "standard":
-        if alpha is not None:
-            raise DomainError("alpha applies to the quasi variant only")
-        x = LayoutVector(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
-        xp = LayoutVector(Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
-        return VectorTriple(x, xp, f, "standard")
-    if variant == "quasi":
-        if alpha is None:
-            raise DomainError("quasi variant needs alpha")
-        if not (0 < alpha <= 1):
-            raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-        y = LayoutVector(-alpha, Fraction(1), Fraction(1), Fraction(2, 3))
-        yp = LayoutVector(Fraction(0), Fraction(1), Fraction(1), Fraction(2, 3))
-        return VectorTriple(y, yp, f, "quasi", alpha)
-    raise DomainError(f"unknown variant {variant!r}")
+def quasi_pair(alpha: Fraction) -> tuple[LayoutVector, LayoutVector]:
+    """y = -alpha e_1 + e_2 + 1 on E1 + 2/3 on E2 and its companion, which
+    drops coordinate 1; at alpha < 2/3 the companion equals the threshold
+    projection of y at level 2/3."""
+    if not (0 < alpha <= 1):
+        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+    return (LayoutVector(-alpha, Fraction(1), Fraction(1), Fraction(2, 3)),
+            LayoutVector(Fraction(0), Fraction(1), Fraction(1), Fraction(2, 3)))
 
 
 def case_bounds(p: EltonParams) -> dict:
@@ -229,7 +166,11 @@ def _slot_tiling(p: EltonParams, a: int, b: int, count: int) -> tuple[list[int],
 
 def _dense_values(layout: EltonLayout, v) -> list[Fraction]:
     if isinstance(v, LayoutVector):
-        return [Fraction(0)] + [v.value(layout, c) for c in range(1, layout.universe + 1)]
+        p = layout.params
+        run = 2 ** (p.K * (p.m2 - p.m1))
+        rounds = 2 ** (p.K * p.m1 - 1)
+        return ([Fraction(0), v.at_first, v.at_second]
+                + ([v.on_e1] * (p.n1 * run) + [v.on_e2] * (p.n2 * run)) * rounds)
     if isinstance(v, SparseVector):
         dense = [Fraction(0)] * (layout.universe + 1)
         for c, val in v.entries:
@@ -453,72 +394,48 @@ def structured_dp(layout: EltonLayout, v) -> tuple[Fraction, dict]:
 
 # ------------------------------------------------------------- certificates
 
-def _validated_universe(p: EltonParams) -> int:
-    """Universe of the standard layout for params that pass validate_params."""
+def _certify(p: EltonParams, pair, bound: Fraction) -> tuple[dict, dict]:
+    """Norms of a (vector, companion) pair on p's layout, for params that
+    pass validate_params; `pair()` gives the pair once they do.
+
+    Within the layout cap the exact family DP runs on both vectors. The
+    vector's family maximum must not exceed its derived case bound, and its
+    sup term is at most every case maximum, so norm_minus is itself an upper
+    bound on the vector's norm. Beyond the cap the certificate is symbolic:
+    the canonical pairing is the companion's lower bound and the case bound
+    caps the vector. Returns the report entries and the DP's witnesses.
+    """
     check = validate_params(p)
     if not check["ok"]:
         raise DomainError("; ".join(check["failures"]))
-    return _n_slots(p, p.m2) + 2
-
-
-def _dp_norms(layout: EltonLayout, triple: VectorTriple, bound: Fraction):
-    """Norms of a triple's companion and vector by the exact family DP.
-
-    The vector's family maximum must not exceed its derived case bound, and
-    its sup term (1/2 standard, 1 quasi) is at most every case maximum, so
-    norm_minus is itself an upper bound on the vector's norm.
-    Returns (norm_plus, norm_minus, witness_plus, witness_minus).
-    """
-    num, num_wit = structured_dp(layout, triple.plus)
-    den, den_wit = structured_dp(layout, triple.minus)
-    if den > bound:
-        raise InternalError(
-            f"{triple.variant} family dp exceeded the case bound; bounds unsound")
-    return (max(triple.plus.sup_norm(), num), max(triple.minus.sup_norm(), den),
-            num_wit, den_wit)
+    minus, plus = pair()
+    out = {"params": p, "universe": _n_slots(p, p.m2) + 2}
+    witnesses = {}
+    if out["universe"] <= load_caps().layout_universe:
+        layout = build_layout(p)
+        num, witnesses["witness_plus"] = structured_dp(layout, plus)
+        den, witnesses["witness_minus"] = structured_dp(layout, minus)
+        if den > bound:
+            raise InternalError(f"family dp value {den} exceeds the case bound {bound}; "
+                                "bounds unsound")
+        out.update(verification="dp", norm_plus_lower=max(plus.sup_norm(), num),
+                   norm_minus_upper=max(minus.sup_norm(), den))
+    else:
+        out.update(verification="symbolic", norm_plus_lower=plus.pairing(),
+                   norm_minus_upper=bound)
+    out["ratio_lower"] = out["norm_plus_lower"] / out["norm_minus_upper"]
+    return out, witnesses
 
 
 def k_lower_certificate(p: EltonParams) -> dict:
-    """Certified ratio ||companion|| / ||vector|| for the standard pair.
-
-    Within the layout cap the exact family DP runs on both vectors and the
-    case bounds cross-check the denominator. Beyond the cap the certificate
-    is symbolic: the canonical pairing gives the numerator lower bound 5/4
-    and the case-bound maximum caps the denominator.
-    """
-    universe = _validated_universe(p)
+    """Certified ratio ||companion|| / ||vector|| for the standard pair: the
+    canonical pairing gives the companion 5/4 and the vector 1."""
     bounds = case_bounds(p)
-    out = {
-        "params": p,
-        "universe": universe,
-        "case_bounds": bounds,
-        "ratio_case": Fraction(5, 4) / bounds["max"],
-    }
-    if universe <= load_caps().layout_universe:
-        layout = build_layout(p)
-        triple = build_vectors(layout, "standard")
-        norm_plus, norm_minus, num_wit, den_wit = _dp_norms(
-            layout, triple, bounds["max"])
-        out.update({
-            "verification": "dp",
-            "pairing_plus": triple.functional.pair_layout_vector(layout, triple.plus),
-            "pairing_minus": triple.functional.pair_layout_vector(layout, triple.minus),
-            "norm_plus_lower": norm_plus,
-            "norm_minus_upper": norm_minus,
-            "ratio_lower": norm_plus / norm_minus,
-            "witness_plus": num_wit,
-            "witness_minus": den_wit,
-        })
-    else:
-        out.update({
-            "verification": "symbolic",
-            "pairing_plus": Fraction(5, 4),
-            "pairing_minus": Fraction(1),
-            "norm_plus_lower": Fraction(5, 4),
-            "norm_minus_upper": bounds["max"],
-            "ratio_lower": Fraction(5, 4) / bounds["max"],
-        })
-    return out
+    out, witnesses = _certify(p, lambda: STANDARD_PAIR, bounds["max"])
+    minus, plus = STANDARD_PAIR
+    return {**out, **witnesses, "case_bounds": bounds,
+            "ratio_case": plus.pairing() / bounds["max"],
+            "pairing_plus": plus.pairing(), "pairing_minus": minus.pairing()}
 
 
 def quasi_certificate(p: EltonParams, alpha: Fraction) -> dict:
@@ -529,43 +446,15 @@ def quasi_certificate(p: EltonParams, alpha: Fraction) -> dict:
     equals the level-2/3 threshold projection exactly when alpha < 2/3;
     at alpha = 2/3 the dropped coordinate ties into the threshold set.
     """
-    universe = _validated_universe(p)
-    if not (0 < alpha <= 1):
-        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
     qb = quasi_case_bounds(p, alpha)
+    out, _ = _certify(p, lambda: quasi_pair(alpha), qb["max"])
     eps_instance = Fraction(p.n1, 2 * p.n2) + TWO ** (-p.K)
     target = Fraction(8, 7) - eps_instance
-    tie = alpha == Fraction(2, 3)
-    out = {
-        "params": p,
-        "alpha": alpha,
-        "universe": universe,
-        "quasi_case_bounds": qb,
-        "eps_instance": eps_instance,
-        "target": target,
-        "threshold_projection_is_plus_vector": alpha < Fraction(2, 3),
-        "threshold_tie_at_alpha": tie,
-    }
-    if universe <= load_caps().layout_universe:
-        layout = build_layout(p)
-        norm_plus, norm_minus, _, _ = _dp_norms(
-            layout, build_vectors(layout, "quasi", alpha), qb["max"])
-        out.update({
-            "verification": "dp",
-            "norm_plus_lower": norm_plus,
-            "norm_minus_upper": norm_minus,
-            "ratio_lower": norm_plus / norm_minus,
-        })
-    else:
-        num = Fraction(8, 3)
-        out.update({
-            "verification": "symbolic",
-            "norm_plus_lower": num,
-            "norm_minus_upper": qb["max"],
-            "ratio_lower": num / qb["max"],
-        })
-    out["passes_target"] = out["ratio_lower"] > target
-    return out
+    return {**out, "alpha": alpha, "quasi_case_bounds": qb,
+            "eps_instance": eps_instance, "target": target,
+            "threshold_projection_is_plus_vector": alpha < Fraction(2, 3),
+            "threshold_tie_at_alpha": alpha == Fraction(2, 3),
+            "passes_target": out["ratio_lower"] > target}
 
 
 def elton_ladder() -> list[dict]:

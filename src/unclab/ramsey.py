@@ -217,6 +217,8 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
     if strategy == "random":
         if seed is None:
             raise DomainError("random strategy needs a seed")
+        if budget < 1:
+            raise DomainError(f"random strategy needs a budget >= 1, got {budget}")
         rng = random.Random(seed)
         population = list(range(1, universe + 1))
         for _ in range(budget):

@@ -18,8 +18,8 @@ from conftest import (build_standard, colour_weight, interval_ladder, level_spli
                       rand_resolution, rand_sparse, verify_witness)
 
 from unclab.constants import MODES, ConstantQuery, compute_constant
-from unclab.elton import (EltonParams, LayoutVector, _slot_tiling,
-                          build_layout, build_vectors, brute_miniature,
+from unclab.elton import (STANDARD_PAIR, EltonParams, LayoutVector, _dense_values,
+                          _slot_tiling, build_layout, brute_miniature,
                           elton_ladder, k_lower_certificate,
                           quasi_certificate, structured_dp)
 from unclab.norms import Functional, NormInstance, SparseVector
@@ -137,7 +137,7 @@ def test_criterion_4(capsys):
 def _replay_dp_witness(lay, v, value, wit):
     """Recompute a structured-dp value from its witness and the vector alone."""
     if isinstance(v, LayoutVector):
-        vals = {c: v.value(lay, c) for c in range(1, lay.universe + 1)}
+        vals = dict(enumerate(_dense_values(lay, v)))
     else:
         vals = dict(v.entries)
 
@@ -164,8 +164,7 @@ def test_criterion_5(capsys):
     with criterion(capsys, 5, "structured dp equals exhaustive family max on miniatures", 300):
         kinds = []
         rung1 = build_layout(EltonParams(1, 8, 4, F(13, 100)))
-        trip = build_vectors(rung1, "standard")
-        for v in (trip.minus, trip.plus):
+        for v in STANDARD_PAIR:
             kinds.append(_replay_dp_witness(rung1, v, *structured_dp(rung1, v)))
         combos = [(n1, n2, 1, 1, 2) for n1 in range(1, 5) for n2 in range(1, 5)
                   if n1 + n2 <= 5]
@@ -175,9 +174,7 @@ def test_criterion_5(capsys):
         for n1, n2, K, m1, m2 in combos:
             lay = build_layout(EltonParams(n1, n2, K, F(1, 10), m1, m2))
             assert lay.universe <= 12
-            trip = build_vectors(lay, "standard")
-            vecs = [trip.minus, trip.plus] + [rand_sparse(rng, lay.universe)
-                                              for _ in range(3)]
+            vecs = [*STANDARD_PAIR] + [rand_sparse(rng, lay.universe) for _ in range(3)]
             for v in vecs:
                 a, wit = structured_dp(lay, v)
                 b, _ = brute_miniature(lay, v)

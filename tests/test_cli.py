@@ -175,7 +175,7 @@ def test_usage_text_is_pinned(monkeypatch, invoke_cli):
 
 def test_exit_code_5_internal_error(monkeypatch, invoke_cli):
     def broken(*args, **kwargs):
-        raise unclab.InternalError("dp table inconsistent")
+        raise unclab.errors.InternalError("dp table inconsistent")
 
     monkeypatch.setattr(unclab.resolutions, "bracket", broken)
     result = invoke_cli(["bracket", fx("resolution_r.json"), fx("resolution_s.json")])
@@ -402,6 +402,21 @@ def test_hereditary_verb():
                        "--seed", "7", "--min-size", "11", check=0))
     assert rep["inputs"]["min_size"] == 11
     assert all(len(r["M"]) >= 11 for r in rep["runs"])
+
+
+def test_out_of_range_sample_counts_are_refused():
+    # each would otherwise crash in random.sample or report on no search at all
+    for args, error in [
+            (["hereditary", "--universe", "12", "--samples", "2", "--seed", "1",
+              "--min-size", "-3"], "--min-size must be >= 0, got -3"),
+            (["hereditary", "--universe", "12", "--samples", "0", "--seed", "1"],
+             "--samples must be >= 1, got 0"),
+            (["match", "--maps", fx("map_family_b.json"), "--universe", "12",
+              "--horizon", "4", "--strategy", "random", "--seed", "5", "--budget", "-3"],
+             "random strategy needs a budget >= 1, got -3")]:
+        proc = run(*args, check=1)
+        assert proc.stdout == ""
+        assert err_json(proc) == {"error": error, "kind": "DomainError"}
 
 
 def test_fixture_round_trips(fixtures):

@@ -8,6 +8,8 @@ import pytest
 
 from unclab import elton
 from unclab.elton import (
+    STANDARD_PAIR,
+    EltonLayout,
     EltonParams,
     LayoutVector,
     _backtrack_runs,
@@ -16,12 +18,12 @@ from unclab.elton import (
     _slot_tiling,
     brute_miniature,
     build_layout,
-    build_vectors,
     case_bounds,
     elton_ladder,
     k_lower_certificate,
     quasi_case_bounds,
     quasi_certificate,
+    quasi_pair,
     structured_dp,
     validate_params,
 )
@@ -50,42 +52,32 @@ def test_params_validation():
 
 def test_layout_geometry_184():
     layout = build_layout(P184)
-    assert layout.universe == 1154
-    assert layout.n_slots == 1152
-    assert layout.rounds == 8
-    assert (layout.i_len, layout.j_len) == (16, 128)
-    assert (layout.u1, layout.u2) == (F(1, 128), F(1, 1024))
-    assert (layout.e1_size, layout.e2_size) == (128, 1024)
-    # dual normalisation: each block family carries total mass 1
-    assert layout.u1 * layout.e1_size == 1 == layout.u2 * layout.e2_size
-    assert layout.region(1) == "first" and layout.region(2) == "second"
-    assert layout.region(3) == "E1" and layout.region(19) == "E2"
-    assert layout.region(147) == "E1"  # second round starts after 16 + 128
-    regions = [layout.region(c) for c in range(3, layout.universe + 1)]
-    assert (regions.count("E1"), regions.count("E2")) == (128, 1024)
-    with pytest.raises(DomainError):
-        layout.region(1155)
+    assert EltonLayout._fields == ("params", "universe")
+    assert layout == EltonLayout(P184, 1154)
+    # a vector that marks each region: the distinguished pair, then rounds of
+    # 16 coordinates in E1 and 128 in E2
+    vals = _dense_values(layout, LayoutVector(F(-1), F(-2), F(1), F(2)))
+    assert len(vals) == 1155 and vals[:3] == [0, -1, -2]
+    assert vals[3:19] == [1] * 16 and vals[19] == 2
+    assert vals[146:148] == [2, 1]  # the second round starts after 16 + 128
+    assert (vals.count(1), vals.count(2)) == (128, 1024)
 
 
-def test_build_vectors_and_pairings():
-    layout = build_layout(P184)
-    t = build_vectors(layout, "standard")
-    assert (t.minus.at_first, t.minus.at_second, t.minus.on_e1, t.minus.on_e2) == \
+def test_vector_pairs_and_pairings():
+    minus, plus = STANDARD_PAIR
+    assert (minus.at_first, minus.at_second, minus.on_e1, minus.on_e2) == \
         (F(-1, 2), F(1, 2), F(1, 2), F(1, 4))
-    assert t.plus.at_first == 0 and t.plus.on_e2 == F(1, 4)
-    assert t.functional.pair_layout_vector(layout, t.plus) == F(5, 4)
-    assert t.functional.pair_layout_vector(layout, t.minus) == 1
-    qt = build_vectors(layout, "quasi", F(2, 3))
-    assert (qt.minus.at_first, qt.minus.on_e2) == (F(-2, 3), F(2, 3))
-    assert qt.alpha == F(2, 3)
-    with pytest.raises(DomainError):
-        build_vectors(layout, "standard", alpha=F(1, 2))
-    with pytest.raises(DomainError):
-        build_vectors(layout, "quasi")
-    with pytest.raises(DomainError):
-        build_vectors(layout, "quasi", F(3, 2))
-    with pytest.raises(DomainError):
-        build_vectors(layout, "weird")
+    assert plus.at_first == 0 and plus.on_e2 == F(1, 4)
+    assert plus.pairing() == F(5, 4)
+    assert minus.pairing() == 1
+    qminus, qplus = quasi_pair(F(2, 3))
+    assert (qminus.at_first, qminus.on_e2) == (F(-2, 3), F(2, 3))
+    assert (qplus.at_first, qplus.at_second, qplus.on_e1, qplus.on_e2) == \
+        (0, 1, 1, F(2, 3))
+    assert qplus.pairing() == F(8, 3)
+    for bad in (F(0), F(-1, 2), F(3, 2)):
+        with pytest.raises(DomainError):
+            quasi_pair(bad)
 
 
 def test_case_bounds_frozen():
@@ -217,26 +209,68 @@ def test_dp_matches_brute_and_oracle(p, universe, minus_norm):
         d, _ = structured_dp(layout, v)
         b, _ = brute_miniature(layout, v)
         assert d == b == literal_family_max(layout, vals)
-    x = build_vectors(layout, "standard").minus
+    x = STANDARD_PAIR[0]
     d, dw = structured_dp(layout, x)
     b, _ = brute_miniature(layout, x)
-    vals = [F(0)] + [x.value(layout, c) for c in range(1, universe + 1)]
-    assert d == b == literal_family_max(layout, vals)
+    assert d == b == literal_family_max(layout, _dense_values(layout, x))
     assert max(x.sup_norm(), d) == minus_norm
 
 
 def test_dp_guardrails(monkeypatch):
     layout = build_layout(P184)
-    t = build_vectors(layout, "standard")
+    x = STANDARD_PAIR[0]
     monkeypatch.setattr(elton, "_DP_CELL_BUDGET", 5)
     with pytest.raises(SizeError, match="cell budget of 5 cells"):
-        structured_dp(layout, t.minus)
+        structured_dp(layout, x)
     with pytest.raises(DomainError):
         structured_dp(layout, SparseVector.from_pairs([(2000, F(1))]))
     with pytest.raises(SizeError):
         build_layout(P1648)  # universe 2129922 over the layout cap
     with pytest.raises(SizeError):
-        brute_miniature(layout, t.minus)  # 1154 over the brute cap
+        brute_miniature(layout, x)  # 1154 over the brute cap
+
+
+def ref_region(p, c):
+    # the region of coordinate c by the layout's definition: the distinguished
+    # pair, then rounds of an I-run of n1 2^(K(m2-m1)) coordinates (E1) and a
+    # J-run of n2 2^(K(m2-m1)) coordinates (E2)
+    if c <= 2:
+        return ("first", "second")[c - 1]
+    run = 2 ** (p.K * (p.m2 - p.m1))
+    return "E1" if (c - 3) % ((p.n1 + p.n2) * run) < p.n1 * run else "E2"
+
+
+def test_dense_layout_and_pairing_equal_per_coordinate_reference():
+    # every miniature layout (n1 = n2 among them, where the slot values of
+    # the two regions agree) and rung 1: the dense vector against the region
+    # of each coordinate, and the closed-form pairing against the dot product
+    # with the dense canonical functional, 1/2 and 1 at the pair and
+    # u_i = 1/(n_i 2^(K m2 - 1)) on E_i
+    rng = random.Random("layout-regions")
+
+    def rat():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    shapes = [(n1, n2, 1, 1, 2) for n1 in range(1, 7) for n2 in range(1, 7)
+              if n1 + n2 <= 7]
+    shapes += [(n1, n2, 1, m1, 3) for n1, n2 in [(1, 1), (1, 2), (2, 1)] for m1 in (1, 2)]
+    layouts = [build_layout(EltonParams(n1, n2, K, F(1, 10), m1, m2))
+               for n1, n2, K, m1, m2 in shapes]
+    layouts += [build_layout(p) for p, _, _ in MINIATURES] + [build_layout(P184)]
+    assert any(lay.params.n1 == lay.params.n2 for lay in layouts)
+    for lay in layouts:
+        p = lay.params
+        regions = [ref_region(p, c) for c in range(1, lay.universe + 1)]
+        weight = {"first": F(1, 2), "second": F(1),
+                  "E1": F(1, p.n1 * 2 ** (p.K * p.m2 - 1)),
+                  "E2": F(1, p.n2 * 2 ** (p.K * p.m2 - 1))}
+        vecs = [*STANDARD_PAIR, *quasi_pair(F(1, 2))]
+        vecs += [LayoutVector(rat(), rat(), rat(), rat()) for _ in range(4)]
+        for v in vecs:
+            value = {"first": v.at_first, "second": v.at_second,
+                     "E1": v.on_e1, "E2": v.on_e2}
+            assert _dense_values(lay, v) == [0] + [value[r] for r in regions]
+            assert v.pairing() == sum((weight[r] * value[r] for r in regions), F(0))
 
 
 def ref_slot_values(p, a, b, count):
@@ -397,8 +431,7 @@ def test_dp_equals_fraction_reference():
     assert max(lay.universe for lay in layouts[1:]) <= 642
     sigmas = set()
     for lay in layouts:
-        t = build_vectors(lay, "standard")
-        vecs = [t.minus, t.plus, LayoutVector(rat(), rat(), rat(), rat()),
+        vecs = [*STANDARD_PAIR, LayoutVector(rat(), rat(), rat(), rat()),
                 SparseVector.from_pairs((c, rat()) for c in range(1, lay.universe + 1)
                                         if rng.random() < 0.05)]
         for v in vecs:

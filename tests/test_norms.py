@@ -49,7 +49,7 @@ def test_functional_apply():
 
 def test_functional_is_sparse_vector():
     assert Functional is SparseVector
-    assert unclab.Functional is unclab.SparseVector is SparseVector
+    assert unclab.Functional is unclab.norms.SparseVector is SparseVector
 
 
 def test_build_closure_under_negation():
