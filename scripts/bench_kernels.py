@@ -10,11 +10,15 @@ workloads' inputs:
   startup    one CLI job in a fresh interpreter, started as perfbench/run.py
              starts its jobs ([python, -c, "from unclab.cli import main;
              main()", ...] from the repository root), timed from spawn to
-             exit: `--help`, a `bracket` on the two resolution fixtures and
-             a grid `constant` (C_uncond, step 1/2) on norm_summing4.json;
-             work counters modules_executed, the unclab module bodies the
-             job runs, and modules_loaded, len(sys.modules) when it exits
-             (both counted in one more, untimed, run through an audit hook).
+             exit: `--help`, a `bracket` on the two resolution fixtures, a
+             grid `constant` (C_uncond, step 1/2) on norm_summing4.json, and
+             the two heaviest kinds of `certificates` job, a sampled
+             `hereditary` check and the rung-1 `elton` certificate; work
+             counters modules_executed, the unclab module bodies the job
+             runs, modules_loaded, len(sys.modules) when it exits, and
+             frozen_at_exit, gc.get_freeze_count() when it exits (the
+             objects the collections at interpreter exit skip; all three
+             counted in one more, untimed, run through an audit hook).
              The `--help` result is the sorted verb names it lists, so
              usage text that differs in layout compares equal.
              Where PYTHONDONTWRITEBYTECODE is set every job compiles what it
@@ -83,22 +87,28 @@ STARTUP = (("help", ["--help"]),
            ("bracket", ["bracket", "tests/fixtures/resolution_r.json",
                         "tests/fixtures/resolution_s.json"]),
            ("constant", ["constant", "--instance", "tests/fixtures/norm_summing4.json",
-                         "--mode", "C_uncond", "--step", "1/2"]))
+                         "--mode", "C_uncond", "--step", "1/2"]),
+           ("hereditary", ["hereditary", "--universe", "12", "--m1", "1", "--m2", "3",
+                           "--mode", "hereditary", "--samples", "4", "--seed", "7"]),
+           ("elton", ["elton", "--n1", "1", "--n2", "8", "--K", "4", "--eps", "13/100"]))
 JOB = "from unclab.cli import main; main()"
-# prints the unclab module bodies executed and the modules loaded as the last stderr line
+# prints the unclab module bodies executed, the modules loaded and the objects
+# frozen as the last stderr line
 COUNT_MODULES = """\
-import atexit, os, sys
+import atexit, gc, os, sys
 ran = set()
 sys.addaudithook(lambda event, args: event == "exec"
                  and getattr(args[0], "co_name", None) == "<module>"
                  and os.path.basename(os.path.dirname(args[0].co_filename)) == "unclab"
                  and ran.add(args[0].co_filename))
-atexit.register(lambda: sys.stderr.write(f"\\n{len(ran)} {len(sys.modules)}\\n"))
+atexit.register(lambda: sys.stderr.write(
+    f"\\n{len(ran)} {len(sys.modules)} {gc.get_freeze_count()}\\n"))
 """
 # a verb line of a usage text: an indented lower-case name, then its help or nothing
 VERB_LINE = re.compile(r"^ {2,}([a-z][a-z0-9-]*)(?: {2,}\S|$)", re.M)
 TIMES = ("median_s", "spread_s", "runs_s")
-PER_SIDE = TIMES + ("modules_executed", "modules_loaded")   # reported for each side apart
+# reported for each side apart
+PER_SIDE = TIMES + ("modules_executed", "modules_loaded", "frozen_at_exit")
 
 
 def summary(times: list[float]) -> dict:
@@ -148,10 +158,11 @@ def sizes(lengths: list[int]):
 
     def startup_summary(case: str, argv: list[str]):
         def summarize(proc) -> dict:
-            executed, loaded = job(COUNT_MODULES + JOB, argv).stderr.split()[-2:]
+            executed, loaded, frozen = job(COUNT_MODULES + JOB, argv).stderr.split()[-3:]
             result = (" ".join(sorted(VERB_LINE.findall(proc.stdout))) if case == "help"
                       else proc.stdout)
             return {"modules_executed": int(executed), "modules_loaded": int(loaded),
+                    "frozen_at_exit": int(frozen),
                     "digest": hashlib.sha256(result.encode()).hexdigest()}
         return summarize
 
@@ -261,7 +272,7 @@ def main() -> None:
         return
 
     doc = {
-        "kernels": "CLI start-up (--help, bracket, constant), "
+        "kernels": "CLI start-up (--help, bracket, constant, hereditary, elton), "
                    "unclab.resolutions.bracket (method dp), unclab.norms.eval_norm, "
                    "unclab.constants.compute_constant (method grid, mode C_uncond), "
                    "unclab.elton.structured_dp, unclab.ramsey.search_matching",

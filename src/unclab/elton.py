@@ -52,8 +52,17 @@ class EltonParams(Record):
 
 
 def validate_params(p: EltonParams) -> dict:
-    """Check the two smallness conditions behind the case bounds."""
+    """Check the conditions behind the case bounds: the scales they cover
+    and the two smallness conditions.
+
+    The case bounds are derived at scales (m1, m2) = (1, 2) only; at other
+    scales the exact DP exceeds them on layouts inside the cap, so no
+    certificate is given there. Layouts at any scales can still be built.
+    """
     failures = []
+    if (p.m1, p.m2) != (1, 2):
+        failures.append(f"the case bounds cover scales (m1, m2) = (1, 2) only, "
+                        f"got ({p.m1}, {p.m2})")
     slack = Fraction(p.n1, 2 * p.n2) + TWO ** (-p.K)
     if not slack < p.eps:
         failures.append(f"n1/(2 n2) + 2^-K = {slack} is not < eps = {p.eps}")

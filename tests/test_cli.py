@@ -1,5 +1,6 @@
 """End-to-end CLI contract: verbs, JSON reports, exit codes, byte stability."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -155,6 +156,22 @@ options:
   --step STEP
   --timing             add the wall-clock time
 """
+BRACKET_HELP = """\
+usage: unclab bracket [-h] [--method {dp,brute}] [--mutual] [--timing]
+                      LEFT RIGHT
+
+Weighted matching value of two resolutions.
+
+positional arguments:
+  LEFT
+  RIGHT
+
+options:
+  -h, --help           show this help message and exit
+  --method {dp,brute}
+  --mutual             symmetrized value
+  --timing             add the wall-clock time
+"""
 UNKNOWN_VERB = """\
 usage: unclab [-h] VERB ...
 unclab: error: argument VERB: invalid choice: 'nosuch' (choose from 'bracket', \
@@ -170,7 +187,26 @@ def test_usage_text_is_pinned(monkeypatch, invoke_cli):
     monkeypatch.setenv("COLUMNS", "80")
     assert invoke_cli(["--help"]) == (0, HELP.encode(), b"")
     assert invoke_cli(["constant", "--help"]) == (0, CONSTANT_HELP.encode(), b"")
+    assert invoke_cli(["bracket", "--help"]) == (0, BRACKET_HELP.encode(), b"")
     assert invoke_cli(["nosuch"]) == (2, b"", UNKNOWN_VERB.encode())
+
+
+def test_only_the_running_verb_gets_a_sub_parser(monkeypatch, invoke_cli):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert invoke_cli(["bracket", "--help"]).exit_code == 0
+    assert added == ["bracket"]
+    # without a verb in argv[0] every verb is listed
+    for argv in (["--help"], ["nosuch"], [], ["-h", "bracket"]):
+        added.clear()
+        invoke_cli(argv)
+        assert added == list(cli.main.commands), argv
 
 
 def test_exit_code_5_internal_error(monkeypatch, invoke_cli):
@@ -234,6 +270,18 @@ def test_elton_verb():
     assert rep["norm_plus_lower"] == "5/4"
     assert rep["case_bounds"]["case4"] == "9/8"
     assert rep["inputs"]["eps"] == "13/100"
+
+
+def test_layout_verbs_refuse_uncovered_scales():
+    # the case bounds cover (m1, m2) = (1, 2) only: other scales are a domain
+    # error, not an internal one from a bound the exact DP refutes
+    layout = ["--n1", "2", "--n2", "5", "--K", "3", "--eps", "1/2"]
+    for args in (["elton", *layout, "--m1", "1", "--m2", "3"],
+                 ["quasi", *layout, "--alpha", "1/2", "--m1", "2", "--m2", "3"]):
+        proc = run(*args, check=1)
+        assert proc.stdout == ""
+        assert err_json(proc)["kind"] == "DomainError"
+        assert "cover scales (m1, m2) = (1, 2) only" in err_json(proc)["error"]
 
 
 def test_quasi_verb():

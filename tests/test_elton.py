@@ -161,6 +161,38 @@ def test_quasi_certificate_dp_184():
         k_lower_certificate(EltonParams(8, 1, 4, F(13, 100)))
 
 
+def sweep_params(m1: int, m2: int):
+    """K in {3, 4}, n1 in {1, 2}, every n2 that passes the smallness
+    conditions, and eps 1/100 above the slack n1/(2 n2) + 2^-K."""
+    for K in (3, 4):
+        for n1 in (1, 2):
+            # n1 < n2 and 2 n1 + n2 < n1 2^K
+            last = n1 * (2 ** K - 2)
+            assert validate_params(EltonParams(n1, last, K, F(99, 100)))["failures"] == [
+                "(2 n1 + n2)/(n1 2^K) = 1 is not < 1"]
+            for n2 in range(n1 + 1, last):
+                eps = F(n1, 2 * n2) + F(1, 2 ** K) + F(1, 100)
+                yield EltonParams(n1, n2, K, eps, m1, m2)
+
+
+def test_certificates_only_at_covered_scales():
+    certified = 0
+    for p in sweep_params(1, 2):
+        assert validate_params(p)["ok"], p
+        for cert in (k_lower_certificate(p), quasi_certificate(p, F(1, 2))):
+            assert cert["verification"] == "dp", p
+        certified += 1
+    assert certified == 50
+    for m1, m2 in ((1, 3), (2, 3)):
+        for p in sweep_params(m1, m2):
+            assert validate_params(p)["failures"] == [
+                f"the case bounds cover scales (m1, m2) = (1, 2) only, got ({m1}, {m2})"]
+            for certify in (k_lower_certificate, lambda p: quasi_certificate(p, F(1, 2))):
+                # a DomainError, never the InternalError of a refuted bound
+                with pytest.raises(DomainError, match="cover scales"):
+                    certify(p)
+
+
 def literal_family_max(layout, vals):
     # independent oracle: every sign/shape, every subset of the coordinates
     # beyond b, slot prefix assigned in order (subsets no larger than the

@@ -20,11 +20,22 @@ case on a dim-3 all_subsets instance pin the point-row denominators and
 the all_subsets pieces of the LP; with the brute bracket and the
 restricted hereditary check they run the CLI paths that
 `tests/test_reachability.py` needs entered.
+
+The in-process runs call `main(args)`. `main()` run as the program takes
+its arguments from `sys.argv` and freezes the heap when the job ends, so
+one case per verb and an error case also run as `python -m unclab` in a
+fresh interpreter, against the same files.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import unclab
+from unclab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -95,3 +106,28 @@ def test_golden_report(name, exit_code, args, monkeypatch, invoke_cli):
     assert result.exit_code == exit_code
     assert result.stdout_bytes == (GOLDEN / f"{name}.stdout").read_bytes()
     assert result.stderr_bytes == (GOLDEN / f"{name}.stderr").read_bytes()
+
+
+# the first case of each verb, and an error case
+PROCESS_CASES = [c for c in CASES if c[0] in {
+    "bracket_dp", "rademacher_json", "chain", "norm", "constant_c_uncond", "elton",
+    "quasi_dp", "mr_demo", "match_exhaustive", "hereditary_weakly", "error_k_without_delta"}]
+
+
+def test_process_cases_cover_every_verb():
+    assert {args[0] for _, _, args in PROCESS_CASES} == set(cli.main.commands)
+
+
+@pytest.mark.parametrize("name,exit_code,args", PROCESS_CASES,
+                         ids=[c[0] for c in PROCESS_CASES])
+def test_golden_report_as_a_process(name, exit_code, args):
+    env = dict(os.environ)
+    env.pop("UNCLAB_CAPS", None)
+    # the source tree this test process imported unclab from
+    src = str(Path(unclab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "unclab", *args], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == exit_code
+    assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert proc.stderr == (GOLDEN / f"{name}.stderr").read_bytes()

@@ -6,12 +6,16 @@ from the repository root with `src` on PYTHONPATH. An audit hook placed in
 front of that line records each module body that `exec` runs. When the
 interpreter exits, the last line of stderr lists the unclab ones; the
 top-level packages the job imported that are neither unclab nor in the
-standard library; and which of `dataclasses` and `inspect` it imported.
+standard library; which of `dataclasses` and `inspect` it imported; and
+`gc.get_freeze_count()`, the objects in the permanent generation.
 unclab has no runtime dependency, and its records do without
 `dataclasses` (which imports `inspect`, `ast`, `dis` and `tokenize`), so
-every job's last two lists must be empty.
+every job's two lists of imports must be empty. `main()` run as the
+program freezes the heap before the interpreter exits, so the count is
+positive after every job, whatever its exit code.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -27,7 +31,7 @@ LAYERS = ("serialize", "rationals", "resolutions", "norms", "constants", "lp",
           "schreier", "elton", "mrdemo", "ramsey", "record")
 
 RECORD = """\
-import atexit, json, os, sys
+import atexit, gc, json, os, sys
 _start = set(sys.modules)
 _ran = []
 def _hook(event, args):
@@ -40,7 +44,8 @@ def _report():
     foreign = ({name.partition(".")[0] for name in set(sys.modules) - _start}
                - {"unclab", *sys.stdlib_module_names})
     heavy = {"dataclasses", "inspect"} & set(sys.modules)
-    sys.stderr.write("\\n" + json.dumps([sorted(_ran), sorted(foreign), sorted(heavy)]) + "\\n")
+    sys.stderr.write("\\n" + json.dumps([sorted(_ran), sorted(foreign), sorted(heavy),
+                                        gc.get_freeze_count()]) + "\\n")
 sys.addaudithook(_hook)
 atexit.register(_report)
 """
@@ -62,12 +67,17 @@ def python(code: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def executed(*argv: str) -> set[str]:
+def job_report(*argv: str, returncode: int = 0) -> tuple[set[str], int]:
+    """The unclab modules a job executes and its freeze count at exit."""
     proc = python(RECORD + JOB, *argv)
-    assert proc.returncode == 0, proc.stderr
-    ran, foreign, heavy = json.loads(proc.stderr.splitlines()[-1])
+    assert proc.returncode == returncode, proc.stderr
+    ran, foreign, heavy, frozen = json.loads(proc.stderr.splitlines()[-1])
     assert foreign == [] and heavy == []
-    return set(ran)
+    return set(ran), frozen
+
+
+def executed(*argv: str) -> set[str]:
+    return job_report(*argv)[0]
 
 
 def mods(*names: str) -> set[str]:
@@ -124,7 +134,28 @@ def test_import_cli_registers_every_layer_and_runs_none():
     assert proc.returncode == 0, proc.stderr
     registered = set(json.loads(proc.stdout))
     assert {f"unclab.{layer}" for layer in LAYERS} <= registered
-    assert json.loads(proc.stderr.splitlines()[-1]) == [sorted(mods()), [], []]
+    # importing the CLI freezes nothing: only a run of main() as the program does
+    assert json.loads(proc.stderr.splitlines()[-1]) == [sorted(mods()), [], [], 0]
+
+
+def test_process_entry_freezes_the_heap_on_every_exit():
+    # a verb job, --help, a domain error (exit 1) and a usage error (exit 2)
+    for argv, returncode in (
+            (["chain", "--patterns", "tests/fixtures/patterns.json", "--k", "2"], 0),
+            (["--help"], 0),
+            (["constant", "--instance", "tests/fixtures/norm_summing4.json",
+              "--mode", "K"], 1),
+            (["nosuch"], 2)):
+        assert job_report(*argv, returncode=returncode)[1] > 0, argv
+
+
+def test_in_process_main_freezes_nothing(invoke_cli):
+    before = gc.get_freeze_count()
+    patterns = str(ROOT / "tests" / "fixtures" / "patterns.json")
+    assert invoke_cli(["chain", "--patterns", patterns, "--k", "2"]).exit_code == 0
+    assert invoke_cli(["--help"]).exit_code == 0
+    assert invoke_cli(["nosuch"]).exit_code == 2
+    assert gc.get_freeze_count() == before
 
 
 def test_old_package_exports_resolve():
