@@ -58,7 +58,8 @@ sides alternate run by run, the side that goes first alternating too, so
 drift of the machine spreads over both. Each side's times are pooled into
 its median, spread and run list. The document then holds both sides per
 size and the ratio of their medians, and the script exits 1 if any two
-children disagree on a result.
+children disagree on a result. A child that fails, in either mode, ends
+the script with exit 1 and its stderr passed on.
 """
 
 import argparse
@@ -111,6 +112,15 @@ TIMES = ("median_s", "spread_s", "runs_s")
 PER_SIDE = TIMES + ("modules_executed", "modules_loaded", "frozen_at_exit")
 
 
+def run_child(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """Run a child interpreter; if it fails, pass its stderr on and exit 1."""
+    proc = subprocess.run(argv, capture_output=True, text=True, **kwargs)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        sys.exit(1)
+    return proc
+
+
 def summary(times: list[float]) -> dict:
     return {"median_s": statistics.median(times),
             "spread_s": max(times) - min(times), "runs_s": times}
@@ -153,8 +163,7 @@ def sizes(lengths: list[int]):
     env.pop("UNCLAB_CAPS", None)
 
     def job(code: str, argv: list[str]) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT, env=env,
-                              capture_output=True, text=True, check=True)
+        return run_child([sys.executable, "-c", code, *argv], cwd=ROOT, env=env)
 
     def startup_summary(case: str, argv: list[str]):
         def summarize(proc) -> dict:
@@ -298,11 +307,10 @@ def main() -> None:
             for run in range(args.runs):
                 for side in (("parent", "change") if (i + run) % 2 == 0
                              else ("change", "parent")):
-                    child = subprocess.run(
+                    child = run_child(
                         [sys.executable, __file__, "--lengths", args.lengths,
                          "--runs", "1", "--size", str(i)],
-                        env=dict(os.environ, PYTHONPATH=sides[side]),
-                        capture_output=True, text=True, check=True)
+                        env=dict(os.environ, PYTHONPATH=sides[side]))
                     got[side].append(json.loads(child.stdout))
             same = len({e["digest"] for entries in got.values() for e in entries}) == 1
             ok = ok and same

@@ -27,7 +27,7 @@ def main():
     for r in rungs:
         p = r["params"]
         rows.append([str(p.n1), str(p.n2), str(p.K), str(r["ratio_case"]),
-                     str(r.get("ratio_lower", "-")), r["verification"]])
+                     str(r["ratio_lower"]), r["verification"]])
     widths = [max(len(c), *(len(row[i]) for row in rows))
               for i, c in enumerate(cols)]
     print("  ".join(c.ljust(widths[i]) for i, c in enumerate(cols)))

@@ -30,9 +30,6 @@ from . import (__version__, constants, elton, errors, mrdemo, norms, ramsey,
                rationals, resolutions)
 from . import serialize as ser
 
-_SHORT_CLASS = {"initial_segments": "initial", "intervals": "interval",
-                "all_subsets": "all"}
-
 
 def arg(*names: str, **kwargs):
     """One `ArgumentParser.add_argument` call, kept for the verb's parser."""
@@ -229,7 +226,7 @@ def norm(instance, vector):
     v = ser.load_sparse_vector(ser.read_json_file(vector))
     cert = norms.dual_certificate(inst, v)
     out = {"value": cert.value, "dim": inst.dim,
-           "projection_class": _SHORT_CLASS[inst.projection_class],
+           "projection_class": ser.SHORT_CLASS[inst.projection_class],
            "certificate": cert}
     return {"instance": instance, "vector": vector}, out
 
@@ -268,17 +265,12 @@ def constant(instance, mode, delta, D, d, order, method, step):
       arg("--n1", type=int, required=True),
       arg("--n2", type=int, required=True),
       arg("--K", type=int, required=True),
-      arg("--eps", required=True),
-      arg("--m1", type=int, default=1),
-      arg("--m2", type=int, default=2))
-def elton_cmd(n1, n2, K, eps, m1, m2):
+      arg("--eps", required=True))
+def elton_cmd(n1, n2, K, eps):
     """Certified norm-ratio lower bound for a two-scale layout."""
     eps = rationals.parse_rational(eps)
-    p = elton.EltonParams(n1, n2, K, eps, m1, m2)
-    cert = elton.k_lower_certificate(p)
-    out = dict(cert)
-    out["ratio"] = cert["ratio_case"]
-    return {"n1": n1, "n2": n2, "K": K, "eps": eps, "m1": m1, "m2": m2}, out
+    return ({"n1": n1, "n2": n2, "K": K, "eps": eps},
+            elton.k_lower_certificate(elton.EltonParams(n1, n2, K, eps)))
 
 
 @verb("quasi",
@@ -286,19 +278,13 @@ def elton_cmd(n1, n2, K, eps, m1, m2):
       arg("--n2", type=int, required=True),
       arg("--K", type=int, required=True),
       arg("--eps", required=True),
-      arg("--alpha", required=True),
-      arg("--m1", type=int, default=1),
-      arg("--m2", type=int, default=2))
-def quasi(n1, n2, K, eps, alpha, m1, m2):
+      arg("--alpha", required=True))
+def quasi(n1, n2, K, eps, alpha):
     """Quasi-variant certificate with the threshold-projection diagnosis."""
     eps = rationals.parse_rational(eps)
     alpha = rationals.parse_rational(alpha)
-    p = elton.EltonParams(n1, n2, K, eps, m1, m2)
-    cert = elton.quasi_certificate(p, alpha)
-    out = dict(cert)
-    out["ratio"] = cert["ratio_lower"]
-    return {"n1": n1, "n2": n2, "K": K, "eps": eps, "alpha": alpha,
-            "m1": m1, "m2": m2}, out
+    return ({"n1": n1, "n2": n2, "K": K, "eps": eps, "alpha": alpha},
+            elton.quasi_certificate(elton.EltonParams(n1, n2, K, eps), alpha))
 
 
 @verb("mr-demo",

@@ -12,18 +12,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import norms, ramsey, resolutions
-from .errors import DomainError, MissingInputError, SchemaError
+from .errors import DomainError, InternalError, MissingInputError, SchemaError
 from .rationals import format_rational, parse_rational
 from .record import Record
 
-_CLASS_ALIASES = {
-    "initial": "initial_segments",
-    "initial_segments": "initial_segments",
-    "interval": "intervals",
-    "intervals": "intervals",
-    "all": "all_subsets",
-    "all_subsets": "all_subsets",
-}
+# the short name of each projection class; an input document may give either
+SHORT_CLASS = {"initial_segments": "initial", "intervals": "interval",
+               "all_subsets": "all"}
+_CLASS_ALIASES = {name: cls for cls, short in SHORT_CLASS.items()
+                  for name in (cls, short)}
 
 
 def to_jsonable(obj):
@@ -45,7 +42,7 @@ def to_jsonable(obj):
         return {name: to_jsonable(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, float):
         raise DomainError("refusing to serialize a float; use exact rationals")
-    return str(obj)
+    raise InternalError(f"cannot serialize a value of type {type(obj).__name__}")
 
 
 def dump_json(obj) -> str:

@@ -219,6 +219,13 @@ def test_exit_code_5_internal_error(monkeypatch, invoke_cli):
     assert result.stdout == ""
     assert json.loads(result.stderr) == {"error": "dp table inconsistent",
                                          "kind": "InternalError"}
+    # a report value with no canonical JSON form is refused, not written as str()
+    monkeypatch.setattr(unclab.resolutions, "bracket", lambda *args: (object(), ()))
+    result = invoke_cli(["bracket", fx("resolution_r.json"), fx("resolution_s.json")])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"error": "cannot serialize a value of type object",
+                                         "kind": "InternalError"}
 
 
 def test_exit_code_4_schema(tmp_path):
@@ -265,30 +272,30 @@ def test_elton_verb():
     rep = out_json(run("elton", "--n1", "1", "--n2", "8", "--K", "4",
                        "--eps", "13/100", check=0))
     assert rep["verb"] == "elton"
-    assert rep["ratio"] == "10/9"
+    assert rep["ratio_case"] == "10/9"
+    assert rep["ratio_lower"] == "5/4"
     assert rep["verification"] == "dp"
     assert rep["norm_plus_lower"] == "5/4"
     assert rep["case_bounds"]["case4"] == "9/8"
     assert rep["inputs"]["eps"] == "13/100"
 
 
-def test_layout_verbs_refuse_uncovered_scales():
-    # the case bounds cover (m1, m2) = (1, 2) only: other scales are a domain
-    # error, not an internal one from a bound the exact DP refutes
+def test_layout_verbs_take_no_scale_options():
+    # the case bounds cover (m1, m2) = (1, 2) only, so the layout verbs take
+    # no scales; hereditary's --m1/--m2 are its own
     layout = ["--n1", "2", "--n2", "5", "--K", "3", "--eps", "1/2"]
-    for args in (["elton", *layout, "--m1", "1", "--m2", "3"],
-                 ["quasi", *layout, "--alpha", "1/2", "--m1", "2", "--m2", "3"]):
-        proc = run(*args, check=1)
+    for args, option in ((["elton", *layout, "--m1", "1"], "--m1"),
+                         (["quasi", *layout, "--alpha", "1/2", "--m2", "3"], "--m2")):
+        proc = run(*args, check=2)
         assert proc.stdout == ""
-        assert err_json(proc)["kind"] == "DomainError"
-        assert "cover scales (m1, m2) = (1, 2) only" in err_json(proc)["error"]
+        assert f"unrecognized arguments: {option}" in proc.stderr
 
 
 def test_quasi_verb():
     rep = out_json(run("quasi", "--n1", "1", "--n2", "64", "--K", "8",
                        "--eps", "1/50", "--alpha", "2/3", check=0))
     assert rep["verb"] == "quasi"
-    assert rep["ratio"] == "512/451"
+    assert rep["ratio_lower"] == "512/451"
     assert rep["passes_target"] is True
     assert rep["verification"] == "symbolic"
     assert rep["threshold_tie_at_alpha"] is True
@@ -433,6 +440,9 @@ def test_hereditary_verb():
                        "--samples", "3", "--seed", "7", check=0))
     assert len(rep["runs"]) == 3
     assert rep["all_fail"] is True
+    rep = out_json(run("hereditary", "--universe", "12", "--m1", "2", "--m2", "3",
+                       "--samples", "3", "--seed", "1", check=0))
+    assert (rep["inputs"]["m1"], rep["inputs"]["m2"]) == (2, 3)
     run("hereditary", "--universe", "12", "--samples", "3", check=2)
     for extra in (["--samples", "3", "--seed", "1"], ["--samples", "3"],
                   ["--seed", "1"]):

@@ -1,7 +1,7 @@
 """Every def in the library runs from an entry point.
 
 One fresh interpreter runs the golden report corpus (`test_golden.CASES`)
-through `unclab.cli.main` and the three report scripts with the small
+through `unclab.cli.main` and the two report scripts with the small
 arguments `test_scripts.RUNS` gives them. A call-only `sys.settrace` hook is
 installed before `import unclab.cli`, so the functions that run at import
 time (the lazy-module registration, the verb decorators) count as entered.
@@ -29,8 +29,7 @@ from test_scripts import RUNS
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = Path(unclab.__file__).resolve().parent
-REPORT_SCRIPTS = ("rademacher_table.py", "elton_ladder.py",
-                  "orthogonal_family_search.py")
+REPORT_SCRIPTS = ("elton_ladder.py", "orthogonal_family_search.py")
 
 # defs no golden case or report script enters, by module-qualified name,
 # each with the reason it stays

@@ -13,7 +13,6 @@ SRC = str(Path(unclab.__file__).resolve().parent.parent)
 
 RUNS = [
     ["bench_kernels.py", "--lengths", "12", "--runs", "1"],
-    ["rademacher_table.py"],
     ["elton_ladder.py", "--rung", "0"],
     ["orthogonal_family_search.py", "--etas", "1/2,7/8", "--seeds", "0",
      "--budget", "8"],
@@ -30,3 +29,15 @@ def test_scripts_run():
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, (script, proc.stderr)
         assert proc.stdout, script
+
+
+def test_bench_kernels_passes_on_a_failing_childs_stderr(tmp_path):
+    # a parent side without unclab fails in its first child run
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "bench_kernels.py"),
+                           "--lengths", "12", "--runs", "1", "--parent-src", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "No module named 'unclab'" in proc.stderr
