@@ -35,9 +35,10 @@ workloads' inputs:
              as the constants workload draws its grid jobs; work counter
              lattice_points
   structured_dp
-             structured_dp on the standard vector of ladder rung 1 and of one
-             K = 3 layout, their parameters drawn as the certificates
-             workload draws its rung-1 and K = 3 layout jobs; work counters
+             structured_dp on the standard vector of ladder rung 1, of one
+             K = 3 layout and of ladder rung 2; the first two drawn as the
+             certificates workload draws its rung-1 and K = 3 layout jobs,
+             rung 2 (universe 34818) being no workload's job; work counters
              universe and cells, the value runs above b times the slots,
              summed over the shapes (a, b) the search expands (counted in one
              more, untimed, call)
@@ -59,7 +60,10 @@ drift of the machine spreads over both. Each side's times are pooled into
 its median, spread and run list. The document then holds both sides per
 size and the ratio of their medians, and the script exits 1 if any two
 children disagree on a result. A child that fails, in either mode, ends
-the script with exit 1 and its stderr passed on.
+the script with exit 1 and its stderr passed on. A side whose
+layout_universe cap is below rung 2's universe refuses that size; the
+children inherit the environment, so UNCLAB_CAPS=layout_universe=40000 on
+this script measures it there too.
 """
 
 import argparse
@@ -83,6 +87,7 @@ CALLS = 200
 NORM_SIZES = ((4, "all_subsets"), (8, "initial_segments"), (12, "intervals"))
 GRID_SIZES = ((2, 8, "initial_segments"), (3, 4, "intervals"), (3, 8, "all_subsets"))
 DP_SLOTS = (("rung1", "elton"), ("layout", "elton", 3))   # Certificates.SLOTS entries
+DP_RUNG2 = (1, 16, 6, Fraction(1, 20))   # n1, n2, K, eps of the ladder's rung 2
 MATCH_SLOTS = (("match", 10, 6), ("match", 11, 6))   # Certificates.SLOTS entries
 STARTUP = (("help", ["--help"]),
            ("bracket", ["bracket", "tests/fixtures/resolution_r.json",
@@ -234,14 +239,17 @@ def sizes(lengths: list[int]):
             return name
 
     certs = Drawn(SEED, None, None)
+    dp_cases = []
     for slot in DP_SLOTS:
         argv = getattr(certs, "make_" + slot[0])(*slot[1:])[1]
         opts = dict(zip(argv[1::2], argv[2::2]))
-        p = EltonParams(int(opts["--n1"]), int(opts["--n2"]), int(opts["--K"]),
-                        parse_rational(opts["--eps"]))
+        dp_cases.append((slot[0], EltonParams(int(opts["--n1"]), int(opts["--n2"]),
+                                              int(opts["--K"]), parse_rational(opts["--eps"]))))
+    dp_cases.append(("rung2", EltonParams(*DP_RUNG2)))
+    for case, p in dp_cases:
         layout = build_layout(p)
         x = LayoutVector(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
-        yield ("structured_dp", {"case": slot[0], "n1": p.n1, "n2": p.n2, "K": p.K,
+        yield ("structured_dp", {"case": case, "n1": p.n1, "n2": p.n2, "K": p.K,
                                  "universe": layout.universe},
                lambda layout=layout, x=x: structured_dp(layout, x),
                lambda out, layout=layout, x=x: {
@@ -302,7 +310,7 @@ def main() -> None:
 
         sides = {"parent": args.parent_src, "change": str(Path(unclab.__file__).parent.parent)}
         for i in range(len(STARTUP) + len(lengths) + len(NORM_SIZES) + len(GRID_SIZES)
-                       + len(DP_SLOTS) + len(MATCH_SLOTS)):
+                       + len(DP_SLOTS) + 1 + len(MATCH_SLOTS)):
             got = {"parent": [], "change": []}
             for run in range(args.runs):
                 for side in (("parent", "change") if (i + run) % 2 == 0

@@ -2,7 +2,7 @@
 
 Format: comma-separated name=value pairs, e.g.
 
-    UNCLAB_CAPS="brute_bracket=10,layout_universe=20000"
+    UNCLAB_CAPS="brute_bracket=10,layout_universe=50000"
 
 Unknown names are rejected so typos do not silently keep defaults.
 """
@@ -17,15 +17,11 @@ from .record import Record
 
 class Caps(Record):
     brute_bracket: int = 8          # max resolution length for bracket method="brute"
-    grid_dim: int = 10              # max instance dim for compute_constant grid
-    grid_points: int = 1_000_000    # max lattice points (2s+1)^dim - 1 of a grid at step 1/s
+    grid_pairs: int = 1_000_000     # max (point, E) pairs ((4s+1)^dim - 1)/2 of a grid at step 1/s
     lp_dim: int = 14                # max instance dim for compute_constant fractional_lp
-    all_subsets_dim: int = 22       # max dim for the all_subsets projection class
-    layout_universe: int = 10_000   # max canonical layout universe size
-    brute_universe: int = 16        # max universe for elton brute_miniature
+    layout_universe: int = 40_000   # max layout universe; certificates beyond it are symbolic
     match_universe: int = 16        # max universe for exhaustive search_matching
     remark_universe: int = 20       # max universe for remark_family
-    orthogonal_budget: int = 100_000  # max candidate evaluations in explore_orthogonal_family
     rademacher_cells: int = 4_000_000  # max bracket DP cells of a Rademacher family or member
 
 
@@ -49,6 +45,12 @@ def load_caps() -> Caps:
     return Caps(**values)
 
 
-def check_cap(actual: int, cap: int, what: str) -> None:
+def check_cap(name: str, actual: int, what: str) -> None:
+    """Refuse a request whose work `actual` exceeds the cap field `name`.
+    A count past 2^128 is named by its power of two: str() refuses an int
+    of more than 4300 digits."""
+    cap = getattr(load_caps(), name)
     if actual > cap:
-        raise SizeError(f"{what} = {actual} exceeds cap {cap} (override with UNCLAB_CAPS)")
+        size = (f"= {actual}" if actual.bit_length() <= 128
+                else f">= 2^{actual.bit_length() - 1}")
+        raise SizeError(f"{name}: {what} {size} exceeds cap {cap} (override with UNCLAB_CAPS)")

@@ -34,7 +34,7 @@ import itertools
 from fractions import Fraction
 
 from . import lp, schreier
-from .caps import check_cap, load_caps
+from .caps import check_cap
 from .errors import DomainError
 from .norms import NormInstance, SparseVector, _scaled_functionals, _scaled_norm
 from .rationals import _subsets
@@ -108,14 +108,20 @@ def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> Co
     ||P_E a||, so -t has the ratio and the feasible sets E of t. When t's
     first nonzero entry is positive, -t comes earlier in lattice order, so
     the first maximiser is never such a t and the search skips them all;
-    lattice_points still counts the whole lattice."""
-    caps = load_caps()
-    check_cap(inst.dim, caps.grid_dim, "grid dim")
+    lattice_points still counts the whole lattice.
+
+    The cap counts the (t, E) pairs the search can visit: t enumerates at
+    most 2^|supp t| sets E (Kstar one per point row instead), and over the
+    half lattice these sum to ((4s+1)^dim - 1)/2, exactly so in the modes
+    that take every E."""
     if step <= 0 or step > 1 or (1 / step).denominator != 1:
         raise DomainError(f"grid step must be 1/s for integer s >= 1, got {step}")
     s = int(1 / step)
+    # past dim 10 000 the count exceeds any cap UNCLAB_CAPS can set (an int of
+    # at most 4300 digits), so the power stops there and stays cheap
+    check_cap("grid_pairs", ((4 * s + 1) ** min(inst.dim, 10_000) - 1) // 2,
+              "(point, E) pairs")
     points = (2 * s + 1) ** inst.dim - 1
-    check_cap(points, caps.grid_points, "grid_points: lattice points")
     L, funcs = _scaled_functionals(inst)
     mode = query.mode
     delta = query.delta or Fraction(0)   # read only by the modes that take one

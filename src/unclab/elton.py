@@ -50,6 +50,11 @@ class EltonParams(Record):
         if not (1 <= self.m1 < self.m2):
             raise DomainError("need 1 <= m1 < m2")
 
+    @property
+    def slack(self) -> Fraction:
+        """n1/(2 n2) + 2^-K: eps must exceed it, and case 4 adds it to 1."""
+        return Fraction(self.n1, 2 * self.n2) + TWO ** (-self.K)
+
 
 def validate_params(p: EltonParams) -> dict:
     """Check the conditions behind the case bounds: the scales they cover
@@ -63,9 +68,8 @@ def validate_params(p: EltonParams) -> dict:
     if (p.m1, p.m2) != (1, 2):
         failures.append(f"the case bounds cover scales (m1, m2) = (1, 2) only, "
                         f"got ({p.m1}, {p.m2})")
-    slack = Fraction(p.n1, 2 * p.n2) + TWO ** (-p.K)
-    if not slack < p.eps:
-        failures.append(f"n1/(2 n2) + 2^-K = {slack} is not < eps = {p.eps}")
+    if not p.slack < p.eps:
+        failures.append(f"n1/(2 n2) + 2^-K = {p.slack} is not < eps = {p.eps}")
     crowd = Fraction(2 * p.n1 + p.n2, p.n1 * 2 ** p.K)
     if not crowd < 1:
         failures.append(f"(2 n1 + n2)/(n1 2^K) = {crowd} is not < 1")
@@ -86,7 +90,7 @@ def _n_slots(p: EltonParams, m2: int) -> int:
 
 def build_layout(p: EltonParams) -> EltonLayout:
     universe = _n_slots(p, p.m2) + 2
-    check_cap(universe, load_caps().layout_universe, "layout universe")
+    check_cap("layout_universe", universe, "universe")
     return EltonLayout(p, universe)
 
 
@@ -136,7 +140,7 @@ def case_bounds(p: EltonParams) -> dict:
     c1 = 1 + Fraction(p.n1, 2 * p.n2)
     c2 = Fraction(1)
     c3 = Fraction(3, 4) + Fraction(2 * p.n1 + p.n2, 4 * p.n1 * 2 ** p.K)
-    c4 = 1 + Fraction(p.n1, 2 * p.n2) + TWO ** (-p.K)
+    c4 = 1 + p.slack
     return {"case1": c1, "case2": c2, "case3": c3, "case4": c4,
             "max": max(c1, c2, c3, c4)}
 
@@ -188,62 +192,6 @@ def _dense_values(layout: EltonLayout, v) -> list[Fraction]:
             dense[c] = val
         return dense
     raise DomainError("vector must be a LayoutVector or SparseVector")
-
-
-# ------------------------------------------------------------------- brute
-
-def brute_miniature(layout: EltonLayout, v) -> tuple[Fraction, dict]:
-    """Exhaustive family maximum for small universes.
-
-    For every sign, shape (a, b), and subset of coordinates above b, assigns
-    the shape's slot values in order to the subset's coordinates (a prefix of
-    the slot sequence; shorter subsets are the slot truncations) and takes
-    the best total. Half-coefficient-only candidates cover truncations that
-    cut before b.
-
-    Kept apart from structured_dp's scaling and tiling: every candidate is
-    an int at the scale d * W, with d the values' common denominator and
-    W = lcm(n1, n2) 2^(K N), at which the coefficients 1/2 and 1 and every
-    slot value 1/(n 2^(Kb-1)), b <= N, are ints.
-    """
-    N = layout.universe
-    check_cap(N, load_caps().brute_universe, "brute universe")
-    vals = _dense_values(layout, v)
-    p = layout.params
-    d = lcm(*(x.denominator for x in vals))
-    l = lcm(p.n1, p.n2)
-    W = l << (p.K * N)
-    best = 0
-    best_wit: dict = {"kind": "zero"}
-    for sigma in (1, -1):
-        sv = [sigma * x.numerator * (d // x.denominator) for x in vals]
-        for a in range(1, N + 1):
-            if W // 2 * sv[a] > best:
-                best = W // 2 * sv[a]
-                best_wit = {"kind": "half_only", "a": a, "sigma": sigma}
-        for a in range(1, N + 1):
-            for b in range(a + 1, N + 1):
-                # slot j lies in an I-run (value u1) or a J-run (u2); the runs
-                # hold n1 2^(K(b-a)) and n2 2^(K(b-a)) slots
-                run = 2 ** (p.K * (b - a))
-                count = min(N - b, (p.n1 + p.n2) * 2 ** (p.K * b - 1))
-                slots = [(l // p.n1 if j % ((p.n1 + p.n2) * run) < p.n1 * run
-                          else l // p.n2) << (p.K * (N - b) + 1) for j in range(count)]
-                above = sv[b + 1:]
-
-                def rec(idx: int, slot_i: int, acc: int):
-                    nonlocal best, best_wit
-                    if acc > best:
-                        best = acc
-                        best_wit = {"kind": "shape", "a": a, "b": b,
-                                    "sigma": sigma, "slots_used": slot_i}
-                    if idx >= len(above) or slot_i >= len(slots):
-                        return
-                    rec(idx + 1, slot_i, acc)
-                    rec(idx + 1, slot_i + 1, acc + slots[slot_i] * above[idx])
-
-                rec(0, 0, W // 2 * sv[a] + W * sv[b])
-    return Fraction(best, d * W), best_wit
 
 
 # ------------------------------------------------------------ structured dp
@@ -457,10 +405,9 @@ def quasi_certificate(p: EltonParams, alpha: Fraction) -> dict:
     """
     qb = quasi_case_bounds(p, alpha)
     out, _ = _certify(p, lambda: quasi_pair(alpha), qb["max"])
-    eps_instance = Fraction(p.n1, 2 * p.n2) + TWO ** (-p.K)
-    target = Fraction(8, 7) - eps_instance
+    target = Fraction(8, 7) - p.slack
     return {**out, "alpha": alpha, "quasi_case_bounds": qb,
-            "eps_instance": eps_instance, "target": target,
+            "eps_instance": p.slack, "target": target,
             "threshold_projection_is_plus_vector": alpha < Fraction(2, 3),
             "threshold_tie_at_alpha": alpha == Fraction(2, 3),
             "passes_target": out["ratio_lower"] > target}

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 
 from . import schreier
-from .caps import check_cap, load_caps
+from .caps import check_cap
 from .constants import GRID_ONLY, ConstantQuery, ConstantReport, ConstantWitness
 from .errors import DomainError
 from .norms import NormInstance, SparseVector, _projections, eval_norm
@@ -180,8 +180,7 @@ def _lp_cells(inst: NormInstance, query: ConstantQuery, pieces):
 
 
 def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
-    caps = load_caps()
-    check_cap(inst.dim, caps.lp_dim, "lp dim")
+    check_cap("lp_dim", inst.dim, "instance dim")
     if query.mode in GRID_ONLY:
         raise DomainError(f"mode {query.mode} supports the grid method only")
     nvars = inst.dim + 1

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .caps import check_cap, load_caps
 from .errors import DomainError, InternalError
 from .rationals import _common_denominator
 from .record import Record
@@ -98,8 +97,6 @@ class NormInstance(Record):
             raise DomainError(f"dim must be >= 1, got {dim}")
         if projection_class not in PROJECTION_CLASSES:
             raise DomainError(f"unknown projection class {projection_class!r}")
-        if projection_class == "all_subsets":
-            check_cap(dim, load_caps().all_subsets_dim, "all_subsets dim")
         fams = list(functionals)
         for f in fams:
             for i, _ in f.entries:

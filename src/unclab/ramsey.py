@@ -29,7 +29,7 @@ import random
 from functools import cached_property
 from itertools import combinations
 
-from .caps import check_cap, load_caps
+from .caps import check_cap
 from .errors import DomainError, InternalError, SchemaError
 from .rationals import _subsets
 from .record import Record
@@ -149,7 +149,7 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
     Reports carry the fixed-depth determinacy note and are inconclusive on
     absence.
     """
-    check_cap(universe, load_caps().match_universe, "match universe")
+    check_cap("match_universe", universe, "universe")
     missing = pmap.missing_prefixes(universe)
     if missing:
         raise SchemaError(
@@ -327,7 +327,7 @@ def remark_family(universe: int, m1: int = 1, m2: int = 2) -> ColourFamily:
     """
     if not (1 <= m1 < m2):
         raise DomainError("need 1 <= m1 < m2")
-    check_cap(universe, load_caps().remark_universe, "remark universe")
+    check_cap("remark_universe", universe, "universe")
     width = m2 + 1
 
     def colour_at(pos: int) -> int:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .caps import check_cap, load_caps
-from .errors import DomainError, InternalError, SizeError
+from .caps import check_cap
+from .errors import DomainError, InternalError
 from .rationals import _common_denominator
 from .record import Record
 
@@ -176,8 +176,7 @@ def bracket(r: Resolution, s: Resolution, method: str = "dp") -> tuple[Fraction,
     if method == "dp":
         return _bracket_dp(r, s)
     if method == "brute":
-        check_cap(max(len(r), len(s)), load_caps().brute_bracket,
-                  "brute_bracket: resolution length")
+        check_cap("brute_bracket", max(len(r), len(s)), "resolution length")
         return _bracket_brute(r, s)
     raise DomainError(f"unknown bracket method {method!r}")
 
@@ -208,10 +207,6 @@ def _rademacher_length(k0: int, ns: tuple[int, ...], n: int, l: int) -> int:
     return n * sum(ns) * k0 ** (l - 1)
 
 
-def _check_rademacher_cells(cells: int) -> None:
-    check_cap(cells, load_caps().rademacher_cells, "rademacher_cells: bracket DP cells")
-
-
 def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int = 1) -> Resolution:
     """Level-l Rademacher resolution for colour base k0 and multiplicities ns.
 
@@ -222,7 +217,7 @@ def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int = 1) -> Resolu
     DP cells, is checked against the rademacher_cells cap before building.
     """
     length = _rademacher_length(k0, ns, n, l)
-    _check_rademacher_cells(length * length)
+    check_cap("rademacher_cells", length * length, "bracket DP cells")
     k = k0 * k0
     pattern: list[int] = []
     alpha: list[Fraction] = []
@@ -243,7 +238,8 @@ def rademacher_family(k0: int, ns: tuple[int, ...], n: int, m: int) -> list[Reso
     """
     if m < 1:
         raise DomainError("need m >= 1 levels")
-    _check_rademacher_cells((m * _rademacher_length(k0, ns, n, m)) ** 2)
+    check_cap("rademacher_cells", (m * _rademacher_length(k0, ns, n, m)) ** 2,
+              "bracket DP cells")
     return [build_rademacher(k0, ns, n * k0 ** (m - l), l) for l in range(1, m + 1)]
 
 
@@ -313,9 +309,8 @@ def explore_orthogonal_family(eta: Fraction, budget: int, seed: int) -> dict:
     """
     if eta <= 0:
         raise DomainError("eta must be positive")
-    caps = load_caps()
-    if budget < 1 or budget > caps.orthogonal_budget:
-        raise SizeError(f"budget must be in 1..{caps.orthogonal_budget}")
+    if budget < 1:
+        raise DomainError(f"budget must be >= 1, got {budget}")
     k0 = 2
     ns = choose_multiplicities(k0)
     floor = Fraction(1, k0)

@@ -1,14 +1,18 @@
 import contextlib
 import io
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+import unclab
 from unclab import cli
+from unclab.elton import EltonLayout, _dense_values
 from unclab.errors import DomainError
 from unclab.lp import _kstar_denominator
 from unclab.norms import SparseVector, eval_norm
@@ -16,6 +20,18 @@ from unclab.resolutions import Resolution
 from unclab.schreier import oscillation, schreier_decompose, schreier_member
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# the source tree this test process imported unclab from
+SRC = str(Path(unclab.__file__).resolve().parent.parent)
+
+
+def child_env() -> dict:
+    """The environment for a child Python: this one without UNCLAB_CAPS, so
+    the child runs at the default caps, and with SRC first on PYTHONPATH, so
+    it imports the same unclab."""
+    env = dict(os.environ)
+    env.pop("UNCLAB_CAPS", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture
@@ -213,3 +229,56 @@ def verify_witness(inst, query, wit) -> Fraction:
     if den == 0:
         raise DomainError("witness denominator vanishes")
     return num / den
+
+
+def brute_miniature(layout: EltonLayout, v) -> tuple[Fraction, dict]:
+    """Exhaustive family maximum for small universes.
+
+    For every sign, shape (a, b), and subset of coordinates above b, assigns
+    the shape's slot values in order to the subset's coordinates (a prefix of
+    the slot sequence; shorter subsets are the slot truncations) and takes
+    the best total. Half-coefficient-only candidates cover truncations that
+    cut before b.
+
+    Kept apart from structured_dp's scaling and tiling: every candidate is
+    an int at the scale d * W, with d the values' common denominator and
+    W = lcm(n1, n2) 2^(K N), at which the coefficients 1/2 and 1 and every
+    slot value 1/(n 2^(Kb-1)), b <= N, are ints.
+    """
+    N = layout.universe
+    vals = _dense_values(layout, v)
+    p = layout.params
+    d = lcm(*(x.denominator for x in vals))
+    l = lcm(p.n1, p.n2)
+    W = l << (p.K * N)
+    best = 0
+    best_wit: dict = {"kind": "zero"}
+    for sigma in (1, -1):
+        sv = [sigma * x.numerator * (d // x.denominator) for x in vals]
+        for a in range(1, N + 1):
+            if W // 2 * sv[a] > best:
+                best = W // 2 * sv[a]
+                best_wit = {"kind": "half_only", "a": a, "sigma": sigma}
+        for a in range(1, N + 1):
+            for b in range(a + 1, N + 1):
+                # slot j lies in an I-run (value u1) or a J-run (u2); the runs
+                # hold n1 2^(K(b-a)) and n2 2^(K(b-a)) slots
+                run = 2 ** (p.K * (b - a))
+                count = min(N - b, (p.n1 + p.n2) * 2 ** (p.K * b - 1))
+                slots = [(l // p.n1 if j % ((p.n1 + p.n2) * run) < p.n1 * run
+                          else l // p.n2) << (p.K * (N - b) + 1) for j in range(count)]
+                above = sv[b + 1:]
+
+                def rec(idx: int, slot_i: int, acc: int):
+                    nonlocal best, best_wit
+                    if acc > best:
+                        best = acc
+                        best_wit = {"kind": "shape", "a": a, "b": b,
+                                    "sigma": sigma, "slots_used": slot_i}
+                    if idx >= len(above) or slot_i >= len(slots):
+                        return
+                    rec(idx + 1, slot_i, acc)
+                    rec(idx + 1, slot_i + 1, acc + slots[slot_i] * above[idx])
+
+                rec(0, 0, W // 2 * sv[a] + W * sv[b])
+    return Fraction(best, d * W), best_wit

@@ -14,13 +14,12 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 from pathlib import Path
 
-from conftest import (build_standard, colour_weight, interval_ladder, level_split,
-                      rand_resolution, rand_sparse, verify_witness)
+from conftest import (brute_miniature, build_standard, colour_weight, interval_ladder,
+                      level_split, rand_resolution, rand_sparse, verify_witness)
 
 from unclab.constants import MODES, ConstantQuery, compute_constant
 from unclab.elton import (STANDARD_PAIR, EltonParams, LayoutVector, _dense_values,
-                          _slot_tiling, build_layout, brute_miniature,
-                          elton_ladder, k_lower_certificate,
+                          _slot_tiling, build_layout, elton_ladder, k_lower_certificate,
                           quasi_certificate, structured_dp)
 from unclab.norms import Functional, NormInstance, SparseVector
 from unclab.ramsey import (MatchingWitness, remark_family, restrict_pattern,

@@ -8,12 +8,11 @@ import sys
 from fractions import Fraction as F
 
 import unclab
+from conftest import child_env
 from unclab import cli
 from unclab import serialize as ser
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
-# the source tree this test process imported unclab from; the child uses it too
-SRC = os.path.dirname(os.path.dirname(unclab.__file__))
 
 
 def fx(name):
@@ -21,14 +20,8 @@ def fx(name):
 
 
 def run(*args, env_extra=None, check=None):
-    env = dict(os.environ)
-    env.pop("UNCLAB_CAPS", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run([sys.executable, "-m", "unclab", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-m", "unclab", *args], capture_output=True,
+                          text=True, env={**child_env(), **(env_extra or {})}, timeout=120)
     if check is not None:
         assert proc.returncode == check, (proc.returncode, proc.stderr)
     return proc

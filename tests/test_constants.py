@@ -252,24 +252,37 @@ def test_method_and_step_validation():
 
 
 def test_grid_dim_cap():
-    inst = build_standard("linf", 11)  # cap is 10
-    with pytest.raises(SizeError):
+    # dim 11 at step 1: (5^11 - 1)/2 = 24414062 (point, E) pairs
+    inst = build_standard("linf", 11)
+    with pytest.raises(SizeError, match="grid_pairs: .* = 24414062 exceeds"):
         compute_constant(inst, q("C_uncond"), method="grid", step=F(1))
+    # linf at dim 7, step 1/2: 2391484 pairs, about 20 s of search
+    with pytest.raises(SizeError, match="= 2391484 exceeds"):
+        compute_constant(build_standard("linf", 7), q("C_uncond"), method="grid",
+                         step=F(1, 2))
+    # a huge dim is refused at once, its count named by a power of two
+    huge = NormInstance.build(10 ** 7, [SparseVector.from_pairs([(1, 1)])])
+    with pytest.raises(SizeError, match=r"^grid_pairs: \(point, E\) pairs >= 2\^23218 exceeds"):
+        compute_constant(huge, q("C_uncond"), method="grid", step=F(1))
 
 
 def test_grid_points_cap(monkeypatch):
-    # the estimate (2s+1)^dim - 1 is checked before the search starts
+    # the pair count ((4s+1)^dim - 1)/2 is checked before the search starts
     with pytest.raises(SizeError) as err:
         compute_constant(build_standard("linf", 10), q("C_uncond"), method="grid")
-    assert str(err.value) == (f"grid_points: lattice points = {17 ** 10 - 1} "
+    assert str(err.value) == (f"grid_pairs: (point, E) pairs = {(33 ** 10 - 1) // 2} "
                               "exceeds cap 1000000 (override with UNCLAB_CAPS)")
-    # and it is exact: the search visits that many points
+    # and it is exact in C_uncond: each visited point t of the half lattice
+    # yields its 2^|supp t| sets E, and a reference loop counts them
     inst = build_standard("linf", 3)
-    monkeypatch.setenv("UNCLAB_CAPS", "grid_points=124")
+    monkeypatch.setenv("UNCLAB_CAPS", "grid_pairs=364")
     rep = compute_constant(inst, q("C_uncond"), method="grid", step=F(1, 2))
     assert rep.details["lattice_points"] == 5 ** 3 - 1
-    monkeypatch.setenv("UNCLAB_CAPS", "grid_points=123")
-    with pytest.raises(SizeError, match="grid_points"):
+    half = [t for t in itertools.product(range(-2, 3), repeat=3)
+            if next((x for x in t if x), 0) < 0]
+    assert sum(2 ** sum(1 for x in t if x) for t in half) == 364
+    monkeypatch.setenv("UNCLAB_CAPS", "grid_pairs=363")
+    with pytest.raises(SizeError, match="grid_pairs"):
         compute_constant(inst, q("C_uncond"), method="grid", step=F(1, 2))
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import brute_miniature
 from unclab import elton
 from unclab.elton import (
     STANDARD_PAIR,
@@ -16,7 +17,6 @@ from unclab.elton import (
     _block_max_runs,
     _dense_values,
     _slot_tiling,
-    brute_miniature,
     build_layout,
     case_bounds,
     elton_ladder,
@@ -122,7 +122,9 @@ def test_symbolic_certificate_and_ladder():
     cases = [c["ratio_case"] for c in ladder]
     assert cases == [F(10, 9), F(80, 67), F(320, 259)]
     assert cases[0] < cases[1] < cases[2]
-    assert [c["verification"] for c in ladder] == ["dp", "symbolic", "symbolic"]
+    # rung 2's universe, 34818, is inside the layout cap: the DP certifies 5/4
+    assert [c["verification"] for c in ladder] == ["dp", "dp", "symbolic"]
+    assert ladder[1]["universe"] == 34818 and ladder[1]["ratio_lower"] == F(5, 4)
 
 
 def test_quasi_certificate_symbolic_1648():
@@ -258,8 +260,6 @@ def test_dp_guardrails(monkeypatch):
         structured_dp(layout, SparseVector.from_pairs([(2000, F(1))]))
     with pytest.raises(SizeError):
         build_layout(P1648)  # universe 2129922 over the layout cap
-    with pytest.raises(SizeError):
-        brute_miniature(layout, x)  # 1154 over the brute cap
 
 
 def ref_region(p, c):

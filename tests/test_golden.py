@@ -27,14 +27,13 @@ one case per verb and an error case also run as `python -m unclab` in a
 fresh interpreter, against the same files.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import unclab
+from conftest import child_env
 from unclab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,12 +120,7 @@ def test_process_cases_cover_every_verb():
 @pytest.mark.parametrize("name,exit_code,args", PROCESS_CASES,
                          ids=[c[0] for c in PROCESS_CASES])
 def test_golden_report_as_a_process(name, exit_code, args):
-    env = dict(os.environ)
-    env.pop("UNCLAB_CAPS", None)
-    # the source tree this test process imported unclab from
-    src = str(Path(unclab.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "unclab", *args], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-m", "unclab", *args], cwd=ROOT, env=child_env(),
                           capture_output=True, timeout=120)
     assert proc.returncode == exit_code
     assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()

@@ -17,16 +17,14 @@ positive after every job, whatever its exit code.
 
 import gc
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import unclab
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
-# the source tree this test process imported unclab from; the child uses it too
-SRC = str(Path(unclab.__file__).resolve().parent.parent)
 LAYERS = ("serialize", "rationals", "resolutions", "norms", "constants", "lp",
           "schreier", "elton", "mrdemo", "ramsey", "record")
 
@@ -60,10 +58,7 @@ EXPORTS = {
 
 
 def python(code: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env.pop("UNCLAB_CAPS", None)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=child_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -108,6 +103,13 @@ def test_constant_executes_only_its_layers():
     # a grid job in a mode other than BOU or schreier runs neither lp nor schreier
     assert executed("constant", "--instance", "tests/fixtures/norm_summing4.json",
                     "--mode", "C_uncond", "--step", "1/2") == mods(*CONSTANT_JOB)
+
+
+def test_norm_executes_only_its_layers():
+    # norms checks no cap, so a norm job does not run caps
+    assert executed("norm", "--instance", "tests/fixtures/norm_summing4.json",
+                    "--vector", "tests/fixtures/vector_a.json") == mods(
+        "serialize", "norms", "rationals", "errors", "record")
 
 
 def test_bou_constant_executes_schreier():

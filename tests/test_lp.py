@@ -1,7 +1,6 @@
 """The exact simplex behind the LP method, against independent oracles."""
 
 import itertools
-import os
 import random
 import subprocess
 import sys
@@ -11,10 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import unclab
+from conftest import child_env
 from unclab.lp import _lp_max
-
-SRC = os.path.dirname(os.path.dirname(unclab.__file__))
 
 
 def dot(form, x):
@@ -134,11 +131,7 @@ def test_lp_path_imports_no_sympy():
             "rep = compute_constant(summing3, ConstantQuery('C_uncond'),\n"
             "                       method='fractional_lp')\n"
             "print(rep.value_lower, 'sympy' in sys.modules)\n")
-    env = dict(os.environ)
-    env.pop("UNCLAB_CAPS", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2", "False"]

@@ -17,13 +17,13 @@ inside it.
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import unclab
 
+from conftest import child_env
 from test_golden import CASES
 from test_scripts import RUNS
 
@@ -34,8 +34,6 @@ REPORT_SCRIPTS = ("elton_ladder.py", "orthogonal_family_search.py")
 # defs no golden case or report script enters, by module-qualified name,
 # each with the reason it stays
 UNREACHED = {
-    "elton.brute_miniature": "oracle: exhaustive family maximum that structured_dp "
-                             "is checked against (criterion 5)",
     "__init__.__getattr__": "package-level names; perfbench's LP_FIRST_CALL job "
                             "imports four of them from `unclab`",
     "record.Record.__eq__": "value equality of records: the tests compare reports, "
@@ -97,12 +95,9 @@ def _entered() -> set[tuple[str, int, str]]:
             "scripts": [[str(ROOT / "scripts" / name), *args]
                         for name, *args in RUNS if name in REPORT_SCRIPTS]}
     assert len(plan["scripts"]) == len(REPORT_SCRIPTS)
-    env = dict(os.environ)
-    env.pop("UNCLAB_CAPS", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PKG.parent), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", RUN, str(PKG)], input=json.dumps(plan),
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+                          cwd=ROOT, env=child_env(), capture_output=True, text=True,
+                          timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["failed"] == []

@@ -248,6 +248,9 @@ def test_rademacher_cap_refuses_k0_3_before_building(monkeypatch):
     for err, cells in ((family_err, family_cells), (member_err, member_cells)):
         assert str(err.value) == (f"rademacher_cells: bracket DP cells = {cells} "
                                   "exceeds cap 4000000 (override with UNCLAB_CAPS)")
+    # a count past the 4300 digits str() accepts is named by a power of two
+    with pytest.raises(SizeError, match=r"^rademacher_cells: bracket DP cells >= 2\^"):
+        rademacher_family(2, (1, 17), 1, 20000)
     monkeypatch.setenv("UNCLAB_CAPS", "rademacher_cells=46655")
     with pytest.raises(SizeError):
         rademacher_family(2, (1, 17), 1, 3)
@@ -299,5 +302,7 @@ def test_explore_orthogonal_family_smoke():
             assert mutual_bracket(a, b) < Fraction(5, 2)
     floor = explore_orthogonal_family(Fraction(1, 2), 500, seed=3)
     assert len(floor["family"]) == 1 and "floor" in floor["note"]
-    with pytest.raises(SizeError):
-        explore_orthogonal_family(Fraction(2), 10**9, seed=1)
+    # the pool holds six candidates, so any budget makes at most 15 evaluations
+    assert explore_orthogonal_family(Fraction(2), 10**9, seed=1)["evaluations"] <= 15
+    with pytest.raises(DomainError, match="budget must be >= 1"):
+        explore_orthogonal_family(Fraction(2), 0, seed=1)
