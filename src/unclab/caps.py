@@ -2,7 +2,7 @@
 
 Format: comma-separated name=value pairs, e.g.
 
-    UNCLAB_CAPS="brute_bracket=10,layout_universe=50000"
+    UNCLAB_CAPS="match_universe=18,layout_universe=50000"
 
 Unknown names are rejected so typos do not silently keep defaults.
 """
@@ -16,7 +16,6 @@ from .record import Record
 
 
 class Caps(Record):
-    brute_bracket: int = 8          # max resolution length for bracket method="brute"
     grid_pairs: int = 1_000_000     # max (point, E) pairs ((4s+1)^dim - 1)/2 of a grid at step 1/s
     lp_dim: int = 14                # max instance dim for compute_constant fractional_lp
     layout_universe: int = 40_000   # max layout universe; certificates beyond it are symbolic

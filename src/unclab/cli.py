@@ -6,7 +6,8 @@ opt-in through --timing because reports must be byte-stable across runs.
 
 Exit codes: 0 success, 1 domain/size errors, 2 missing inputs (shared with
 the argument parser's own usage failures), 3 malformed rationals, 4 schema
-errors in input documents, 5 internal invariant failures.
+errors in input documents, 5 internal invariant failures and any other
+exception a verb raises.
 
 Each CLI job is one short process, so its exit is part of its cost. When
 `main()` runs as the program (no `args`), it calls `gc.freeze()` once the
@@ -87,29 +88,28 @@ def verb(name: str, *arguments):
     """Register a verb body under `name` with its arguments, plus --timing.
 
     The body returns (inputs, out), which becomes the report together with
-    the verb's name and the package version, or None when it has printed
-    text itself. --timing adds the wall-clock time in milliseconds to
-    either. An UnclabError prints as JSON on stderr and exits with the
-    error's exit code.
+    the verb's name and the package version; --timing adds the wall-clock
+    time in milliseconds. An UnclabError prints as JSON on stderr and exits
+    with the error's exit code. Any other Exception is a bug, not a fault
+    in the input: it prints as `{"error": "<type>: <message>", "kind":
+    "InternalError"}` and exits 5, like an InternalError.
     """
     def register(fn):
         def callback(timing, **kwargs):
             t0 = time.monotonic()
             try:
-                result = fn(**kwargs)
-                wall_ms = int((time.monotonic() - t0) * 1000)
-                if result is None:
-                    if timing:
-                        print(f"wall_ms            {wall_ms}")
-                    return
-                inputs, out = result
+                inputs, out = fn(**kwargs)
                 report = {"verb": name, "version": __version__, "inputs": inputs, **out}
                 if timing:
-                    report["wall_ms"] = wall_ms
+                    report["wall_ms"] = int((time.monotonic() - t0) * 1000)
                 sys.stdout.write(ser.dump_json(report))
             except errors.UnclabError as e:
                 sys.stderr.write(ser.dump_json({"error": str(e), "kind": type(e).__name__}))
                 sys.exit(e.exit_code)
+            except Exception as e:
+                sys.stderr.write(ser.dump_json({"error": f"{type(e).__name__}: {e}",
+                                                "kind": "InternalError"}))
+                sys.exit(errors.InternalError.exit_code)
 
         main.commands[name] = Command(fn.__doc__, arguments + (
             arg("--timing", action="store_true", help="add the wall-clock time"),), callback)
@@ -117,39 +117,25 @@ def verb(name: str, *arguments):
     return register
 
 
-def _align_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    lines.append("  ".join("─" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(
-            cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines)
-
-
 @verb("bracket",
       arg("left_path", metavar="LEFT"),
       arg("right_path", metavar="RIGHT"),
-      arg("--method", choices=["dp", "brute"], default="dp"),
       arg("--mutual", action="store_true", help="symmetrized value"))
-def bracket_cmd(left_path, right_path, method, mutual):
+def bracket_cmd(left_path, right_path, mutual):
     """Weighted matching value of two resolutions."""
     r = ser.load_resolution(ser.read_json_file(left_path), "left")
     s = ser.load_resolution(ser.read_json_file(right_path), "right")
     inputs = {"left": left_path, "right": right_path, "mutual": mutual}
     if mutual:
-        lr, lr_wit = resolutions.bracket(r, s, method)
-        rl, rl_wit = resolutions.bracket(s, r, method)
+        lr, lr_wit = resolutions.bracket(r, s)
+        rl, rl_wit = resolutions.bracket(s, r)
         out = {"value": max(lr, rl), "left_right": lr, "right_left": rl,
                "witness_direction": "left_right" if lr >= rl else "right_left",
                "witness": [list(p) for p in (lr_wit if lr >= rl else rl_wit)]}
     else:
-        value, wit = resolutions.bracket(r, s, method)
+        value, wit = resolutions.bracket(r, s)
         out = {"value": value, "witness": [list(p) for p in wit]}
-    out["method"] = method
+    out["method"] = "dp"
     return inputs, out
 
 
@@ -159,9 +145,8 @@ def bracket_cmd(left_path, right_path, method, mutual):
       arg("--n", type=int, required=True, help="base multiplicity"),
       arg("--ns", help="comma separated multiplicities, e.g. 1,17"),
       arg("--auto-ns", action="store_true",
-          help="greedy minimal multiplicities for this k0"),
-      arg("--table", action="store_true"))
-def rademacher(k0, m, n, ns, auto_ns, table):
+          help="greedy minimal multiplicities for this k0"))
+def rademacher(k0, m, n, ns, auto_ns):
     """Pairwise interaction table for a Rademacher-class family."""
     if (ns is None) == (not auto_ns):
         raise errors.DomainError("give exactly one of --ns or --auto-ns")
@@ -189,14 +174,6 @@ def rademacher(k0, m, n, ns, auto_ns, table):
         "bound_cross_levels": (resolutions.rademacher_bound(k0, ns, 1, 2)
                                if m > 1 else None),
     }
-    if table:
-        headers = [""] + labels
-        rows = [[labels[i]] + [str(v) for v in matrix[i]] for i in range(m)]
-        print(_align_table(headers, rows))
-        print(f"same-level bound   {out['bound_same_level']}")
-        if out["bound_cross_levels"] is not None:
-            print(f"cross-level bound  {out['bound_cross_levels']}")
-        return None
     return {"k0": k0, "m": m, "n": n, "ns": list(ns)}, out
 
 

@@ -9,14 +9,14 @@ predicate: r and s are eta-orthogonal when <r, s> < eta.
 
 The bracket DP is integer-scaled and exact: every gain is an integer over
 one common denominator, the suffix table and the lex-first witness walk run
-on plain ints, and the one Fraction is built at the end. The exhaustive
-method "brute" is its oracle on short inputs.
+on plain ints, and the one Fraction is built at the end. Its exhaustive
+oracle on short inputs, `brute_bracket`, lives in `tests/conftest.py`.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from itertools import combinations
 
 from .caps import check_cap
 from .errors import DomainError, InternalError
@@ -99,10 +99,6 @@ def longest_chain(patterns: list[tuple[int, ...]], k: int) -> list[int]:
     return chain
 
 
-def _gain(r: Resolution, s: Resolution, u: int, v: int) -> Fraction:
-    return TWO ** (r.pattern[u] - s.pattern[v]) * r.alpha[u]
-
-
 def _bracket_dp(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int, int]]]:
     n, m = len(r), len(s)
     # Every gain 2^(c_u - d_v) alpha_u is an integer over the one denominator
@@ -150,35 +146,11 @@ def _bracket_dp(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int,
     return Fraction(suffix[0][0], denom << (top - 1)), witness
 
 
-def _bracket_brute(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int, int]]]:
-    n, m = len(r), len(s)
-    best = Fraction(0)
-    best_wit: list[tuple[int, int]] = []
-
-    def rec(u: int, v: int, acc: Fraction, pairs: list[tuple[int, int]]):
-        nonlocal best, best_wit
-        if acc > best or (acc == best and pairs < best_wit):
-            best, best_wit = acc, list(pairs)
-        for u2 in range(u, n):
-            for v2 in range(v, m):
-                pairs.append((u2 + 1, v2 + 1))
-                rec(u2 + 1, v2 + 1, acc + _gain(r, s, u2, v2), pairs)
-                pairs.pop()
-
-    rec(0, 0, Fraction(0), [])
-    return best, best_wit
-
-
-def bracket(r: Resolution, s: Resolution, method: str = "dp") -> tuple[Fraction, list[tuple[int, int]]]:
+def bracket(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int, int]]]:
     """[r, s] with a lex-first optimal matching witness (1-indexed pairs)."""
     if r.k != s.k:
         raise DomainError(f"colour counts differ: {r.k} vs {s.k}")
-    if method == "dp":
-        return _bracket_dp(r, s)
-    if method == "brute":
-        check_cap("brute_bracket", max(len(r), len(s)), "resolution length")
-        return _bracket_brute(r, s)
-    raise DomainError(f"unknown bracket method {method!r}")
+    return _bracket_dp(r, s)
 
 
 def mutual_bracket(r: Resolution, s: Resolution) -> Fraction:
@@ -298,19 +270,20 @@ def rademacher_bound(k0: int, ns: tuple[int, ...], l: int, l2: int) -> Fraction:
     return TWO ** (-k0) + cross / k0 + Fraction(3, k0)
 
 
-def explore_orthogonal_family(eta: Fraction, budget: int, seed: int) -> dict:
-    """Greedy search for a mutually eta-orthogonal set of resolutions.
+def explore_orthogonal_family(eta: Fraction) -> dict:
+    """The largest mutually eta-orthogonal subset of a six-member pool.
 
-    Candidate pool comes from the Rademacher class with colour base 2 and
-    greedy multiplicities. Every class member has colour weights 1/k0 and
-    any two share enough colour positions to force
-    <r, s> >= 1/k0, so eta <= 1/k0 cannot support a family of size above 1;
-    that case returns immediately with the floor noted.
+    The pool holds R[n, l] for l = 1..3 and n = n0 * 2^(3 - l), n0 = 1
+    then 2, from the Rademacher class with colour base 2 and greedy
+    multiplicities. Its 15 mutual brackets are computed once; among the
+    largest subsets whose pairs all stay below eta, the first in pool
+    order is returned. Every class member has colour weights 1/k0 and any
+    two share enough colour positions to force <r, s> >= 1/k0, so
+    eta <= 1/k0 cannot support a family of size above 1; that case returns
+    immediately with the floor noted.
     """
     if eta <= 0:
         raise DomainError("eta must be positive")
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
     k0 = 2
     ns = choose_multiplicities(k0)
     floor = Fraction(1, k0)
@@ -329,36 +302,17 @@ def explore_orthogonal_family(eta: Fraction, budget: int, seed: int) -> dict:
         for l in range(1, m_top + 1):
             n = n0 * k0 ** (m_top - l)
             pool.append((f"R[n={n},l={l}]", build_rademacher(k0, ns, n, l)))
-    rng = random.Random(seed)
-    rng.shuffle(pool)
-    family: list[Resolution] = []
-    labels: list[str] = []
-    pairwise_max: Fraction | None = None
-    used = 0
-    for label, cand in pool:
-        ok = True
-        cand_max: Fraction | None = None
-        for member in family:
-            if used >= budget:
-                ok = False
-                break
-            used += 1
-            val = mutual_bracket(cand, member)
-            cand_max = val if cand_max is None else max(cand_max, val)
-            if val >= eta:
-                ok = False
-                break
-        if ok:
-            family.append(cand)
-            labels.append(label)
-            if cand_max is not None:
-                pairwise_max = cand_max if pairwise_max is None else max(pairwise_max, cand_max)
-        if used >= budget:
-            break
-    return {
-        "family": family,
-        "labels": labels,
-        "pairwise_max": pairwise_max,
-        "note": "",
-        "evaluations": used,
-    }
+    mutual = {pair: mutual_bracket(pool[pair[0]][1], pool[pair[1]][1])
+              for pair in combinations(range(len(pool)), 2)}
+    # a single member has no pair, so size 1 always returns
+    for size in range(len(pool), 0, -1):
+        for chosen in combinations(range(len(pool)), size):
+            values = [mutual[pair] for pair in combinations(chosen, 2)]
+            if all(v < eta for v in values):
+                return {
+                    "family": [pool[i][1] for i in chosen],
+                    "labels": [pool[i][0] for i in chosen],
+                    "pairwise_max": max(values, default=None),
+                    "note": "",
+                    "evaluations": len(mutual),
+                }

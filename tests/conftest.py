@@ -67,8 +67,8 @@ def _invoke_cli(args: list[str]) -> CliResult:
 @pytest.fixture
 def invoke_cli():
     """Run `unclab ARGS...` in this process: its exit code and its stdout
-    and stderr as UTF-8 bytes. An exception other than SystemExit
-    propagates."""
+    and stderr as UTF-8 bytes. A verb's exceptions end in its JSON error
+    and exit code, as in a process."""
     return _invoke_cli
 
 
@@ -86,6 +86,31 @@ def rand_resolution(rng: random.Random, max_len: int = 6, max_k: int = 4,
 def colour_weight(r: Resolution, j: int) -> Fraction:
     """Total weight of r's colour-j coordinates."""
     return sum((a for c, a in zip(r.pattern, r.alpha) if c == j), Fraction(0))
+
+
+def _gain(r: Resolution, s: Resolution, u: int, v: int) -> Fraction:
+    return Fraction(2) ** (r.pattern[u] - s.pattern[v]) * r.alpha[u]
+
+
+def brute_bracket(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int, int]]]:
+    """The bracket DP's exhaustive oracle: [r, s] and its lex-first optimal
+    witness over every monotone matching, for short inputs only."""
+    n, m = len(r), len(s)
+    best = Fraction(0)
+    best_wit: list[tuple[int, int]] = []
+
+    def rec(u: int, v: int, acc: Fraction, pairs: list[tuple[int, int]]):
+        nonlocal best, best_wit
+        if acc > best or (acc == best and pairs < best_wit):
+            best, best_wit = acc, list(pairs)
+        for u2 in range(u, n):
+            for v2 in range(v, m):
+                pairs.append((u2 + 1, v2 + 1))
+                rec(u2 + 1, v2 + 1, acc + _gain(r, s, u2, v2), pairs)
+                pairs.pop()
+
+    rec(0, 0, Fraction(0), [])
+    return best, best_wit
 
 
 def build_standard(kind: str, n: int, points: list[list[Fraction]] | None = None):

@@ -14,8 +14,9 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 from pathlib import Path
 
-from conftest import (brute_miniature, build_standard, colour_weight, interval_ladder,
-                      level_split, rand_resolution, rand_sparse, verify_witness)
+from conftest import (brute_bracket, brute_miniature, build_standard, colour_weight,
+                      interval_ladder, level_split, rand_resolution, rand_sparse,
+                      verify_witness)
 
 from unclab.constants import MODES, ConstantQuery, compute_constant
 from unclab.elton import (STANDARD_PAIR, EltonParams, LayoutVector, _dense_values,
@@ -56,15 +57,15 @@ def test_criterion_1(capsys):
         res = {p: Resolution(2, p, (F(1, len(p)),) * len(p)) for p in pats}
         for p in pats:
             for q in pats:
-                vd, wd = bracket(res[p], res[q], method="dp")
-                vb, wb = bracket(res[p], res[q], method="brute")
+                vd, wd = bracket(res[p], res[q])
+                vb, wb = brute_bracket(res[p], res[q])
                 assert vd == vb
         rng = random.Random(11)
         for _ in range(500):
             k = rng.randint(1, 4)
             r = rand_resolution(rng, max_len=6, k=k)
             s = rand_resolution(rng, max_len=6, k=k)
-            assert bracket(r, s, "dp")[0] == bracket(r, s, "brute")[0]
+            assert bracket(r, s)[0] == brute_bracket(r, s)[0]
 
 
 def test_criterion_2(capsys):

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction as F
 
 import unclab
-from conftest import child_env
+from conftest import brute_bracket, child_env
 from unclab import cli
 from unclab import serialize as ser
 
@@ -36,17 +36,30 @@ def err_json(proc):
 
 
 def test_bracket_dp_and_brute():
-    for method in ("dp", "brute"):
-        proc = run("bracket", fx("resolution_r.json"), fx("resolution_s.json"),
-                   "--method", method, check=0)
-        rep = out_json(proc)
-        assert rep["verb"] == "bracket"
-        assert rep["value"] == "5/4"
-        assert rep["witness"] == [[1, 1], [2, 2]]
-        assert rep["method"] == method
-        assert rep["inputs"]["left"].endswith("resolution_r.json")
-        assert "version" in rep
-        assert "wall_ms" not in rep
+    rep = out_json(run("bracket", fx("resolution_r.json"), fx("resolution_s.json"), check=0))
+    assert rep["verb"] == "bracket"
+    assert rep["value"] == "5/4"
+    assert rep["witness"] == [[1, 1], [2, 2]]
+    assert rep["method"] == "dp"
+    # the DP's report against the exhaustive oracle of the tests
+    r, s = (ser.load_resolution(ser.read_json_file(fx(name)), side)
+            for name, side in (("resolution_r.json", "left"), ("resolution_s.json", "right")))
+    value, witness = brute_bracket(r, s)
+    assert (F(rep["value"]), rep["witness"]) == (value, [list(p) for p in witness])
+    assert rep["inputs"]["left"].endswith("resolution_r.json")
+    assert "version" in rep
+    assert "wall_ms" not in rep
+
+
+def test_removed_options_are_usage_errors(invoke_cli):
+    # each verb has one method and one JSON report
+    for args, option in ((["bracket", fx("resolution_r.json"), fx("resolution_s.json"),
+                           "--method", "dp"], "--method"),
+                         (["rademacher", "--k0", "2", "--m", "3", "--n", "1", "--auto-ns",
+                           "--table"], "--table")):
+        result = invoke_cli(args)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert f"unrecognized arguments: {option}" in result.stderr
 
 
 def test_bracket_byte_stability_and_timing():
@@ -88,7 +101,7 @@ def test_exit_code_2_missing_inputs():
     proc = run("bracket", fx("resolution_r.json"), fx("resolution_s.json"),
                "--no-such-flag", check=2)
     assert "no-such-flag" in proc.stderr
-    # options are not abbreviated: --mut is neither --mutual nor --method
+    # options are not abbreviated: --mut is not --mutual
     proc = run("bracket", fx("resolution_r.json"), fx("resolution_s.json"),
                "--mut", check=2)
     assert "--mut" in proc.stderr
@@ -150,8 +163,7 @@ options:
   --timing             add the wall-clock time
 """
 BRACKET_HELP = """\
-usage: unclab bracket [-h] [--method {dp,brute}] [--mutual] [--timing]
-                      LEFT RIGHT
+usage: unclab bracket [-h] [--mutual] [--timing] LEFT RIGHT
 
 Weighted matching value of two resolutions.
 
@@ -160,10 +172,9 @@ positional arguments:
   RIGHT
 
 options:
-  -h, --help           show this help message and exit
-  --method {dp,brute}
-  --mutual             symmetrized value
-  --timing             add the wall-clock time
+  -h, --help  show this help message and exit
+  --mutual    symmetrized value
+  --timing    add the wall-clock time
 """
 UNKNOWN_VERB = """\
 usage: unclab [-h] VERB ...
@@ -219,6 +230,15 @@ def test_exit_code_5_internal_error(monkeypatch, invoke_cli):
     assert result.stdout == ""
     assert json.loads(result.stderr) == {"error": "cannot serialize a value of type object",
                                          "kind": "InternalError"}
+    # any other exception is an internal error too: this symbolic certificate's
+    # universe has more than the 4300 digits json writes
+    monkeypatch.delenv("UNCLAB_CAPS", raising=False)
+    result = invoke_cli(["elton", "--n1", "1", "--n2", "8", "--K", "8000", "--eps", "13/100"])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert err["kind"] == "InternalError"
+    assert err["error"].startswith("ValueError: Exceeds the limit (4300 digits)")
 
 
 def test_exit_code_4_schema(tmp_path):
@@ -318,14 +338,12 @@ def test_rademacher_json_and_table():
                 assert F(cell) <= bound
     assert F(rep["max_diagonal"]) <= 2
     assert rep["bound_same_level"] == "2/1"
-    table = run("rademacher", "--k0", "2", "--m", "3", "--n", "1", "--auto-ns",
-                "--table", check=0).stdout
-    assert "─" in table
-    assert "R(n=4,l=1)" in table
-    assert "same-level bound" in table
-    timed = run("rademacher", "--k0", "2", "--m", "3", "--n", "1", "--auto-ns",
-                "--table", "--timing", check=0).stdout
-    assert timed.splitlines()[-1].startswith("wall_ms")
+    # the JSON report carries the labelled, symmetric interaction table
+    assert rep["labels"] == ["R(n=4,l=1)", "R(n=2,l=2)", "R(n=1,l=3)"]
+    assert [[row[j] for row in rep["pairwise"]] for j in range(3)] == rep["pairwise"]
+    timed = out_json(run("rademacher", "--k0", "2", "--m", "3", "--n", "1", "--auto-ns",
+                         "--timing", check=0))
+    assert isinstance(timed["wall_ms"], int)
     # exactly one of --ns / --auto-ns
     run("rademacher", "--k0", "2", "--m", "3", "--n", "1", check=1)
     run("rademacher", "--k0", "2", "--m", "3", "--n", "1", "--ns", "1,17",

@@ -17,9 +17,12 @@ simplex reaches. The mode A and Lprime cases on a dim-3 intervals instance
 pin the sign, support and A-feasibility rows of the LP cells, witness
 vertex included. The Kstar case on a dim-2 point cloud and the C_uncond
 case on a dim-3 all_subsets instance pin the point-row denominators and
-the all_subsets pieces of the LP; with the brute bracket and the
-restricted hereditary check they run the CLI paths that
-`tests/test_reachability.py` needs entered.
+the all_subsets pieces of the LP; with the restricted hereditary check
+they run the CLI paths that `tests/test_reachability.py` needs entered.
+
+Every report is JSON: a case that exits 0 prints one JSON document on
+stdout and nothing on stderr, and an error case prints nothing on stdout
+and its JSON error on stderr.
 
 The in-process runs call `main(args)`. `main()` run as the program takes
 its arguments from `sys.argv` and freezes the heap when the job ends, so
@@ -27,6 +30,7 @@ one case per verb and an error case also run as `python -m unclab` in a
 fresh interpreter, against the same files.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -48,12 +52,8 @@ CASES = [
                        "tests/fixtures/resolution_s.json"]),
     ("bracket_mutual", 0, ["bracket", "tests/fixtures/resolution_r.json",
                            "tests/fixtures/resolution_s.json", "--mutual"]),
-    ("bracket_brute", 0, ["bracket", "tests/fixtures/resolution_r.json",
-                          "tests/fixtures/resolution_s.json", "--method", "brute"]),
     ("rademacher_json", 0, ["rademacher", "--k0", "2", "--m", "3", "--n", "1",
                             "--auto-ns"]),
-    ("rademacher_table", 0, ["rademacher", "--k0", "2", "--m", "3", "--n", "1",
-                             "--auto-ns", "--table"]),
     ("chain", 0, ["chain", "--patterns", "tests/fixtures/patterns.json",
                   "--k", "2"]),
     ("norm", 0, ["norm", "--instance", INST,
@@ -105,6 +105,10 @@ def test_golden_report(name, exit_code, args, monkeypatch, invoke_cli):
     assert result.exit_code == exit_code
     assert result.stdout_bytes == (GOLDEN / f"{name}.stdout").read_bytes()
     assert result.stderr_bytes == (GOLDEN / f"{name}.stderr").read_bytes()
+    # the JSON contract: one document on the stream the exit code names
+    report, silent = ((result.stdout, result.stderr) if exit_code == 0
+                      else (result.stderr, result.stdout))
+    assert isinstance(json.loads(report), dict) and silent == ""
 
 
 # the first case of each verb, and an error case

@@ -17,7 +17,7 @@ def test_fields_are_the_annotations_in_order():
     assert Resolution._fields == ("k", "pattern", "alpha")
     assert ConstantReport._fields == ("mode", "method", "value_lower", "value_upper",
                                       "witness", "details")
-    assert Caps._fields[:3] == ("brute_bracket", "grid_pairs", "lp_dim")
+    assert Caps._fields[:3] == ("grid_pairs", "lp_dim", "layout_universe")
     rep = ConstantReport("K", "grid", F(1), None, None)
     assert list(to_jsonable(rep)) == list(ConstantReport._fields)
 
@@ -28,7 +28,7 @@ def test_construction_by_position_keyword_and_default():
     assert Resolution(2, alpha=(F(1), F(1, 2)), pattern=(1, 2)) == r
     q = ConstantQuery("BOU", D=F(2), d=F(1))
     assert (q.mode, q.delta, q.D, q.d, q.order) == ("BOU", None, F(2), F(1), None)
-    assert Caps().lp_dim == 14 and Caps(1).brute_bracket == 1
+    assert Caps().lp_dim == 14 and Caps(1).grid_pairs == 1
     for args, kwargs in [((2, (1,), (F(1),), 4), {}),       # one too many
                          ((2, (1,)), {}),                     # alpha missing
                          ((2, (1,), (F(1),)), {"k": 3}),      # k given twice

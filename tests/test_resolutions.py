@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import colour_weight, rand_resolution
+from conftest import brute_bracket, colour_weight, rand_resolution
 from unclab.errors import DomainError, SizeError
 from unclab.resolutions import (Resolution, bracket, build_rademacher,
                                 choose_multiplicities,
@@ -60,19 +60,19 @@ def test_bracket_frozen_pair():
     # and every other matching scores less (singletons give at most 1).
     r = Resolution(2, (1, 2), (H, H))
     s = Resolution(2, (2, 1), (H, H))
-    val, wit = bracket(r, s, "dp")
+    val, wit = bracket(r, s)
     assert val == Fraction(5, 4)
     assert wit == [(1, 1), (2, 2)]
-    val_b, wit_b = bracket(r, s, "brute")
+    val_b, wit_b = brute_bracket(r, s)
     assert val_b == Fraction(5, 4) and wit_b == [(1, 1), (2, 2)]
-    back, _ = bracket(s, r, "dp")
+    back, _ = bracket(s, r)
     assert back == Fraction(5, 4)
     assert mutual_bracket(r, s) == Fraction(5, 4)
 
 
 def test_bracket_diagonal_attains_total_weight():
     r = Resolution(2, (1, 2), (H, H))
-    val, wit = bracket(r, r, "dp")
+    val, wit = bracket(r, r)
     assert val >= r.total_weight()
     assert val == Fraction(1)
 
@@ -82,7 +82,7 @@ def test_bracket_witness_reevaluates():
     for _ in range(40):
         r = rand_resolution(rng)
         s = rand_resolution(rng, k=r.k)
-        val, wit = bracket(r, s, "dp")
+        val, wit = bracket(r, s)
         acc = Fraction(0)
         last_u = last_v = 0
         for u, v in wit:
@@ -97,7 +97,7 @@ def test_dp_equals_brute_two_colour_patterns():
     rs = [Resolution(2, p, (Fraction(1, len(p)),) * len(p)) for p in pats]
     for r in rs:
         for s in rs:
-            assert bracket(r, s, "dp")[0] == bracket(r, s, "brute")[0]
+            assert bracket(r, s)[0] == brute_bracket(r, s)[0]
 
 
 WEIGHTS = st.builds(Fraction, st.integers(1, 30), st.integers(1, 30))
@@ -122,7 +122,7 @@ def resolution_pairs(draw):
 @given(resolution_pairs())
 def test_dp_equals_brute_value_and_witness(pair):
     r, s = pair
-    assert bracket(r, s, "dp") == bracket(r, s, "brute")
+    assert bracket(r, s) == brute_bracket(r, s)
 
 
 def fraction_dp(r, s):
@@ -151,7 +151,7 @@ def fraction_dp(r, s):
 
 
 def test_dp_equals_fraction_dp_long_pairs():
-    # above the brute cap the Fraction DP is the oracle
+    # on inputs too long for the brute oracle the Fraction DP is the oracle
     rng = random.Random(8)
     for n, m in ((50, 300), (300, 50), (173, 91), (64, 240), (200, 18)):
         k = rng.randint(2, 8)
@@ -162,13 +162,6 @@ def test_dp_equals_fraction_dp_long_pairs():
         assert bracket(r, s) == fraction_dp(r, s)
 
 
-def test_brute_cap():
-    r = Resolution(1, (1,) * 9, (Fraction(1, 9),) * 9)
-    with pytest.raises(SizeError, match=r"^brute_bracket: resolution length = 9 "
-                       r"exceeds cap 8 \(override with UNCLAB_CAPS\)$"):
-        bracket(r, r, "brute")
-
-
 def test_bracket_laws_seeded():
     # diagonal and embedding laws; the full four-law battery runs in the
     # acceptance suite over 1000 pairs
@@ -176,10 +169,28 @@ def test_bracket_laws_seeded():
     for _ in range(150):
         r = rand_resolution(rng)
         s = rand_resolution(rng, k=r.k)
-        val, _ = bracket(r, s, "dp")
-        assert bracket(r, r, "dp")[0] >= r.total_weight()
+        val, _ = bracket(r, s)
+        assert bracket(r, r)[0] >= r.total_weight()
         if pattern_embeds(r.pattern, s.pattern, r.k):
             assert val >= r.total_weight()
+
+
+@settings(max_examples=200, deadline=None)
+@given(resolution_pairs())
+def test_bracket_below_the_colour_weight_sum(pair):
+    # each matched left coordinate of colour j gains at most 2^(j - 1) alpha_u
+    r, s = pair
+    assert bracket(r, s)[0] <= sum(Fraction(2) ** (j - 1) * colour_weight(r, j)
+                                   for j in range(1, r.k + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(resolution_pairs())
+def test_mutual_bracket_above_the_shared_colour_floor(pair):
+    # matching colour j to colour j from the side with the smaller weight
+    r, s = pair
+    assert mutual_bracket(r, s) >= max(min(colour_weight(r, j), colour_weight(s, j))
+                                       for j in range(1, r.k + 1))
 
 
 def test_mutual_symmetry():
@@ -189,7 +200,7 @@ def test_mutual_symmetry():
         s = rand_resolution(rng, k=r.k)
         m = mutual_bracket(r, s)
         assert m == mutual_bracket(s, r)
-        assert m == max(bracket(r, s, "dp")[0], bracket(s, r, "dp")[0])
+        assert m == max(bracket(r, s)[0], bracket(s, r)[0])
 
 
 def test_repeat_resolution():
@@ -294,15 +305,19 @@ def test_rademacher_bound_frozen():
 
 
 def test_explore_orthogonal_family_smoke():
-    rep = explore_orthogonal_family(Fraction(5, 2), 500, seed=3)
-    assert len(rep["family"]) >= 2
-    assert rep["pairwise_max"] is not None and rep["pairwise_max"] < Fraction(5, 2)
-    for i, a in enumerate(rep["family"]):
-        for b in rep["family"][i + 1:]:
-            assert mutual_bracket(a, b) < Fraction(5, 2)
-    floor = explore_orthogonal_family(Fraction(1, 2), 500, seed=3)
+    # the size of the largest family in the pool at each eta
+    for eta, size in ((Fraction(3, 5), 1), (Fraction(3, 4), 1), (Fraction(7, 8), 3),
+                      (Fraction(5, 4), 6), (Fraction(5, 2), 6)):
+        rep = explore_orthogonal_family(eta)
+        assert len(rep["family"]) == len(rep["labels"]) == size, eta
+        assert rep["evaluations"] == 15 and rep["note"] == ""
+        pairs = [mutual_bracket(a, b) for a, b in combinations(rep["family"], 2)]
+        assert rep["pairwise_max"] == max(pairs, default=None)
+        assert all(v < eta for v in pairs)
+    assert explore_orthogonal_family(Fraction(7, 8))["labels"] == [
+        "R[n=4,l=1]", "R[n=2,l=2]", "R[n=1,l=3]"]
+    floor = explore_orthogonal_family(Fraction(1, 2))
     assert len(floor["family"]) == 1 and "floor" in floor["note"]
-    # the pool holds six candidates, so any budget makes at most 15 evaluations
-    assert explore_orthogonal_family(Fraction(2), 10**9, seed=1)["evaluations"] <= 15
-    with pytest.raises(DomainError, match="budget must be >= 1"):
-        explore_orthogonal_family(Fraction(2), 0, seed=1)
+    assert floor["evaluations"] == 0
+    with pytest.raises(DomainError, match="eta must be positive"):
+        explore_orthogonal_family(Fraction(0))

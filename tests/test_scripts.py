@@ -11,8 +11,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 RUNS = [
     ["bench_kernels.py", "--lengths", "12", "--runs", "1"],
     ["elton_ladder.py", "--rung", "0"],
-    ["orthogonal_family_search.py", "--etas", "1/2,7/8", "--seeds", "0",
-     "--budget", "8"],
+    ["orthogonal_family_search.py", "--etas", "1/2,7/8"],
 ]
 
 
