@@ -278,21 +278,12 @@ def mr_demo_cmd(family, k, seed):
       arg("--maps", required=True, help="prefix-determined map document"),
       arg("--universe", type=int, required=True),
       arg("--horizon", type=int,
-          help="minimum size of both sets (default: map depth)"),
-      arg("--strategy", choices=["exhaustive", "random"], default="exhaustive"),
-      arg("--seed", type=int),
-      arg("--budget", type=int, default=200_000))
-def match(maps, universe, horizon, strategy, seed, budget):
+          help="minimum size of both sets (default: map depth)"))
+def match(maps, universe, horizon):
     """Search a universe for a matched pair under a prefix-determined map."""
-    if strategy == "random" and seed is None:
-        raise errors.MissingInputError("--seed is required for the random strategy")
     pmap = ser.load_prefix_map(ser.read_json_file(maps))
-    result = ramsey.search_matching(pmap, universe, horizon=horizon,
-                                    strategy=strategy, seed=seed, budget=budget)
-    inputs = {"maps": maps, "universe": universe, "strategy": strategy}
-    if seed is not None:
-        inputs["seed"] = seed
-    return inputs, result
+    result = ramsey.search_matching(pmap, universe, horizon=horizon)
+    return {"maps": maps, "universe": universe, "strategy": "exhaustive"}, result
 
 
 @verb("hereditary",
@@ -301,17 +292,14 @@ def match(maps, universe, horizon, strategy, seed, budget):
       arg("--m2", type=int, default=2),
       arg("--mode", choices=["hereditary", "weakly"], default="hereditary"),
       arg("--restrict", help="comma separated restriction set, e.g. 1,2,4,7"),
-      arg("--samples", type=int, help="check this many random restriction sets"),
-      arg("--min-size", type=int,
-          help="minimum size of sampled restriction sets (default 8)"),
+      arg("--samples", type=int, help="check this many random restriction sets "
+          "of at least min(8, universe) elements"),
       arg("--seed", type=int))
-def hereditary(universe, m1, m2, mode, restrict, samples, min_size, seed):
+def hereditary(universe, m1, m2, mode, restrict, samples, seed):
     """Hereditariness of colour-pattern family restrictions."""
     family = ramsey.remark_family(universe, m1, m2)
     inputs = {"universe": universe, "m1": m1, "m2": m2, "mode": mode}
     out = {"family_size": len(family.members)}
-    if min_size is not None and samples is None:
-        raise errors.DomainError("--min-size needs --samples")
     if restrict is not None:
         if samples is not None or seed is not None:
             raise errors.DomainError("--restrict excludes --samples and --seed")
@@ -329,17 +317,10 @@ def hereditary(universe, m1, m2, mode, restrict, samples, min_size, seed):
             raise errors.DomainError(f"--samples must be >= 1, got {samples}")
         inputs["samples"] = samples
         inputs["seed"] = seed
-        if min_size is None:
-            min_size = 8
-        elif min_size < 0:
-            raise errors.DomainError(f"--min-size must be >= 0, got {min_size}")
-        else:
-            inputs["min_size"] = min_size
         rng = random.Random(seed)
-        floor = min(min_size, universe)
         runs = []
         for _ in range(samples):
-            size = rng.randint(floor, universe)
+            size = rng.randint(min(8, universe), universe)
             M = sorted(rng.sample(range(1, universe + 1), size))
             runs.append({"M": M, **ramsey.weakly_hereditary(family, M, mode=mode)})
         out["runs"] = runs

@@ -25,7 +25,6 @@ entries and zeroing everything else.
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from itertools import combinations
 
@@ -138,16 +137,14 @@ def validate_matching(w: MatchingWitness) -> dict:
 
 
 def search_matching(pmap: PrefixContinuousMap, universe: int,
-                    horizon: int | None = None,
-                    strategy: str = "exhaustive", seed: int | None = None,
-                    budget: int = 200_000) -> dict:
+                    horizon: int | None = None) -> dict:
     """First matched pair (L, M) of sets of size >= horizon with L != M.
 
-    Deterministic order: L by ascending bitmask over {1..universe}, then the
-    leading block of M in lexicographic order, completed by the maximal
-    admissible tail. Sets are int bitmasks, bit c - 1 for coordinate c.
-    Reports carry the fixed-depth determinacy note and are inconclusive on
-    absence.
+    The scan is exhaustive and deterministic: L by ascending bitmask over
+    {1..universe}, then the leading block of M in lexicographic order,
+    completed by the maximal admissible tail. Sets are int bitmasks, bit
+    c - 1 for coordinate c. Reports carry the fixed-depth determinacy note,
+    `"strategy": "exhaustive"`, and are inconclusive on absence.
     """
     check_cap("match_universe", universe, "universe")
     missing = pmap.missing_prefixes(universe)
@@ -173,67 +170,36 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
         S = _mask(set().union(*(a & b for a, b in zip(FL, FM)))) if comparable else -1
         return S, _mask(P), full >> P[-1] << P[-1]
 
-    def scan(Lm: int, pairs) -> tuple[int, int] | None:
-        """The first (position, M as a mask) in `pairs` at which L (the mask
-        Lm) and the block P complete to a matched pair. Every F_j(M) lies in
-        P, so S does too, and they match exactly when S = P cap L: M is P
-        plus every coordinate above P outside L, so L cap M = P cap L."""
-        for i, (S, Pm, above) in enumerate(pairs):
-            if S == Pm & Lm:
-                Mm = Pm | above & ~Lm
-                if Mm != Lm and Mm.bit_count() >= h:
-                    return i, Mm
-        return None
-
-    def witness(L: tuple[int, ...], Mm: int, P: tuple[int, ...]) -> MatchingWitness:
-        M = tuple(c for c in range(1, universe + 1) if Mm >> (c - 1) & 1)
-        wit = MatchingWitness(L, M, table[L[:d]], table[P])
-        if not validate_matching(wit)["ok"]:
-            raise InternalError(f"matched pair {L}, {M} fails validate_matching")
-        return wit
-
     base = {
         "universe": universe, "horizon": h,
         "determinacy": {"model": "fixed_depth", "depth": d},
         "note": ("absence at a finite universe is inconclusive; "
                  "only found witnesses transfer"),
+        "strategy": "exhaustive",
     }
-    if strategy == "exhaustive":
-        for L in _subsets(tuple(range(1, universe + 1))):
-            if len(L) < h:   # h >= depth >= 1 skips the empty set
-                continue
-            Lpre = L[:d]
-            if Lpre not in rows:
-                rows[Lpre] = [pair(Lpre, P) for P in prefixes]
-            hit = scan(_mask(L), rows[Lpre])
-            if hit is None:
-                checked += len(prefixes)
-                continue
-            i, Mm = hit
-            return {**base, "found": True, "witness": witness(L, Mm, prefixes[i]),
-                    "checked": checked + i + 1, "strategy": strategy}
-        return {**base, "found": False, "witness": None, "checked": checked,
-                "strategy": strategy}
-    if strategy == "random":
-        if seed is None:
-            raise DomainError("random strategy needs a seed")
-        if budget < 1:
-            raise DomainError(f"random strategy needs a budget >= 1, got {budget}")
-        rng = random.Random(seed)
-        population = list(range(1, universe + 1))
-        for _ in range(budget):
-            size = rng.randint(h, universe)
-            L = tuple(sorted(rng.sample(population, size)))
-            P = tuple(sorted(rng.sample(population, d)))
-            checked += 1
-            hit = scan(_mask(L), [pair(L[:d], P)])
-            if hit is not None:
-                return {**base, "found": True, "witness": witness(L, hit[1], P),
-                        "checked": checked, "strategy": strategy,
-                        "seed": seed}
-        return {**base, "found": False, "witness": None, "checked": checked,
-                "strategy": strategy, "seed": seed}
-    raise DomainError(f"unknown strategy {strategy!r}")
+    for L in _subsets(tuple(range(1, universe + 1))):
+        if len(L) < h:   # h >= depth >= 1 skips the empty set
+            continue
+        Lpre, Lm = L[:d], _mask(L)
+        if Lpre not in rows:
+            rows[Lpre] = [pair(Lpre, P) for P in prefixes]
+        # Every F_j(M) lies in the block P, so S does too, and L matches M
+        # exactly when S = P cap L: M is P plus every coordinate above P
+        # outside L, so L cap M = P cap L.
+        for i, (S, Pm, above) in enumerate(rows[Lpre]):
+            if S == Pm & Lm:
+                Mm = Pm | above & ~Lm
+                if Mm != Lm and Mm.bit_count() >= h:
+                    break
+        else:
+            checked += len(prefixes)
+            continue
+        M = tuple(c for c in range(1, universe + 1) if Mm >> (c - 1) & 1)
+        wit = MatchingWitness(L, M, table[Lpre], table[prefixes[i]])
+        if not validate_matching(wit)["ok"]:
+            raise InternalError(f"matched pair {L}, {M} fails validate_matching")
+        return {**base, "found": True, "witness": wit, "checked": checked + i + 1}
+    return {**base, "found": False, "witness": None, "checked": checked}
 
 
 # ------------------------------------------------------- hereditary patterns

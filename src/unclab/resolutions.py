@@ -52,15 +52,12 @@ class Resolution(Record):
         return sum(self.alpha, Fraction(0))
 
 
-def pattern_embeds(c: tuple[int, ...], d: tuple[int, ...], k: int) -> bool:
+def pattern_embeds(c: tuple[int, ...], d: tuple[int, ...]) -> bool:
     """Whether c occurs inside d as a colour-preserving subsequence.
 
     Greedy left-to-right scan; greedily taking the earliest match is complete
-    for subsequence containment. Both patterns use colours 1..k.
+    for subsequence containment.
     """
-    for col in (*c, *d):
-        if not (1 <= col <= k):
-            raise DomainError(f"colour {col} outside 1..{k}")
     it = iter(d)
     return all(col in it for col in c)
 
@@ -70,12 +67,17 @@ def longest_chain(patterns: list[tuple[int, ...]], k: int) -> list[int]:
 
     Chain means each selected pattern embeds in the next. Longest path in the
     containment DAG; among maximal chains the lexicographically smallest index
-    sequence is returned. Empty input gives an empty chain.
+    sequence is returned. Empty input gives an empty chain. Every colour must
+    lie in 1..k; each pattern is checked once, in order.
     """
+    for p in patterns:
+        for col in p:
+            if not (1 <= col <= k):
+                raise DomainError(f"colour {col} outside 1..{k}")
     n = len(patterns)
     if n == 0:
         return []
-    emb = [[i != j and pattern_embeds(patterns[i], patterns[j], k) for j in range(n)]
+    emb = [[i != j and pattern_embeds(patterns[i], patterns[j]) for j in range(n)]
            for i in range(n)]
     # succ[i] lists, ascending, the patterns a chain may take after i. Equal
     # patterns embed both ways, so a mutual pair only links i to j > i; that

@@ -12,12 +12,10 @@ import pytest
 
 import unclab
 from unclab import cli
-from unclab.elton import EltonLayout, _dense_values
+from unclab.elton import EltonLayout, LayoutVector
 from unclab.errors import DomainError
-from unclab.lp import _kstar_denominator
-from unclab.norms import SparseVector, eval_norm
+from unclab.norms import SparseVector
 from unclab.resolutions import Resolution
-from unclab.schreier import oscillation, schreier_decompose, schreier_member
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # the source tree this test process imported unclab from
@@ -209,9 +207,63 @@ def restrict(v, keep):
     return SparseVector(tuple((i, x) for i, x in v.entries if i in keep))
 
 
+def apply(f, av: dict) -> Fraction:
+    """f(a) from f's entries and a's coordinate dict, in Fractions."""
+    return sum((c * av.get(i, 0) for i, c in f.entries), Fraction(0))
+
+
+def kstar_denominator(inst, a) -> Fraction:
+    """The Kstar denominator by its definition: max over the point functionals
+    f of f(a), 0 for an instance without functionals."""
+    av = a.as_dict()
+    return max((apply(f, av) for f in inst.functionals), default=Fraction(0))
+
+
+def brute_oscillation(a, E) -> Fraction:
+    """max |a_i| / min |a_j| over the nonzero a_i with i in E; 1 when E misses
+    the support."""
+    keep = set(E)
+    mags = [abs(x) for i, x in a.entries if i in keep and x != 0]
+    return max(mags) / min(mags) if mags else Fraction(1)
+
+
+def min_blocks(E, admissible) -> int | None:
+    """The fewest successive blocks that sorted E splits into with every block
+    admissible, over every split: a DP over the split points, with no early
+    break (oscillation is not monotone when zeros sit in between). None when
+    no split works; 0 for the empty set."""
+    E = sorted(E)
+    fewest: list[int | None] = [None] * len(E) + [0]
+    for pos in range(len(E) - 1, -1, -1):
+        counts = [fewest[end] for end in range(pos + 1, len(E) + 1)
+                  if fewest[end] is not None and admissible(E[pos:end])]
+        fewest[pos] = 1 + min(counts) if counts else None
+    return fewest[0]
+
+
+def brute_member(order: int, E) -> bool:
+    """Schreier membership by the definitions: order 1, |E| <= min E; order 2,
+    E splits into at most min E successive order-1 blocks. The empty set
+    belongs to both."""
+    E = sorted(set(E))
+    if not E:
+        return True
+    if order == 1:
+        return len(E) <= E[0]
+    count = min_blocks(E, lambda block: len(block) <= block[0])
+    return count is not None and count <= E[0]
+
+
+def brute_decompose_count(a, E, d) -> int | None:
+    """The fewest successive blocks of E with oscillation at most d each."""
+    return min_blocks(E, lambda block: brute_oscillation(a, block) <= d)
+
+
 def verify_witness(inst, query, wit) -> Fraction:
-    """Recompute a constant witness's ratio from scratch in Fractions,
-    checking the mode's feasibility; a DomainError names the first failure."""
+    """Recompute a constant witness's ratio from the definitions in Fractions,
+    checking the mode's feasibility; a DomainError names the first failure.
+    Norms come from brute_norm and the Schreier checks from the block DP
+    above, so no library kernel takes part."""
     a, E = wit.a, wit.E
     av = a.as_dict()
     mode = query.mode
@@ -229,22 +281,23 @@ def verify_witness(inst, query, wit) -> Fraction:
         if tuple(sorted(E)) != expect:
             raise DomainError("witness E is not the threshold set")
     if mode == "BOU":
-        if oscillation(a, E) > query.D:
+        if brute_oscillation(a, E) > query.D:
             raise DomainError("witness oscillation exceeds D")
-        if schreier_decompose(a, E, query.d) is None:
+        count = brute_decompose_count(a, E, query.d)
+        if count is None or count > min(E, default=0):
             raise DomainError("witness has no admissible block split")
-    if mode == "schreier" and not schreier_member(query.order, E):
+    if mode == "schreier" and not brute_member(query.order, E):
         raise DomainError("witness E is not Schreier-admissible")
     if mode == "Kstar":
         f = inst.functionals[wit.point_index]
         fv = f.as_dict()
         if any(abs(fv.get(i, 0)) < query.delta for i in E):
             raise DomainError("witness E leaves the point's delta-large set")
-        num = f.apply(restrict(a, E))
-        den = _kstar_denominator(inst, a)
+        num = apply(f, restrict(a, E).as_dict())
+        den = kstar_denominator(inst, a)
     else:
-        num = eval_norm(inst, restrict(a, E))
-        den = eval_norm(inst, a)
+        num = brute_norm(inst, restrict(a, E))
+        den = brute_norm(inst, a)
     if mode == "A":
         total = sum((abs(av.get(i, 0)) for i in E), Fraction(0))
         if query.delta * total > num:
@@ -254,6 +307,31 @@ def verify_witness(inst, query, wit) -> Fraction:
     if den == 0:
         raise DomainError("witness denominator vanishes")
     return num / den
+
+
+def layout_region(p, c) -> str:
+    """The region of coordinate c by the layout's definition: the distinguished
+    pair, then rounds of an I-run of n1 2^(K(m2-m1)) coordinates (E1) and a
+    J-run of n2 2^(K(m2-m1)) coordinates (E2)."""
+    if c <= 2:
+        return ("first", "second")[c - 1]
+    run = 2 ** (p.K * (p.m2 - p.m1))
+    return "E1" if (c - 3) % ((p.n1 + p.n2) * run) < p.n1 * run else "E2"
+
+
+def dense_layout_values(layout: EltonLayout, v) -> list[Fraction]:
+    """v's values at coordinates 0..universe, 0 at the unused index 0: a
+    LayoutVector's by the region of each coordinate, a SparseVector's from its
+    entries."""
+    if isinstance(v, LayoutVector):
+        by_region = {"first": v.at_first, "second": v.at_second,
+                     "E1": v.on_e1, "E2": v.on_e2}
+        return [Fraction(0)] + [by_region[layout_region(layout.params, c)]
+                                for c in range(1, layout.universe + 1)]
+    dense = [Fraction(0)] * (layout.universe + 1)
+    for c, x in v.entries:
+        dense[c] = x
+    return dense
 
 
 def brute_miniature(layout: EltonLayout, v) -> tuple[Fraction, dict]:
@@ -271,7 +349,7 @@ def brute_miniature(layout: EltonLayout, v) -> tuple[Fraction, dict]:
     slot value 1/(n 2^(Kb-1)), b <= N, are ints.
     """
     N = layout.universe
-    vals = _dense_values(layout, v)
+    vals = dense_layout_values(layout, v)
     p = layout.params
     d = lcm(*(x.denominator for x in vals))
     l = lcm(p.n1, p.n2)

@@ -15,11 +15,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from conftest import (brute_bracket, brute_miniature, build_standard, colour_weight,
-                      interval_ladder, level_split, rand_resolution, rand_sparse,
-                      verify_witness)
+                      dense_layout_values, interval_ladder, level_split, rand_resolution,
+                      rand_sparse, verify_witness)
 
 from unclab.constants import MODES, ConstantQuery, compute_constant
-from unclab.elton import (STANDARD_PAIR, EltonParams, LayoutVector, _dense_values,
+from unclab.elton import (STANDARD_PAIR, EltonParams, LayoutVector,
                           _slot_tiling, build_layout, elton_ladder, k_lower_certificate,
                           quasi_certificate, structured_dp)
 from unclab.norms import Functional, NormInstance, SparseVector
@@ -86,7 +86,7 @@ def test_criterion_2(capsys):
             dv, _ = bracket(r, r)
             heaviest = max(colour_weight(r, j) for j in range(1, k + 1))
             assert dv >= heaviest >= r.total_weight() / k
-            if pattern_embeds(r.pattern, s.pattern, k):
+            if pattern_embeds(r.pattern, s.pattern):
                 assert v >= r.total_weight()
         # forced embeddings: s carries r's pattern as a subsequence
         for _ in range(200):
@@ -99,7 +99,7 @@ def test_criterion_2(capsys):
             s = Resolution(k, tuple(pattern),
                            tuple(F(rng.randint(1, 8), rng.randint(1, 8))
                                  for _ in pattern))
-            assert pattern_embeds(r.pattern, s.pattern, k)
+            assert pattern_embeds(r.pattern, s.pattern)
             assert bracket(r, s)[0] >= r.total_weight()
 
 
@@ -137,7 +137,7 @@ def test_criterion_4(capsys):
 def _replay_dp_witness(lay, v, value, wit):
     """Recompute a structured-dp value from its witness and the vector alone."""
     if isinstance(v, LayoutVector):
-        vals = dict(enumerate(_dense_values(lay, v)))
+        vals = dict(enumerate(dense_layout_values(lay, v)))
     else:
         vals = dict(v.entries)
 

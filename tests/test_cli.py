@@ -52,11 +52,17 @@ def test_bracket_dp_and_brute():
 
 
 def test_removed_options_are_usage_errors(invoke_cli):
-    # each verb has one method and one JSON report
+    # each verb has one method and one JSON report, and no option with one value in use
     for args, option in ((["bracket", fx("resolution_r.json"), fx("resolution_s.json"),
                            "--method", "dp"], "--method"),
                          (["rademacher", "--k0", "2", "--m", "3", "--n", "1", "--auto-ns",
-                           "--table"], "--table")):
+                           "--table"], "--table"),
+                         *((["match", "--maps", fx("map_family_b.json"), "--universe", "12",
+                             option, value], option)
+                           for option, value in (("--strategy", "random"), ("--seed", "5"),
+                                                 ("--budget", "10"))),
+                         (["hereditary", "--universe", "12", "--samples", "2", "--seed", "7",
+                           "--min-size", "3"], "--min-size")):
         result = invoke_cli(args)
         assert result.exit_code == 2 and result.stdout == ""
         assert f"unrecognized arguments: {option}" in result.stderr
@@ -350,13 +356,20 @@ def test_rademacher_json_and_table():
         "--auto-ns", check=1)
 
 
-def test_chain_verb():
+def test_chain_verb(tmp_path):
     rep = out_json(run("chain", "--patterns", fx("patterns.json"), "--k", "2",
                        check=0))
     assert rep["count"] == 5
     assert rep["length"] == 4
     assert rep["chain"] == [0, 1, 3, 4]
     assert rep["chain_patterns"][-1] == [1, 1, 2, 2]
+    # every pattern's colours are checked, also when there is no pair to compare
+    for patterns in ([[1, 5]], [[1, 5], [1]]):
+        path = tmp_path / "patterns.json"
+        path.write_text(json.dumps(patterns))
+        proc = run("chain", "--patterns", str(path), "--k", "2", check=1)
+        assert proc.stdout == ""
+        assert err_json(proc) == {"error": "colour 5 outside 1..2", "kind": "DomainError"}
 
 
 def test_norm_verb():
@@ -428,12 +441,7 @@ def test_match_verb():
     assert rep["checked"] == 1
     assert rep["determinacy"] == {"depth": 2, "model": "fixed_depth"}
     assert "inconclusive" in rep["note"]
-    rep = out_json(run("match", "--maps", fx("map_family_b.json"),
-                       "--universe", "12", "--horizon", "4", "--strategy",
-                       "random", "--seed", "5", check=0))
-    assert rep["strategy"] == "random" and rep["inputs"]["seed"] == 5
-    run("match", "--maps", fx("map_family_a.json"), "--universe", "12",
-        "--strategy", "random", check=2)  # seed required
+    assert rep["strategy"] == rep["inputs"]["strategy"] == "exhaustive"
 
 
 def test_hereditary_verb():
@@ -451,6 +459,10 @@ def test_hereditary_verb():
                        "--samples", "3", "--seed", "7", check=0))
     assert len(rep["runs"]) == 3
     assert rep["all_fail"] is True
+    # sampled sets keep at least min(8, universe) elements
+    assert rep["inputs"] == {"universe": 12, "m1": 1, "m2": 2, "mode": "hereditary",
+                             "samples": 3, "seed": 7}
+    assert all(len(r["M"]) >= 8 for r in rep["runs"])
     rep = out_json(run("hereditary", "--universe", "12", "--m1", "2", "--m2", "3",
                        "--samples", "3", "--seed", "1", check=0))
     assert (rep["inputs"]["m1"], rep["inputs"]["m2"]) == (2, 3)
@@ -461,31 +473,16 @@ def test_hereditary_verb():
                    *extra, check=1)
         assert err_json(proc) == {"error": "--restrict excludes --samples and --seed",
                                   "kind": "DomainError"}
-    # --min-size only shapes sampled sets; elsewhere it is refused, not dropped
-    for extra in (["--restrict", "1,2,4"], []):
-        proc = run("hereditary", "--universe", "12", *extra, "--min-size", "3",
-                   check=1)
-        assert err_json(proc) == {"error": "--min-size needs --samples",
-                                  "kind": "DomainError"}
-    rep = out_json(run("hereditary", "--universe", "12", "--samples", "2",
-                       "--seed", "7", "--min-size", "11", check=0))
-    assert rep["inputs"]["min_size"] == 11
-    assert all(len(r["M"]) >= 11 for r in rep["runs"])
+    rep = out_json(run("hereditary", "--universe", "5", "--samples", "2",
+                       "--seed", "7", check=0))
+    assert all(len(r["M"]) == 5 for r in rep["runs"])
 
 
 def test_out_of_range_sample_counts_are_refused():
-    # each would otherwise crash in random.sample or report on no search at all
-    for args, error in [
-            (["hereditary", "--universe", "12", "--samples", "2", "--seed", "1",
-              "--min-size", "-3"], "--min-size must be >= 0, got -3"),
-            (["hereditary", "--universe", "12", "--samples", "0", "--seed", "1"],
-             "--samples must be >= 1, got 0"),
-            (["match", "--maps", fx("map_family_b.json"), "--universe", "12",
-              "--horizon", "4", "--strategy", "random", "--seed", "5", "--budget", "-3"],
-             "random strategy needs a budget >= 1, got -3")]:
-        proc = run(*args, check=1)
-        assert proc.stdout == ""
-        assert err_json(proc) == {"error": error, "kind": "DomainError"}
+    # it would otherwise report on no search at all
+    proc = run("hereditary", "--universe", "12", "--samples", "0", "--seed", "1", check=1)
+    assert proc.stdout == ""
+    assert err_json(proc) == {"error": "--samples must be >= 1, got 0", "kind": "DomainError"}
 
 
 def test_fixture_round_trips(fixtures):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_norm, build_standard, restrict, verify_witness
+from conftest import brute_norm, build_standard, kstar_denominator, restrict, verify_witness
 from unclab.constants import (
     DEFAULT_STEP,
     GRID_ONLY,
@@ -17,7 +17,7 @@ from unclab.constants import (
     compute_constant,
 )
 from unclab.errors import DomainError, SizeError
-from unclab.lp import _dedupe_forms, _kstar_denominator, _linear_pieces, _lp_cells, _lp_max
+from unclab.lp import _dedupe_forms, _linear_pieces, _lp_cells, _lp_max
 from unclab.norms import PROJECTION_CLASSES, NormInstance, SparseVector
 from unclab.rationals import _subsets
 from unclab.schreier import oscillation, schreier_decompose, schreier_member
@@ -377,7 +377,7 @@ def ref_grid_search(inst, query, step):
     best, best_wit, points = None, None, 0
     for a in ref_grid_points(inst.dim, step):
         points += 1
-        den = _kstar_denominator(inst, a) if query.mode == "Kstar" else brute_norm(inst, a)
+        den = kstar_denominator(inst, a) if query.mode == "Kstar" else brute_norm(inst, a)
         if den == 0:
             continue
         if query.mode in ("Kprime", "Lprime") and den > 1:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_miniature
+from conftest import brute_miniature, dense_layout_values, layout_region
 from unclab import elton
 from unclab.elton import (
     STANDARD_PAIR,
@@ -246,7 +246,7 @@ def test_dp_matches_brute_and_oracle(p, universe, minus_norm):
     x = STANDARD_PAIR[0]
     d, dw = structured_dp(layout, x)
     b, _ = brute_miniature(layout, x)
-    assert d == b == literal_family_max(layout, _dense_values(layout, x))
+    assert d == b == literal_family_max(layout, dense_layout_values(layout, x))
     assert max(x.sup_norm(), d) == minus_norm
 
 
@@ -260,16 +260,6 @@ def test_dp_guardrails(monkeypatch):
         structured_dp(layout, SparseVector.from_pairs([(2000, F(1))]))
     with pytest.raises(SizeError):
         build_layout(P1648)  # universe 2129922 over the layout cap
-
-
-def ref_region(p, c):
-    # the region of coordinate c by the layout's definition: the distinguished
-    # pair, then rounds of an I-run of n1 2^(K(m2-m1)) coordinates (E1) and a
-    # J-run of n2 2^(K(m2-m1)) coordinates (E2)
-    if c <= 2:
-        return ("first", "second")[c - 1]
-    run = 2 ** (p.K * (p.m2 - p.m1))
-    return "E1" if (c - 3) % ((p.n1 + p.n2) * run) < p.n1 * run else "E2"
 
 
 def test_dense_layout_and_pairing_equal_per_coordinate_reference():
@@ -292,7 +282,7 @@ def test_dense_layout_and_pairing_equal_per_coordinate_reference():
     assert any(lay.params.n1 == lay.params.n2 for lay in layouts)
     for lay in layouts:
         p = lay.params
-        regions = [ref_region(p, c) for c in range(1, lay.universe + 1)]
+        regions = [layout_region(p, c) for c in range(1, lay.universe + 1)]
         weight = {"first": F(1, 2), "second": F(1),
                   "E1": F(1, p.n1 * 2 ** (p.K * p.m2 - 1)),
                   "E2": F(1, p.n2 * 2 ** (p.K * p.m2 - 1))}
@@ -389,7 +379,7 @@ def ref_structured_dp(layout, v):
     # values put over their own common denominator, and the per-coordinate
     # block DP
     N = layout.universe
-    vals = _dense_values(layout, v)
+    vals = dense_layout_values(layout, v)
     p = layout.params
     best, best_wit = F(0), {"kind": "zero"}
     for sigma in (1, -1):

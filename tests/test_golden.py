@@ -82,9 +82,6 @@ CASES = [
                     "--k", "4", "--seed", "0"]),
     ("match_exhaustive", 0, ["match", "--maps", "tests/fixtures/map_family_a.json",
                              "--universe", "12", "--horizon", "4"]),
-    ("match_random", 0, ["match", "--maps", "tests/fixtures/map_family_b.json",
-                         "--universe", "12", "--horizon", "4",
-                         "--strategy", "random", "--seed", "5"]),
     ("hereditary_weakly", 0, ["hereditary", "--universe", "12",
                               "--mode", "weakly"]),
     ("hereditary_restrict", 0, ["hereditary", "--universe", "12",

@@ -165,20 +165,6 @@ def test_search_constant_and_pointer_maps():
     assert set(w.L) & set(w.M) == set()
 
 
-def test_search_random_strategy(map_a):
-    rep = search_matching(map_a, 12, horizon=4, strategy="random", seed=3)
-    assert rep["found"] is True
-    assert rep["seed"] == 3
-    assert rep["checked"] == 87
-    assert validate_matching(rep["witness"])["ok"]
-    again = search_matching(map_a, 12, horizon=4, strategy="random", seed=3)
-    assert again["witness"] == rep["witness"]
-    with pytest.raises(DomainError):
-        search_matching(map_a, 12, strategy="random")
-    with pytest.raises(DomainError):
-        search_matching(map_a, 12, strategy="simulated_annealing")
-
-
 def test_search_guards(map_a):
     rep = search_matching(map_a, 12, horizon=13)
     assert rep["found"] is False and rep["witness"] is None
@@ -191,7 +177,7 @@ def test_search_guards(map_a):
         search_matching(identity_map(4, 1), 40)  # over the match cap
 
 
-def ref_search_matching(pmap, universe, horizon, strategy, seed=None, budget=300):
+def ref_search_matching(pmap, universe, horizon):
     # the set-based scan: every (L, P) pair in the library's order, the tail
     # built from Python sets and each candidate pair checked with
     # validate_matching; returns (found, witness, checked)
@@ -219,26 +205,15 @@ def ref_search_matching(pmap, universe, horizon, strategy, seed=None, budget=300
         return wit if validate_matching(wit)["ok"] else None
 
     checked = 0
-    if strategy == "exhaustive":
-        for mask in range(1 << universe):
-            L = tuple(c for c in range(1, universe + 1) if mask >> (c - 1) & 1)
-            if len(L) < h:
-                continue
-            for P in prefixes:
-                checked += 1
-                wit = try_pair(L, table[L[:d]], P)
-                if wit is not None:
-                    return True, wit, checked
-        return False, None, checked
-    rng = random.Random(seed)
-    population = list(range(1, universe + 1))
-    for _ in range(budget):
-        L = tuple(sorted(rng.sample(population, rng.randint(h, universe))))
-        P = tuple(sorted(rng.sample(population, d)))
-        checked += 1
-        wit = try_pair(L, table[L[:d]], P)
-        if wit is not None:
-            return True, wit, checked
+    for mask in range(1 << universe):
+        L = tuple(c for c in range(1, universe + 1) if mask >> (c - 1) & 1)
+        if len(L) < h:
+            continue
+        for P in prefixes:
+            checked += 1
+            wit = try_pair(L, table[L[:d]], P)
+            if wit is not None:
+                return True, wit, checked
     return False, None, checked
 
 
@@ -258,18 +233,16 @@ def random_prefix_map(rng, universe, depth, components):
 def test_search_equals_set_based_reference():
     rng = random.Random("bitmask-match")
     outcomes = set()
-    for trial in range(48):
+    for _ in range(48):
         universe, depth = rng.randint(5, 9), rng.randint(1, 3)
         pmap = random_prefix_map(rng, universe, depth, rng.randint(1, 3))
         horizon = rng.randint(depth, universe)
-        strategy = ("exhaustive", "random")[trial % 2]
-        seed = rng.randint(0, 10 ** 6)
-        got = search_matching(pmap, universe, horizon=horizon, strategy=strategy,
-                              seed=seed, budget=300)
-        want = ref_search_matching(pmap, universe, horizon, strategy, seed)
+        got = search_matching(pmap, universe, horizon=horizon)
+        want = ref_search_matching(pmap, universe, horizon)
         assert (got["found"], got["witness"], got["checked"]) == want
-        outcomes.add((strategy, got["found"]))
-    assert len(outcomes) == 4
+        assert got["strategy"] == "exhaustive"
+        outcomes.add(got["found"])
+    assert outcomes == {True, False}
 
 
 # -------------------------------------------------------------- colour families

@@ -39,11 +39,11 @@ def test_colour_weights():
 
 
 def test_pattern_embeds():
-    assert pattern_embeds((1, 2), (1, 1, 2, 2), 2)
-    assert pattern_embeds((1, 2, 2), (1, 1, 2, 2), 2)
-    assert not pattern_embeds((2, 1), (1, 1, 2, 2), 2)
-    assert pattern_embeds((1,), (1,), 2)
-    assert not pattern_embeds((1, 1, 1), (1, 1), 2)
+    assert pattern_embeds((1, 2), (1, 1, 2, 2))
+    assert pattern_embeds((1, 2, 2), (1, 1, 2, 2))
+    assert not pattern_embeds((2, 1), (1, 1, 2, 2))
+    assert pattern_embeds((1,), (1,))
+    assert not pattern_embeds((1, 1, 1), (1, 1))
 
 
 def test_longest_chain_fixture():
@@ -51,7 +51,11 @@ def test_longest_chain_fixture():
     idx = longest_chain(patterns, 2)
     assert [patterns[i] for i in idx] == [(1,), (1, 2), (1, 2, 2), (1, 1, 2, 2)]
     for a, b in zip(idx, idx[1:]):
-        assert pattern_embeds(patterns[a], patterns[b], 2)
+        assert pattern_embeds(patterns[a], patterns[b])
+    # colours are checked once per pattern, so a lone pattern is checked too
+    for bad in ([(1, 5)], [(1, 5), (1,)], [(1,), (1, 5)]):
+        with pytest.raises(DomainError, match=r"colour 5 outside 1\.\.2"):
+            longest_chain(bad, 2)
 
 
 def test_bracket_frozen_pair():
@@ -104,18 +108,31 @@ WEIGHTS = st.builds(Fraction, st.integers(1, 30), st.integers(1, 30))
 
 
 @st.composite
+def resolutions(draw, k):
+    n = draw(st.integers(1, 6))
+    pattern = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    alpha = draw(st.lists(WEIGHTS, min_size=n, max_size=n))
+    return Resolution(k, tuple(pattern), tuple(alpha))
+
+
+@st.composite
 def resolution_pairs(draw):
     # up to 8 colours, so gains span shifts of up to 2^7 either way, and
     # weights whose denominators differ
     k = draw(st.integers(1, 8))
+    return draw(resolutions(k)), draw(resolutions(k))
 
-    def one() -> Resolution:
-        n = draw(st.integers(1, 6))
-        pattern = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
-        alpha = draw(st.lists(WEIGHTS, min_size=n, max_size=n))
-        return Resolution(k, tuple(pattern), tuple(alpha))
 
-    return one(), one()
+@st.composite
+def embedded_pairs(draw):
+    # (r, s) with r's pattern a subsequence of s's: up to three colours
+    # inserted into r's pattern, and s's weights drawn afresh
+    r = draw(st.integers(1, 8).flatmap(resolutions))
+    pattern = list(r.pattern)
+    for c in draw(st.lists(st.integers(1, r.k), max_size=3)):
+        pattern.insert(draw(st.integers(0, len(pattern))), c)
+    alpha = draw(st.lists(WEIGHTS, min_size=len(pattern), max_size=len(pattern)))
+    return r, Resolution(r.k, tuple(pattern), tuple(alpha))
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,7 +188,7 @@ def test_bracket_laws_seeded():
         s = rand_resolution(rng, k=r.k)
         val, _ = bracket(r, s)
         assert bracket(r, r)[0] >= r.total_weight()
-        if pattern_embeds(r.pattern, s.pattern, r.k):
+        if pattern_embeds(r.pattern, s.pattern):
             assert val >= r.total_weight()
 
 
@@ -191,6 +208,22 @@ def test_mutual_bracket_above_the_shared_colour_floor(pair):
     r, s = pair
     assert mutual_bracket(r, s) >= max(min(colour_weight(r, j), colour_weight(s, j))
                                        for j in range(1, r.k + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(resolutions))
+def test_diagonal_bracket_above_the_heaviest_colour(r):
+    # matching each colour-j coordinate of r to itself gains w_j(r)
+    assert bracket(r, r)[0] >= max(colour_weight(r, j) for j in range(1, r.k + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(embedded_pairs())
+def test_bracket_above_the_total_weight_when_the_pattern_embeds(pair):
+    # matching r along an embedding of its pattern gains alpha_u at each u
+    r, s = pair
+    assert pattern_embeds(r.pattern, s.pattern)
+    assert bracket(r, s)[0] >= r.total_weight()
 
 
 def test_mutual_symmetry():

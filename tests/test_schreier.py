@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import interval_ladder, level_split, rand_sparse, sup_norm
+from conftest import (brute_decompose_count, brute_member, brute_oscillation, interval_ladder,
+                      level_split, rand_sparse, sup_norm)
 from unclab.errors import DomainError
 from unclab.norms import SparseVector
 from unclab.schreier import oscillation, schreier_decompose, schreier_member
@@ -83,37 +84,12 @@ def test_schreier_member_order1():
         schreier_member(3, [1])
 
 
-def brute_member2(E):
-    """Minimal number of successive first-order blocks, by exhaustive splits."""
-    E = sorted(E)
-    n = len(E)
-    if n == 0:
-        return True
-    best = {n: 0}
-
-    def min_blocks(pos):
-        if pos in best:
-            return best[pos]
-        out = None
-        for end in range(pos + 1, n + 1):
-            block = E[pos:end]
-            if len(block) <= block[0]:
-                rest = min_blocks(end)
-                if rest is not None:
-                    cand = 1 + rest
-                    out = cand if out is None else min(out, cand)
-        best[pos] = out
-        return out
-
-    m = min_blocks(0)
-    return m is not None and m <= E[0]
-
-
 def test_schreier_member2_exhaustive():
     universe = list(range(1, 10))
     for size in range(0, 9):
         for E in combinations(universe, size):
-            assert schreier_member(2, E) == brute_member2(E)
+            for order in (1, 2):
+                assert schreier_member(order, E) == brute_member(order, E)
 
 
 def test_schreier_member2_bell_cross_check():
@@ -137,28 +113,6 @@ def test_schreier_member2_bell_cross_check():
             all(len(b) <= min(b) for b in p) and len(p) <= E[0]
             for p in parts(E))
         assert schreier_member(2, E) == ok_disjoint
-
-
-def brute_decompose_count_full(a, E, d):
-    # no early break: oscillation is not monotone when zeros sit in between
-    E = sorted(E)
-    n = len(E)
-    memo = {n: 0}
-
-    def go(pos):
-        if pos in memo:
-            return memo[pos]
-        out = None
-        for end in range(pos + 1, n + 1):
-            if oscillation(a, E[pos:end]) <= d:
-                rest = go(end)
-                if rest is not None:
-                    cand = 1 + rest
-                    out = cand if out is None else min(out, cand)
-        memo[pos] = out
-        return out
-
-    return go(0)
 
 
 def test_schreier_decompose_frozen():
@@ -187,7 +141,8 @@ def test_schreier_decompose_greedy_optimal_seeded():
         E = sorted(rng.sample(range(lo, lo + 10), min(rng.randint(1, 8), 10)))
         d = Fraction(rng.randint(1, 8))
         dec = schreier_decompose(a, E, d)
-        best = brute_decompose_count_full(a, E, d)
+        best = brute_decompose_count(a, E, d)
+        assert oscillation(a, E) == brute_oscillation(a, E)
         if dec is None:
             assert best is None or best > min(E)
         else:
