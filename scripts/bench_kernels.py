@@ -30,9 +30,11 @@ workloads' inputs:
   eval_norm  eval_norm on a batch of CALLS vectors against one instance of
              4 functionals per (dim, class) in NORM_SIZES, as the constants
              workload draws its norm jobs; work counter calls
-  grid       compute_constant(method="grid") in mode C_uncond on one
-             instance of 3 functionals per (dim, 1/s, class) in GRID_SIZES,
-             as the constants workload draws its grid jobs; work counter
+  grid       compute_constant(method="grid") on one instance of 3
+             functionals per (mode, dim, 1/s, class) in GRID_SIZES, with the
+             mode's query, as the constants workload draws its grid jobs:
+             C_uncond at three sizes, and BOU and schreier at the workload's
+             own size (dim 2, step 1/8) and at dim 3, step 1/4; work counter
              lattice_points
   structured_dp
              structured_dp on the standard vector of ladder rung 1, of one
@@ -85,7 +87,10 @@ PERFBENCH = ROOT / "perfbench"
 SEED = 8
 CALLS = 200
 NORM_SIZES = ((4, "all_subsets"), (8, "initial_segments"), (12, "intervals"))
-GRID_SIZES = ((2, 8, "initial_segments"), (3, 4, "intervals"), (3, 8, "all_subsets"))
+GRID_SIZES = (("C_uncond", 2, 8, "initial_segments"), ("C_uncond", 3, 4, "intervals"),
+              ("C_uncond", 3, 8, "all_subsets"), ("BOU", 2, 8, "initial_segments"),
+              ("BOU", 3, 4, "intervals"), ("schreier", 2, 8, "initial_segments"),
+              ("schreier", 3, 4, "intervals"))
 DP_SLOTS = (("rung1", "elton"), ("layout", "elton", 3))   # Certificates.SLOTS entries
 DP_RUNG2 = (1, 16, 6, Fraction(1, 20))   # n1, n2, K, eps of the ladder's rung 2
 MATCH_SLOTS = (("match", 10, 6), ("match", 11, 6))   # Certificates.SLOTS entries
@@ -204,11 +209,14 @@ def sizes(lengths: list[int]):
         yield ("eval_norm", {"dim": dim, "class": cls, "calls": CALLS},
                lambda inst=inst, vectors=vectors: [eval_norm(inst, v) for v in vectors],
                lambda values: {"digest": digest(values)})
-    for dim, s, cls in GRID_SIZES:
+    for mode, dim, s, cls in GRID_SIZES:
         inst = load_norm_instance(stream.instance(dim, cls, 3))
-        yield ("grid", {"dim": dim, "step": f"1/{s}", "class": cls},
-               lambda inst=inst, s=s: compute_constant(
-                   inst, ConstantQuery("C_uncond"), "grid", Fraction(1, s)),
+        q = stream.query(mode)   # draws nothing for C_uncond
+        query = ConstantQuery(mode, **{key: v if key == "order" else parse_rational(v)
+                                       for key, v in q.items() if key != "mode"})
+        yield ("grid", {"mode": mode, "query": q, "dim": dim, "step": f"1/{s}", "class": cls},
+               lambda inst=inst, query=query, s=s: compute_constant(
+                   inst, query, "grid", Fraction(1, s)),
                lambda report: {"lattice_points": report.details["lattice_points"],
                                "value": f"{report.value_lower.numerator}/"
                                         f"{report.value_lower.denominator}",
@@ -291,7 +299,8 @@ def main() -> None:
     doc = {
         "kernels": "CLI start-up (--help, bracket, constant, hereditary, elton), "
                    "unclab.resolutions.bracket (method dp), unclab.norms.eval_norm, "
-                   "unclab.constants.compute_constant (method grid, mode C_uncond), "
+                   "unclab.constants.compute_constant (method grid, modes C_uncond, "
+                   "BOU and schreier), "
                    "unclab.elton.structured_dp, unclab.ramsey.search_matching",
         "seed": SEED,
         "runs": args.runs,

@@ -72,9 +72,8 @@ class ConstantQuery(Record):
                 raise DomainError("mode BOU needs D and d")
             if self.D < 1 or self.d < 1:
                 raise DomainError("BOU needs D >= 1 and d >= 1")
-        if self.mode == "schreier":
-            if self.order not in (1, 2):
-                raise DomainError("mode schreier needs order 1 or 2")
+        if self.mode == "schreier" and (self.order is None or self.order < 1):
+            raise DomainError("mode schreier needs an order >= 1")
 
 
 class ConstantWitness(Record):
@@ -100,9 +99,9 @@ class ConstantReport(Record):
 def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> ConstantReport:
     """The lattice maximum on ints: the point a = t/s is its int vector t,
     and every norm, numerator and denominator below is an int at scale
-    s * L. Fractions are built for the witness, BOU's oscillation tests and
-    quasi_greedy's thresholds only; the strict > keeps the first maximiser
-    in lattice order.
+    s * L. Fractions are built for the witness, quasi_greedy's thresholds
+    and BOU's oscillations (a ratio of two entries of t) only; the strict >
+    keeps the first maximiser in lattice order.
 
     The family is closed under negation and every mode reads |a_i|, E or
     ||P_E a||, so -t has the ratio and the feasible sets E of t. When t's
@@ -126,9 +125,6 @@ def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> Co
     mode = query.mode
     delta = query.delta or Fraction(0)   # read only by the modes that take one
     dnum, dden = delta.numerator, delta.denominator
-
-    def point(t) -> SparseVector:
-        return SparseVector(tuple((i + 1, Fraction(x, s)) for i, x in enumerate(t) if x))
 
     def norm_on(t, E) -> int:
         x = [0] * inst.dim
@@ -159,12 +155,11 @@ def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> Co
             return
         else:
             base = tuple(i + 1 for i, x in enumerate(t) if x)
-        a = point(t) if mode == "BOU" else None
         for E in _subsets(base):
             extras = {}
             if mode == "BOU":
-                dec = (schreier.schreier_decompose(a, E, query.d)
-                       if E and schreier.oscillation(a, E) <= query.D else None)
+                dec = (schreier.schreier_decompose(t, E, query.d)
+                       if E and schreier.oscillation(t, E) <= query.D else None)
                 if dec is None:
                     continue
                 extras = {"decomposition": dec}
@@ -197,7 +192,8 @@ def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> Co
     if best is not None:
         num, den, t, E, extras = best
         value = Fraction(num, den)
-        wit = ConstantWitness(a=point(t), E=E, numerator=Fraction(num, s * L),
+        a = SparseVector(tuple((i + 1, Fraction(x, s)) for i, x in enumerate(t) if x))
+        wit = ConstantWitness(a=a, E=E, numerator=Fraction(num, s * L),
                               denominator=Fraction(den, s * L), **extras)
     return ConstantReport(
         mode=query.mode, method=f"grid(step={step})",

@@ -85,14 +85,14 @@ def mr_demo(family: list[Resolution], k: int, seed: int) -> dict:
     blocks = special_sequence(family, k, seed)
     inst = coded_norm_instance(blocks)
 
-    def combine(indices, signs=None):
-        total = SparseVector.zero()
-        for pos, j in enumerate(indices):
-            s = Fraction(1) if signs is None else signs[pos]
-            total = total.add(blocks[j].vector.scale(s))
-        return total
+    def combine(stages, alternate=False):
+        # block supports are disjoint and rise with the stage, so the sum is
+        # the concatenation of the blocks' entries, signed (-1)^(j+1) at
+        # stage j when alternating
+        return SparseVector(tuple((i, -v if alternate and j % 2 == 0 else v)
+                                  for j in stages for i, v in blocks[j].vector.entries))
 
-    alt = combine(range(k), [Fraction(-1) ** (j + 1) for j in range(k)])
+    alt = combine(range(k), alternate=True)
     odd = combine(range(0, k, 2))      # stages 1, 3, ... (1-indexed odd)
     even = combine(range(1, k, 2))
     alt_norm = eval_norm(inst, alt)

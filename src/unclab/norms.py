@@ -46,34 +46,12 @@ class SparseVector(Record):
     def from_pairs(pairs) -> "SparseVector":
         return SparseVector(_canon_entries(pairs))
 
-    @staticmethod
-    def zero() -> "SparseVector":
-        return SparseVector(())
-
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.entries)
 
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def scale(self, c) -> "SparseVector":
-        c = Fraction(c)
-        if c == 0:
-            return SparseVector.zero()
-        return SparseVector(tuple((i, c * v) for i, v in self.entries))
-
-    def negate(self) -> "SparseVector":
-        return self.scale(-1)
-
-    def add(self, other: "SparseVector") -> "SparseVector":
-        acc = self.as_dict()
-        for i, v in other.entries:
-            acc[i] = acc.get(i, Fraction(0)) + v
-        return SparseVector(tuple(sorted((i, v) for i, v in acc.items() if v != 0)))
 
     def apply(self, v: "SparseVector") -> Fraction:
         """This vector as a functional acting on v."""
@@ -105,10 +83,10 @@ class NormInstance(Record):
         present = {f.entries for f in fams}
         closed = list(fams)
         for f in fams:
-            neg = f.negate()
-            if neg.entries not in present:
-                closed.append(neg)
-                present.add(neg.entries)
+            neg = tuple((i, -v) for i, v in f.entries)
+            if neg not in present:
+                closed.append(SparseVector(neg))
+                present.add(neg)
         return NormInstance(dim, tuple(closed), projection_class, include_sup)
 
     def _check_vector(self, v: SparseVector) -> None:
@@ -206,7 +184,7 @@ def dual_certificate(inst: NormInstance, v: SparseVector) -> Certificate:
     vector gets a zero certificate with no witness.
     """
     inst._check_vector(v)
-    if v.is_zero():
+    if not v.entries:
         return Certificate(Fraction(0), "zero")
     L, funcs = _scaled_functionals(inst)
     s, x = _scaled_vector(v, inst.dim)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 from .caps import check_cap
 from .errors import DomainError, InternalError, SchemaError
@@ -146,13 +147,20 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
     c - 1 for coordinate c. Reports carry the fixed-depth determinacy note,
     `"strategy": "exhaustive"`, and are inconclusive on absence.
     """
-    check_cap("match_universe", universe, "universe")
+    if universe < 0:
+        raise DomainError(f"universe must be >= 0, got {universe}")
+    d = pmap.depth
+    # the scan visits 2^universe sets L and checks at most C(universe, d)
+    # blocks of M per L, which bounds the C(universe, d)^2 cached rows too;
+    # past universe 15 000 the power alone exceeds any cap UNCLAB_CAPS can
+    # set (an int of at most 4300 digits), so the shift stops there
+    check_cap("match_pairs", (1 << min(universe, 15_000)) * max(comb(universe, d), 1),
+              "(L, block) pairs")
     missing = pmap.missing_prefixes(universe)
     if missing:
         raise SchemaError(
             f"map of depth {pmap.depth} lacks {len(missing)} prefixes on "
             f"universe {universe}, first {missing[0]}")
-    d = pmap.depth
     h = max(d, horizon if horizon is not None else d)
     table = pmap._by_prefix
     full = (1 << universe) - 1

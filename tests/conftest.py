@@ -3,6 +3,7 @@ import io
 import os
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 from pathlib import Path
@@ -174,8 +175,27 @@ def rand_sparse(rng: random.Random, dim: int, denom: int = 8,
         entries = [(i, Fraction(rng.randint(-denom, denom), denom))
                    for i in range(1, dim + 1)]
         v = SparseVector.from_pairs([(i, x) for i, x in entries if x != 0])
-        if allow_zero or not v.is_zero():
+        if allow_zero or v.entries:
             return v
+
+
+def vadd(u, v):
+    """u + v for SparseVectors, in Fractions."""
+    acc = u.as_dict()
+    for i, x in v.entries:
+        acc[i] = acc.get(i, 0) + x
+    return SparseVector.from_pairs(acc.items())
+
+
+def vscale(c, v):
+    """c * v for a SparseVector v."""
+    return SparseVector.from_pairs((i, c * x) for i, x in v.entries)
+
+
+def dense(v, dim: int) -> list[Fraction]:
+    """The SparseVector v as the sequence x with x[i - 1] = v_i, i = 1..dim."""
+    av = v.as_dict()
+    return [av.get(i, Fraction(0)) for i in range(1, dim + 1)]
 
 
 def brute_norm(inst, v) -> Fraction:
@@ -227,31 +247,41 @@ def brute_oscillation(a, E) -> Fraction:
     return max(mags) / min(mags) if mags else Fraction(1)
 
 
-def min_blocks(E, admissible) -> int | None:
-    """The fewest successive blocks that sorted E splits into with every block
-    admissible, over every split: a DP over the split points, with no early
-    break (oscillation is not monotone when zeros sit in between). None when
-    no split works; 0 for the empty set."""
-    E = sorted(E)
-    fewest: list[int | None] = [None] * len(E) + [0]
+def min_split(E, admissible) -> tuple[tuple[int, ...], ...] | None:
+    """The split of sorted E into the fewest successive admissible blocks,
+    over every split, and among those the one with the longest first block,
+    then the longest second, and so on: a DP over the split points with no
+    early break. None when no split works; () for the empty set."""
+    E = tuple(sorted(E))
+    best: list = [None] * len(E) + [()]
     for pos in range(len(E) - 1, -1, -1):
-        counts = [fewest[end] for end in range(pos + 1, len(E) + 1)
-                  if fewest[end] is not None and admissible(E[pos:end])]
-        fewest[pos] = 1 + min(counts) if counts else None
-    return fewest[0]
+        for end in range(len(E), pos, -1):
+            rest = best[end]
+            if (rest is not None and (best[pos] is None or len(rest) + 1 < len(best[pos]))
+                    and admissible(E[pos:end])):
+                best[pos] = (E[pos:end],) + rest
+    return best[0]
+
+
+def min_blocks(E, admissible) -> int | None:
+    """The length of min_split(E, admissible), None when no split works."""
+    split = min_split(E, admissible)
+    return None if split is None else len(split)
+
+
+@cache
+def _brute_member(order: int, E: tuple[int, ...]) -> bool:
+    if order == 0 or not E:
+        return len(E) <= 1
+    count = min_blocks(E, lambda block: _brute_member(order - 1, block))
+    return count is not None and count <= E[0]
 
 
 def brute_member(order: int, E) -> bool:
-    """Schreier membership by the definitions: order 1, |E| <= min E; order 2,
-    E splits into at most min E successive order-1 blocks. The empty set
-    belongs to both."""
-    E = sorted(set(E))
-    if not E:
-        return True
-    if order == 1:
-        return len(E) <= E[0]
-    count = min_blocks(E, lambda block: len(block) <= block[0])
-    return count is not None and count <= E[0]
+    """Schreier membership by the definition, over every split: S_0 holds
+    the sets of size <= 1, and E is in S_n when it splits into at most
+    min E successive blocks in S_{n-1}. The empty set belongs to each."""
+    return _brute_member(order, tuple(sorted(set(E))))
 
 
 def brute_decompose_count(a, E, d) -> int | None:

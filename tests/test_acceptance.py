@@ -14,9 +14,10 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 from pathlib import Path
 
-from conftest import (brute_bracket, brute_miniature, build_standard, colour_weight,
-                      dense_layout_values, interval_ladder, level_split, rand_resolution,
-                      rand_sparse, verify_witness)
+from conftest import (brute_bracket, brute_decompose_count, brute_miniature, brute_oscillation,
+                      build_standard, colour_weight, dense, dense_layout_values,
+                      interval_ladder, level_split, rand_resolution, rand_sparse,
+                      verify_witness)
 
 from unclab.constants import MODES, ConstantQuery, compute_constant
 from unclab.elton import (STANDARD_PAIR, EltonParams, LayoutVector,
@@ -28,7 +29,7 @@ from unclab.ramsey import (MatchingWitness, remark_family, restrict_pattern,
 from unclab.resolutions import (Resolution, bracket, build_rademacher,
                                 mutual_bracket, pattern_embeds,
                                 rademacher_bound, ris_condition)
-from unclab.schreier import oscillation, schreier_decompose
+from unclab.schreier import schreier_decompose
 from unclab.serialize import load_prefix_map
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -266,28 +267,17 @@ def test_criterion_6(capsys):
             assert lp.value_upper == lp.value_lower
 
 
-def _brute_min_blocks(a, E, d):
-    E = sorted(E)
-    n = len(E)
-    best = [10 ** 9] * (n + 1)
-    best[0] = 0
-    for j in range(1, n + 1):
-        for i in range(j):
-            if best[i] + 1 < best[j] and oscillation(a, E[i:j]) <= d:
-                best[j] = best[i] + 1
-    return best[n]
-
-
 def test_criterion_7(capsys):
     with criterion(capsys, 7, "dyadic splits and greedy interval decomposition minimal", 60):
         rng = random.Random(53)
         ground = list(range(1, 10))
         for a in [rand_sparse(rng, 9) for _ in range(3)]:
+            x = dense(a, 9)
             for r in range(1, 9):
                 for E in itertools.combinations(ground, r):
                     for d in (F(1), F(3, 2), F(2)):
-                        dec = schreier_decompose(a, E, d)
-                        mn = _brute_min_blocks(a, E, d)
+                        dec = schreier_decompose(x, E, d)
+                        mn = brute_decompose_count(a, E, d)
                         if dec is None:
                             assert mn > min(E)
                         else:
@@ -298,8 +288,8 @@ def test_criterion_7(capsys):
             E = tuple(sorted(rng.sample(range(1, dim + 1),
                                         rng.randint(1, min(8, dim)))))
             d = 1 + F(rng.randint(0, 8), 4)
-            dec = schreier_decompose(a, E, d)
-            mn = _brute_min_blocks(a, E, d)
+            dec = schreier_decompose(dense(a, dim), E, d)
+            mn = brute_decompose_count(a, E, d)
             if dec is None:
                 assert mn > min(E)
             else:
@@ -314,7 +304,7 @@ def test_criterion_7(capsys):
             assert flat == sorted(thr) and len(flat) == len(set(flat))
             for blk in sp.blocks:
                 if blk:
-                    assert oscillation(a, blk) <= 2
+                    assert brute_oscillation(a, blk) <= 2
         for _ in range(100):
             delta = F(rng.randint(1, 64), 64)
             lad = interval_ladder(delta)

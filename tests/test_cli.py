@@ -274,16 +274,22 @@ def test_exit_code_1_domain_and_caps():
                   "--D", "-1/2", "--d", "1"],
                  ["elton", "--n1", "1", "--n2", "8", "--K", "4", "--eps", "-1/2"]):
         assert err_json(run(*args, check=1))["kind"] == "DomainError"
+    # a negative universe is a domain error, not a failed shift
+    proc = run("match", "--maps", fx("map_family_a.json"), "--universe", "-3", check=1)
+    assert err_json(proc)["kind"] == "DomainError"
+    # universe 12 at depth 2: 2^12 * C(12, 2) = 270 336 (L, block) pairs
     proc = run("match", "--maps", fx("map_family_a.json"), "--universe", "12",
-               env_extra={"UNCLAB_CAPS": "match_universe=4"}, check=1)
+               env_extra={"UNCLAB_CAPS": "match_pairs=270335"}, check=1)
     assert err_json(proc)["kind"] == "SizeError"
     assert "UNCLAB_CAPS" in err_json(proc)["error"]
-    proc = run("match", "--maps", fx("map_family_a.json"), "--universe", "12",
-               env_extra={"UNCLAB_CAPS": "bogus=3"}, check=1)
-    assert err_json(proc)["kind"] == "DomainError"
+    for caps in ("bogus=3", "match_universe=16"):
+        proc = run("match", "--maps", fx("map_family_a.json"), "--universe", "12",
+                   env_extra={"UNCLAB_CAPS": caps}, check=1)
+        assert err_json(proc)["kind"] == "DomainError"
+        assert "unknown cap" in err_json(proc)["error"]
     # a raised cap unlocks the same failing call
     proc = run("match", "--maps", fx("map_family_a.json"), "--universe", "12",
-               env_extra={"UNCLAB_CAPS": "match_universe=16"}, check=0)
+               env_extra={"UNCLAB_CAPS": "match_pairs=270336"}, check=0)
     assert out_json(proc)["found"] is True
 
 
@@ -419,6 +425,22 @@ def test_constant_echoes_its_query():
                        "--mode", "C_uncond", "--method", "lp", check=0))
     assert "step" not in rep["inputs"]
     assert "converged" not in rep["details"]
+
+
+def test_constant_schreier_any_order(invoke_cli):
+    # on summing 4 every order from 2 up reaches order 2's value, by the
+    # grid and by the LP; order 0 names no family
+    base = ["constant", "--instance", fx("norm_summing4.json"), "--mode", "schreier"]
+    for method in (["--step", "1/2"], ["--method", "lp"]):
+        values = []
+        for order in ("2", "3", "1000000"):
+            res = invoke_cli([*base, "--order", order, *method])
+            assert res.exit_code == 0, res.stderr
+            values.append(json.loads(res.stdout)["value_lower"])
+        assert values == ["2/1"] * 3
+    res = invoke_cli([*base, "--order", "0"])
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == "mode schreier needs an order >= 1"
 
 
 def test_mr_demo_verb():

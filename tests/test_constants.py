@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_norm, build_standard, kstar_denominator, restrict, verify_witness
+from conftest import (brute_member, brute_norm, brute_oscillation, build_standard,
+                      kstar_denominator, min_split, restrict, verify_witness)
 from unclab.constants import (
     DEFAULT_STEP,
     GRID_ONLY,
@@ -20,7 +21,7 @@ from unclab.errors import DomainError, SizeError
 from unclab.lp import _dedupe_forms, _linear_pieces, _lp_cells, _lp_max
 from unclab.norms import PROJECTION_CLASSES, NormInstance, SparseVector
 from unclab.rationals import _subsets
-from unclab.schreier import oscillation, schreier_decompose, schreier_member
+from unclab.schreier import SchreierDecomposition
 
 
 def q(mode, **kw):
@@ -54,8 +55,11 @@ def test_query_validation():
         ConstantQuery(mode="BOU", D=F(2))  # d missing
     with pytest.raises(DomainError):
         ConstantQuery(mode="BOU", D=F(1, 2), d=F(1))
-    with pytest.raises(DomainError):
-        ConstantQuery(mode="schreier", order=3)
+    for order in (None, 0, -1):
+        with pytest.raises(DomainError, match="needs an order >= 1"):
+            ConstantQuery(mode="schreier", order=order)
+    for order in (3, 10 ** 6):
+        assert ConstantQuery(mode="schreier", order=order).order == order
     # a field the mode does not read is an error, not silently dropped
     with pytest.raises(DomainError):
         ConstantQuery(mode="C_uncond", delta=F(1, 2))
@@ -333,7 +337,8 @@ def test_verify_witness_rejects_infeasible():
 
 # The Fraction grid that the integer-scaled grid replaced, kept as its
 # oracle: every lattice point a SparseVector, every norm a Fraction from the
-# definition (brute_norm), every ratio a Fraction.
+# definition (brute_norm), every ratio a Fraction, and the Schreier checks
+# from the split DPs of conftest.
 
 def ref_grid_points(dim, step):
     s = int(1 / step)
@@ -365,11 +370,11 @@ def ref_feasible_pairs(inst, query, a):
         base = a.support
     for E in _subsets(base):
         if mode == "BOU":
-            dec = (schreier_decompose(a, E, query.d)
-                   if E and oscillation(a, E) <= query.D else None)
-            if dec is not None:
-                yield E, {"decomposition": dec}
-        elif mode != "schreier" or schreier_member(query.order, E):
+            blocks = (min_split(E, lambda block: brute_oscillation(a, block) <= query.d)
+                      if E and brute_oscillation(a, E) <= query.D else None)
+            if blocks is not None and len(blocks) <= E[0]:
+                yield E, {"decomposition": SchreierDecomposition(blocks)}
+        elif mode != "schreier" or brute_member(query.order, E):
             yield E, {}
 
 

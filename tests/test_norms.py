@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unclab
-from conftest import brute_norm, build_standard, rand_sparse, restrict, sup_norm
+from conftest import brute_norm, build_standard, rand_sparse, restrict, sup_norm, vadd, vscale
 from unclab.errors import DomainError
 from unclab.norms import (PROJECTION_CLASSES, Functional, NormInstance,
                           SparseVector, dual_certificate, eval_norm)
@@ -29,22 +29,13 @@ def test_sparse_vector_canon():
         SparseVector.from_pairs([(1, F1), (1, F1)])
     with pytest.raises(DomainError):
         SparseVector.from_pairs([(0, F1)])
-    assert SparseVector.zero().is_zero()
-
-
-def test_vector_algebra():
-    a = vec(1, 2, 0)
-    b = vec(0, -2, 3)
-    assert a.add(b).entries == ((1, F1), (3, Fraction(3)))
-    assert a.scale(Fraction(1, 2)).as_dict().get(2, 0) == 1
-    assert a.scale(0).is_zero()
-    assert restrict(a, [2]).entries == ((2, Fraction(2)),)
+    assert SparseVector.from_pairs([(2, Fraction(0))]).entries == ()
 
 
 def test_functional_apply():
     f = Functional.from_pairs([(1, F1), (2, Fraction(-1))])
     assert f.apply(vec(3, 5)) == -2
-    assert f.negate().apply(vec(3, 5)) == 2
+    assert vscale(-1, f).apply(vec(3, 5)) == 2
 
 
 def test_functional_is_sparse_vector():
@@ -58,7 +49,7 @@ def test_build_closure_under_negation():
     assert len(inst.functionals) == 2
     assert inst.functionals[1].entries == ((1, Fraction(-1)),)
     # negation-closed input family is not doubled
-    inst2 = NormInstance.build(2, [f, f.negate()])
+    inst2 = NormInstance.build(2, [f, vscale(-1, f)])
     assert len(inst2.functionals) == 2
 
 
@@ -129,7 +120,7 @@ def test_vector_outside_dim():
 
 def test_zero_certificate():
     inst = build_standard("summing", 3)
-    cert = dual_certificate(inst, SparseVector.zero())
+    cert = dual_certificate(inst, SparseVector(()))
     assert cert.kind == "zero" and cert.value == 0
 
 
@@ -158,8 +149,8 @@ def test_norm_axioms_summing(seed):
     for inst in instances:
         nu, nv = eval_norm(inst, u), eval_norm(inst, v)
         assert nu > 0
-        assert eval_norm(inst, u.add(v)) <= nu + nv
-        assert eval_norm(inst, u.scale(c)) == abs(c) * nu
+        assert eval_norm(inst, vadd(u, v)) <= nu + nv
+        assert eval_norm(inst, vscale(c, u)) == abs(c) * nu
         # certificate re-verification
         cert = dual_certificate(inst, u)
         assert cert.value == nu
@@ -179,7 +170,7 @@ def test_norm_axioms_l1(seed):
     v = rand_sparse(rng, 3)
     l1 = sum((abs(x) for _, x in u.entries), Fraction(0))
     assert eval_norm(inst, u) == l1
-    assert eval_norm(inst, u.add(v)) <= l1 + eval_norm(inst, v)
+    assert eval_norm(inst, vadd(u, v)) <= l1 + eval_norm(inst, v)
 
 
 def test_interval_class_vs_initial():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from unclab import ramsey
 from unclab import serialize as ser
 from unclab.errors import DomainError, SchemaError, SizeError
 from unclab.ramsey import (
@@ -175,6 +176,32 @@ def test_search_guards(map_a):
         search_matching(partial, 4)
     with pytest.raises(SizeError):
         search_matching(identity_map(4, 1), 40)  # over the match cap
+
+
+def test_search_cap_counts_pairs(monkeypatch):
+    def no_row(*args):
+        raise AssertionError("a refused scan built a row")
+
+    # 2^13 C(13, 6) = 14 057 472 (L, block) pairs exceed the default 10^7:
+    # refused before the prefix check, so a partial map gets the SizeError,
+    # and before the scan builds a row
+    monkeypatch.setattr(ramsey, "is_initial_segment", no_row)
+    full = PrefixContinuousMap.from_dict(6, {
+        p: (frozenset(),) for p in itertools.combinations(range(1, 14), 6)})
+    partial = PrefixContinuousMap.from_dict(6, {(1, 2, 3, 4, 5, 6): (frozenset(),)})
+    for pmap in (full, partial):
+        with pytest.raises(SizeError, match="match_pairs: .* = 14057472 exceeds cap 10000000"):
+            search_matching(pmap, 13, horizon=7)
+    with pytest.raises(DomainError, match="universe must be >= 0"):
+        search_matching(full, -3)
+    monkeypatch.undo()
+    # the cap is exact: 2^6 C(6, 2) = 960 pairs
+    pmap = identity_map(6, 2)
+    monkeypatch.setenv("UNCLAB_CAPS", "match_pairs=959")
+    with pytest.raises(SizeError):
+        search_matching(pmap, 6)
+    monkeypatch.setenv("UNCLAB_CAPS", "match_pairs=960")
+    assert search_matching(pmap, 6)["found"]
 
 
 def ref_search_matching(pmap, universe, horizon):

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import (brute_decompose_count, brute_member, brute_oscillation, interval_ladder,
-                      level_split, rand_sparse, sup_norm)
+from conftest import (brute_decompose_count, brute_member, brute_oscillation, dense,
+                      interval_ladder, level_split, rand_sparse)
 from unclab.errors import DomainError
 from unclab.norms import SparseVector
 from unclab.schreier import oscillation, schreier_decompose, schreier_member
@@ -18,12 +18,15 @@ def vec(pairs):
 
 
 def test_oscillation():
-    a = vec([(1, H), (2, Fraction(1, 8)), (3, -1)])
+    # a sequence x with x[i - 1] at coordinate i, zeros at 4..6
+    a = [H, Fraction(1, 8), -1, 0, 0, 0]
     assert oscillation(a, [1, 2]) == 4
     assert oscillation(a, [1, 3]) == 2
     assert oscillation(a, [2]) == 1
     assert oscillation(a, [5, 6]) == 1  # off-support convention
     assert oscillation(a, []) == 1
+    # only ratios are read: the int point 8a has a's oscillations
+    assert oscillation([4, 1, -8], [1, 2]) == 4
 
 
 def test_interval_ladder():
@@ -60,7 +63,6 @@ def test_level_split_seeded():
     rng = random.Random(21)
     for _ in range(200):
         a = rand_sparse(rng, 6, denom=32)
-        a = a.scale(Fraction(1, max(1, sup_norm(a))))
         delta = Fraction(rng.randint(1, 32), 32)
         split = level_split(a, delta)
         threshold = tuple(i for i, v in a.entries if abs(v) >= delta)
@@ -69,7 +71,7 @@ def test_level_split_seeded():
         assert covered == sorted(threshold)
         for block in split.blocks:
             if block:
-                assert oscillation(a, block) <= 2
+                assert oscillation(dense(a, 6), block) <= 2
 
 
 def test_schreier_member_order1():
@@ -81,15 +83,43 @@ def test_schreier_member_order1():
     with pytest.raises(DomainError):
         schreier_member(1, [0, 1])
     with pytest.raises(DomainError):
-        schreier_member(3, [1])
+        schreier_member(0, [1])
 
 
-def test_schreier_member2_exhaustive():
-    universe = list(range(1, 10))
+def test_schreier_member_exhaustive():
+    checks, differ = 0, []
+    for size in range(0, 11):
+        for E in combinations(range(1, 11), size):
+            members = [schreier_member(order, E) for order in (1, 2, 3)]
+            assert members == [brute_member(order, E) for order in (1, 2, 3)], E
+            checks += 3
+            if members[1] != members[2]:
+                differ.append(E)
+    assert checks == 3 * 2 ** 10
+    # S_2 and S_3 first differ on sets that reach coordinate 8
+    assert len(differ) == 24 and all(max(E) >= 8 for E in differ)
+    # {2..8} needs 3 blocks of S_1 ({2, 3}, {4..7}, {8}), but 2 of S_2
+    assert not schreier_member(2, range(2, 9))
+    assert schreier_member(3, range(2, 9))
+
+
+def test_schreier_families_nest():
+    # S_n is inside S_{n+1}
     for size in range(0, 9):
-        for E in combinations(universe, size):
-            for order in (1, 2):
-                assert schreier_member(order, E) == brute_member(order, E)
+        for E in combinations(range(1, 9), size):
+            members = [schreier_member(order, E) for order in range(1, 6)]
+            assert members == sorted(members), E
+
+
+def test_schreier_member_clamp_law():
+    # at every order >= |E|, E belongs exactly when min E >= 2 or |E| <= 1
+    for size in range(0, 8):
+        for E in combinations(range(1, 8), size):
+            law = size <= 1 or E[0] >= 2
+            for order in range(max(size, 1), size + 3):
+                assert schreier_member(order, E) == law, (order, E)
+    assert schreier_member(5000, (2, 3, 4))
+    assert not schreier_member(10 ** 6, (1, 2))
 
 
 def test_schreier_member2_bell_cross_check():
@@ -116,18 +146,20 @@ def test_schreier_member2_bell_cross_check():
 
 
 def test_schreier_decompose_frozen():
-    a = vec([(2, 1), (3, H), (4, Fraction(1, 8)), (5, Fraction(1, 16))])
+    a = [0, 1, H, Fraction(1, 8), Fraction(1, 16)]
     dec = schreier_decompose(a, [2, 3, 4, 5], Fraction(2))
     assert dec is not None
     assert dec.blocks == ((2, 3), (4, 5))
     assert len(dec.blocks) == 2
     # four distinct magnitudes at d=1 need four blocks, but min E = 2
     assert schreier_decompose(a, [2, 3, 4, 5], Fraction(1)) is None
-    b = vec([(4, 1), (5, H), (6, Fraction(1, 8)), (7, Fraction(1, 16))])
+    b = [0, 0, 0, 1, H, Fraction(1, 8), Fraction(1, 16)]
     fine = schreier_decompose(b, [4, 5, 6, 7], Fraction(1))
     assert fine is not None and len(fine.blocks) == 4
-    tight = schreier_decompose(vec([(1, 1), (2, Fraction(1, 4))]), [1, 2], Fraction(2))
+    tight = schreier_decompose([1, Fraction(1, 4)], [1, 2], Fraction(2))
     assert tight is None
+    # the int point 16a splits as a does
+    assert schreier_decompose([0, 16, 8, 2, 1], [2, 3, 4, 5], Fraction(2)) == dec
     with pytest.raises(DomainError):
         schreier_decompose(a, [2, 3], Fraction(1, 2))
 
@@ -139,20 +171,21 @@ def test_schreier_decompose_greedy_optimal_seeded():
         a = rand_sparse(rng, dim, denom=16, allow_zero=True)
         lo = rng.randint(1, 4)
         E = sorted(rng.sample(range(lo, lo + 10), min(rng.randint(1, 8), 10)))
+        x = dense(a, lo + 9)
         d = Fraction(rng.randint(1, 8))
-        dec = schreier_decompose(a, E, d)
+        dec = schreier_decompose(x, E, d)
         best = brute_decompose_count(a, E, d)
-        assert oscillation(a, E) == brute_oscillation(a, E)
+        assert oscillation(x, E) == brute_oscillation(a, E)
         if dec is None:
             assert best is None or best > min(E)
         else:
             assert best == len(dec.blocks)
             for block in dec.blocks:
-                assert oscillation(a, block) <= d
+                assert oscillation(x, block) <= d
             flat = [i for b in dec.blocks for i in b]
             assert flat == sorted(E)
 
 
 def test_empty_decompose():
-    dec = schreier_decompose(SparseVector.zero(), [], Fraction(2))
+    dec = schreier_decompose([], [], Fraction(2))
     assert dec is not None and dec.blocks == ()
