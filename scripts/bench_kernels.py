@@ -38,12 +38,13 @@ workloads' inputs:
              lattice_points
   structured_dp
              structured_dp on the standard vector of ladder rung 1, of one
-             K = 3 layout and of ladder rung 2; the first two drawn as the
+             K = 3 layout and of ladder rung 2, its dense values built
+             before the timing; the first two drawn as the
              certificates workload draws its rung-1 and K = 3 layout jobs,
              rung 2 (universe 34818) being no workload's job; work counters
              universe and cells, the value runs above b times the slots,
-             summed over the shapes (a, b) the search expands (counted in one
-             more, untimed, call)
+             summed over the shapes (a, b) the search expands, as the call
+             returns them
   search_matching
              the exhaustive scan at universe 10 and 11, horizon 6, on a map
              drawn as the certificates workload draws its match jobs (depth
@@ -55,17 +56,17 @@ digest of its results.
 
 With --parent-src every size is measured on two sides: the unclab package
 under DIR (say, an unpacked copy of the parent commit's src/) and the
-package this interpreter imports. Each run of a size is one child
-interpreter of this script, started with --size and --runs 1, and the two
-sides alternate run by run, the side that goes first alternating too, so
-drift of the machine spreads over both. Each side's times are pooled into
-its median, spread and run list. The document then holds both sides per
-size and the ratio of their medians, and the script exits 1 if any two
-children disagree on a result. A child that fails, in either mode, ends
-the script with exit 1 and its stderr passed on. A side whose
-layout_universe cap is below rung 2's universe refuses that size; the
-children inherit the environment, so UNCLAB_CAPS=layout_universe=40000 on
-this script measures it there too.
+package this interpreter imports, which must share the kernels' signatures.
+Each run of a size is one child interpreter of this script, started with
+--size and --runs 1, and the two sides alternate run by run, the side that
+goes first alternating too, so drift of the machine spreads over both.
+Each side's times are pooled into its median, spread and run list. The
+document then holds both sides per size and the ratio of their medians, and
+the script exits 1 if any two children disagree on a result. A child that
+fails, in either mode, ends the script with exit 1 and its stderr passed on.
+A side whose layout_universe cap is below rung 2's universe refuses that
+size; the children inherit the environment, so
+UNCLAB_CAPS=layout_universe=40000 on this script measures it there too.
 """
 
 import argparse
@@ -159,7 +160,7 @@ def sizes(lengths: list[int]):
     import unclab
     from unclab import elton
     from unclab.constants import ConstantQuery, compute_constant
-    from unclab.elton import EltonParams, LayoutVector, build_layout, structured_dp
+    from unclab.elton import STANDARD_PAIR, EltonParams, structured_dp
     from unclab.norms import SparseVector, eval_norm
     from unclab.ramsey import search_matching
     from unclab.rationals import parse_rational
@@ -222,23 +223,6 @@ def sizes(lengths: list[int]):
                                         f"{report.value_lower.denominator}",
                                "digest": digest(report)})
 
-    def dp_cells(layout, x) -> int:
-        values = elton._dense_values(layout, x)[1:]   # coordinates 1..universe
-        expanded = []   # (b, slots) of each shape structured_dp expands
-        tiling = elton._slot_tiling
-
-        def spy(p, a, b, count):
-            slots, unit = tiling(p, a, b, count)
-            expanded.append((b, len(slots)))
-            return slots, unit
-
-        elton._slot_tiling = spy
-        try:
-            structured_dp(layout, x)
-        finally:
-            elton._slot_tiling = tiling
-        return sum(len(list(itertools.groupby(values[b:]))) * n for b, n in expanded)
-
     class Drawn(Certificates):
         """Keeps the input document a job would write in `doc`."""
 
@@ -255,15 +239,13 @@ def sizes(lengths: list[int]):
                                               int(opts["--K"]), parse_rational(opts["--eps"]))))
     dp_cases.append(("rung2", EltonParams(*DP_RUNG2)))
     for case, p in dp_cases:
-        layout = build_layout(p)
-        x = LayoutVector(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
+        x = elton._dense_values(p, STANDARD_PAIR[0])
         yield ("structured_dp", {"case": case, "n1": p.n1, "n2": p.n2, "K": p.K,
-                                 "universe": layout.universe},
-               lambda layout=layout, x=x: structured_dp(layout, x),
-               lambda out, layout=layout, x=x: {
-                   "cells": dp_cells(layout, x),
-                   "value": f"{out[0].numerator}/{out[0].denominator}",
-                   "digest": digest(list(out))})
+                                 "universe": p.universe},
+               lambda p=p, x=x: structured_dp(p, x),
+               lambda out: {"cells": out[2],
+                            "value": f"{out[0].numerator}/{out[0].denominator}",
+                            "digest": digest(list(out[:2]))})
     for slot in MATCH_SLOTS:
         argv = certs.make_match(*slot[1:])[1]
         opts = dict(zip(argv[1::2], argv[2::2]))

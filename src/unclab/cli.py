@@ -299,7 +299,7 @@ def hereditary(universe, m1, m2, mode, restrict, samples, seed):
     """Hereditariness of colour-pattern family restrictions."""
     family = ramsey.remark_family(universe, m1, m2)
     inputs = {"universe": universe, "m1": m1, "m2": m2, "mode": mode}
-    out = {"family_size": len(family.members)}
+    out = {"family_size": len(family)}
     if restrict is not None:
         if samples is not None or seed is not None:
             raise errors.DomainError("--restrict excludes --samples and --seed")

@@ -23,9 +23,8 @@ from fractions import Fraction
 from itertools import accumulate, groupby
 from math import lcm
 
-from .caps import check_cap, load_caps
+from .caps import load_caps
 from .errors import DomainError, InternalError, SizeError
-from .norms import SparseVector
 from .rationals import _common_denominator
 from .record import Record
 
@@ -55,6 +54,11 @@ class EltonParams(Record):
         """n1/(2 n2) + 2^-K: eps must exceed it, and case 4 adds it to 1."""
         return Fraction(self.n1, 2 * self.n2) + TWO ** (-self.K)
 
+    @property
+    def universe(self) -> int:
+        """The layout's coordinates: its slots plus the distinguished pair."""
+        return _n_slots(self, self.m2) + 2
+
 
 def validate_params(p: EltonParams) -> dict:
     """Check the conditions behind the case bounds: the scales they cover
@@ -78,20 +82,9 @@ def validate_params(p: EltonParams) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
-class EltonLayout(Record):
-    params: EltonParams
-    universe: int          # the slots plus the distinguished pair
-
-
 def _n_slots(p: EltonParams, m2: int) -> int:
-    """Slots of a layout whose finer scale is m2 (the universe is this + 2)."""
+    """Slots of a layout whose finer scale is m2."""
     return (p.n1 + p.n2) * 2 ** (p.K * m2 - 1)
-
-
-def build_layout(p: EltonParams) -> EltonLayout:
-    universe = _n_slots(p, p.m2) + 2
-    check_cap("layout_universe", universe, "universe")
-    return EltonLayout(p, universe)
 
 
 class LayoutVector(Record):
@@ -177,21 +170,12 @@ def _slot_tiling(p: EltonParams, a: int, b: int, count: int) -> tuple[list[int],
     return out, l * 2 ** (p.K * b - 1)
 
 
-def _dense_values(layout: EltonLayout, v) -> list[Fraction]:
-    if isinstance(v, LayoutVector):
-        p = layout.params
-        run = 2 ** (p.K * (p.m2 - p.m1))
-        rounds = 2 ** (p.K * p.m1 - 1)
-        return ([Fraction(0), v.at_first, v.at_second]
-                + ([v.on_e1] * (p.n1 * run) + [v.on_e2] * (p.n2 * run)) * rounds)
-    if isinstance(v, SparseVector):
-        dense = [Fraction(0)] * (layout.universe + 1)
-        for c, val in v.entries:
-            if c > layout.universe:
-                raise DomainError(f"coordinate {c} outside universe 1..{layout.universe}")
-            dense[c] = val
-        return dense
-    raise DomainError("vector must be a LayoutVector or SparseVector")
+def _dense_values(p: EltonParams, v: LayoutVector) -> list[Fraction]:
+    """v's value at each coordinate of p's layout, coordinate c at index c - 1."""
+    run = 2 ** (p.K * (p.m2 - p.m1))
+    rounds = 2 ** (p.K * p.m1 - 1)
+    return ([v.at_first, v.at_second]
+            + ([v.on_e1] * (p.n1 * run) + [v.on_e2] * (p.n2 * run)) * rounds)
 
 
 # ------------------------------------------------------------ structured dp
@@ -272,25 +256,28 @@ def _spans_from_assignment(assignment, slot_values):
     return spans
 
 
-def structured_dp(layout: EltonLayout, v) -> tuple[Fraction, dict]:
+def structured_dp(p: EltonParams, x) -> tuple[Fraction, dict, int]:
     """Family maximum via per-shape slot-placement DP with sound pruning.
+
+    x holds coordinate c's value at index c - 1, and the universe is len(x).
+    Returns the maximum, its witness and the DP cells filled.
 
     Integer-scaled: the vector is put over its common denominator s once,
     and shape (a, b)'s slots are ints over the unit lcm(n1, n2) 2^(Kb-1), so
     the DP, the bounds and the half-coefficient scan run on ints and a
     Fraction is built only for each solved shape's value and the witness.
     A shape's DP runs over the value runs of the coordinates above b, so it
-    fills value runs x slots cells, and that count is what the cell budget
-    caps; a region-constant vector has few runs.
+    fills value runs times slots cells, and that count is what the cell budget
+    caps and what is returned; a region-constant vector has few runs.
     Shapes are screened by the upper bound 1/2 max_half + pinned_b + tail(b),
     where tail(b) bounds every slot by the shape's largest slot value (the
     sparser side's unit 1/(min(n1,n2) 2^(Kb-1))) against the positive
     coefficient mass above b. Shapes are visited in bound order and
     expansion stops once bounds fall under the incumbent.
     """
-    N = layout.universe
-    p = layout.params
-    s, vals = _common_denominator(_dense_values(layout, v))
+    N = len(x)
+    s, vals = _common_denominator(x)
+    vals = [0] + vals   # 1-based: vals[c] is coordinate c
     # every bound is an int at the scale S = 2 s min(n1,n2) 2^200; slot
     # exponents are clamped at 200 for cheap bounds
     top = min(p.n1, p.n2) << 200
@@ -331,8 +318,11 @@ def structured_dp(layout: EltonLayout, v) -> tuple[Fraction, dict]:
                 runs = [(x, sum(1 for _ in grp)) for x, grp in groupby(sv[b + 1:])]
                 cells_used += len(runs) * len(slots)
                 if cells_used > _DP_CELL_BUDGET:
-                    raise SizeError("structured dp expansion exceeded its cell budget "
-                                    f"of {_DP_CELL_BUDGET} cells")
+                    raise SizeError(
+                        f"structured dp reached {cells_used} cells at universe {N}, "
+                        f"over its budget of {_DP_CELL_BUDGET} cells; a layout_universe "
+                        f"cap below {N} gives the symbolic certificate "
+                        f"(UNCLAB_CAPS=layout_universe={N - 1})")
                 blk, f_final, argmax = _block_max_runs(slots, runs)
                 value = Fraction((sv[a] + 2 * sv[b]) * unit + 2 * blk, 2 * s * unit)
                 if value > best:
@@ -346,7 +336,7 @@ def structured_dp(layout: EltonLayout, v) -> tuple[Fraction, dict]:
         best_wit["assignment_spans"] = [
             (lo, hi, Fraction(x, unit))
             for lo, hi, x in _spans_from_assignment(assignment, slots)]
-    return best, best_wit
+    return best, best_wit, cells_used
 
 
 # ------------------------------------------------------------- certificates
@@ -366,12 +356,11 @@ def _certify(p: EltonParams, pair, bound: Fraction) -> tuple[dict, dict]:
     if not check["ok"]:
         raise DomainError("; ".join(check["failures"]))
     minus, plus = pair()
-    out = {"params": p, "universe": _n_slots(p, p.m2) + 2}
+    out = {"params": p, "universe": p.universe}
     witnesses = {}
     if out["universe"] <= load_caps().layout_universe:
-        layout = build_layout(p)
-        num, witnesses["witness_plus"] = structured_dp(layout, plus)
-        den, witnesses["witness_minus"] = structured_dp(layout, minus)
+        num, witnesses["witness_plus"], _ = structured_dp(p, _dense_values(p, plus))
+        den, witnesses["witness_minus"], _ = structured_dp(p, _dense_values(p, minus))
         if den > bound:
             raise InternalError(f"family dp value {den} exceeds the case bound {bound}; "
                                 "bounds unsound")

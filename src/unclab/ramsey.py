@@ -215,22 +215,6 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
 Pattern = frozenset  # of (element, colour) pairs; colour 0 is encoded by absence
 
 
-class ColourFamily(Record):
-    k: int
-    universe: int
-    members: tuple[Pattern, ...]
-
-    def __post_init__(self):
-        if self.k < 1 or self.universe < 1:
-            raise DomainError("k and universe must be positive")
-        for m in self.members:
-            for e, c in m:
-                if not (1 <= e <= self.universe):
-                    raise DomainError(f"support element {e} outside universe")
-                if not (1 <= c <= self.k):
-                    raise DomainError(f"colour {c} outside 1..{self.k}")
-
-
 def restrict_pattern(pattern: Pattern, M) -> Pattern:
     Ms = set(M)
     return frozenset((e, c) for e, c in pattern if e in Ms)
@@ -240,8 +224,9 @@ def _canonical_order(patterns):
     return sorted(patterns, key=lambda p: (len(p), sorted(p)))
 
 
-def weakly_hereditary(family: ColourFamily, M=None, mode: str = "weakly") -> dict:
-    """Closure check for the restriction family F_M, with a counterexample.
+def weakly_hereditary(members, M=None, mode: str = "weakly") -> dict:
+    """Closure check for the restriction family F_M of the patterns in
+    members, with a counterexample.
 
     mode "hereditary": every pattern obtained from a member by zeroing some
     entries must stay in the family. mode "weakly": only single-colour
@@ -253,11 +238,10 @@ def weakly_hereditary(family: ColourFamily, M=None, mode: str = "weakly") -> dic
     if mode not in ("hereditary", "weakly"):
         raise DomainError(f"unknown mode {mode!r}")
     if M is None:
-        restricted = set(family.members)
+        restricted = set(members)
     else:
         Ms = _as_sorted_tuple(M)
-        restricted = {restrict_pattern(p, Ms) for p in family.members}
-    fam_set = set(restricted)
+        restricted = {restrict_pattern(p, Ms) for p in members}
     checked = 0
 
     def candidates(b):
@@ -277,21 +261,21 @@ def weakly_hereditary(family: ColourFamily, M=None, mode: str = "weakly") -> dic
                             yield a, j
         yield frozenset(), None
 
-    for b in _canonical_order(fam_set):
+    for b in _canonical_order(restricted):
         if not b:
             continue
         for a, j in candidates(b):
             checked += 1
-            if a not in fam_set:
+            if a not in restricted:
                 return {"hereditary": False, "mode": mode, "checked": checked,
                         "violation": {"a": a, "b": b, "colour": j}}
     return {"hereditary": True, "mode": mode, "violation": None,
             "checked": checked}
 
 
-def remark_family(universe: int, m1: int = 1, m2: int = 2) -> ColourFamily:
+def remark_family(universe: int, m1: int = 1, m2: int = 2) -> tuple[Pattern, ...]:
     """Colour patterns 2, 1 x m1, 2 x (m2 - m1) on rising supports, with all
-    their truncations, deduplicated.
+    their truncations, deduplicated, in canonical order.
 
     A truncation of length t qualifies exactly when its support extends to a
     full support inside the universe (m2 + 1 - t further elements fit above),
@@ -320,5 +304,4 @@ def remark_family(universe: int, m1: int = 1, m2: int = 2) -> ColourFamily:
                 continue
             out.add(frozenset(
                 (support[i], colour_at(i)) for i in range(t)))
-    return ColourFamily(k=2, universe=universe,
-                        members=tuple(_canonical_order(out)))
+    return tuple(_canonical_order(out))

@@ -101,7 +101,10 @@ def longest_chain(patterns: list[tuple[int, ...]], k: int) -> list[int]:
     return chain
 
 
-def _bracket_dp(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int, int]]]:
+def bracket(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int, int]]]:
+    """[r, s] with a lex-first optimal matching witness (1-indexed pairs)."""
+    if r.k != s.k:
+        raise DomainError(f"colour counts differ: {r.k} vs {s.k}")
     n, m = len(r), len(s)
     # Every gain 2^(c_u - d_v) alpha_u is an integer over the one denominator
     # lcm(alpha denominators) * 2^(top - 1), top the largest colour of s:
@@ -146,13 +149,6 @@ def _bracket_dp(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int,
                 raise InternalError("dp table inconsistent")
             u += 1
     return Fraction(suffix[0][0], denom << (top - 1)), witness
-
-
-def bracket(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int, int]]]:
-    """[r, s] with a lex-first optimal matching witness (1-indexed pairs)."""
-    if r.k != s.k:
-        raise DomainError(f"colour counts differ: {r.k} vs {s.k}")
-    return _bracket_dp(r, s)
 
 
 def mutual_bracket(r: Resolution, s: Resolution) -> Fraction:

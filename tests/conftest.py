@@ -13,7 +13,7 @@ import pytest
 
 import unclab
 from unclab import cli
-from unclab.elton import EltonLayout, LayoutVector
+from unclab.elton import LayoutVector
 from unclab.errors import DomainError
 from unclab.norms import SparseVector
 from unclab.resolutions import Resolution
@@ -349,23 +349,19 @@ def layout_region(p, c) -> str:
     return "E1" if (c - 3) % ((p.n1 + p.n2) * run) < p.n1 * run else "E2"
 
 
-def dense_layout_values(layout: EltonLayout, v) -> list[Fraction]:
-    """v's values at coordinates 0..universe, 0 at the unused index 0: a
-    LayoutVector's by the region of each coordinate, a SparseVector's from its
-    entries."""
+def dense_layout_values(p, v) -> list[Fraction]:
+    """v's values on p's layout, coordinate c at index c - 1: a LayoutVector's
+    by the region of each coordinate, a SparseVector's from its entries."""
     if isinstance(v, LayoutVector):
         by_region = {"first": v.at_first, "second": v.at_second,
                      "E1": v.on_e1, "E2": v.on_e2}
-        return [Fraction(0)] + [by_region[layout_region(layout.params, c)]
-                                for c in range(1, layout.universe + 1)]
-    dense = [Fraction(0)] * (layout.universe + 1)
-    for c, x in v.entries:
-        dense[c] = x
-    return dense
+        return [by_region[layout_region(p, c)] for c in range(1, p.universe + 1)]
+    return dense(v, p.universe)
 
 
-def brute_miniature(layout: EltonLayout, v) -> tuple[Fraction, dict]:
-    """Exhaustive family maximum for small universes.
+def brute_miniature(p, x) -> tuple[Fraction, dict]:
+    """Exhaustive family maximum for small universes, on the sequence x with
+    coordinate c's value at index c - 1.
 
     For every sign, shape (a, b), and subset of coordinates above b, assigns
     the shape's slot values in order to the subset's coordinates (a prefix of
@@ -378,9 +374,8 @@ def brute_miniature(layout: EltonLayout, v) -> tuple[Fraction, dict]:
     W = lcm(n1, n2) 2^(K N), at which the coefficients 1/2 and 1 and every
     slot value 1/(n 2^(Kb-1)), b <= N, are ints.
     """
-    N = layout.universe
-    vals = dense_layout_values(layout, v)
-    p = layout.params
+    N = len(x)
+    vals = [Fraction(0), *x]
     d = lcm(*(x.denominator for x in vals))
     l = lcm(p.n1, p.n2)
     W = l << (p.K * N)

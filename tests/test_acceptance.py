@@ -20,10 +20,9 @@ from conftest import (brute_bracket, brute_decompose_count, brute_miniature, bru
                       verify_witness)
 
 from unclab.constants import MODES, ConstantQuery, compute_constant
-from unclab.elton import (STANDARD_PAIR, EltonParams, LayoutVector,
-                          _slot_tiling, build_layout, elton_ladder, k_lower_certificate,
-                          quasi_certificate, structured_dp)
-from unclab.norms import Functional, NormInstance, SparseVector
+from unclab.elton import (STANDARD_PAIR, EltonParams, _slot_tiling, elton_ladder,
+                          k_lower_certificate, quasi_certificate, structured_dp)
+from unclab.norms import Functional, NormInstance
 from unclab.ramsey import (MatchingWitness, remark_family, restrict_pattern,
                            search_matching, validate_matching, weakly_hereditary)
 from unclab.resolutions import (Resolution, bracket, build_rademacher,
@@ -135,15 +134,11 @@ def test_criterion_4(capsys):
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
 
-def _replay_dp_witness(lay, v, value, wit):
-    """Recompute a structured-dp value from its witness and the vector alone."""
-    if isinstance(v, LayoutVector):
-        vals = dict(enumerate(dense_layout_values(lay, v)))
-    else:
-        vals = dict(v.entries)
-
+def _replay_dp_witness(p, x, value, wit):
+    """Recompute a structured-dp value from its witness and the sequence x
+    (coordinate c's value at index c - 1) alone."""
     def sv(c):
-        return wit["sigma"] * vals.get(c, F(0))
+        return wit["sigma"] * x[c - 1]
 
     a = wit["a"]
     if wit["kind"] == "half_only":
@@ -154,9 +149,9 @@ def _replay_dp_witness(lay, v, value, wit):
     pairs = [(c, val) for lo, hi, val in wit["assignment_spans"]
              for c in range(lo, hi + 1)]
     coords = [b] + [c for c, _ in pairs]
-    assert all(x < y for x, y in zip(coords, coords[1:])) and coords[-1] <= lay.universe
-    slots, unit = _slot_tiling(lay.params, a, b, len(pairs))
-    assert [val for _, val in pairs] == [F(x, unit) for x in slots]
+    assert all(c < d for c, d in zip(coords, coords[1:])) and coords[-1] <= len(x)
+    slots, unit = _slot_tiling(p, a, b, len(pairs))
+    assert [val for _, val in pairs] == [F(n, unit) for n in slots]
     assert value == F(1, 2) * sv(a) + sv(b) + sum((val * sv(c) for c, val in pairs), F(0))
     return wit["kind"]
 
@@ -164,23 +159,25 @@ def _replay_dp_witness(lay, v, value, wit):
 def test_criterion_5(capsys):
     with criterion(capsys, 5, "structured dp equals exhaustive family max on miniatures", 300):
         kinds = []
-        rung1 = build_layout(EltonParams(1, 8, 4, F(13, 100)))
+        rung1 = EltonParams(1, 8, 4, F(13, 100))
         for v in STANDARD_PAIR:
-            kinds.append(_replay_dp_witness(rung1, v, *structured_dp(rung1, v)))
+            x = dense_layout_values(rung1, v)
+            kinds.append(_replay_dp_witness(rung1, x, *structured_dp(rung1, x)[:2]))
         combos = [(n1, n2, 1, 1, 2) for n1 in range(1, 5) for n2 in range(1, 5)
                   if n1 + n2 <= 5]
         combos += [(1, 1, 1, m1, 3) for m1 in (1, 2)]
         assert len(combos) == 12
         rng = random.Random(17)
         for n1, n2, K, m1, m2 in combos:
-            lay = build_layout(EltonParams(n1, n2, K, F(1, 10), m1, m2))
-            assert lay.universe <= 12
-            vecs = [*STANDARD_PAIR] + [rand_sparse(rng, lay.universe) for _ in range(3)]
+            p = EltonParams(n1, n2, K, F(1, 10), m1, m2)
+            assert p.universe <= 12
+            vecs = [*STANDARD_PAIR] + [rand_sparse(rng, p.universe) for _ in range(3)]
             for v in vecs:
-                a, wit = structured_dp(lay, v)
-                b, _ = brute_miniature(lay, v)
+                x = dense_layout_values(p, v)
+                a, wit, _ = structured_dp(p, x)
+                b, _ = brute_miniature(p, x)
                 assert a == b, (n1, n2, K, m1, m2)
-                kinds.append(_replay_dp_witness(lay, v, a, wit))
+                kinds.append(_replay_dp_witness(p, x, a, wit))
         pool = [(n1, n2, 1, 1, 2) for n1 in range(1, 7) for n2 in range(1, 7)
                 if n1 + n2 <= 7]
         pool += [(n1, n2, 1, m1, 3)
@@ -188,22 +185,22 @@ def test_criterion_5(capsys):
         rng = random.Random(29)
         for _ in range(20):
             n1, n2, K, m1, m2 = rng.choice(pool)
-            lay = build_layout(EltonParams(n1, n2, K, F(1, 10), m1, m2))
-            assert lay.universe <= 16
-            v = rand_sparse(rng, lay.universe)
-            a, wit = structured_dp(lay, v)
-            b, _ = brute_miniature(lay, v)
+            p = EltonParams(n1, n2, K, F(1, 10), m1, m2)
+            assert p.universe <= 16
+            x = dense(rand_sparse(rng, p.universe), p.universe)
+            a, wit, _ = structured_dp(p, x)
+            b, _ = brute_miniature(p, x)
             assert a == b, (n1, n2, K, m1, m2)
-            kinds.append(_replay_dp_witness(lay, v, a, wit))
+            kinds.append(_replay_dp_witness(p, x, a, wit))
         # the witness replay is cheap, so it also runs where brute force would not
         for _ in range(120):
             n1, n2, K, m1, m2 = rng.choice(pool)
-            lay = build_layout(EltonParams(n1, n2, K, F(1, 10), m1, m2))
-            v = rand_sparse(rng, lay.universe)
-            kinds.append(_replay_dp_witness(lay, v, *structured_dp(lay, v)))
+            p = EltonParams(n1, n2, K, F(1, 10), m1, m2)
+            x = dense(rand_sparse(rng, p.universe), p.universe)
+            kinds.append(_replay_dp_witness(p, x, *structured_dp(p, x)[:2]))
         # a lone coordinate at 1 leaves every shape at half its value
-        lone = SparseVector.from_pairs([(1, F(1))])
-        kinds.append(_replay_dp_witness(lay, lone, *structured_dp(lay, lone)))
+        lone = [F(1)] + [F(0)] * (p.universe - 1)
+        kinds.append(_replay_dp_witness(p, lone, *structured_dp(p, lone)[:2]))
         assert len(kinds) == 203 and set(kinds) == {"shape", "half_only"}
 
 
@@ -341,7 +338,7 @@ def test_criterion_8(capsys):
             assert rep["hereditary"] is False, (s, L)
             v = rep["violation"]
             a, b = v["a"], v["b"]
-            restricted = {restrict_pattern(p, L) for p in fam.members}
+            restricted = {restrict_pattern(p, L) for p in fam}
             assert b in restricted and a not in restricted
             sa, sb = dict(a), dict(b)
             assert set(sa) <= set(sb) and len(sa) < len(sb)

@@ -6,18 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_miniature, dense_layout_values, layout_region
+from conftest import brute_miniature, dense, dense_layout_values, layout_region
 from unclab import elton
 from unclab.elton import (
     STANDARD_PAIR,
-    EltonLayout,
     EltonParams,
     LayoutVector,
     _backtrack_runs,
     _block_max_runs,
     _dense_values,
     _slot_tiling,
-    build_layout,
     case_bounds,
     elton_ladder,
     k_lower_certificate,
@@ -51,15 +49,13 @@ def test_params_validation():
 
 
 def test_layout_geometry_184():
-    layout = build_layout(P184)
-    assert EltonLayout._fields == ("params", "universe")
-    assert layout == EltonLayout(P184, 1154)
+    assert P184.universe == 1154 and "universe" not in EltonParams._fields
     # a vector that marks each region: the distinguished pair, then rounds of
-    # 16 coordinates in E1 and 128 in E2
-    vals = _dense_values(layout, LayoutVector(F(-1), F(-2), F(1), F(2)))
-    assert len(vals) == 1155 and vals[:3] == [0, -1, -2]
-    assert vals[3:19] == [1] * 16 and vals[19] == 2
-    assert vals[146:148] == [2, 1]  # the second round starts after 16 + 128
+    # 16 coordinates in E1 and 128 in E2; coordinate c sits at index c - 1
+    vals = _dense_values(P184, LayoutVector(F(-1), F(-2), F(1), F(2)))
+    assert len(vals) == 1154 and vals[:2] == [-1, -2]
+    assert vals[2:18] == [1] * 16 and vals[18] == 2
+    assert vals[145:147] == [2, 1]  # the second round starts after 16 + 128
     assert (vals.count(1), vals.count(2)) == (128, 1024)
 
 
@@ -195,12 +191,12 @@ def test_certificates_only_at_covered_scales():
                     certify(p)
 
 
-def literal_family_max(layout, vals):
+def literal_family_max(p, x):
     # independent oracle: every sign/shape, every subset of the coordinates
     # beyond b, slot prefix assigned in order (subsets no larger than the
     # shape's finite tiling)
-    N = layout.universe
-    p = layout.params
+    N = len(x)
+    vals = [F(0), *x]
     best = F(0)
     for sigma in (1, -1):
         sv = [sigma * x for x in vals]
@@ -229,37 +225,42 @@ MINIATURES = [
 
 @pytest.mark.parametrize("p,universe,minus_norm", MINIATURES)
 def test_dp_matches_brute_and_oracle(p, universe, minus_norm):
-    layout = build_layout(p)
-    assert layout.universe == universe
+    assert p.universe == universe
     rng = random.Random(universe)
     for _ in range(6):
-        v = SparseVector.from_pairs(
+        x = dense(SparseVector.from_pairs(
             (i, F(rng.randint(-8, 8), rng.randint(1, 8)))
             for i in range(1, universe + 1)
-            if rng.random() < 0.7 and rng.randint(-8, 8) != 0)
-        vals = [F(0)] * (universe + 1)
-        for i, x in v.entries:
-            vals[i] = x
-        d, _ = structured_dp(layout, v)
-        b, _ = brute_miniature(layout, v)
-        assert d == b == literal_family_max(layout, vals)
-    x = STANDARD_PAIR[0]
-    d, dw = structured_dp(layout, x)
-    b, _ = brute_miniature(layout, x)
-    assert d == b == literal_family_max(layout, dense_layout_values(layout, x))
-    assert max(x.sup_norm(), d) == minus_norm
+            if rng.random() < 0.7 and rng.randint(-8, 8) != 0), universe)
+        d, _, _ = structured_dp(p, x)
+        b, _ = brute_miniature(p, x)
+        assert d == b == literal_family_max(p, x)
+    v = STANDARD_PAIR[0]
+    d, _, _ = structured_dp(p, _dense_values(p, v))
+    x = dense_layout_values(p, v)
+    b, _ = brute_miniature(p, x)
+    assert d == b == literal_family_max(p, x)
+    assert max(v.sup_norm(), d) == minus_norm
 
 
 def test_dp_guardrails(monkeypatch):
-    layout = build_layout(P184)
-    x = STANDARD_PAIR[0]
-    monkeypatch.setattr(elton, "_DP_CELL_BUDGET", 5)
-    with pytest.raises(SizeError, match="cell budget of 5 cells"):
-        structured_dp(layout, x)
-    with pytest.raises(DomainError):
-        structured_dp(layout, SparseVector.from_pairs([(2000, F(1))]))
-    with pytest.raises(SizeError):
-        build_layout(P1648)  # universe 2129922 over the layout cap
+    # rung 1's standard vector fills 18 432 cells, the count the kernel sweep
+    # recorded in BENCH_29.json by replaying the shapes the search expands; a
+    # budget of exactly that many admits the call, and one less refuses it
+    # with the cells reached, the budget, the universe and the cap that gives
+    # the symbolic certificate instead
+    x = _dense_values(P184, STANDARD_PAIR[0])
+    value, wit, cells = structured_dp(P184, x)
+    assert (value, wit["kind"], cells) == (1, "shape", 18432)
+    monkeypatch.setattr(elton, "_DP_CELL_BUDGET", 18432)
+    assert structured_dp(P184, x) == (value, wit, cells)
+    monkeypatch.setattr(elton, "_DP_CELL_BUDGET", 18431)
+    with pytest.raises(SizeError) as refused:
+        structured_dp(P184, x)
+    assert str(refused.value) == (
+        "structured dp reached 18432 cells at universe 1154, over its budget of 18431 "
+        "cells; a layout_universe cap below 1154 gives the symbolic certificate "
+        "(UNCLAB_CAPS=layout_universe=1153)")
 
 
 def test_dense_layout_and_pairing_equal_per_coordinate_reference():
@@ -276,13 +277,11 @@ def test_dense_layout_and_pairing_equal_per_coordinate_reference():
     shapes = [(n1, n2, 1, 1, 2) for n1 in range(1, 7) for n2 in range(1, 7)
               if n1 + n2 <= 7]
     shapes += [(n1, n2, 1, m1, 3) for n1, n2 in [(1, 1), (1, 2), (2, 1)] for m1 in (1, 2)]
-    layouts = [build_layout(EltonParams(n1, n2, K, F(1, 10), m1, m2))
-               for n1, n2, K, m1, m2 in shapes]
-    layouts += [build_layout(p) for p, _, _ in MINIATURES] + [build_layout(P184)]
-    assert any(lay.params.n1 == lay.params.n2 for lay in layouts)
-    for lay in layouts:
-        p = lay.params
-        regions = [layout_region(p, c) for c in range(1, lay.universe + 1)]
+    params = [EltonParams(n1, n2, K, F(1, 10), m1, m2) for n1, n2, K, m1, m2 in shapes]
+    params += [p for p, _, _ in MINIATURES] + [P184]
+    assert any(p.n1 == p.n2 for p in params)
+    for p in params:
+        regions = [layout_region(p, c) for c in range(1, p.universe + 1)]
         weight = {"first": F(1, 2), "second": F(1),
                   "E1": F(1, p.n1 * 2 ** (p.K * p.m2 - 1)),
                   "E2": F(1, p.n2 * 2 ** (p.K * p.m2 - 1))}
@@ -291,7 +290,7 @@ def test_dense_layout_and_pairing_equal_per_coordinate_reference():
         for v in vecs:
             value = {"first": v.at_first, "second": v.at_second,
                      "E1": v.on_e1, "E2": v.on_e2}
-            assert _dense_values(lay, v) == [0] + [value[r] for r in regions]
+            assert _dense_values(p, v) == [value[r] for r in regions]
             assert v.pairing() == sum((weight[r] * value[r] for r in regions), F(0))
 
 
@@ -374,14 +373,14 @@ def test_block_dp_equals_per_coordinate_reference():
     assert len(covered) == 6
 
 
-def ref_structured_dp(layout, v):
+def ref_structured_dp(p, x):
     # structured_dp with Fraction pruning bounds, each shape's slots and
     # values put over their own common denominator, and the per-coordinate
-    # block DP
-    N = layout.universe
-    vals = dense_layout_values(layout, v)
-    p = layout.params
-    best, best_wit = F(0), {"kind": "zero"}
+    # block DP; cells counts the value runs above b times the slots of each
+    # shape expanded
+    N = len(x)
+    vals = [F(0), *x]
+    best, best_wit, cells = F(0), {"kind": "zero"}, 0
     for sigma in (1, -1):
         sv = [sigma * x for x in vals]
         pos = [max(x, F(0)) for x in sv]
@@ -411,6 +410,7 @@ def ref_structured_dp(layout, v):
                 if F(1, 2) * pos[a] + pos[b] + slot_upper(b) * tail[b + 1] <= best:
                     break
                 slots = ref_slot_values(p, a, b, N - b)
+                cells += len(list(itertools.groupby(sv[b + 1:]))) * len(slots)
                 denom, nums = _common_denominator(slots + sv[b + 1:])
                 slot_nums, val_nums = nums[:len(slots)], nums[len(slots):]
                 blk_int, M_final, placed = ref_block_max(slot_nums, val_nums)
@@ -429,7 +429,7 @@ def ref_structured_dp(layout, v):
             else:
                 spans.append((c, c, slots[j - 1]))
         best_wit["assignment_spans"] = spans
-    return best, best_wit
+    return best, best_wit, cells
 
 
 def test_dp_equals_fraction_reference():
@@ -441,23 +441,24 @@ def test_dp_equals_fraction_reference():
     def rat():
         return F(rng.randint(-9, 9), rng.randint(1, 9))
 
-    layouts = [build_layout(P184)]
+    params = [P184]
     for K in (3, 3, 3, 4, 4, 4):
         if K == 3:
             n1 = rng.randint(1, 2)
             n2 = rng.randint(n1 + 1, min(6 * n1 - 1, 13 - n1))
         else:
             n1, n2 = rng.choice([(1, 2), (1, 3), (1, 4), (2, 3)])
-        layouts.append(build_layout(EltonParams(n1, n2, K, F(1, 2))))
-    assert 98 <= min(lay.universe for lay in layouts[1:])
-    assert max(lay.universe for lay in layouts[1:]) <= 642
+        params.append(EltonParams(n1, n2, K, F(1, 2)))
+    assert 98 <= min(p.universe for p in params[1:])
+    assert max(p.universe for p in params[1:]) <= 642
     sigmas = set()
-    for lay in layouts:
+    for p in params:
         vecs = [*STANDARD_PAIR, LayoutVector(rat(), rat(), rat(), rat()),
-                SparseVector.from_pairs((c, rat()) for c in range(1, lay.universe + 1)
+                SparseVector.from_pairs((c, rat()) for c in range(1, p.universe + 1)
                                         if rng.random() < 0.05)]
         for v in vecs:
-            got = structured_dp(lay, v)
-            assert dump_json(list(got)) == dump_json(list(ref_structured_dp(lay, v)))
+            x = dense_layout_values(p, v)
+            got = structured_dp(p, x)
+            assert dump_json(list(got)) == dump_json(list(ref_structured_dp(p, x)))
             sigmas.add(got[1].get("sigma"))
     assert {1, -1} <= sigmas

@@ -130,6 +130,13 @@ def test_match_executes_only_its_layers():
         "serialize", "ramsey", "rationals", "caps", "errors", "record")
 
 
+def test_elton_executes_only_its_layers():
+    # the layout certificate reads its vectors by region, so norms does not run
+    assert executed("elton", "--n1", "1", "--n2", "8", "--K", "4",
+                    "--eps", "13/100") == mods(
+        "serialize", "elton", "rationals", "caps", "errors", "record")
+
+
 def test_import_cli_registers_every_layer_and_runs_none():
     proc = python(RECORD + "import sys, unclab.cli\n"
                   "print(json.dumps(sorted(n for n in sys.modules if n.startswith('unclab'))))")

@@ -9,7 +9,6 @@ from unclab import ramsey
 from unclab import serialize as ser
 from unclab.errors import DomainError, SchemaError, SizeError
 from unclab.ramsey import (
-    ColourFamily,
     MatchingWitness,
     PrefixContinuousMap,
     is_initial_segment,
@@ -278,18 +277,17 @@ def test_pattern_helpers():
     p = frozenset({(1, 2), (2, 1), (5, 2)})
     assert restrict_pattern(p, {1, 5}) == frozenset({(1, 2), (5, 2)})
     assert restrict_pattern(p, range(10, 20)) == frozenset()
-    with pytest.raises(DomainError):
-        ColourFamily(k=1, universe=3, members=(frozenset({(4, 1)}),))
-    with pytest.raises(DomainError):
-        ColourFamily(k=1, universe=3, members=(frozenset({(2, 2)}),))
 
 
 def test_remark_family_frozen():
     fam = remark_family(12)
-    assert fam.k == 2 and fam.universe == 12
-    # 220 full patterns + 55 + 10 truncations + the empty pattern
-    assert len(fam.members) == 286
-    members = set(fam.members)
+    # 220 full patterns + 55 + 10 truncations + the empty pattern, in
+    # canonical order: by size, then by sorted entries
+    assert len(fam) == 286
+    assert fam == tuple(sorted(fam, key=lambda m: (len(m), sorted(m))))
+    assert {c for m in fam for _, c in m} == {1, 2}
+    assert {e for m in fam for e, _ in m} == set(range(1, 13))
+    members = set(fam)
     assert frozenset() in members
     assert frozenset({(1, 2), (2, 1), (3, 2)}) in members
     # truncations keep the leading colours: dropping the first entry of a
@@ -331,10 +329,9 @@ def test_weakly_hereditary_positive_families():
     # full power set of colourings of {1, 2} with one colour, empty included
     members = [frozenset(s) for s in
                ({}, {(1, 1)}, {(2, 1)}, {(1, 1), (2, 1)})]
-    fam = ColourFamily(k=1, universe=2, members=tuple(members))
-    assert weakly_hereditary(fam, mode="hereditary")["hereditary"] is True
-    assert weakly_hereditary(fam, mode="weakly")["hereditary"] is True
-    lone = ColourFamily(k=1, universe=2, members=(frozenset(),))
+    assert weakly_hereditary(members, mode="hereditary")["hereditary"] is True
+    assert weakly_hereditary(members, mode="weakly")["hereditary"] is True
+    lone = (frozenset(),)
     assert weakly_hereditary(lone, mode="weakly")["hereditary"] is True
 
 
@@ -355,9 +352,8 @@ def test_hereditary_closure_implies_weakly():
             for r in range(len(items) + 1):
                 for T in itertools.combinations(items, r):
                     closed.add(frozenset(T))
-        fam = ColourFamily(k=k, universe=universe, members=tuple(closed))
-        assert weakly_hereditary(fam, mode="hereditary")["hereditary"] is True
-        assert weakly_hereditary(fam, mode="weakly")["hereditary"] is True
+        assert weakly_hereditary(closed, mode="hereditary")["hereditary"] is True
+        assert weakly_hereditary(closed, mode="weakly")["hereditary"] is True
 
 
 # -------------------------------------------------------------------- loaders

@@ -8,7 +8,7 @@ from unclab.caps import Caps, load_caps
 from unclab.constants import ConstantQuery, ConstantReport
 from unclab.errors import DomainError
 from unclab.norms import SparseVector
-from unclab.ramsey import ColourFamily, PrefixContinuousMap
+from unclab.ramsey import PrefixContinuousMap
 from unclab.resolutions import Resolution
 from unclab.serialize import to_jsonable
 
@@ -54,8 +54,8 @@ def test_post_init_validates():
         Resolution(0, (1,), (F(1),))
     with pytest.raises(DomainError, match="needs delta"):
         ConstantQuery("K")
-    with pytest.raises(DomainError, match="outside universe"):
-        ColourFamily(2, 3, (frozenset({(4, 1)}),))
+    with pytest.raises(DomainError, match="depth must be"):
+        PrefixContinuousMap(0, 1, ())
 
 
 def test_records_refuse_assignment(monkeypatch):
