@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the exact kernels alone (the bracket DP, eval_norm, the grid, the
-structured DP, the matching search) and start-up.
+structured DP, the hereditary check, the matching search) and start-up.
 
     python3 scripts/bench_kernels.py [--lengths 100,300,1000] [--runs 5]
         [--parent-src DIR] > BENCH.json
@@ -38,13 +38,21 @@ workloads' inputs:
              lattice_points
   structured_dp
              structured_dp on the standard vector of ladder rung 1, of one
-             K = 3 layout and of ladder rung 2, its dense values built
-             before the timing; the first two drawn as the
-             certificates workload draws its rung-1 and K = 3 layout jobs,
-             rung 2 (universe 34818) being no workload's job; work counters
-             universe and cells, the value runs above b times the slots,
-             summed over the shapes (a, b) the search expands, as the call
-             returns them
+             K = 3 layout and of ladder rungs 2 and 3, the vector's values
+             built inside the timing as the certificate builds them; the
+             first two drawn as the certificates workload draws its rung-1
+             and K = 3 layout jobs, rungs 2 and 3 (universes 34818 and
+             2129922) being no workload's job; work counters universe and
+             pieces, the pieces the piecewise-linear DP builds, as the call
+             returns them (a side whose structured_dp takes one value per
+             coordinate is given that sequence and reports its cells, the
+             value runs above b times the slots, instead)
+  weakly_hereditary
+             the `hereditary` verb's body, remark_family and
+             weakly_hereditary on each sampled restriction set, on a
+             sampled hereditary job and a sampled weakly job, drawn as the
+             certificates workload draws them; work counters family_size
+             and checked, summed over the samples
   search_matching
              the exhaustive scan at universe 10 and 11, horizon 6, on a map
              drawn as the certificates workload draws its match jobs (depth
@@ -63,10 +71,11 @@ goes first alternating too, so drift of the machine spreads over both.
 Each side's times are pooled into its median, spread and run list. The
 document then holds both sides per size and the ratio of their medians, and
 the script exits 1 if any two children disagree on a result. A child that
-fails, in either mode, ends the script with exit 1 and its stderr passed on.
-A side whose layout_universe cap is below rung 2's universe refuses that
-size; the children inherit the environment, so
-UNCLAB_CAPS=layout_universe=40000 on this script measures it there too.
+fails marks its side of that size failed, with the last line of its stderr
+(passed on in full), and that side is not run again for the size; the
+sweep goes on, and the script exits 1 at its end. Without --parent-src a
+failing size ends the script with exit 1. In both modes each size is
+printed as it finishes, so a sweep cut short keeps the sizes it measured.
 """
 
 import argparse
@@ -79,6 +88,7 @@ import re
 import statistics
 import subprocess
 import sys
+import textwrap
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -93,7 +103,9 @@ GRID_SIZES = (("C_uncond", 2, 8, "initial_segments"), ("C_uncond", 3, 4, "interv
               ("BOU", 3, 4, "intervals"), ("schreier", 2, 8, "initial_segments"),
               ("schreier", 3, 4, "intervals"))
 DP_SLOTS = (("rung1", "elton"), ("layout", "elton", 3))   # Certificates.SLOTS entries
-DP_RUNG2 = (1, 16, 6, Fraction(1, 20))   # n1, n2, K, eps of the ladder's rung 2
+DP_RUNGS = (("rung2", (1, 16, 6, Fraction(1, 20))),   # n1, n2, K, eps of the ladder's
+            ("rung3", (1, 64, 8, Fraction(1, 50))))   # rungs 2 and 3
+HEREDITARY_SLOTS = (("hereditary", "hereditary"), ("hereditary", "weakly"))
 MATCH_SLOTS = (("match", 10, 6), ("match", 11, 6))   # Certificates.SLOTS entries
 STARTUP = (("help", ["--help"]),
            ("bracket", ["bracket", "tests/fixtures/resolution_r.json",
@@ -132,6 +144,30 @@ def run_child(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
     return proc
 
 
+def kernel_names(lengths: list[int]) -> list[str]:
+    """The kernel of each size, in the order `sizes` yields them."""
+    return (["startup"] * len(STARTUP) + ["bracket"] * len(lengths)
+            + ["eval_norm"] * len(NORM_SIZES) + ["grid"] * len(GRID_SIZES)
+            + ["structured_dp"] * (len(DP_SLOTS) + len(DP_RUNGS))
+            + ["search_matching"] * len(MATCH_SLOTS)
+            + ["weakly_hereditary"] * len(HEREDITARY_SLOTS))
+
+
+def write_document(header: dict, entries) -> None:
+    """Print {**header, "sizes": {kernel: [entry, ...]}} as indented JSON,
+    each (kernel, entry) flushed as it comes, entries grouped by kernel."""
+    out = sys.stdout
+    out.write(json.dumps(header, indent=2)[:-2] + ',\n  "sizes": {')
+    last = None
+    for kernel, entry in entries:
+        out.write(",\n" if kernel == last else
+                  ("\n    ]," if last else "") + f"\n    {json.dumps(kernel)}: [\n")
+        out.write(textwrap.indent(json.dumps(entry, indent=2), " " * 6))
+        out.flush()
+        last = kernel
+    out.write(("\n    ]\n  " if last else "") + "}\n}\n")
+
+
 def summary(times: list[float]) -> dict:
     return {"median_s": statistics.median(times),
             "spread_s": max(times) - min(times), "runs_s": times}
@@ -158,7 +194,7 @@ def sizes(lengths: list[int]):
     from workloads import Brackets, Certificates, Constants
 
     import unclab
-    from unclab import elton
+    from unclab import cli, elton
     from unclab.constants import ConstantQuery, compute_constant
     from unclab.elton import STANDARD_PAIR, EltonParams, structured_dp
     from unclab.norms import SparseVector, eval_norm
@@ -237,13 +273,15 @@ def sizes(lengths: list[int]):
         opts = dict(zip(argv[1::2], argv[2::2]))
         dp_cases.append((slot[0], EltonParams(int(opts["--n1"]), int(opts["--n2"]),
                                               int(opts["--K"]), parse_rational(opts["--eps"]))))
-    dp_cases.append(("rung2", EltonParams(*DP_RUNG2)))
+    dp_cases += [(case, EltonParams(*params)) for case, params in DP_RUNGS]
+    # a tree whose structured_dp takes one value per coordinate counts cells
+    values, work = ((elton._value_runs, "pieces") if hasattr(elton, "_value_runs")
+                    else (elton._dense_values, "cells"))
     for case, p in dp_cases:
-        x = elton._dense_values(p, STANDARD_PAIR[0])
         yield ("structured_dp", {"case": case, "n1": p.n1, "n2": p.n2, "K": p.K,
                                  "universe": p.universe},
-               lambda p=p, x=x: structured_dp(p, x),
-               lambda out: {"cells": out[2],
+               lambda p=p: structured_dp(p, values(p, STANDARD_PAIR[0])),
+               lambda out: {work: out[2],
                             "value": f"{out[0].numerator}/{out[0].denominator}",
                             "digest": digest(list(out[:2]))})
     for slot in MATCH_SLOTS:
@@ -256,6 +294,15 @@ def sizes(lengths: list[int]):
                lambda pmap=pmap, universe=universe, horizon=horizon: search_matching(
                    pmap, universe, horizon=horizon),
                lambda report: {"checked": report["checked"], "digest": digest(report)})
+    for slot in HEREDITARY_SLOTS:
+        argv = certs.make_hereditary(*slot[1:])[1]
+        opts = {key[2:]: value if key == "--mode" else int(value)
+                for key, value in zip(argv[1::2], argv[2::2])}
+        yield ("weakly_hereditary", opts,
+               lambda opts=opts: cli.hereditary(**opts, restrict=None)[1],
+               lambda out: {"family_size": out["family_size"],
+                            "checked": sum(run["checked"] for run in out["runs"]),
+                            "digest": digest(out)})
 
 
 def measure(size, runs: int) -> dict:
@@ -278,54 +325,71 @@ def main() -> None:
         print(json.dumps(measure(size, args.runs)))
         return
 
-    doc = {
+    header = {
         "kernels": "CLI start-up (--help, bracket, constant, hereditary, elton), "
                    "unclab.resolutions.bracket (method dp), unclab.norms.eval_norm, "
                    "unclab.constants.compute_constant (method grid, modes C_uncond, "
-                   "BOU and schreier), "
-                   "unclab.elton.structured_dp, unclab.ramsey.search_matching",
+                   "BOU and schreier), unclab.elton.structured_dp, "
+                   "unclab.ramsey.search_matching, "
+                   "the hereditary verb (unclab.ramsey.weakly_hereditary)",
         "seed": SEED,
         "runs": args.runs,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}",
         "dont_write_bytecode": sys.dont_write_bytecode,
-        "sizes": {},
     }
-    ok = True
     if args.parent_src is None:
-        for size in sizes(lengths):
-            entry = measure(size, args.runs)
-            doc["sizes"].setdefault(entry.pop("kernel"), []).append(entry)
-    else:
-        import unclab
+        write_document(header, ((entry.pop("kernel"), entry)
+                                for entry in (measure(size, args.runs)
+                                              for size in sizes(lengths))))
+        return
+    import unclab
 
-        sides = {"parent": args.parent_src, "change": str(Path(unclab.__file__).parent.parent)}
-        for i in range(len(STARTUP) + len(lengths) + len(NORM_SIZES) + len(GRID_SIZES)
-                       + len(DP_SLOTS) + 1 + len(MATCH_SLOTS)):
-            got = {"parent": [], "change": []}
-            for run in range(args.runs):
-                for side in (("parent", "change") if (i + run) % 2 == 0
-                             else ("change", "parent")):
-                    child = run_child(
-                        [sys.executable, __file__, "--lengths", args.lengths,
-                         "--runs", "1", "--size", str(i)],
-                        env=dict(os.environ, PYTHONPATH=sides[side]))
+    sides = {"parent": args.parent_src, "change": str(Path(unclab.__file__).parent.parent)}
+    faults = []
+
+    def compare(i: int) -> dict:
+        got = {"parent": [], "change": []}
+        failed = {}
+        for run in range(args.runs):
+            for side in ("parent", "change") if (i + run) % 2 == 0 else ("change", "parent"):
+                if side in failed:
+                    continue
+                child = subprocess.run(
+                    [sys.executable, __file__, "--lengths", args.lengths,
+                     "--runs", "1", "--size", str(i)],
+                    capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=sides[side]))
+                if child.returncode:
+                    sys.stderr.write(child.stderr)
+                    failed[side] = (child.stderr.strip().splitlines() or
+                                    [f"exit status {child.returncode}"])[-1]
+                else:
                     got[side].append(json.loads(child.stdout))
-            same = len({e["digest"] for entries in got.values() for e in entries}) == 1
-            ok = ok and same
-            p, c = ({**entries[0], **summary([t for e in entries for t in e["runs_s"]])}
-                    for entries in (got["parent"], got["change"]))
-            doc["sizes"].setdefault(c["kernel"], []).append({
-                **{key: v for key, v in c.items()
-                   if key not in PER_SIDE + ("kernel", "digest")},
-                "parent": {key: p[key] for key in PER_SIDE if key in p},
-                "change": {key: c[key] for key in PER_SIDE if key in c},
-                "parent_over_change_median": p["median_s"] / c["median_s"],
-                "same_results": same,
-            })
-    print(json.dumps(doc, indent=2))
-    if not ok:
-        sys.exit("parent and change disagree on a result")
+        digests = {e["digest"] for side, entries in got.items() if side not in failed
+                   for e in entries}
+        if failed or len(digests) > 1:
+            faults.append(i)
+        measured = {side: {**entries[0], **summary([t for e in entries for t in e["runs_s"]])}
+                    for side, entries in got.items() if side not in failed}
+        # fields both measured sides report alike are shared, the rest per side
+        shared = {key: v for key, v in next(iter(measured.values()), {}).items()
+                  if key not in PER_SIDE + ("kernel", "digest")
+                  and all(m.get(key) == v for m in measured.values())}
+        entry = dict(shared)
+        for side in ("parent", "change"):
+            entry[side] = ({"failed": failed[side]} if side in failed else
+                           {key: v for key, v in measured[side].items()
+                            if key not in shared and key not in ("kernel", "digest")})
+        if not failed:
+            entry["parent_over_change_median"] = (measured["parent"]["median_s"]
+                                                  / measured["change"]["median_s"])
+            entry["same_results"] = len(digests) == 1
+        return entry
+
+    write_document(header, ((kernel, compare(i))
+                            for i, kernel in enumerate(kernel_names(lengths))))
+    if faults:
+        sys.exit(f"a side failed or the sides disagree at sizes {faults}")
 
 
 if __name__ == "__main__":

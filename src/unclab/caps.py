@@ -2,7 +2,7 @@
 
 Format: comma-separated name=value pairs, e.g.
 
-    UNCLAB_CAPS="match_pairs=20000000,layout_universe=50000"
+    UNCLAB_CAPS="match_pairs=20000000,layout_pieces=500000"
 
 Unknown names are rejected so typos do not silently keep defaults.
 """
@@ -18,7 +18,7 @@ from .record import Record
 class Caps(Record):
     grid_pairs: int = 1_000_000     # max (point, E) pairs ((4s+1)^dim - 1)/2 of a grid at step 1/s
     lp_dim: int = 14                # max instance dim for compute_constant fractional_lp
-    layout_universe: int = 40_000   # max layout universe; certificates beyond it are symbolic
+    layout_pieces: int = 1_000_000  # max pieces one structured_dp call builds
     match_pairs: int = 10_000_000   # max (L, block) pairs 2^u max(C(u, depth), 1) of a match scan
     remark_universe: int = 20       # max universe for remark_family
     rademacher_cells: int = 4_000_000  # max bracket DP cells of a Rademacher family or member

@@ -13,18 +13,32 @@ increasing coordinates above b, together with all initial-segment
 truncations and negations. Truncations below b appear as the explicit
 half-coefficient candidates; truncations inside the slot region are covered
 by partial slot placement.
+
+What a certificate is. The layout norm of a vector is the larger of its sup
+norm and its family maximum, and `k_lower_certificate` computes both norms
+of the standard pair exactly: norm_minus_upper is the vector's norm,
+norm_plus_lower the companion's, and ratio_lower their ratio. On every rung
+of the ladder they are 1 and 5/4, the canonical functional's pairings, so
+the ratio is 5/4. That is a ratio of two norms in this finite model and
+nothing more; it is not a bound on sup over delta of K(delta). Whether the
+paper's 5/4 rests on the eps condition, the weakly null limit or
+functionals beyond the shapes (a, b), none of which the model encodes, is
+a guess left open, and so is the reading of the standard pair as the
+paper's own choice: only the abstract is at hand, and this pair is the one
+whose pairings give its 5/4. `quasi_certificate` computes the same two
+norms for the quasi pair.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from fractions import Fraction
-from itertools import accumulate, groupby
+from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import lcm
 
-from .caps import load_caps
-from .errors import DomainError, InternalError, SizeError
+from .caps import check_cap
+from .errors import DomainError, InternalError
 from .rationals import _common_denominator
 from .record import Record
 
@@ -153,190 +167,312 @@ def quasi_case_bounds(p: EltonParams, alpha: Fraction) -> dict:
 
 # ------------------------------------------------------------ slot sequences
 
-def _slot_tiling(p: EltonParams, a: int, b: int, count: int) -> tuple[list[int], int]:
-    """First `count` slot values of the (a, b)-shaped tiling, as integers
-    over the unit lcm(n1, n2) 2^(Kb-1): u1 on the I-runs, u2 on the J-runs.
+def _slot_runs(p: EltonParams, a: int, b: int, count: int) -> tuple[list[tuple[int, int]], int]:
+    """The first `count` slots of the (a, b)-shaped tiling as runs (value,
+    length), values ints over the unit lcm(n1, n2) 2^(Kb-1): u1 on the
+    I-runs, u2 on the J-runs.
 
-    Returns (slots, unit).
+    Returns (runs, unit).
     """
     l = lcm(p.n1, p.n2)
-    i_len = p.n1 * 2 ** (p.K * (b - a))
-    j_len = p.n2 * 2 ** (p.K * (b - a))
-    count = min(count, _n_slots(p, b))
-    out: list[int] = []
-    while len(out) < count:
-        out += [l // p.n1] * min(i_len, count - len(out))
-        out += [l // p.n2] * min(j_len, count - len(out))
+    tile = ((l // p.n1, p.n1 * 2 ** (p.K * (b - a))), (l // p.n2, p.n2 * 2 ** (p.K * (b - a))))
+    left = min(count, _n_slots(p, b))
+    out: list[tuple[int, int]] = []
+    while left:
+        for value, length in tile:
+            take = min(length, left)
+            if take:
+                out.append((value, take))
+                left -= take
     return out, l * 2 ** (p.K * b - 1)
 
 
-def _dense_values(p: EltonParams, v: LayoutVector) -> list[Fraction]:
-    """v's value at each coordinate of p's layout, coordinate c at index c - 1."""
+def _value_runs(p: EltonParams, v: LayoutVector) -> list[tuple[Fraction, int]]:
+    """v on p's layout as value runs (value, length) from coordinate 1.
+
+    Every run adds at least one piece to each shape the DP expands over it,
+    so the run count is checked against the pieces cap before the list is
+    built.
+    """
     run = 2 ** (p.K * (p.m2 - p.m1))
     rounds = 2 ** (p.K * p.m1 - 1)
-    return ([v.at_first, v.at_second]
-            + ([v.on_e1] * (p.n1 * run) + [v.on_e2] * (p.n2 * run)) * rounds)
+    check_cap("layout_pieces", 2 + 2 * rounds, "layout value runs")
+    return ([(v.at_first, 1), (v.at_second, 1)]
+            + [(v.on_e1, p.n1 * run), (v.on_e2, p.n2 * run)] * rounds)
 
 
 # ------------------------------------------------------------ structured dp
+#
+# A shape's block total with K slots placed, f(K), is kept as pieces
+# (lo, hi, v, m): f(K) = v + m (K - lo) for the ints K in lo..hi, the pieces
+# covering 0..D in order. The slot prefix sum S is kept the same way.
 
-_DP_CELL_BUDGET = 30_000_000   # value-run-by-slot DP cells one call may fill
+
+def _slot_prefix(slot_runs: list[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
+    """S(K), the sum of the first K slots, as pieces over 0..n: the point
+    K = 0, then one piece per slot run."""
+    S = [(0, 0, 0, 0)]
+    for value, length in slot_runs:
+        lo, hi, v, m = S[-1]
+        S.append((hi + 1, hi + length, v + m * (hi - lo) + value, value))
+    return S
 
 
-def _block_max_runs(slot_nums: list[int], runs: list[tuple[int, int]]):
-    """Max of sum slot_j * value(c_j) over increasing coordinate choices.
+def _append_piece(pieces, lo: int, hi: int, v: int, m: int) -> None:
+    """Append piece lo..hi to the pieces ending at lo - 1, merged into the
+    last one where the values stay on one line (a one-point piece takes
+    the slope that continues it)."""
+    if pieces:
+        plo, phi, pv, pm = pieces[-1]
+        if plo == phi:
+            pm = v - pv
+        if pv + pm * (lo - plo) == v and (lo == hi or m == pm):
+            pieces[-1] = (plo, hi, pv, pm)
+            return
+    pieces.append((lo, hi, v, m))
+
+
+def _run_step(f, S, x: int, r: int):
+    """One value run (x, r): g(K) = x S(K) + max over K - r <= K' <= K of
+    h(K'), h = f - x S, for K up to min(D + r, n). Returns (g, h).
+
+    The max over a window of the piecewise-linear h sits at a window end or
+    at a piece's own maximum (its right end if its slope is >= 0, else its
+    left end). Such a maximum enters the window where the right end alone
+    no longer covers it and leaves where the left end alone covers it, so
+    those points, the pieces of h and of h shifted by r, and the pieces of
+    S cut 0..G into segments on each of which g is x S plus the upper
+    envelope of three lines: h at the right end, h at the left end and the
+    largest piece maximum inside, a constant kept in a monotone deque.
+    """
+    D = f[-1][1]
+    n = S[-1][1]
+    G = min(D + r, n)
+    h = []
+    si = 0
+    slo, shi, sv, sm = S[0]
+    for lo, hi, v, m in f:
+        k = lo
+        while True:
+            while shi < k:
+                si += 1
+                slo, shi, sv, sm = S[si]
+            e = hi if hi < shi else shi
+            _append_piece(h, k, e, v + m * (k - lo) - x * (sv + sm * (k - slo)), m - x * sm)
+            if e == hi:
+                break
+            k = e + 1
+    # a piece's maximum enters at its left end, or past its right end
+    enter = [(lo, v) if m < 0 else (hi + 1, v + m * (hi - lo)) for lo, hi, v, m in h]
+    cuts = {lo for lo, _, _, _ in h}
+    cuts.update(lo + r for lo, _, _, _ in h if lo + r <= G)
+    cuts.update(lo for lo, _, _, _ in S if lo <= G)
+    if D < G:
+        cuts.add(D + 1)
+    cuts = sorted(cuts)
+    cuts.append(G + 1)
+    g: list[tuple[int, int, int, int]] = []
+    window: deque[tuple[int, int]] = deque()   # (leaves at, value), values falling
+    ia = ib = ie = si = 0
+    slo, shi, sv, sm = S[0]
+    for idx in range(len(cuts) - 1):
+        k0, k1 = cuts[idx], cuts[idx + 1] - 1
+        while ie < len(enter) and enter[ie][0] <= k0:
+            at, val = enter[ie]
+            while window and window[-1][1] <= val:
+                window.pop()
+            window.append((at + r, val))
+            ie += 1
+        while window and window[0][0] <= k0:
+            window.popleft()
+        lines = [(window[0][1], 0)] if window else []
+        if k0 <= D:
+            while h[ia][1] < k0:
+                ia += 1
+            lo, _, v, m = h[ia]
+            lines.append((v + m * (k0 - lo), m))
+        if k0 >= r:
+            while h[ib][1] < k0 - r:
+                ib += 1
+            lo, _, v, m = h[ib]
+            lines.append((v + m * (k0 - r - lo), m))
+        while shi < k0:
+            si += 1
+            slo, shi, sv, sm = S[si]
+        base, xs = x * (sv + sm * (k0 - slo)), x * sm
+        # the upper envelope on k0..k1, lines as (value at K, slope)
+        K = k0
+        while True:
+            c, m = max(lines)
+            end = k1
+            for c2, m2 in lines:
+                if m2 > m:
+                    t = K - 1 + (c - c2 + m2 - m - 1) // (m2 - m)
+                    if t < end:
+                        end = t
+            _append_piece(g, K, end, c + base + xs * (K - k0), m + xs)
+            if end == k1:
+                break
+            lines = [(c2 + m2 * (end + 1 - K), m2) for c2, m2 in lines]
+            K = end + 1
+    return g, h
+
+
+def _piece_max(pieces, lo_bound: int, hi_bound: int) -> tuple[int, int]:
+    """(value, K) of the largest maximiser of the pieces on lo_bound..hi_bound."""
+    best = None
+    for lo, hi, v, m in pieces:
+        if hi < lo_bound:
+            continue
+        if lo > hi_bound:
+            break
+        k = min(hi, hi_bound) if m >= 0 else max(lo, lo_bound)
+        if best is None or v + m * (k - lo) >= best[0]:
+            best = (v + m * (k - lo), k)
+    return best
+
+
+def _block_max(slot_runs, runs, spent: int):
+    """Max of sum slot_j * value(c_j) over increasing coordinate choices, the
+    coordinates given as value runs (x, r) and the slots as slot runs.
 
     Slots consume in order and placement is optional, so a run of r equal
     values x that takes slots K'+1..K (K - K' <= r) adds x (S(K) - S(K')),
-    S being the slot prefix sum. With f(K) the best total with exactly K
-    slots placed, run A = (x, r) gives
-        f_A(K) = x S(K) + max over K - r <= K' <= K of (f_{A-1}(K') - x S(K')),
-    the window max kept in a monotone deque that keeps the largest K' among
-    ties. Returns (best, final f, argmax), f[K] being None where fewer than
-    K coordinates exist and argmax[A][K] the K' that run A's f(K) extends.
+    S being the slot prefix sum, and each run is one `_run_step`. `spent`
+    pieces were built earlier in the call; the cap bounds them with these.
+    Returns (best, S, h of each run, final f, pieces built).
     """
-    n_slots = len(slot_nums)
-    S = list(accumulate(slot_nums, initial=0))
-    f: list[int | None] = [0] + [None] * n_slots
-    seen = 0
-    argmax: list[array] = []
+    S = _slot_prefix(slot_runs)
+    f = [(0, 0, 0, 0)]
+    hs = []
+    built = 0
     for x, r in runs:
-        lim = min(seen, n_slots)
-        h = [f[k] - x * S[k] for k in range(lim + 1)]
-        window: deque[int] = deque()
-        g: list[int | None] = []
-        arg = array("I")
-        for K in range(min(seen + r, n_slots) + 1):
-            if K <= lim:
-                hk = h[K]
-                while window and h[window[-1]] <= hk:
-                    window.pop()
-                window.append(K)
-            k = window[0]
-            if k < K - r:
-                window.popleft()
-                k = window[0]
-            g.append(h[k] + x * S[K])
-            arg.append(k)
-        f = g + [None] * (n_slots + 1 - len(g))
-        argmax.append(arg)
-        seen += r
-    return max(m for m in f if m is not None), f, argmax
+        f, h = _run_step(f, S, x, r)
+        hs.append(h)
+        built += len(f)
+        check_cap("layout_pieces", spent + built, "structured dp pieces")
+    return _piece_max(f, 0, f[-1][1])[0], S, hs, f, built
 
 
-def _backtrack_runs(slot_nums, runs, f_final, argmax, coords_base):
-    """Recover one optimal slot->coordinate assignment, last run first: the
-    run's argmax gives the slots it took, put on its leftmost coordinates."""
-    best = max(m for m in f_final if m is not None)
-    j = max(idx for idx, m in enumerate(f_final) if m == best)
-    end = coords_base + sum(r for _, r in runs)
-    assignment: list[tuple[int, int]] = []  # (slot index 1-based, coordinate)
+def _block_spans(S, slot_runs, runs, hs, f, first: int):
+    """One optimal placement as (coord_from, coord_to, slot value) spans,
+    last run first: each run takes the largest maximiser K' of its window,
+    the deque DP's tie rule, and puts slots K'+1..K on its leftmost
+    coordinates. `first` is the first run's first coordinate."""
+    best, j = _piece_max(f, 0, f[-1][1])
+    end = first + sum(r for _, r in runs)
+    per_run = []
     total = 0
-    for (x, r), arg in zip(reversed(runs), reversed(argmax)):
+    for (x, r), h in zip(reversed(runs), reversed(hs)):
         end -= r
-        k = arg[j]
-        assignment += [(slot, end + slot - k - 1) for slot in range(j, k, -1)]
-        total += x * sum(slot_nums[k:j])
+        _, k = _piece_max(h, max(0, j - r), min(j, h[-1][1]))
+        spans = []
+        for (lo, hi, _, _), (value, _) in zip(S[1:], slot_runs):
+            lo, hi = max(lo, k + 1), min(hi, j)
+            if lo <= hi:
+                spans.append((end + lo - k - 1, end + hi - k - 1, value))
+                total += x * value * (hi - lo + 1)
+        per_run.append(spans)
         j = k
     if j != 0 or total != best:
         raise InternalError("dp backtrack lost the optimal path")
-    assignment.reverse()
-    return assignment
-
-
-def _spans_from_assignment(assignment, slot_values):
-    """Compress (slot, coord) pairs into (coord_from, coord_to, value) spans."""
-    spans = []
-    for slot_j, coord in assignment:
-        val = slot_values[slot_j - 1]
-        if spans and spans[-1][1] == coord - 1 and spans[-1][2] == val:
-            spans[-1] = (spans[-1][0], coord, val)
+    out: list[tuple[int, int, int]] = []
+    for lo, hi, value in (span for spans in reversed(per_run) for span in spans):
+        if out and out[-1][1] == lo - 1 and out[-1][2] == value:
+            out[-1] = (out[-1][0], hi, value)
         else:
-            spans.append((coord, coord, val))
-    return spans
+            out.append((lo, hi, value))
+    return out
 
 
-def structured_dp(p: EltonParams, x) -> tuple[Fraction, dict, int]:
+def structured_dp(p: EltonParams, runs) -> tuple[Fraction, dict, int]:
     """Family maximum via per-shape slot-placement DP with sound pruning.
 
-    x holds coordinate c's value at index c - 1, and the universe is len(x).
-    Returns the maximum, its witness and the DP cells filled.
+    runs are the vector's value runs (value, length) from coordinate 1, and
+    the universe is their total length. Returns the maximum, its witness
+    and the DP pieces built, which the layout_pieces cap bounds.
 
-    Integer-scaled: the vector is put over its common denominator s once,
-    and shape (a, b)'s slots are ints over the unit lcm(n1, n2) 2^(Kb-1), so
-    the DP, the bounds and the half-coefficient scan run on ints and a
-    Fraction is built only for each solved shape's value and the witness.
-    A shape's DP runs over the value runs of the coordinates above b, so it
-    fills value runs times slots cells, and that count is what the cell budget
-    caps and what is returned; a region-constant vector has few runs.
-    Shapes are screened by the upper bound 1/2 max_half + pinned_b + tail(b),
-    where tail(b) bounds every slot by the shape's largest slot value (the
-    sparser side's unit 1/(min(n1,n2) 2^(Kb-1))) against the positive
-    coefficient mass above b. Shapes are visited in bound order and
-    expansion stops once bounds fall under the incumbent.
+    Integer-scaled: the run values are put over their common denominator s
+    once, and shape (a, b)'s slots are ints over the unit lcm(n1, n2)
+    2^(Kb-1), so the DP, the bounds and the half-coefficient scan run on
+    ints and a Fraction is built only for each solved shape's value and the
+    witness. A shape's DP keeps f piecewise linear over the value runs
+    above b and the slot runs (`_run_step`), so its cost is f's pieces.
+    Shapes are screened by the upper bound 1/2 max_half + pinned_b +
+    tail(b), where tail(b) bounds every slot by the shape's largest slot
+    value (the sparser side's unit 1/(min(n1,n2) 2^(Kb-1))) against the
+    positive coefficient mass above b. Inside a value run the bound of b
+    does not rise past the run's second coordinate, so a heap of each run's
+    next b visits the b in bound order (ties by b), and expansion stops once
+    bounds fall under the incumbent; a's are scanned by positive part, run
+    by run.
     """
-    N = len(x)
-    s, vals = _common_denominator(x)
-    vals = [0] + vals   # 1-based: vals[c] is coordinate c
-    # every bound is an int at the scale S = 2 s min(n1,n2) 2^200; slot
+    s, ints = _common_denominator([x for x, _ in runs])
+    first = list(accumulate((r for _, r in runs), initial=1))   # run i is first[i]..first[i+1]-1
+    N = first[-1] - 1
+    # every bound is an int at the scale 2 s min(n1,n2) 2^200; slot
     # exponents are clamped at 200 for cheap bounds
     top = min(p.n1, p.n2) << 200
-    S = 2 * s * top
+    scale = 2 * s * top
     best = Fraction(0)
     best_wit: dict = {"kind": "zero"}
-    cells_used = 0
+    pieces = 0
 
     for sigma in (1, -1):
-        sv = [sigma * x for x in vals]
+        sv_runs = [(sigma * x, r) for x, (_, r) in zip(ints, runs)]
+        sv = [x for x, _ in sv_runs]
         pos = [max(x, 0) for x in sv]
-        # positive mass at and above each coordinate, 0 past the universe
-        tail = list(accumulate(reversed(pos), initial=0))[::-1]
-        prefmax = list(accumulate(pos, max))
-        half = max(sv[1:])
+        # positive mass above each run, and the largest positive part before it
+        above = list(accumulate((pos[i] * runs[i][1] for i in reversed(range(len(sv)))),
+                                initial=0))[-2::-1]
+        before = list(accumulate(pos, max, initial=0))
+        half = max(sv)
         if Fraction(half, 2 * s) > best:   # the first coordinate attaining it
             best = Fraction(half, 2 * s)
-            best_wit = {"kind": "half_only", "a": sv.index(half, 1), "sigma": sigma}
+            best_wit = {"kind": "half_only", "a": first[sv.index(half)], "sigma": sigma}
 
-        def tail_term(b: int) -> int:
+        def tail_term(b: int, i: int) -> int:
             # the slots above b, each at most the sparser side's unit
-            return (2 * tail[b + 1]) << (200 - min(p.K * b - 1, 200))
+            mass = above[i] + pos[i] * (first[i + 1] - 1 - b)
+            return (2 * mass) << (200 - min(p.K * b - 1, 200))
 
-        b_bounds = sorted(((top * (prefmax[b - 1] + 2 * pos[b]) + tail_term(b), b)
-                           for b in range(2, N + 1)), key=lambda t: t[0], reverse=True)
-        order_by_half = sorted(range(1, N + 1), key=lambda c: pos[c], reverse=True)
-        for bound, b in b_bounds:
-            if bound <= best * S:
+        def b_bound(b: int, i: int) -> int:
+            lead = before[i] if b == first[i] else max(before[i], pos[i])
+            return top * (lead + 2 * pos[i]) + tail_term(b, i)
+
+        heap = [(-b_bound(b, i), b, i) for i in range(len(sv))
+                for b in (first[i], first[i] + 1) if 2 <= b < first[i + 1]]
+        heapify(heap)
+        by_half = sorted(range(len(sv)), key=lambda i: pos[i], reverse=True)
+        while heap:
+            bound, b, i = heappop(heap)
+            if -bound <= best * scale:
                 break
-            tail_b = tail_term(b)
-            for a in order_by_half:
-                if a >= b:
-                    continue
-                if top * (pos[a] + 2 * pos[b]) + tail_b <= best * S:
+            if first[i] < b < first[i + 1] - 1:
+                heappush(heap, (-b_bound(b + 1, i), b + 1, i))
+            tail_b = tail_term(b, i)
+            rest = first[i + 1] - 1 - b
+            above_b = ([(sv[i], rest)] if rest else []) + sv_runs[i + 1:]
+            for ia, a in ((ia, a) for ia in by_half
+                          for a in range(first[ia], min(first[ia + 1], b))):
+                if top * (pos[ia] + 2 * pos[i]) + tail_b <= best * scale:
                     break
                 # exact DP for shape (a, b): a slot times a value is over s * unit
-                slots, unit = _slot_tiling(p, a, b, N - b)
-                runs = [(x, sum(1 for _ in grp)) for x, grp in groupby(sv[b + 1:])]
-                cells_used += len(runs) * len(slots)
-                if cells_used > _DP_CELL_BUDGET:
-                    raise SizeError(
-                        f"structured dp reached {cells_used} cells at universe {N}, "
-                        f"over its budget of {_DP_CELL_BUDGET} cells; a layout_universe "
-                        f"cap below {N} gives the symbolic certificate "
-                        f"(UNCLAB_CAPS=layout_universe={N - 1})")
-                blk, f_final, argmax = _block_max_runs(slots, runs)
-                value = Fraction((sv[a] + 2 * sv[b]) * unit + 2 * blk, 2 * s * unit)
+                slot_runs, unit = _slot_runs(p, a, b, N - b)
+                blk, S_b, hs, f, built = _block_max(slot_runs, above_b, pieces)
+                pieces += built
+                value = Fraction((sv[ia] + 2 * sv[i]) * unit + 2 * blk, 2 * s * unit)
                 if value > best:
                     best = value
                     best_wit = {"kind": "shape", "a": a, "b": b, "sigma": sigma,
                                 "block_value": Fraction(blk, s * unit)}
-                    best_block = (slots, unit, runs, f_final, argmax)
+                    best_block = (S_b, slot_runs, above_b, hs, f, unit)
     if best_wit["kind"] == "shape":
-        slots, unit, runs, f_final, argmax = best_block
-        assignment = _backtrack_runs(slots, runs, f_final, argmax, best_wit["b"] + 1)
+        S_b, slot_runs, above_b, hs, f, unit = best_block
         best_wit["assignment_spans"] = [
             (lo, hi, Fraction(x, unit))
-            for lo, hi, x in _spans_from_assignment(assignment, slots)]
-    return best, best_wit, cells_used
+            for lo, hi, x in _block_spans(S_b, slot_runs, above_b, hs, f, best_wit["b"] + 1)]
+    return best, best_wit, pieces
 
 
 # ------------------------------------------------------------- certificates
@@ -345,32 +481,25 @@ def _certify(p: EltonParams, pair, bound: Fraction) -> tuple[dict, dict]:
     """Norms of a (vector, companion) pair on p's layout, for params that
     pass validate_params; `pair()` gives the pair once they do.
 
-    Within the layout cap the exact family DP runs on both vectors. The
-    vector's family maximum must not exceed its derived case bound, and its
-    sup term is at most every case maximum, so norm_minus is itself an upper
-    bound on the vector's norm. Beyond the cap the certificate is symbolic:
-    the canonical pairing is the companion's lower bound and the case bound
-    caps the vector. Returns the report entries and the DP's witnesses.
+    The exact family DP runs on both vectors. The vector's family maximum
+    must not exceed its derived case bound, and its sup term is at most
+    every case maximum, so norm_minus is itself an upper bound on the
+    vector's norm. Returns the report entries and the DP's witnesses.
     """
     check = validate_params(p)
     if not check["ok"]:
         raise DomainError("; ".join(check["failures"]))
     minus, plus = pair()
-    out = {"params": p, "universe": p.universe}
-    witnesses = {}
-    if out["universe"] <= load_caps().layout_universe:
-        num, witnesses["witness_plus"], _ = structured_dp(p, _dense_values(p, plus))
-        den, witnesses["witness_minus"], _ = structured_dp(p, _dense_values(p, minus))
-        if den > bound:
-            raise InternalError(f"family dp value {den} exceeds the case bound {bound}; "
-                                "bounds unsound")
-        out.update(verification="dp", norm_plus_lower=max(plus.sup_norm(), num),
-                   norm_minus_upper=max(minus.sup_norm(), den))
-    else:
-        out.update(verification="symbolic", norm_plus_lower=plus.pairing(),
-                   norm_minus_upper=bound)
+    num, wit_plus, _ = structured_dp(p, _value_runs(p, plus))
+    den, wit_minus, _ = structured_dp(p, _value_runs(p, minus))
+    if den > bound:
+        raise InternalError(f"family dp value {den} exceeds the case bound {bound}; "
+                            "bounds unsound")
+    out = {"params": p, "universe": p.universe, "verification": "dp",
+           "norm_plus_lower": max(plus.sup_norm(), num),
+           "norm_minus_upper": max(minus.sup_norm(), den)}
     out["ratio_lower"] = out["norm_plus_lower"] / out["norm_minus_upper"]
-    return out, witnesses
+    return out, {"witness_plus": wit_plus, "witness_minus": wit_minus}
 
 
 def k_lower_certificate(p: EltonParams) -> dict:

@@ -212,16 +212,9 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
 
 # ------------------------------------------------------- hereditary patterns
 
-Pattern = frozenset  # of (element, colour) pairs; colour 0 is encoded by absence
-
-
-def restrict_pattern(pattern: Pattern, M) -> Pattern:
-    Ms = set(M)
-    return frozenset((e, c) for e, c in pattern if e in Ms)
-
-
-def _canonical_order(patterns):
-    return sorted(patterns, key=lambda p: (len(p), sorted(p)))
+# A colour pattern is a tuple of (element, colour) pairs sorted by element;
+# colour 0 is encoded by absence. Patterns are ordered canonically by
+# (length, pairs).
 
 
 def weakly_hereditary(members, M=None, mode: str = "weakly") -> dict:
@@ -240,28 +233,26 @@ def weakly_hereditary(members, M=None, mode: str = "weakly") -> dict:
     if M is None:
         restricted = set(members)
     else:
-        Ms = _as_sorted_tuple(M)
-        restricted = {restrict_pattern(p, Ms) for p in members}
+        Ms = set(_as_sorted_tuple(M))
+        restricted = {tuple(ec for ec in p if ec[0] in Ms) for p in members}
     checked = 0
 
     def candidates(b):
-        items = sorted(b)
         if mode == "hereditary":
-            for r in range(len(items) - 1, 0, -1):
-                for T in combinations(items, r):
-                    yield frozenset(T), None
+            for r in range(len(b) - 1, 0, -1):
+                for T in combinations(b, r):
+                    yield T, None
         else:
-            colours = sorted({c for _, c in items})
-            for j in colours:
-                elems = [e for e, c in items if c == j]
+            for j in sorted({c for _, c in b}):
+                elems = [e for e, c in b if c == j]
                 for r in range(len(elems), 0, -1):
                     for T in combinations(elems, r):
-                        a = frozenset((e, j) for e in T)
+                        a = tuple((e, j) for e in T)
                         if a != b:
                             yield a, j
-        yield frozenset(), None
+        yield (), None
 
-    for b in _canonical_order(restricted):
+    for b in sorted(restricted, key=lambda p: (len(p), p)):
         if not b:
             continue
         for a, j in candidates(b):
@@ -273,35 +264,25 @@ def weakly_hereditary(members, M=None, mode: str = "weakly") -> dict:
             "checked": checked}
 
 
-def remark_family(universe: int, m1: int = 1, m2: int = 2) -> tuple[Pattern, ...]:
+def remark_family(universe: int, m1: int = 1, m2: int = 2) -> tuple[tuple, ...]:
     """Colour patterns 2, 1 x m1, 2 x (m2 - m1) on rising supports, with all
-    their truncations, deduplicated, in canonical order.
+    their truncations, in canonical order.
 
     A truncation of length t qualifies exactly when its support extends to a
     full support inside the universe (m2 + 1 - t further elements fit above),
     which makes the family closed under the truncation operation that
     defines it. The zero truncation (empty pattern) is a member whenever any
-    full pattern fits.
+    full pattern fits. Lengths ascend, supports come in `combinations`
+    order, which is the order of their sorted pairs, and distinct (length,
+    support) give distinct patterns, so the family needs no dedupe or sort.
     """
     if not (1 <= m1 < m2):
         raise DomainError("need 1 <= m1 < m2")
     check_cap("remark_universe", universe, "universe")
     width = m2 + 1
-
-    def colour_at(pos: int) -> int:
-        if pos == 0:
-            return 2
-        if pos <= m1:
-            return 1
-        return 2
-
-    out = set()
-    if universe >= width:
-        out.add(frozenset())
+    colours = (2,) + (1,) * m1 + (2,) * (m2 - m1)
+    out = [()] if universe >= width else []
     for t in range(1, width + 1):
-        for support in combinations(range(1, universe + 1), t):
-            if t < width and universe - support[-1] < width - t:
-                continue
-            out.add(frozenset(
-                (support[i], colour_at(i)) for i in range(t)))
-    return tuple(_canonical_order(out))
+        out += [tuple(zip(support, colours)) for support in combinations(range(1, universe + 1), t)
+                if universe - support[-1] >= width - t]
+    return tuple(out)

@@ -4,7 +4,7 @@ import os
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, groupby
 from math import lcm
 from pathlib import Path
 from typing import NamedTuple
@@ -357,6 +357,17 @@ def dense_layout_values(p, v) -> list[Fraction]:
                      "E1": v.on_e1, "E2": v.on_e2}
         return [by_region[layout_region(p, c)] for c in range(1, p.universe + 1)]
     return dense(v, p.universe)
+
+
+def value_runs(x) -> list[tuple[Fraction, int]]:
+    """The sequence x as maximal runs (value, length), the input structured_dp
+    takes."""
+    return [(value, len(list(run))) for value, run in groupby(x)]
+
+
+def expand_runs(runs) -> list:
+    """The sequence that runs (value, length) encode."""
+    return [value for value, length in runs for _ in range(length)]
 
 
 def brute_miniature(p, x) -> tuple[Fraction, dict]:

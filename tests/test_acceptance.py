@@ -15,16 +15,16 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from conftest import (brute_bracket, brute_decompose_count, brute_miniature, brute_oscillation,
-                      build_standard, colour_weight, dense, dense_layout_values,
+                      build_standard, colour_weight, dense, dense_layout_values, expand_runs,
                       interval_ladder, level_split, rand_resolution, rand_sparse,
-                      verify_witness)
+                      value_runs, verify_witness)
 
 from unclab.constants import MODES, ConstantQuery, compute_constant
-from unclab.elton import (STANDARD_PAIR, EltonParams, _slot_tiling, elton_ladder,
+from unclab.elton import (STANDARD_PAIR, EltonParams, _slot_runs, elton_ladder,
                           k_lower_certificate, quasi_certificate, structured_dp)
 from unclab.norms import Functional, NormInstance
-from unclab.ramsey import (MatchingWitness, remark_family, restrict_pattern,
-                           search_matching, validate_matching, weakly_hereditary)
+from unclab.ramsey import (MatchingWitness, remark_family, search_matching,
+                           validate_matching, weakly_hereditary)
 from unclab.resolutions import (Resolution, bracket, build_rademacher,
                                 mutual_bracket, pattern_embeds,
                                 rademacher_bound, ris_condition)
@@ -127,9 +127,11 @@ def test_criterion_4(capsys):
         assert c1["pairing_plus"] == F(5, 4)
         assert c1["norm_minus_upper"] <= F(9, 8)
         assert c1["ratio_case"] >= F(10, 9)
-        c2 = k_lower_certificate(EltonParams(1, 64, 8, F(1, 50)))
-        assert c2["ratio_lower"] >= F(320, 259) > F(1235, 1000)
         ladder = elton_ladder()
+        c2 = ladder[2]
+        assert c2["params"] == EltonParams(1, 64, 8, F(1, 50))
+        assert c2["verification"] == "dp"
+        assert c2["ratio_lower"] == F(5, 4) > F(320, 259) == c2["ratio_case"]
         ratios = [e["ratio_case"] for e in ladder]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
@@ -150,8 +152,8 @@ def _replay_dp_witness(p, x, value, wit):
              for c in range(lo, hi + 1)]
     coords = [b] + [c for c, _ in pairs]
     assert all(c < d for c, d in zip(coords, coords[1:])) and coords[-1] <= len(x)
-    slots, unit = _slot_tiling(p, a, b, len(pairs))
-    assert [val for _, val in pairs] == [F(n, unit) for n in slots]
+    slots, unit = _slot_runs(p, a, b, len(pairs))
+    assert [val for _, val in pairs] == [F(n, unit) for n in expand_runs(slots)]
     assert value == F(1, 2) * sv(a) + sv(b) + sum((val * sv(c) for c, val in pairs), F(0))
     return wit["kind"]
 
@@ -162,7 +164,7 @@ def test_criterion_5(capsys):
         rung1 = EltonParams(1, 8, 4, F(13, 100))
         for v in STANDARD_PAIR:
             x = dense_layout_values(rung1, v)
-            kinds.append(_replay_dp_witness(rung1, x, *structured_dp(rung1, x)[:2]))
+            kinds.append(_replay_dp_witness(rung1, x, *structured_dp(rung1, value_runs(x))[:2]))
         combos = [(n1, n2, 1, 1, 2) for n1 in range(1, 5) for n2 in range(1, 5)
                   if n1 + n2 <= 5]
         combos += [(1, 1, 1, m1, 3) for m1 in (1, 2)]
@@ -174,7 +176,7 @@ def test_criterion_5(capsys):
             vecs = [*STANDARD_PAIR] + [rand_sparse(rng, p.universe) for _ in range(3)]
             for v in vecs:
                 x = dense_layout_values(p, v)
-                a, wit, _ = structured_dp(p, x)
+                a, wit, _ = structured_dp(p, value_runs(x))
                 b, _ = brute_miniature(p, x)
                 assert a == b, (n1, n2, K, m1, m2)
                 kinds.append(_replay_dp_witness(p, x, a, wit))
@@ -188,7 +190,7 @@ def test_criterion_5(capsys):
             p = EltonParams(n1, n2, K, F(1, 10), m1, m2)
             assert p.universe <= 16
             x = dense(rand_sparse(rng, p.universe), p.universe)
-            a, wit, _ = structured_dp(p, x)
+            a, wit, _ = structured_dp(p, value_runs(x))
             b, _ = brute_miniature(p, x)
             assert a == b, (n1, n2, K, m1, m2)
             kinds.append(_replay_dp_witness(p, x, a, wit))
@@ -197,10 +199,10 @@ def test_criterion_5(capsys):
             n1, n2, K, m1, m2 = rng.choice(pool)
             p = EltonParams(n1, n2, K, F(1, 10), m1, m2)
             x = dense(rand_sparse(rng, p.universe), p.universe)
-            kinds.append(_replay_dp_witness(p, x, *structured_dp(p, x)[:2]))
+            kinds.append(_replay_dp_witness(p, x, *structured_dp(p, value_runs(x))[:2]))
         # a lone coordinate at 1 leaves every shape at half its value
         lone = [F(1)] + [F(0)] * (p.universe - 1)
-        kinds.append(_replay_dp_witness(p, lone, *structured_dp(p, lone)[:2]))
+        kinds.append(_replay_dp_witness(p, lone, *structured_dp(p, value_runs(lone))[:2]))
         assert len(kinds) == 203 and set(kinds) == {"shape", "half_only"}
 
 
@@ -338,7 +340,7 @@ def test_criterion_8(capsys):
             assert rep["hereditary"] is False, (s, L)
             v = rep["violation"]
             a, b = v["a"], v["b"]
-            restricted = {restrict_pattern(p, L) for p in fam}
+            restricted = {tuple((e, c) for e, c in p if e in L) for p in fam}
             assert b in restricted and a not in restricted
             sa, sb = dict(a), dict(b)
             assert set(sa) <= set(sb) and len(sa) < len(sb)
@@ -352,5 +354,6 @@ def test_criterion_9(capsys):
         eps = F(p.n1, 2 * p.n2) + F(2) ** (-p.K)
         assert cert["eps_instance"] == eps == F(3, 256)
         assert cert["target"] == F(8, 7) - eps == F(2027, 1792)
-        assert cert["ratio_lower"] == F(512, 451) > cert["target"]
+        assert cert["verification"] == "dp"
+        assert cert["ratio_lower"] == F(8, 7) > cert["target"]
         assert cert["passes_target"] is True

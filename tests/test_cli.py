@@ -236,15 +236,14 @@ def test_exit_code_5_internal_error(monkeypatch, invoke_cli):
     assert result.stdout == ""
     assert json.loads(result.stderr) == {"error": "cannot serialize a value of type object",
                                          "kind": "InternalError"}
-    # any other exception is an internal error too: this symbolic certificate's
-    # universe has more than the 4300 digits json writes
-    monkeypatch.delenv("UNCLAB_CAPS", raising=False)
-    result = invoke_cli(["elton", "--n1", "1", "--n2", "8", "--K", "8000", "--eps", "13/100"])
+    # any other exception is an internal error too, named by its type
+    monkeypatch.setattr(unclab.resolutions, "bracket", lambda *args: 1 // 0)
+    result = invoke_cli(["bracket", fx("resolution_r.json"), fx("resolution_s.json")])
     assert result.exit_code == 5
     assert result.stdout == ""
-    err = json.loads(result.stderr)
-    assert err["kind"] == "InternalError"
-    assert err["error"].startswith("ValueError: Exceeds the limit (4300 digits)")
+    assert json.loads(result.stderr) == {
+        "error": "ZeroDivisionError: integer division or modulo by zero",
+        "kind": "InternalError"}
 
 
 def test_exit_code_4_schema(tmp_path):
@@ -282,7 +281,13 @@ def test_exit_code_1_domain_and_caps():
                env_extra={"UNCLAB_CAPS": "match_pairs=270335"}, check=1)
     assert err_json(proc)["kind"] == "SizeError"
     assert "UNCLAB_CAPS" in err_json(proc)["error"]
-    for caps in ("bogus=3", "match_universe=16"):
+    # a layout of 2 + 2^8000 value runs is refused before its run list is built
+    proc = run("elton", "--n1", "1", "--n2", "8", "--K", "8000", "--eps", "13/100", check=1)
+    assert err_json(proc) == {
+        "error": "layout_pieces: layout value runs >= 2^8000 exceeds cap 1000000 "
+                 "(override with UNCLAB_CAPS)",
+        "kind": "SizeError"}
+    for caps in ("bogus=3", "match_universe=16", "layout_universe=40000"):
         proc = run("match", "--maps", fx("map_family_a.json"), "--universe", "12",
                    env_extra={"UNCLAB_CAPS": caps}, check=1)
         assert err_json(proc)["kind"] == "DomainError"
@@ -320,9 +325,10 @@ def test_quasi_verb():
     rep = out_json(run("quasi", "--n1", "1", "--n2", "64", "--K", "8",
                        "--eps", "1/50", "--alpha", "2/3", check=0))
     assert rep["verb"] == "quasi"
-    assert rep["ratio_lower"] == "512/451"
+    assert rep["norm_minus_upper"] == "7/3"
+    assert rep["ratio_lower"] == "8/7"
     assert rep["passes_target"] is True
-    assert rep["verification"] == "symbolic"
+    assert rep["verification"] == "dp"
     assert rep["threshold_tie_at_alpha"] is True
 
 

@@ -6,16 +6,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_miniature, dense, dense_layout_values, layout_region
-from unclab import elton
+from collections import deque
+
+from conftest import (brute_miniature, dense, dense_layout_values, expand_runs, layout_region,
+                      value_runs)
 from unclab.elton import (
     STANDARD_PAIR,
     EltonParams,
     LayoutVector,
-    _backtrack_runs,
-    _block_max_runs,
-    _dense_values,
-    _slot_tiling,
+    _block_max,
+    _block_spans,
+    _slot_runs,
+    _value_runs,
     case_bounds,
     elton_ladder,
     k_lower_certificate,
@@ -51,8 +53,10 @@ def test_params_validation():
 def test_layout_geometry_184():
     assert P184.universe == 1154 and "universe" not in EltonParams._fields
     # a vector that marks each region: the distinguished pair, then rounds of
-    # 16 coordinates in E1 and 128 in E2; coordinate c sits at index c - 1
-    vals = _dense_values(P184, LayoutVector(F(-1), F(-2), F(1), F(2)))
+    # 16 coordinates in E1 and 128 in E2, one value run each
+    runs = _value_runs(P184, LayoutVector(F(-1), F(-2), F(1), F(2)))
+    assert runs == [(-1, 1), (-2, 1)] + [(1, 16), (2, 128)] * 8
+    vals = expand_runs(runs)   # coordinate c at index c - 1
     assert len(vals) == 1154 and vals[:2] == [-1, -2]
     assert vals[2:18] == [1] * 16 and vals[18] == 2
     assert vals[145:147] == [2, 1]  # the second round starts after 16 + 128
@@ -107,23 +111,31 @@ def test_k_lower_certificate_184():
     assert all(s2 == e1 + 1 for (_, e1, _), (s2, _, _) in zip(spans, spans[1:]))
 
 
-def test_symbolic_certificate_and_ladder():
-    cert = k_lower_certificate(P1648)
-    assert cert["verification"] == "symbolic"
-    assert cert["universe"] == 2129922
-    assert cert["norm_minus_upper"] == F(259, 256)
-    assert cert["ratio_lower"] == F(320, 259) == cert["ratio_case"]
-    assert F(320, 259) > F(1235, 1000)
+def test_rung3_certificate_and_ladder():
+    # every rung is certified by the exact DP: the companion's layout norm is
+    # 5/4 and the vector's is 1 at rung 3 too, above the case-bound ratio
     ladder = elton_ladder()
+    assert [c["verification"] for c in ladder] == ["dp", "dp", "dp"]
+    assert [c["universe"] for c in ladder] == [1154, 34818, 2129922]
+    assert [c["ratio_lower"] for c in ladder] == [F(5, 4)] * 3
     cases = [c["ratio_case"] for c in ladder]
     assert cases == [F(10, 9), F(80, 67), F(320, 259)]
     assert cases[0] < cases[1] < cases[2]
-    # rung 2's universe, 34818, is inside the layout cap: the DP certifies 5/4
-    assert [c["verification"] for c in ladder] == ["dp", "dp", "symbolic"]
-    assert ladder[1]["universe"] == 34818 and ladder[1]["ratio_lower"] == F(5, 4)
+    cert = ladder[2]
+    assert (cert["norm_plus_lower"], cert["norm_minus_upper"]) == (F(5, 4), 1)
+    assert cert["case_bounds"]["max"] == F(259, 256)
+    # shape (1, 2) carries the canonical functional on both vectors: its 256
+    # spans alternate E1 and E2 across 3..2129922
+    for key in ("witness_plus", "witness_minus"):
+        wit = cert[key]
+        assert (wit["kind"], wit["a"], wit["b"]) == ("shape", 1, 2)
+        spans = wit["assignment_spans"]
+        assert len(spans) == 256 and spans[0] == (3, 258, F(1, 32768))
+        assert spans[-1][1] == 2129922
+        assert all(s2 == e1 + 1 for (_, e1, _), (s2, _, _) in zip(spans, spans[1:]))
 
 
-def test_quasi_certificate_symbolic_1648():
+def test_quasi_certificate_dp_1648():
     cert = quasi_certificate(P1648, F(2, 3))
     assert sorted(cert) == [
         "alpha", "eps_instance", "norm_minus_upper", "norm_plus_lower",
@@ -131,12 +143,13 @@ def test_quasi_certificate_symbolic_1648():
         "target", "threshold_projection_is_plus_vector",
         "threshold_tie_at_alpha", "universe", "verification"]
     assert cert["universe"] == 2129922
-    assert cert["verification"] == "symbolic"
+    assert cert["verification"] == "dp"
     assert cert["eps_instance"] == F(3, 256)
     assert cert["target"] == F(2027, 1792)
     assert cert["norm_plus_lower"] == F(8, 3)
-    assert cert["norm_minus_upper"] == F(451, 192)
-    assert cert["ratio_lower"] == F(512, 451)
+    # the exact norm, under the case bound 451/192
+    assert cert["norm_minus_upper"] == F(7, 3) < F(451, 192)
+    assert cert["ratio_lower"] == F(8, 7)
     assert cert["ratio_lower"] > cert["target"]
     assert cert["passes_target"] is True
     assert cert["threshold_tie_at_alpha"] is True
@@ -205,8 +218,8 @@ def literal_family_max(p, x):
             for b in range(a + 1, N + 1):
                 pinned = F(1, 2) * sv[a] + sv[b]
                 coords = range(b + 1, N + 1)
-                nums, unit = _slot_tiling(p, a, b, N - b)
-                slots = [F(x, unit) for x in nums]
+                nums, unit = _slot_runs(p, a, b, N - b)
+                slots = [F(x, unit) for x in expand_runs(nums)]
                 for r in range(min(N - b, len(slots)) + 1):
                     for sub in itertools.combinations(coords, r):
                         tot = pinned + sum(
@@ -232,11 +245,14 @@ def test_dp_matches_brute_and_oracle(p, universe, minus_norm):
             (i, F(rng.randint(-8, 8), rng.randint(1, 8)))
             for i in range(1, universe + 1)
             if rng.random() < 0.7 and rng.randint(-8, 8) != 0), universe)
-        d, _, _ = structured_dp(p, x)
+        d, wit, _ = structured_dp(p, value_runs(x))
         b, _ = brute_miniature(p, x)
         assert d == b == literal_family_max(p, x)
+        # runs need not be maximal: one run per coordinate gives the same
+        # maximum and witness
+        assert structured_dp(p, [(c, 1) for c in x])[:2] == (d, wit)
     v = STANDARD_PAIR[0]
-    d, _, _ = structured_dp(p, _dense_values(p, v))
+    d, _, _ = structured_dp(p, _value_runs(p, v))
     x = dense_layout_values(p, v)
     b, _ = brute_miniature(p, x)
     assert d == b == literal_family_max(p, x)
@@ -244,23 +260,32 @@ def test_dp_matches_brute_and_oracle(p, universe, minus_norm):
 
 
 def test_dp_guardrails(monkeypatch):
-    # rung 1's standard vector fills 18 432 cells, the count the kernel sweep
-    # recorded in BENCH_29.json by replaying the shapes the search expands; a
-    # budget of exactly that many admits the call, and one less refuses it
-    # with the cells reached, the budget, the universe and the cap that gives
-    # the symbolic certificate instead
-    x = _dense_values(P184, STANDARD_PAIR[0])
-    value, wit, cells = structured_dp(P184, x)
-    assert (value, wit["kind"], cells) == (1, "shape", 18432)
-    monkeypatch.setattr(elton, "_DP_CELL_BUDGET", 18432)
-    assert structured_dp(P184, x) == (value, wit, cells)
-    monkeypatch.setattr(elton, "_DP_CELL_BUDGET", 18431)
+    # rung 1's standard vector builds 150 pieces, 17 of them in its last run;
+    # a cap of exactly that many admits the call, and one less refuses it
+    # when the last run is built
+    runs = _value_runs(P184, STANDARD_PAIR[0])
+    value, wit, pieces = structured_dp(P184, runs)
+    assert (value, wit["kind"], pieces) == (1, "shape", 150)
+    monkeypatch.setenv("UNCLAB_CAPS", "layout_pieces=150")
+    assert structured_dp(P184, runs) == (value, wit, pieces)
+    monkeypatch.setenv("UNCLAB_CAPS", "layout_pieces=149")
     with pytest.raises(SizeError) as refused:
-        structured_dp(P184, x)
-    assert str(refused.value) == (
-        "structured dp reached 18432 cells at universe 1154, over its budget of 18431 "
-        "cells; a layout_universe cap below 1154 gives the symbolic certificate "
-        "(UNCLAB_CAPS=layout_universe=1153)")
+        structured_dp(P184, runs)
+    assert str(refused.value) == ("layout_pieces: structured dp pieces = 150 exceeds "
+                                  "cap 149 (override with UNCLAB_CAPS)")
+    # the run count is checked before the run list is built: rung 1 has 18
+    # value runs, and K = 8000 has 2 + 2^8000, refused at the default cap
+    monkeypatch.setenv("UNCLAB_CAPS", "layout_pieces=17")
+    with pytest.raises(SizeError, match="layout value runs = 18 exceeds cap 17"):
+        _value_runs(P184, STANDARD_PAIR[0])
+    monkeypatch.delenv("UNCLAB_CAPS")
+    with pytest.raises(SizeError, match=r"layout value runs >= 2\^8000 exceeds cap 1000000"):
+        k_lower_certificate(EltonParams(1, 8, 8000, F(13, 100)))
+    # rung 3, universe 2 129 922, is one shape of 256 value runs against 256
+    # slot runs per vector
+    runs = _value_runs(P1648, STANDARD_PAIR[0])
+    assert len(runs) == 258
+    assert structured_dp(P1648, runs)[::2] == (1, 33146)
 
 
 def test_dense_layout_and_pairing_equal_per_coordinate_reference():
@@ -290,7 +315,7 @@ def test_dense_layout_and_pairing_equal_per_coordinate_reference():
         for v in vecs:
             value = {"first": v.at_first, "second": v.at_second,
                      "E1": v.on_e1, "E2": v.on_e2}
-            assert _dense_values(p, v) == [value[r] for r in regions]
+            assert expand_runs(_value_runs(p, v)) == [value[r] for r in regions]
             assert v.pairing() == sum((weight[r] * value[r] for r in regions), F(0))
 
 
@@ -344,10 +369,71 @@ def ref_backtrack(val_nums, M_final, placed, coords_base):
     return assignment[::-1]
 
 
+def run_block_max(slot_nums, runs):
+    # the value-run DP, one cell per (run, slot count): f(K) is the best
+    # total with exactly K slots placed, and run (x, r) gives
+    #     f_A(K) = x S(K) + max over K - r <= K' <= K of (f(K') - x S(K')),
+    # the window max kept in a monotone deque that keeps the largest K'
+    # among ties; argmax[A][K] is the K' that run A's f(K) extends
+    n_slots = len(slot_nums)
+    S = list(itertools.accumulate(slot_nums, initial=0))
+    f = [0] + [None] * n_slots
+    seen = 0
+    argmax = []
+    for x, r in runs:
+        lim = min(seen, n_slots)
+        h = [f[k] - x * S[k] for k in range(lim + 1)]
+        window = deque()
+        g, arg = [], []
+        for K in range(min(seen + r, n_slots) + 1):
+            if K <= lim:
+                while window and h[window[-1]] <= h[K]:
+                    window.pop()
+                window.append(K)
+            if window[0] < K - r:
+                window.popleft()
+            g.append(h[window[0]] + x * S[K])
+            arg.append(window[0])
+        f = g + [None] * (n_slots + 1 - len(g))
+        argmax.append(arg)
+        seen += r
+    return max(m for m in f if m is not None), f, argmax
+
+
+def run_backtrack(runs, f_final, argmax, coords_base):
+    # one optimal (slot, coordinate) assignment, last run first: the run's
+    # argmax gives the slots it took, put on its leftmost coordinates
+    best = max(m for m in f_final if m is not None)
+    j = max(idx for idx, m in enumerate(f_final) if m == best)
+    end = coords_base + sum(r for _, r in runs)
+    assignment = []
+    for (_, r), arg in zip(reversed(runs), reversed(argmax)):
+        end -= r
+        k = arg[j]
+        assignment += [(slot, end + slot - k - 1) for slot in range(j, k, -1)]
+        j = k
+    assert j == 0
+    return assignment[::-1]
+
+
+def spans_from_assignment(assignment, slot_values):
+    # (slot, coord) pairs as (coord_from, coord_to, value) spans
+    spans = []
+    for slot, coord in assignment:
+        val = slot_values[slot - 1]
+        if spans and spans[-1][1] == coord - 1 and spans[-1][2] == val:
+            spans[-1] = (spans[-1][0], coord, val)
+        else:
+            spans.append((coord, coord, val))
+    return spans
+
+
 def test_block_dp_equals_per_coordinate_reference():
     # run-length values (negative, zero, long and tied runs), dense values
     # (every run of length 1), and slot counts from one to beyond the
-    # coordinates, each against the per-coordinate DP
+    # coordinates: the piecewise-linear kernel against the value-run DP
+    # (value, f at every slot count, spans) and that against the
+    # per-coordinate DP
     rng = random.Random("value-run-block")
     covered = set()
     for trial in range(1500):
@@ -362,25 +448,32 @@ def test_block_dp_equals_per_coordinate_reference():
                     for x in [rng.randint(-3, 3)] * rng.randint(1, 9)]
         else:
             vals = [rng.randint(-4, 4) for _ in range(rng.randint(0, 30))]
-        runs = [(x, len(list(grp))) for x, grp in itertools.groupby(vals)]
-        covered |= {("more slots than coordinates", len(slots) > len(vals)),
-                    ("dense", len(runs) == len(vals)), ("one slot", len(slots) == 1)}
+        runs = value_runs(vals)
         best, M_final, placed = ref_block_max(slots, vals)
-        got_best, f_final, argmax = _block_max_runs(slots, runs)
+        got_best, f_final, argmax = run_block_max(slots, runs)
         assert (got_best, f_final) == (best, M_final)
-        assert (_backtrack_runs(slots, runs, f_final, argmax, 5)
-                == ref_backtrack(vals, M_final, placed, 5))
-    assert len(covered) == 6
+        assignment = run_backtrack(runs, f_final, argmax, 5)
+        assert assignment == ref_backtrack(vals, M_final, placed, 5)
+        slot_runs = value_runs(slots)
+        pl_best, S, hs, f, _ = _block_max(slot_runs, runs, 0)
+        assert pl_best == best
+        assert [v + m * (K - lo) for lo, hi, v, m in f for K in range(lo, hi + 1)] == [
+            m for m in M_final if m is not None]
+        assert (_block_spans(S, slot_runs, runs, hs, f, 5)
+                == spans_from_assignment(assignment, slots))
+        covered |= {("more slots than coordinates", len(slots) > len(vals)),
+                    ("dense", len(runs) == len(vals)), ("one slot", len(slots) == 1),
+                    ("flat ties", M_final.count(best) > 1)}
+    assert len(covered) == 8
 
 
 def ref_structured_dp(p, x):
-    # structured_dp with Fraction pruning bounds, each shape's slots and
-    # values put over their own common denominator, and the per-coordinate
-    # block DP; cells counts the value runs above b times the slots of each
-    # shape expanded
+    # structured_dp with Fraction pruning bounds over every coordinate, each
+    # shape's slots and values put over their own common denominator, and
+    # the per-coordinate block DP
     N = len(x)
     vals = [F(0), *x]
-    best, best_wit, cells = F(0), {"kind": "zero"}, 0
+    best, best_wit = F(0), {"kind": "zero"}
     for sigma in (1, -1):
         sv = [sigma * x for x in vals]
         pos = [max(x, F(0)) for x in sv]
@@ -410,7 +503,6 @@ def ref_structured_dp(p, x):
                 if F(1, 2) * pos[a] + pos[b] + slot_upper(b) * tail[b + 1] <= best:
                     break
                 slots = ref_slot_values(p, a, b, N - b)
-                cells += len(list(itertools.groupby(sv[b + 1:]))) * len(slots)
                 denom, nums = _common_denominator(slots + sv[b + 1:])
                 slot_nums, val_nums = nums[:len(slots)], nums[len(slots):]
                 blk_int, M_final, placed = ref_block_max(slot_nums, val_nums)
@@ -429,7 +521,7 @@ def ref_structured_dp(p, x):
             else:
                 spans.append((c, c, slots[j - 1]))
         best_wit["assignment_spans"] = spans
-    return best, best_wit, cells
+    return best, best_wit
 
 
 def test_dp_equals_fraction_reference():
@@ -458,7 +550,7 @@ def test_dp_equals_fraction_reference():
                                         if rng.random() < 0.05)]
         for v in vecs:
             x = dense_layout_values(p, v)
-            got = structured_dp(p, x)
-            assert dump_json(list(got)) == dump_json(list(ref_structured_dp(p, x)))
+            got = structured_dp(p, value_runs(x))
+            assert dump_json(list(got[:2])) == dump_json(list(ref_structured_dp(p, x)))
             sigmas.add(got[1].get("sigma"))
     assert {1, -1} <= sigmas

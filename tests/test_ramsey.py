@@ -13,7 +13,6 @@ from unclab.ramsey import (
     PrefixContinuousMap,
     is_initial_segment,
     remark_family,
-    restrict_pattern,
     search_matching,
     validate_matching,
     weakly_hereditary,
@@ -273,10 +272,20 @@ def test_search_equals_set_based_reference():
 
 # -------------------------------------------------------------- colour families
 
-def test_pattern_helpers():
-    p = frozenset({(1, 2), (2, 1), (5, 2)})
-    assert restrict_pattern(p, {1, 5}) == frozenset({(1, 2), (5, 2)})
-    assert restrict_pattern(p, range(10, 20)) == frozenset()
+def test_remark_family_is_canonical_without_a_sort():
+    # the family built as a set of frozensets and sorted by (size, sorted
+    # entries), the construction it replaces, gives the same patterns in the
+    # same order, each a tuple of (element, colour) pairs sorted by element
+    for universe in range(0, 11):
+        for m1, m2 in ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4)):
+            width = m2 + 1
+            colours = [2] + [1] * m1 + [2] * (m2 - m1)
+            ref = {frozenset(zip(support, colours))
+                   for t in range(width + 1)
+                   for support in itertools.combinations(range(1, universe + 1), t)
+                   if universe >= width and universe - max(support, default=0) >= width - t}
+            ref = [tuple(sorted(p)) for p in sorted(ref, key=lambda p: (len(p), sorted(p)))]
+            assert list(remark_family(universe, m1, m2)) == ref, (universe, m1, m2)
 
 
 def test_remark_family_frozen():
@@ -284,20 +293,20 @@ def test_remark_family_frozen():
     # 220 full patterns + 55 + 10 truncations + the empty pattern, in
     # canonical order: by size, then by sorted entries
     assert len(fam) == 286
-    assert fam == tuple(sorted(fam, key=lambda m: (len(m), sorted(m))))
+    assert fam == tuple(sorted(fam, key=lambda m: (len(m), m)))
+    assert all(list(m) == sorted(m) for m in fam)
     assert {c for m in fam for _, c in m} == {1, 2}
     assert {e for m in fam for e, _ in m} == set(range(1, 13))
     members = set(fam)
-    assert frozenset() in members
-    assert frozenset({(1, 2), (2, 1), (3, 2)}) in members
+    assert () in members
+    assert ((1, 2), (2, 1), (3, 2)) in members
     # truncations keep the leading colours: dropping the first entry of a
     # member does not produce a member
-    assert frozenset({(2, 1), (3, 2)}) not in members
+    assert ((2, 1), (3, 2)) not in members
     # all defined truncations of every member are members
     for m in members:
-        items = sorted(m)
-        for t in range(len(items)):
-            assert frozenset(items[:t]) in members
+        for t in range(len(m)):
+            assert m[:t] in members
     with pytest.raises(DomainError):
         remark_family(12, m1=2, m2=2)
     with pytest.raises(SizeError):
@@ -308,14 +317,14 @@ def test_weakly_hereditary_frozen_violations():
     fam = remark_family(12)
     wk = weakly_hereditary(fam, mode="weakly")
     assert wk["hereditary"] is False
-    assert wk["violation"]["a"] == frozenset({(2, 1)})
-    assert wk["violation"]["b"] == frozenset({(1, 2), (2, 1)})
+    assert wk["violation"]["a"] == ((2, 1),)
+    assert wk["violation"]["b"] == ((1, 2), (2, 1))
     assert wk["violation"]["colour"] == 1
     assert wk["checked"] == 11
     hd = weakly_hereditary(fam, mode="hereditary")
     assert hd["hereditary"] is False
-    assert hd["violation"]["a"] == frozenset({(2, 1)})
-    assert hd["violation"]["b"] == frozenset({(1, 2), (2, 1)})
+    assert hd["violation"]["a"] == ((2, 1),)
+    assert hd["violation"]["b"] == ((1, 2), (2, 1))
     assert hd["violation"]["colour"] is None
     assert hd["checked"] == 12
     # restriction to an M keeps the same early failure shape
@@ -327,11 +336,10 @@ def test_weakly_hereditary_frozen_violations():
 
 def test_weakly_hereditary_positive_families():
     # full power set of colourings of {1, 2} with one colour, empty included
-    members = [frozenset(s) for s in
-               ({}, {(1, 1)}, {(2, 1)}, {(1, 1), (2, 1)})]
+    members = [(), ((1, 1),), ((2, 1),), ((1, 1), (2, 1))]
     assert weakly_hereditary(members, mode="hereditary")["hereditary"] is True
     assert weakly_hereditary(members, mode="weakly")["hereditary"] is True
-    lone = (frozenset(),)
+    lone = ((),)
     assert weakly_hereditary(lone, mode="weakly")["hereditary"] is True
 
 
@@ -344,14 +352,12 @@ def test_hereditary_closure_implies_weakly():
         seedlings = []
         for _ in range(rng.randint(1, 4)):
             support = rng.sample(range(1, universe + 1), rng.randint(0, 4))
-            seedlings.append(frozenset(
-                (e, rng.randint(1, k)) for e in support))
+            seedlings.append(tuple(sorted(
+                (e, rng.randint(1, k)) for e in support)))
         closed = set()
         for s in seedlings:
-            items = sorted(s)
-            for r in range(len(items) + 1):
-                for T in itertools.combinations(items, r):
-                    closed.add(frozenset(T))
+            for r in range(len(s) + 1):
+                closed.update(itertools.combinations(s, r))
         assert weakly_hereditary(closed, mode="hereditary")["hereditary"] is True
         assert weakly_hereditary(closed, mode="weakly")["hereditary"] is True
 

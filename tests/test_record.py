@@ -17,7 +17,7 @@ def test_fields_are_the_annotations_in_order():
     assert Resolution._fields == ("k", "pattern", "alpha")
     assert ConstantReport._fields == ("mode", "method", "value_lower", "value_upper",
                                       "witness", "details")
-    assert Caps._fields[:3] == ("grid_pairs", "lp_dim", "layout_universe")
+    assert Caps._fields[:3] == ("grid_pairs", "lp_dim", "layout_pieces")
     rep = ConstantReport("K", "grid", F(1), None, None)
     assert list(to_jsonable(rep)) == list(ConstantReport._fields)
 
