@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the exact kernels alone (the bracket DP, eval_norm, the grid, the
-structured DP, the hereditary check, the matching search) and start-up.
+LP, the structured DP, the hereditary check, the matching search) and
+start-up.
 
     python3 scripts/bench_kernels.py [--lengths 100,300,1000] [--runs 5]
         [--parent-src DIR] > BENCH.json
@@ -36,6 +37,11 @@ workloads' inputs:
              C_uncond at three sizes, and BOU and schreier at the workload's
              own size (dim 2, step 1/8) and at dim 3, step 1/4; work counter
              lattice_points
+  lp         compute_constant(method="fractional_lp") on the dim-4 summing
+             norm of tests/fixtures/norm_summing4.json, in C_uncond and in K
+             at delta = 1/2 (heavier than the constants workload's LP jobs,
+             which run on dim-2 point clouds); work counter cells, the LP
+             cells the report counts
   structured_dp
              structured_dp on the standard vector of ladder rung 1, of one
              K = 3 layout and of ladder rungs 2 and 3, the vector's values
@@ -102,6 +108,7 @@ GRID_SIZES = (("C_uncond", 2, 8, "initial_segments"), ("C_uncond", 3, 4, "interv
               ("C_uncond", 3, 8, "all_subsets"), ("BOU", 2, 8, "initial_segments"),
               ("BOU", 3, 4, "intervals"), ("schreier", 2, 8, "initial_segments"),
               ("schreier", 3, 4, "intervals"))
+LP_SIZES = (("C_uncond", None), ("K", "1/2"))   # mode, delta on norm_summing4.json
 DP_SLOTS = (("rung1", "elton"), ("layout", "elton", 3))   # Certificates.SLOTS entries
 DP_RUNGS = (("rung2", (1, 16, 6, Fraction(1, 20))),   # n1, n2, K, eps of the ladder's
             ("rung3", (1, 64, 8, Fraction(1, 50))))   # rungs 2 and 3
@@ -148,6 +155,7 @@ def kernel_names(lengths: list[int]) -> list[str]:
     """The kernel of each size, in the order `sizes` yields them."""
     return (["startup"] * len(STARTUP) + ["bracket"] * len(lengths)
             + ["eval_norm"] * len(NORM_SIZES) + ["grid"] * len(GRID_SIZES)
+            + ["lp"] * len(LP_SIZES)
             + ["structured_dp"] * (len(DP_SLOTS) + len(DP_RUNGS))
             + ["search_matching"] * len(MATCH_SLOTS)
             + ["weakly_hereditary"] * len(HEREDITARY_SLOTS))
@@ -258,6 +266,16 @@ def sizes(lengths: list[int]):
                                "value": f"{report.value_lower.numerator}/"
                                         f"{report.value_lower.denominator}",
                                "digest": digest(report)})
+    summing4 = load_norm_instance(json.loads(
+        (ROOT / "tests" / "fixtures" / "norm_summing4.json").read_text()))
+    for mode, delta in LP_SIZES:
+        query = ConstantQuery(mode, delta=None if delta is None else parse_rational(delta))
+        yield ("lp", {"mode": mode, "delta": delta, "instance": "norm_summing4.json"},
+               lambda query=query: compute_constant(summing4, query, "fractional_lp"),
+               lambda report: {"cells": report.details["cells"],
+                               "value": f"{report.value_lower.numerator}/"
+                                        f"{report.value_lower.denominator}",
+                               "digest": digest(report)})
 
     class Drawn(Certificates):
         """Keeps the input document a job would write in `doc`."""
@@ -329,7 +347,8 @@ def main() -> None:
         "kernels": "CLI start-up (--help, bracket, constant, hereditary, elton), "
                    "unclab.resolutions.bracket (method dp), unclab.norms.eval_norm, "
                    "unclab.constants.compute_constant (method grid, modes C_uncond, "
-                   "BOU and schreier), unclab.elton.structured_dp, "
+                   "BOU and schreier), unclab.lp via compute_constant (method "
+                   "fractional_lp, modes C_uncond and K), unclab.elton.structured_dp, "
                    "unclab.ramsey.search_matching, "
                    "the hereditary verb (unclab.ramsey.weakly_hereditary)",
         "seed": SEED,

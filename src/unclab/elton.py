@@ -187,18 +187,18 @@ def _slot_runs(p: EltonParams, a: int, b: int, count: int) -> tuple[list[tuple[i
     return out, l * 2 ** (p.K * b - 1)
 
 
-def _value_runs(p: EltonParams, v: LayoutVector) -> list[tuple[Fraction, int]]:
-    """v on p's layout as value runs (value, length) from coordinate 1.
+def _check_runs(p: EltonParams) -> None:
+    """Refuse more value runs, 2 + 2^(K m1), than the pieces cap (each adds
+    a piece to every shape it extends), before anything computes with 2^K."""
+    check_cap("layout_pieces", 2 + (1 << p.K * p.m1), "layout value runs")
 
-    Every run adds at least one piece to each shape the DP expands over it,
-    so the run count is checked against the pieces cap before the list is
-    built.
-    """
+
+def _value_runs(p: EltonParams, v: LayoutVector) -> list[tuple[Fraction, int]]:
+    """v on p's layout as value runs (value, length) from coordinate 1."""
+    _check_runs(p)
     run = 2 ** (p.K * (p.m2 - p.m1))
-    rounds = 2 ** (p.K * p.m1 - 1)
-    check_cap("layout_pieces", 2 + 2 * rounds, "layout value runs")
     return ([(v.at_first, 1), (v.at_second, 1)]
-            + [(v.on_e1, p.n1 * run), (v.on_e2, p.n2 * run)] * rounds)
+            + [(v.on_e1, p.n1 * run), (v.on_e2, p.n2 * run)] * 2 ** (p.K * p.m1 - 1))
 
 
 # ------------------------------------------------------------ structured dp
@@ -505,6 +505,7 @@ def _certify(p: EltonParams, pair, bound: Fraction) -> tuple[dict, dict]:
 def k_lower_certificate(p: EltonParams) -> dict:
     """Certified ratio ||companion|| / ||vector|| for the standard pair: the
     canonical pairing gives the companion 5/4 and the vector 1."""
+    _check_runs(p)
     bounds = case_bounds(p)
     out, witnesses = _certify(p, lambda: STANDARD_PAIR, bounds["max"])
     minus, plus = STANDARD_PAIR
@@ -521,6 +522,7 @@ def quasi_certificate(p: EltonParams, alpha: Fraction) -> dict:
     equals the level-2/3 threshold projection exactly when alpha < 2/3;
     at alpha = 2/3 the dropped coordinate ties into the threshold set.
     """
+    _check_runs(p)
     qb = quasi_case_bounds(p, alpha)
     out, _ = _certify(p, lambda: quasi_pair(alpha), qb["max"])
     target = Fraction(8, 7) - p.slack

@@ -23,10 +23,6 @@ from .norms import NormInstance, SparseVector, _projections, eval_norm
 from .rationals import _subsets
 
 
-def _kstar_denominator(inst: NormInstance, a: SparseVector) -> Fraction:
-    return max((f.apply(a) for f in inst.functionals), default=Fraction(0))
-
-
 def _linear_pieces(inst: NormInstance):
     """Linear forms whose max is the instance norm (negations included),
     possibly repeated or empty; `_dedupe_forms` keeps the first nonempty
@@ -219,8 +215,9 @@ def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
             if best is None or ratio > best:
                 a_vec = SparseVector.from_pairs(
                     (i, point[i]) for i in range(1, nvars) if point[i] != 0)
-                den = (_kstar_denominator(inst, a_vec) if query.mode == "Kstar"
-                       else eval_norm(inst, a_vec))
+                # Kstar cells come from point rows, so inst.functionals is nonempty
+                den = (max(_dot(f.as_dict(), point) for f in inst.functionals)
+                       if query.mode == "Kstar" else eval_norm(inst, a_vec))
                 best = ratio
                 best_wit = ConstantWitness(
                     a=a_vec, E=E,

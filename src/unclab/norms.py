@@ -53,11 +53,6 @@ class SparseVector(Record):
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries)
 
-    def apply(self, v: "SparseVector") -> Fraction:
-        """This vector as a functional acting on v."""
-        vals = v.as_dict()
-        return sum((c * vals[i] for i, c in self.entries if i in vals), Fraction(0))
-
 
 Functional = SparseVector
 

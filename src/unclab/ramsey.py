@@ -25,13 +25,12 @@ entries and zeroing everything else.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
 from .caps import check_cap
 from .errors import DomainError, InternalError, SchemaError
-from .rationals import _subsets
+from .rationals import _coords
 from .record import Record
 
 
@@ -40,31 +39,21 @@ def _mask(xs) -> int:
     return sum(1 << (c - 1) for c in xs)
 
 
-def _as_sorted_tuple(xs) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(x) for x in xs)))
-    if any(x < 1 for x in out):
-        raise DomainError("set elements must be positive integers")
-    return out
-
-
 class PrefixContinuousMap(Record):
-    """F_1 < ... < F_n read off the `depth` smallest elements of the set."""
+    """F_1 < ... < F_n read off the `depth` smallest elements of the set:
+    `table` maps each prefix, a sorted tuple, to its components."""
     depth: int
     components: int
-    entries: tuple[tuple[tuple[int, ...], tuple[frozenset[int], ...]], ...]
+    table: dict[tuple[int, ...], tuple[frozenset[int], ...]]
 
     def __post_init__(self):
         if self.depth < 1:
             raise DomainError("depth must be >= 1")
         if self.components < 1:
             raise DomainError("need at least one component")
-        seen = set()
-        for prefix, fs in self.entries:
+        for prefix, fs in self.table.items():
             if len(prefix) != self.depth or tuple(sorted(set(prefix))) != prefix:
                 raise DomainError(f"bad prefix {prefix} for depth {self.depth}")
-            if prefix in seen:
-                raise DomainError(f"duplicate prefix {prefix}")
-            seen.add(prefix)
             if len(fs) != self.components:
                 raise DomainError(
                     f"prefix {prefix}: expected {self.components} components, "
@@ -80,22 +69,21 @@ class PrefixContinuousMap(Record):
                     raise DomainError(
                         f"prefix {prefix}: components are not successive")
 
-    @staticmethod
-    def from_dict(depth: int, table: dict) -> "PrefixContinuousMap":
-        items = sorted((tuple(p), tuple(frozenset(F) for F in fs))
-                       for p, fs in table.items())
-        if not items:
-            raise DomainError("empty map table")
-        return PrefixContinuousMap(depth, len(items[0][1]), tuple(items))
-
-    @cached_property
-    def _by_prefix(self) -> dict:
-        # built on first lookup and kept: the map is frozen
-        return dict(self.entries)
-
     def missing_prefixes(self, universe: int) -> list[tuple[int, ...]]:
         return [p for p in combinations(range(1, universe + 1), self.depth)
-                if p not in self._by_prefix]
+                if p not in self.table]
+
+
+def _glue(FL: list[int], FM: list[int]) -> int:
+    """The union of the overlaps of component masks FL and FM, or -1 when
+    some pair is not initial-segment comparable: neither is the other cut
+    at its own top bit."""
+    S = 0
+    for a, b in zip(FL, FM):
+        if a != b & ((1 << a.bit_length()) - 1) and b != a & ((1 << b.bit_length()) - 1):
+            return -1
+        S |= a & b
+    return S
 
 
 def is_initial_segment(A, B) -> bool:
@@ -162,22 +150,13 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
             f"map of depth {pmap.depth} lacks {len(missing)} prefixes on "
             f"universe {universe}, first {missing[0]}")
     h = max(d, horizon if horizon is not None else d)
-    table = pmap._by_prefix
+    table = pmap.table
     full = (1 << universe) - 1
-    prefixes = list(combinations(range(1, universe + 1), d))
-    rows: dict = {}   # L's leading block -> its pair() with every block in prefixes
+    # per block P of M, as masks: P -> (the coordinates above P, P's components)
+    blocks = {_mask(P): (full >> P[-1] << P[-1], [_mask(F) for F in table[P]])
+              for P in combinations(range(1, universe + 1), d)}
+    rows: dict = {}   # L's leading block -> (S, P, above P) per block P, S by _glue
     checked = 0
-
-    def pair(Lpre: tuple[int, ...], P: tuple[int, ...]) -> tuple[int, int, int]:
-        """As masks: S, the union of the component overlaps of Lpre and P (-1
-        when some component pair is not initial-segment comparable), P, and
-        the coordinates above P."""
-        FL, FM = table[Lpre], table[P]
-        comparable = all(is_initial_segment(a, b) or is_initial_segment(b, a)
-                         for a, b in zip(FL, FM))
-        S = _mask(set().union(*(a & b for a, b in zip(FL, FM)))) if comparable else -1
-        return S, _mask(P), full >> P[-1] << P[-1]
-
     base = {
         "universe": universe, "horizon": h,
         "determinacy": {"model": "fixed_depth", "depth": d},
@@ -185,25 +164,29 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
                  "only found witnesses transfer"),
         "strategy": "exhaustive",
     }
-    for L in _subsets(tuple(range(1, universe + 1))):
-        if len(L) < h:   # h >= depth >= 1 skips the empty set
+    for Lm in range(1 << universe):
+        if Lm.bit_count() < h:   # h >= depth >= 1 skips the empty set
             continue
-        Lpre, Lm = L[:d], _mask(L)
-        if Lpre not in rows:
-            rows[Lpre] = [pair(Lpre, P) for P in prefixes]
+        rest = Lm
+        for _ in range(d):
+            rest &= rest - 1   # drop the lowest coordinate
+        lead = Lm ^ rest       # L's leading block: its d lowest coordinates
+        if lead not in rows:
+            FL = blocks[lead][1]
+            rows[lead] = [(_glue(FL, FM), Pm, above) for Pm, (above, FM) in blocks.items()]
         # Every F_j(M) lies in the block P, so S does too, and L matches M
         # exactly when S = P cap L: M is P plus every coordinate above P
         # outside L, so L cap M = P cap L.
-        for i, (S, Pm, above) in enumerate(rows[Lpre]):
+        for i, (S, Pm, above) in enumerate(rows[lead]):
             if S == Pm & Lm:
                 Mm = Pm | above & ~Lm
                 if Mm != Lm and Mm.bit_count() >= h:
                     break
         else:
-            checked += len(prefixes)
+            checked += len(blocks)
             continue
-        M = tuple(c for c in range(1, universe + 1) if Mm >> (c - 1) & 1)
-        wit = MatchingWitness(L, M, table[Lpre], table[prefixes[i]])
+        L, M = (tuple(c for c in range(1, universe + 1) if m >> (c - 1) & 1) for m in (Lm, Mm))
+        wit = MatchingWitness(L, M, table[L[:d]], table[M[:d]])   # M[:d] is P
         if not validate_matching(wit)["ok"]:
             raise InternalError(f"matched pair {L}, {M} fails validate_matching")
         return {**base, "found": True, "witness": wit, "checked": checked + i + 1}
@@ -233,7 +216,7 @@ def weakly_hereditary(members, M=None, mode: str = "weakly") -> dict:
     if M is None:
         restricted = set(members)
     else:
-        Ms = set(_as_sorted_tuple(M))
+        Ms = set(_coords(M))
         restricted = {tuple(ec for ec in p if ec[0] in Ms) for p in members}
     checked = 0
 

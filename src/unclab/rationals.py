@@ -3,9 +3,9 @@
 Wire format is the string "p/q" in lowest terms with q > 0. Parsing is
 lenient (plain integers and surrounding whitespace accepted); emission is
 always canonical, so "2" round-trips to "2/1". The integer kernels scale
-their Fractions to one common denominator here, and the subset generator
-that the LP cells and the matching search share lives here too, so that
-neither layer imports the other for it.
+their Fractions to one common denominator here; the subset generator and
+the coordinate-set normaliser that several layers share live here too, so
+that no layer imports another for them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import RationalFormatError
+from .errors import DomainError, RationalFormatError
 
 
 def parse_rational(text: object) -> Fraction:
@@ -59,3 +59,11 @@ def _subsets(base: tuple[int, ...]):
     n = len(base)
     for mask in range(1 << n):
         yield tuple(base[i] for i in range(n) if mask >> i & 1)
+
+
+def _coords(xs) -> tuple[int, ...]:
+    """The coordinates xs sorted, repeats dropped; refuses one below 1."""
+    out = tuple(sorted(set(xs)))
+    if out and out[0] < 1:
+        raise DomainError("coordinates must be >= 1")
+    return out

@@ -38,14 +38,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
+from .rationals import _coords
 from .record import Record
-
-
-def _coords(E) -> tuple[int, ...]:
-    E = tuple(sorted(set(E)))
-    if E and E[0] < 1:
-        raise DomainError("coordinates must be >= 1")
-    return E
 
 
 def _split(E: tuple[int, ...], fits) -> list[tuple[int, ...]] | None:

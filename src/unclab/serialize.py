@@ -157,8 +157,8 @@ def load_norm_instance(data, where: str = "instance") -> norms.NormInstance:
 
 def load_prefix_map(data, where: str = "map") -> ramsey.PrefixContinuousMap:
     """One document per map: {"depth": d, "entries": [{"prefix": [...],
-    "F": [[...], ...]}, ...]}. Per-entry shape (components inside the prefix
-    and successive) is checked on construction."""
+    "F": [[...], ...]}, ...]}, read into the map's table. A repeated prefix
+    and an empty table are refused here, per-entry shape on construction."""
     depth = _as_int(_require(data, "depth", where), f"{where}.depth")
     entries_raw = _require(data, "entries", where)
     if not isinstance(entries_raw, list):
@@ -175,7 +175,9 @@ def load_prefix_map(data, where: str = "map") -> ramsey.PrefixContinuousMap:
         if prefix in table:
             raise SchemaError(f"{spot}: duplicate prefix {prefix}")
         table[prefix] = F
+    if not table:
+        raise SchemaError(f"{where}: empty map table")
     try:
-        return ramsey.PrefixContinuousMap.from_dict(depth, table)
+        return ramsey.PrefixContinuousMap(depth, len(next(iter(table.values()))), table)
     except DomainError as e:
         raise SchemaError(f"{where}: {e}")

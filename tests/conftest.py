@@ -198,17 +198,20 @@ def dense(v, dim: int) -> list[Fraction]:
     return [av.get(i, Fraction(0)) for i in range(1, dim + 1)]
 
 
+def class_sets(inst) -> list[tuple[int, ...]]:
+    """Every set E of the instance's projection class, each a sorted tuple."""
+    coords = range(1, inst.dim + 1)
+    if inst.projection_class == "all_subsets":
+        return [E for r in range(inst.dim + 1) for E in combinations(coords, r)]
+    if inst.projection_class == "intervals":
+        return [()] + [tuple(range(s, t + 1)) for s in coords for t in range(s, inst.dim + 1)]
+    return [tuple(range(1, t + 1)) for t in range(inst.dim + 1)]
+
+
 def brute_norm(inst, v) -> Fraction:
     """||v|| from the definition, in Fractions: the sup term and f(P_E v) for
     every functional f and every E of the projection class."""
-    coords = range(1, inst.dim + 1)
-    if inst.projection_class == "all_subsets":
-        sets = [E for r in range(inst.dim + 1) for E in combinations(coords, r)]
-    elif inst.projection_class == "intervals":
-        sets = [()] + [tuple(range(s, t + 1)) for s in coords for t in range(s, inst.dim + 1)]
-    else:
-        sets = [tuple(range(1, t + 1)) for t in range(inst.dim + 1)]
-    av = v.as_dict()
+    av, sets = v.as_dict(), class_sets(inst)
     vals = [sum((c * av.get(i, 0) for i, c in f.entries if i in E), Fraction(0))
             for f in inst.functionals for E in sets]
     if inst.include_sup:

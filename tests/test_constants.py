@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (brute_member, brute_norm, brute_oscillation, build_standard,
+from conftest import (apply, brute_member, brute_norm, brute_oscillation, build_standard,
                       kstar_denominator, min_split, restrict, verify_witness)
 from unclab.constants import (
     DEFAULT_STEP,
@@ -390,7 +390,7 @@ def ref_grid_search(inst, query, step):
         for E, extras in ref_feasible_pairs(inst, query, a):
             a_E = restrict(a, E)
             if query.mode == "Kstar":
-                num = extras["kstar_f"].apply(a_E)
+                num = apply(extras["kstar_f"], a_E.as_dict())
             else:
                 num = brute_norm(inst, a_E)
             if query.mode == "A" and query.delta * sum(abs(c) for _, c in a_E.entries) > num:

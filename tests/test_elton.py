@@ -10,6 +10,7 @@ from collections import deque
 
 from conftest import (brute_miniature, dense, dense_layout_values, expand_runs, layout_region,
                       value_runs)
+from unclab import elton
 from unclab.elton import (
     STANDARD_PAIR,
     EltonParams,
@@ -286,6 +287,22 @@ def test_dp_guardrails(monkeypatch):
     runs = _value_runs(P1648, STANDARD_PAIR[0])
     assert len(runs) == 258
     assert structured_dp(P1648, runs)[::2] == (1, 33146)
+
+
+def test_run_count_is_refused_before_any_case_bound(monkeypatch):
+    # K = 10^8 gives 2 + 2^(10^8) value runs; both certificates refuse them
+    # before the case bounds, validate_params or the slack compute with 2^K
+    def spy(*args):
+        raise AssertionError("a refused layout computed with 2^K")
+    for name in ("case_bounds", "quasi_case_bounds", "validate_params"):
+        monkeypatch.setattr(elton, name, spy)
+    monkeypatch.setattr(EltonParams, "slack", property(spy))
+    p = EltonParams(1, 2, 10 ** 8, F(1, 2))
+    for certify in (lambda: k_lower_certificate(p), lambda: quasi_certificate(p, F(1, 2))):
+        with pytest.raises(SizeError) as refused:
+            certify()
+        assert str(refused.value) == ("layout_pieces: layout value runs >= 2^100000000 "
+                                      "exceeds cap 1000000 (override with UNCLAB_CAPS)")
 
 
 def test_dense_layout_and_pairing_equal_per_coordinate_reference():

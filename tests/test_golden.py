@@ -30,15 +30,24 @@ one case per verb and an error case also run as `python -m unclab` in a
 fresh interpreter, against the same files.
 """
 
+import copy
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import child_env
+from conftest import (apply, brute_norm, brute_oscillation, child_env, class_sets,
+                      kstar_denominator, min_split, restrict, verify_witness)
 from unclab import cli
+from unclab import serialize as ser
+from unclab.constants import ConstantQuery
+from unclab.errors import DomainError
+from unclab.norms import SparseVector
+from unclab.rationals import parse_rational
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -126,3 +135,124 @@ def test_golden_report_as_a_process(name, exit_code, args):
     assert proc.returncode == exit_code
     assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
     assert proc.stderr == (GOLDEN / f"{name}.stderr").read_bytes()
+
+
+# ------------------------------------------ goldens checked from definitions
+
+RATIONAL = re.compile(r"-?\d+/\d+")
+
+
+def expect(ok: bool, what: str) -> None:
+    if not ok:
+        raise DomainError(f"report disagrees with its definition: {what}")
+
+
+def check_constant_report(report: dict) -> None:
+    """Re-derive a constant report's value and witness on its instance: the
+    ratio by verify_witness, the denominator by brute_norm (the cloud sup
+    for Kstar), a BOU split as the fewest blocks of oscillation <= d, and an
+    LP piece as one linear piece of ||P_E .|| (for Kstar, the point row on
+    E) that gives the numerator at a."""
+    inputs, w = report["inputs"], report["witness"]
+    inst = ser.load_norm_instance(ser.read_json_file(ROOT / inputs["instance"]))
+    query = ConstantQuery(inputs["mode"], **{
+        key: inputs[key] if key == "order" else parse_rational(inputs[key])
+        for key in ("delta", "D", "d", "order") if key in inputs})
+    a = SparseVector.from_pairs((i, parse_rational(v)) for i, v in w["a"]["entries"])
+    E, index = tuple(w["E"]), w["point_index"]
+    expect(index is None or 0 <= index < len(inst.functionals), "point index")
+    threshold = None if w["threshold"] is None else parse_rational(w["threshold"])
+    ratio = verify_witness(inst, query,
+                           SimpleNamespace(a=a, E=E, threshold=threshold, point_index=index))
+    value = parse_rational(report["value_lower"])
+    expect(ratio == value, "value_lower")
+    expect(report["value_upper"] in (None, report["value_lower"]), "value_upper")
+    num, den = parse_rational(w["numerator"]), parse_rational(w["denominator"])
+    expect(den == (kstar_denominator(inst, a) if query.mode == "Kstar" else brute_norm(inst, a)),
+           "denominator")
+    expect(num == ratio * den, "numerator")
+    if w["decomposition"] is not None:
+        blocks = tuple(map(tuple, w["decomposition"]["blocks"]))
+        expect(blocks == min_split(E, lambda b: brute_oscillation(a, b) <= query.d),
+               "decomposition")
+    if w["piece"] is not None:
+        piece = SparseVector.from_pairs((i, parse_rational(c)) for i, c in w["piece"])
+        if query.mode == "Kstar":
+            pieces = [restrict(inst.functionals[index], E)]
+        else:
+            pieces = [restrict(f, set(S) & set(E)) for f in inst.functionals
+                      for S in class_sets(inst)]
+            if inst.include_sup:
+                pieces += [SparseVector(((i, x),)) for i in E for x in (1, -1)]
+        expect(piece in pieces, "piece")
+        expect(apply(piece, a.as_dict()) == num, "piece at a")
+
+
+def check_norm_report(report: dict) -> None:
+    """Re-derive a norm report's value by brute_norm and its certificate by
+    the rule dual_certificate documents: the first functional attaining the
+    value on a set of the projection class, with the first such set (for
+    all_subsets the functional's positive-part set), else the first
+    coordinate of that size."""
+    inputs = report["inputs"]
+    inst = ser.load_norm_instance(ser.read_json_file(ROOT / inputs["instance"]))
+    v = ser.load_sparse_vector(ser.read_json_file(ROOT / inputs["vector"]))
+    value, av, sets = parse_rational(report["value"]), v.as_dict(), class_sets(inst)
+    expect(value == brute_norm(inst, v), "value")
+    attaining = [k for k, f in enumerate(inst.functionals)
+                 if any(apply(f, restrict(v, S).as_dict()) == value for S in sets)]
+    want = {"value": report["value"], "kind": "zero", "functional_index": None,
+            "projection": None, "coordinate": None}
+    if attaining and v.entries:
+        f = inst.functionals[attaining[0]]
+        if inst.projection_class == "all_subsets":
+            E = [i for i, c in f.entries if c * av.get(i, 0) > 0]
+        else:
+            E = list(next(S for S in sets if apply(f, restrict(v, S).as_dict()) == value))
+        want.update(kind="functional", functional_index=attaining[0], projection=E)
+    elif v.entries:
+        want.update(kind="sup", coordinate=next(i for i, x in v.entries if abs(x) == value))
+    expect(report["certificate"] == want, "certificate")
+
+
+def unit_changes(doc: dict, keys: tuple[str, ...]):
+    """Every copy of doc with one leaf under `keys` changed by one unit: an
+    int raised by one, a "p/q" rational to "(p+1)/q". Yields (path, copy)."""
+    def leaves(node, path):
+        if isinstance(node, (dict, list)):
+            for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+                yield from leaves(child, path + (key,))
+        elif isinstance(node, str) and RATIONAL.fullmatch(node):
+            p, q = node.split("/")
+            yield path, f"{int(p) + 1}/{q}"
+        elif isinstance(node, int) and not isinstance(node, bool):
+            yield path, node + 1
+
+    for key in keys:
+        for path, new in leaves(doc[key], (key,)):
+            changed = copy.deepcopy(doc)
+            spot = changed
+            for step in path[:-1]:
+                spot = spot[step]
+            spot[path[-1]] = new
+            yield path, changed
+
+
+# each checked golden: its check, and the report keys whose leaves are changed
+DEFINITION_CHECKS = {
+    name: (check_norm_report, ("value", "certificate")) if args[0] == "norm"
+    else (check_constant_report, ("value_lower", "value_upper", "witness"))
+    for name, code, args in CASES if args[0] in ("constant", "norm") and code == 0}
+
+
+@pytest.mark.parametrize("name", sorted(DEFINITION_CHECKS))
+def test_golden_report_checks_against_its_definitions(name):
+    check, keys = DEFINITION_CHECKS[name]
+    report = json.loads((GOLDEN / f"{name}.stdout").read_text())
+    check(report)
+    changes = list(unit_changes(report, keys))
+    assert len(changes) >= 4
+    for path, changed in changes:
+        with pytest.raises(DomainError):
+            check(changed)
+            pytest.fail(f"a one-unit change at {path} passes the check")

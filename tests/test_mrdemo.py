@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import apply
 from unclab import serialize as ser
 from unclab.errors import DomainError
 from unclab.mrdemo import coded_norm_instance, mr_demo, phi_index, special_sequence
@@ -39,7 +40,7 @@ def test_special_sequence_placement(family):
         # dual mass: (1/total_weight) per coordinate, block pairing = len/weight
         w = r.total_weight()
         assert all(c == F(1) / w for _, c in b.dual.entries)
-        assert b.dual.apply(b.vector) == sum(r.alpha, F(0)) / w
+        assert apply(b.dual, b.vector.as_dict()) == sum(r.alpha, F(0)) / w
     with pytest.raises(DomainError):
         special_sequence([], 4, 0)
     with pytest.raises(DomainError):

@@ -21,7 +21,7 @@ from unclab.ramsey import (
 
 def identity_map(universe, depth):
     # each prefix maps to itself as the single component
-    return PrefixContinuousMap.from_dict(depth, {
+    return PrefixContinuousMap(depth, 1, {
         p: (frozenset(p),)
         for p in itertools.combinations(range(1, universe + 1), depth)})
 
@@ -40,28 +40,28 @@ def map_b(fixtures):
 
 def test_map_construction_errors():
     with pytest.raises(DomainError):
-        PrefixContinuousMap(0, 1, ())
+        PrefixContinuousMap(0, 1, {})
     with pytest.raises(DomainError):
-        PrefixContinuousMap(1, 0, ())
+        PrefixContinuousMap(1, 0, {})
     with pytest.raises(DomainError):  # unsorted prefix
-        PrefixContinuousMap(2, 1, (((2, 1), (frozenset(),)),))
-    with pytest.raises(DomainError):  # duplicate prefix
-        PrefixContinuousMap(1, 1, (((1,), (frozenset(),)), ((1,), (frozenset(),))))
+        PrefixContinuousMap(2, 1, {(2, 1): (frozenset(),)})
     with pytest.raises(DomainError):  # component count mismatch
-        PrefixContinuousMap(1, 2, (((1,), (frozenset(),)),))
+        PrefixContinuousMap(1, 2, {(1,): (frozenset(),)})
     with pytest.raises(DomainError):  # F leaves the prefix
-        PrefixContinuousMap(2, 1, (((1, 2), (frozenset({3}),)),))
+        PrefixContinuousMap(2, 1, {(1, 2): (frozenset({3}),)})
     with pytest.raises(DomainError):  # components out of order
-        PrefixContinuousMap(2, 2, (((1, 2), (frozenset({2}), frozenset({1}))),))
-    with pytest.raises(DomainError):
-        PrefixContinuousMap.from_dict(1, {})
+        PrefixContinuousMap(2, 2, {(1, 2): (frozenset({2}), frozenset({1}))})
+    # a duplicate prefix and an empty table are refused by the loader, which
+    # builds the table
+    with pytest.raises(SchemaError, match="^map: empty map table$"):
+        ser.load_prefix_map({"depth": 1, "entries": []})
     # empty components may interleave anywhere
-    PrefixContinuousMap(2, 3, (((1, 2), (frozenset({1}), frozenset(), frozenset({2}))),))
+    PrefixContinuousMap(2, 3, {(1, 2): (frozenset({1}), frozenset(), frozenset({2}))})
 
 
 def test_map_missing_prefixes():
     pmap = identity_map(4, 2)
-    small = PrefixContinuousMap.from_dict(2, {(1, 2): (frozenset({1}),)})
+    small = PrefixContinuousMap(2, 1, {(1, 2): (frozenset({1}),)})
     assert len(small.missing_prefixes(4)) == 5
     assert pmap.missing_prefixes(4) == []
 
@@ -143,8 +143,7 @@ def test_search_reported_pair_from_small_universe(map_a):
     # the classic small example for the one-component prefix map: shared
     # leading block, disjoint continuations
     L, M = (1, 2, 3, 5), (1, 2, 4, 6)
-    table = dict(map_a.entries)
-    w = MatchingWitness(L, M, table[L[:map_a.depth]], table[M[:map_a.depth]])
+    w = MatchingWitness(L, M, map_a.table[L[:map_a.depth]], map_a.table[M[:map_a.depth]])
     assert validate_matching(w)["ok"]
 
 
@@ -156,8 +155,7 @@ def test_search_constant_and_pointer_maps():
     # constant map: prefix ignored entirely, empty component everywhere;
     # any L, M with disjoint... overlap must be empty, so M completes away
     # from L
-    const = PrefixContinuousMap.from_dict(
-        1, {(u,): (frozenset(),) for u in range(1, 7)})
+    const = PrefixContinuousMap(1, 1, {(u,): (frozenset(),) for u in range(1, 7)})
     rep = search_matching(const, 6, horizon=2)
     assert rep["found"]
     w = rep["witness"]
@@ -169,7 +167,7 @@ def test_search_guards(map_a):
     assert rep["found"] is False and rep["witness"] is None
     assert rep["checked"] == 0
     assert "inconclusive" in rep["note"]
-    partial = PrefixContinuousMap.from_dict(2, {(1, 2): (frozenset({1}),)})
+    partial = PrefixContinuousMap(2, 1, {(1, 2): (frozenset({1}),)})
     with pytest.raises(SchemaError):
         search_matching(partial, 4)
     with pytest.raises(SizeError):
@@ -177,16 +175,16 @@ def test_search_guards(map_a):
 
 
 def test_search_cap_counts_pairs(monkeypatch):
-    def no_row(*args):
-        raise AssertionError("a refused scan built a row")
+    def no_mask(*args):
+        raise AssertionError("a refused scan masked a block")
 
     # 2^13 C(13, 6) = 14 057 472 (L, block) pairs exceed the default 10^7:
     # refused before the prefix check, so a partial map gets the SizeError,
-    # and before the scan builds a row
-    monkeypatch.setattr(ramsey, "is_initial_segment", no_row)
-    full = PrefixContinuousMap.from_dict(6, {
+    # and before the scan masks a block
+    monkeypatch.setattr(ramsey, "_mask", no_mask)
+    full = PrefixContinuousMap(6, 1, {
         p: (frozenset(),) for p in itertools.combinations(range(1, 14), 6)})
-    partial = PrefixContinuousMap.from_dict(6, {(1, 2, 3, 4, 5, 6): (frozenset(),)})
+    partial = PrefixContinuousMap(6, 1, {(1, 2, 3, 4, 5, 6): (frozenset(),)})
     for pmap in (full, partial):
         with pytest.raises(SizeError, match="match_pairs: .* = 14057472 exceeds cap 10000000"):
             search_matching(pmap, 13, horizon=7)
@@ -208,7 +206,7 @@ def ref_search_matching(pmap, universe, horizon):
     # validate_matching; returns (found, witness, checked)
     d = pmap.depth
     h = max(d, horizon)
-    table = dict(pmap.entries)
+    table = pmap.table
     prefixes = list(itertools.combinations(range(1, universe + 1), d))
 
     def try_pair(L, FL, P):
@@ -252,7 +250,7 @@ def random_prefix_map(rng, universe, depth, components):
         blocks = [P[lo:hi] for lo, hi in zip([0] + cuts, cuts + [depth])]
         table[P] = tuple(frozenset(rng.sample(b, rng.randint(1, len(b))) if b else ())
                          for b in blocks)
-    return PrefixContinuousMap.from_dict(depth, table)
+    return PrefixContinuousMap(depth, components, table)
 
 
 def test_search_equals_set_based_reference():
@@ -366,10 +364,10 @@ def test_hereditary_closure_implies_weakly():
 
 def test_load_prefix_map_round_trip(map_a):
     assert map_a.depth == 2 and map_a.components == 1
-    assert len(map_a.entries) == 66
+    assert len(map_a.table) == 66
     data = {"depth": 2, "entries": [
         {"prefix": list(p), "F": [sorted(f) for f in fs]}
-        for p, fs in map_a.entries]}
+        for p, fs in map_a.table.items()]}
     again = ser.load_prefix_map(data)
     assert again == map_a
     with pytest.raises(SchemaError):

@@ -1,6 +1,7 @@
 """The record base that the library's value types derive from."""
 
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
@@ -8,6 +9,7 @@ from unclab.caps import Caps, load_caps
 from unclab.constants import ConstantQuery, ConstantReport
 from unclab.errors import DomainError
 from unclab.norms import SparseVector
+from unclab.record import Record
 from unclab.ramsey import PrefixContinuousMap
 from unclab.resolutions import Resolution
 from unclab.serialize import to_jsonable
@@ -71,9 +73,19 @@ def test_records_refuse_assignment(monkeypatch):
 
 
 def test_cached_property_on_a_frozen_record():
-    m = PrefixContinuousMap.from_dict(1, {(1,): (frozenset(),), (2,): (frozenset({2}),)})
-    assert m._by_prefix is m._by_prefix
-    assert m.missing_prefixes(3) == [(3,)]
+    # cached_property writes the instance dict directly, so it works on a
+    # frozen record
+    class Prefixes(Record):
+        table: dict
+
+        @cached_property
+        def keys(self) -> frozenset:
+            return frozenset(self.table)
+
+    m = Prefixes({(1,): (), (2,): ()})
+    assert m.keys is m.keys == {(1,), (2,)}
+    with pytest.raises(AttributeError, match="frozen"):
+        m.keys = frozenset()
 
 
 def test_equality_hash_and_repr_over_the_fields():
