@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the exact kernels alone (the bracket DP, eval_norm, the grid, the
-LP, the structured DP, the hereditary check, the matching search) and
-start-up.
+LP, the structured DP, the matching search, the hereditary check, the
+mr-demo report) and start-up.
 
     python3 scripts/bench_kernels.py [--lengths 100,300,1000] [--runs 5]
         [--parent-src DIR] > BENCH.json
@@ -50,9 +50,7 @@ workloads' inputs:
              and K = 3 layout jobs, rungs 2 and 3 (universes 34818 and
              2129922) being no workload's job; work counters universe and
              pieces, the pieces the piecewise-linear DP builds, as the call
-             returns them (a side whose structured_dp takes one value per
-             coordinate is given that sequence and reports its cells, the
-             value runs above b times the slots, instead)
+             returns them
   weakly_hereditary
              the `hereditary` verb's body, remark_family and
              weakly_hereditary on each sampled restriction set, on a
@@ -64,6 +62,12 @@ workloads' inputs:
              drawn as the certificates workload draws its match jobs (depth
              2, every component empty, so no pair matches); work counter
              checked
+  mr_demo    mr_demo at k = 10 on the family of perfbench's MR_FAMILY,
+             drawn as the certificates workload draws its largest mr-demo
+             job, and at k = 16 on a seeded family of three resolutions of
+             lengths 300..500 (no workload's job); work counters universe
+             and functionals, the size of the coded norm's family with its
+             negations
 Each size is timed `runs` times and reports the median and the spread
 (slowest minus fastest) of its run times next to its work counter, with a
 digest of its results.
@@ -114,6 +118,8 @@ DP_RUNGS = (("rung2", (1, 16, 6, Fraction(1, 20))),   # n1, n2, K, eps of the la
             ("rung3", (1, 64, 8, Fraction(1, 50))))   # rungs 2 and 3
 HEREDITARY_SLOTS = (("hereditary", "hereditary"), ("hereditary", "weakly"))
 MATCH_SLOTS = (("match", 10, 6), ("match", 11, 6))   # Certificates.SLOTS entries
+MR_SLOT = ("mr_demo", 10)   # a Certificates.SLOTS entry
+MR_DRAWN = (16, 3, 300, 500)   # k, members and their least and greatest lengths
 STARTUP = (("help", ["--help"]),
            ("bracket", ["bracket", "tests/fixtures/resolution_r.json",
                         "tests/fixtures/resolution_s.json"]),
@@ -149,16 +155,6 @@ def run_child(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
         sys.stderr.write(proc.stderr)
         sys.exit(1)
     return proc
-
-
-def kernel_names(lengths: list[int]) -> list[str]:
-    """The kernel of each size, in the order `sizes` yields them."""
-    return (["startup"] * len(STARTUP) + ["bracket"] * len(lengths)
-            + ["eval_norm"] * len(NORM_SIZES) + ["grid"] * len(GRID_SIZES)
-            + ["lp"] * len(LP_SIZES)
-            + ["structured_dp"] * (len(DP_SLOTS) + len(DP_RUNGS))
-            + ["search_matching"] * len(MATCH_SLOTS)
-            + ["weakly_hereditary"] * len(HEREDITARY_SLOTS))
 
 
 def write_document(header: dict, entries) -> None:
@@ -202,14 +198,16 @@ def sizes(lengths: list[int]):
     from workloads import Brackets, Certificates, Constants
 
     import unclab
-    from unclab import cli, elton
+    from unclab import cli
     from unclab.constants import ConstantQuery, compute_constant
-    from unclab.elton import STANDARD_PAIR, EltonParams, structured_dp
+    from unclab.elton import STANDARD_PAIR, EltonParams, _value_runs, structured_dp
+    from unclab.mrdemo import coded_norm_instance, mr_demo, special_sequence
     from unclab.norms import SparseVector, eval_norm
     from unclab.ramsey import search_matching
     from unclab.rationals import parse_rational
     from unclab.resolutions import Resolution, bracket
-    from unclab.serialize import dump_json, load_norm_instance, load_prefix_map
+    from unclab.serialize import (dump_json, load_norm_instance, load_prefix_map,
+                                  load_resolution_list)
 
     def digest(obj) -> str:
         return hashlib.sha256(dump_json(obj).encode()).hexdigest()
@@ -292,14 +290,11 @@ def sizes(lengths: list[int]):
         dp_cases.append((slot[0], EltonParams(int(opts["--n1"]), int(opts["--n2"]),
                                               int(opts["--K"]), parse_rational(opts["--eps"]))))
     dp_cases += [(case, EltonParams(*params)) for case, params in DP_RUNGS]
-    # a tree whose structured_dp takes one value per coordinate counts cells
-    values, work = ((elton._value_runs, "pieces") if hasattr(elton, "_value_runs")
-                    else (elton._dense_values, "cells"))
     for case, p in dp_cases:
         yield ("structured_dp", {"case": case, "n1": p.n1, "n2": p.n2, "K": p.K,
                                  "universe": p.universe},
-               lambda p=p: structured_dp(p, values(p, STANDARD_PAIR[0])),
-               lambda out: {work: out[2],
+               lambda p=p: structured_dp(p, _value_runs(p, STANDARD_PAIR[0])),
+               lambda out: {"pieces": out[2],
                             "value": f"{out[0].numerator}/{out[0].denominator}",
                             "digest": digest(list(out[:2]))})
     for slot in MATCH_SLOTS:
@@ -321,6 +316,24 @@ def sizes(lengths: list[int]):
                lambda out: {"family_size": out["family_size"],
                             "checked": sum(run["checked"] for run in out["runs"]),
                             "digest": digest(out)})
+    argv = certs.make_mr_demo(*MR_SLOT[1:])[1]
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    mr_cases = [("MR_FAMILY", load_resolution_list(certs.doc), int(opts["--k"]),
+                 int(opts["--seed"]))]
+    k, members, low, high = MR_DRAWN
+    colours = pairs.rng.randint(2, 6)
+    drawn = [Resolution(colours, tuple(pattern), tuple(alpha)) for _, pattern, alpha in (
+        pairs.resolution(pairs.rng.randint(low, high), colours) for _ in range(members))]
+    mr_cases.append(("drawn", drawn, k, pairs.rng.randint(0, 10 ** 6)))
+    for case, family, k, seed in mr_cases:
+        yield ("mr_demo", {"family": case, "lengths": [len(r) for r in family],
+                           "k": k, "seed": seed},
+               lambda family=family, k=k, seed=seed: mr_demo(family, k, seed),
+               lambda report, family=family, k=k, seed=seed: {
+                   "universe": report["universe"],
+                   "functionals": len(coded_norm_instance(
+                       special_sequence(family, k, seed)).functionals),
+                   "digest": digest(report)})
 
 
 def measure(size, runs: int) -> dict:
@@ -350,7 +363,8 @@ def main() -> None:
                    "BOU and schreier), unclab.lp via compute_constant (method "
                    "fractional_lp, modes C_uncond and K), unclab.elton.structured_dp, "
                    "unclab.ramsey.search_matching, "
-                   "the hereditary verb (unclab.ramsey.weakly_hereditary)",
+                   "the hereditary verb (unclab.ramsey.weakly_hereditary), "
+                   "unclab.mrdemo.mr_demo",
         "seed": SEED,
         "runs": args.runs,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
@@ -406,7 +420,7 @@ def main() -> None:
         return entry
 
     write_document(header, ((kernel, compare(i))
-                            for i, kernel in enumerate(kernel_names(lengths))))
+                            for i, (kernel, *_) in enumerate(sizes(lengths))))
     if faults:
         sys.exit(f"a side failed or the sides disagree at sizes {faults}")
 

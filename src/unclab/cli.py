@@ -117,6 +117,14 @@ def verb(name: str, *arguments):
     return register
 
 
+def _integers(option: str, text: str) -> tuple[int, ...]:
+    """The comma separated integers an option's value lists."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise errors.DomainError(f"{option} must be comma separated integers, got {text!r}")
+
+
 @verb("bracket",
       arg("left_path", metavar="LEFT"),
       arg("right_path", metavar="RIGHT"),
@@ -153,11 +161,7 @@ def rademacher(k0, m, n, ns, auto_ns):
     if auto_ns:
         ns = resolutions.choose_multiplicities(k0)
     else:
-        try:
-            ns = tuple(int(x) for x in ns.split(","))
-        except ValueError:
-            raise errors.DomainError(
-                f"--ns must be comma separated integers, got {ns!r}")
+        ns = _integers("--ns", ns)
     family = resolutions.rademacher_family(k0, ns, n, m)
     labels = [f"R(n={n * k0 ** (m - l)},l={l})" for l in range(1, m + 1)]
     directed = [[resolutions.bracket(a, b)[0] for b in family] for a in family]
@@ -303,11 +307,7 @@ def hereditary(universe, m1, m2, mode, restrict, samples, seed):
     if restrict is not None:
         if samples is not None or seed is not None:
             raise errors.DomainError("--restrict excludes --samples and --seed")
-        try:
-            M = sorted(int(x) for x in restrict.split(","))
-        except ValueError:
-            raise errors.DomainError(
-                f"--restrict must be comma separated integers, got {restrict!r}")
+        M = sorted(_integers("--restrict", restrict))
         inputs["restrict"] = M
         out.update(ramsey.weakly_hereditary(family, M, mode=mode))
     elif samples is not None:

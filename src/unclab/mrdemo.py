@@ -2,8 +2,8 @@
 
 Places k scaled copies of family members on consecutive coordinate
 intervals, the next copy chosen by a seeded deterministic successor index
-(the coding map phi), and measures them in the norm generated by the placed
-dual functionals summed over block intervals, joined with the sup norm.
+(the coding map phi), and measures them in the norm one functional, the
+placed duals concatenated, generates over intervals, joined with the sup norm.
 
 Interval functionals see an alternating-sign block sum with mass at most 1,
 while the two single-parity sums keep their full block counts, so the split
@@ -63,21 +63,18 @@ def special_sequence(family: list[Resolution], k: int, seed: int) -> list[Placed
 
 
 def coded_norm_instance(blocks: list[PlacedBlock]) -> NormInstance:
-    """Norm from block-interval sums of the placed duals, plus the sup term.
+    """Interval norm of f, the placed duals concatenated (their supports are
+    disjoint and rise), and -f, which `NormInstance.build` adds, with sup term.
 
-    Supports are disjoint, so merging entries of consecutive duals is a
-    plain concatenation.
+    It is the norm of the block-interval sums f_{j1..j2}: blocks j1..j2 cover
+    an interval C that no other dual meets, so f_{j1..j2} is f on C and 0 off
+    it, f_{j1..j2}(P_I v) = f(P_{I n C} v) with I n C an interval or empty,
+    and f = f_{1..k}. So too for the negations.
     """
     dim = max(c for c, _ in blocks[-1].vector.entries)
-    functionals = []
-    for j1 in range(len(blocks)):
-        entries: list[tuple[int, Fraction]] = []
-        for j2 in range(j1, len(blocks)):
-            entries.extend(blocks[j2].dual.entries)
-            functionals.append(Functional.from_pairs(entries))
+    f = Functional(tuple(e for b in blocks for e in b.dual.entries))
     return NormInstance.build(
-        dim=dim, functionals=tuple(functionals),
-        projection_class="intervals", include_sup=True)
+        dim=dim, functionals=(f,), projection_class="intervals", include_sup=True)
 
 
 def mr_demo(family: list[Resolution], k: int, seed: int) -> dict:

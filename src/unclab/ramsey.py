@@ -261,6 +261,8 @@ def remark_family(universe: int, m1: int = 1, m2: int = 2) -> tuple[tuple, ...]:
     """
     if not (1 <= m1 < m2):
         raise DomainError("need 1 <= m1 < m2")
+    if universe < 0:
+        raise DomainError(f"universe must be >= 0, got {universe}")
     check_cap("remark_universe", universe, "universe")
     width = m2 + 1
     colours = (2,) + (1,) * m1 + (2,) * (m2 - m1)

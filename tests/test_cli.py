@@ -513,6 +513,26 @@ def test_out_of_range_sample_counts_are_refused():
     assert err_json(proc) == {"error": "--samples must be >= 1, got 0", "kind": "DomainError"}
 
 
+def test_negative_hereditary_universe_is_a_domain_error():
+    # it would otherwise exit 5 from random.sample, or report an empty family
+    for universe, extra in (("-1", ["--samples", "1", "--seed", "0"]), ("-3", [])):
+        proc = run("hereditary", "--universe", universe, *extra, check=1)
+        assert proc.stdout == ""
+        assert err_json(proc) == {"error": f"universe must be >= 0, got {universe}",
+                                  "kind": "DomainError"}
+    assert out_json(run("hereditary", "--universe", "0", check=0))["family_size"] == 0
+
+
+def test_integer_lists_name_their_option():
+    proc = run("rademacher", "--k0", "2", "--m", "3", "--n", "1", "--ns", "1,x", check=1)
+    assert err_json(proc) == {"error": "--ns must be comma separated integers, got '1,x'",
+                              "kind": "DomainError"}
+    proc = run("hereditary", "--universe", "12", "--restrict", "1,,4", check=1)
+    assert err_json(proc) == {
+        "error": "--restrict must be comma separated integers, got '1,,4'",
+        "kind": "DomainError"}
+
+
 def test_fixture_round_trips(fixtures):
     # parse -> canonical dump -> parse is the identity on every fixture kind
     r = ser.load_resolution(ser.read_json_file(str(fixtures / "resolution_r.json")))

@@ -1,13 +1,15 @@
 """Coded special-sequence demo: placement, norm instance, report freeze."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import apply
+from conftest import apply, rand_resolution, rand_sparse
 from unclab import serialize as ser
 from unclab.errors import DomainError
 from unclab.mrdemo import coded_norm_instance, mr_demo, phi_index, special_sequence
+from unclab.norms import Functional, NormInstance, SparseVector, eval_norm
 
 
 @pytest.fixture
@@ -55,9 +57,38 @@ def test_coded_norm_instance_shape(family):
     assert inst.dim == 12
     assert inst.projection_class == "intervals"
     assert inst.include_sup
-    # one functional per block interval [j1, j2], 4 + 3 + 2 + 1 of them,
-    # each with its negation
-    assert len(inst.functionals) == 20
+    # the placed duals concatenated, and its negation
+    assert len(inst.functionals) == 2
+    assert inst.functionals[0].entries == tuple(
+        e for b in blocks for e in b.dual.entries)
+
+
+def block_interval_instance(blocks) -> NormInstance:
+    """The norm by its definition: one functional per block interval
+    [j1, j2], the sum of the placed duals of blocks j1..j2, over intervals."""
+    k = len(blocks)
+    sums = [Functional.from_pairs([e for b in blocks[j1:j2 + 1] for e in b.dual.entries])
+            for j1 in range(k) for j2 in range(j1, k)]
+    dim = max(c for c, _ in blocks[-1].vector.entries)
+    return NormInstance.build(dim, sums, "intervals", include_sup=True)
+
+
+def test_coded_norm_equals_block_interval_family(family):
+    rng = random.Random(33)
+    families = [family] + [[rand_resolution(rng, max_len=5) for _ in range(rng.randint(1, 4))]
+                           for _ in range(6)]
+    for members in families:
+        for k in range(2, 13):
+            blocks = special_sequence(members, k, rng.randint(0, 10 ** 6))
+            inst, oracle = coded_norm_instance(blocks), block_interval_instance(blocks)
+            assert len(oracle.functionals) == k * (k + 1)
+            sums = [SparseVector.from_pairs(
+                (i, -v if alternate and j % 2 == 0 else v)
+                for j in stages for i, v in blocks[j].vector.entries)
+                for stages, alternate in ((range(k), True), (range(0, k, 2), False),
+                                          (range(1, k, 2), False))]
+            for v in sums + [rand_sparse(rng, inst.dim) for _ in range(4)]:
+                assert eval_norm(inst, v) == eval_norm(oracle, v)
 
 
 def test_mr_demo_frozen(family):

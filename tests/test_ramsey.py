@@ -309,6 +309,9 @@ def test_remark_family_frozen():
         remark_family(12, m1=2, m2=2)
     with pytest.raises(SizeError):
         remark_family(21)
+    with pytest.raises(DomainError, match=r"^universe must be >= 0, got -1$"):
+        remark_family(-1)
+    assert remark_family(0) == ()
 
 
 def test_weakly_hereditary_frozen_violations():

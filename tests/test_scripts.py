@@ -36,7 +36,7 @@ def test_bench_kernels_passes_on_a_failing_childs_stderr(tmp_path):
     assert "No module named 'unclab'" in proc.stderr
     sizes = [entry for entries in json.loads(proc.stdout)["sizes"].values()
              for entry in entries]
-    assert len(sizes) == 26
+    assert len(sizes) == 28
     for entry in sizes:
         assert entry["parent"] == {"failed": "ModuleNotFoundError: No module named 'unclab'"}
         assert entry["change"]["median_s"] > 0
