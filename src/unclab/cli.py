@@ -167,6 +167,7 @@ def rademacher(k0, m, n, ns, auto_ns):
     directed = [[resolutions.bracket(a, b)[0] for b in family] for a in family]
     matrix = [[max(directed[i][j], directed[j][i]) for j in range(m)] for i in range(m)]
     off_diag = [matrix[i][j] for i in range(m) for j in range(m) if i != j]
+    same, cross = resolutions.rademacher_bounds(k0, ns)
     out = {
         "ris_condition": resolutions.ris_condition(k0, ns),
         "labels": labels,
@@ -174,9 +175,8 @@ def rademacher(k0, m, n, ns, auto_ns):
         "pairwise": matrix,
         "max_diagonal": max(matrix[i][i] for i in range(m)),
         "max_off_diagonal": max(off_diag) if off_diag else None,
-        "bound_same_level": resolutions.rademacher_bound(k0, ns, 1, 1),
-        "bound_cross_levels": (resolutions.rademacher_bound(k0, ns, 1, 2)
-                               if m > 1 else None),
+        "bound_same_level": same,
+        "bound_cross_levels": cross if m > 1 else None,
     }
     return {"k0": k0, "m": m, "n": n, "ns": list(ns)}, out
 
@@ -186,11 +186,7 @@ def rademacher(k0, m, n, ns, auto_ns):
       arg("--k", type=int, required=True))
 def chain(patterns, k):
     """Longest embedding chain among colour patterns."""
-    data = ser.read_json_file(patterns)
-    if not isinstance(data, list):
-        raise errors.SchemaError("patterns: expected a list of colour lists")
-    colour_lists = [tuple(ser._as_int_list(p, f"patterns[{i}]"))
-                    for i, p in enumerate(data)]
+    colour_lists = ser.load_patterns(ser.read_json_file(patterns))
     indices = resolutions.longest_chain(colour_lists, k)
     out = {"count": len(colour_lists), "length": len(indices),
            "chain": indices,

@@ -93,7 +93,7 @@ class ConstantReport(Record):
     value_lower: Fraction
     value_upper: Fraction | None
     witness: ConstantWitness | None
-    details: dict = {}
+    details: dict
 
 
 def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> ConstantReport:

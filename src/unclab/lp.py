@@ -198,9 +198,11 @@ def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
         if not value_form:
             # Charnes-Cooper: y = a * t with t = 1 / ||a|| (variable 0) turns
             # the ratio into max num.y over the rows homogenised in t and
-            # ||y|| <= 1; (y, t) = 0 is feasible, so None means unbounded
+            # ||y|| <= 1; (y, t) = 0 is feasible, so None means unbounded.
+            # The homogenised box rows y_i - t <= 0 and -y_i - t <= 0 sum to
+            # t >= 0, so t needs no row of its own
             rows = ([({**f, 0: -rhs}, 0) for f, rhs in rows]
-                    + [(f, 1) for f in den_forms] + [({0: -1}, 0)])
+                    + [(f, 1) for f in den_forms])
         for num_form in nums:
             cells += 1
             res = _lp_max(num_form, rows, nvars)

@@ -60,8 +60,8 @@ Functional = SparseVector
 class NormInstance(Record):
     dim: int
     functionals: tuple[Functional, ...]
-    projection_class: str = "initial_segments"
-    include_sup: bool = True
+    projection_class: str
+    include_sup: bool
 
     @staticmethod
     def build(dim: int, functionals, projection_class: str = "initial_segments",

@@ -200,7 +200,7 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
 # (length, pairs).
 
 
-def weakly_hereditary(members, M=None, mode: str = "weakly") -> dict:
+def weakly_hereditary(members, M=None, *, mode: str) -> dict:
     """Closure check for the restriction family F_M of the patterns in
     members, with a counterexample.
 

@@ -1,11 +1,11 @@
 """Exact rational parsing and canonical formatting.
 
-Wire format is the string "p/q" in lowest terms with q > 0. Parsing is
-lenient (plain integers and surrounding whitespace accepted); emission is
-always canonical, so "2" round-trips to "2/1". The integer kernels scale
-their Fractions to one common denominator here; the subset generator and
-the coordinate-set normaliser that several layers share live here too, so
-that no layer imports another for them.
+Wire format is the string "p/q" in lowest terms with q > 0. Parsing reads
+strings only and is lenient (plain integers and surrounding whitespace
+accepted); emission is always canonical, so "2" round-trips to "2/1". The
+integer kernels scale their Fractions to one common denominator here; the
+subset generator and the coordinate-set normaliser that several layers
+share live here too, so that no layer imports another for them.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from math import lcm
 from .errors import DomainError, RationalFormatError
 
 
-def parse_rational(text: object) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
+def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise RationalFormatError(f"expected rational string, got {type(text).__name__}")
     s = text.strip()
@@ -26,13 +24,7 @@ def parse_rational(text: object) -> Fraction:
         raise RationalFormatError("empty rational literal")
     num, slash, den = s.partition("/")
     try:
-        p = int(num)
-    except ValueError:
-        raise RationalFormatError(f"malformed rational {text!r}")
-    if not slash:
-        return Fraction(p)
-    try:
-        q = int(den)
+        p, q = int(num), int(den) if slash else 1
     except ValueError:
         raise RationalFormatError(f"malformed rational {text!r}")
     if q == 0:

@@ -2,11 +2,10 @@
 
 A subclass of `Record` declares its fields as class annotations, in order,
 with class-level defaults for the trailing ones; `_fields` lists their
-names. A record is built from its fields by position or by keyword, a dict
-default is copied for each record, and `__post_init__` runs last, so a
-subclass validates its fields there. Records are frozen: the constructor
-writes the fields into the instance dict, and every assignment raises
-AttributeError. Records compare, hash and print by their fields.
+names. A record is built from its fields by position or by keyword, and
+`__post_init__` runs last, so a subclass validates its fields there.
+Records are frozen: the constructor writes the fields into the instance
+dict, and every assignment raises AttributeError. Records compare, hash and print by their fields.
 """
 
 
@@ -23,9 +22,7 @@ class Record:
                     or set(rest) - kwargs.keys() - defaults.keys()):
                 raise TypeError(f"{type(self).__name__} takes the fields {names}, "
                                 f"with defaults for {tuple(defaults)}")
-            args += tuple(kwargs[n] if n in kwargs else
-                          dict(defaults[n]) if type(defaults[n]) is dict else defaults[n]
-                          for n in rest)
+            args += tuple(kwargs[n] if n in kwargs else defaults[n] for n in rest)
         self.__dict__.update(zip(names, args))
         self.__post_init__()
 

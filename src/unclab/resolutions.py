@@ -248,24 +248,21 @@ def choose_multiplicities(k0: int) -> tuple[int, ...]:
     return tuple(ns)
 
 
-def rademacher_bound(k0: int, ns: tuple[int, ...], l: int, l2: int) -> Fraction:
-    """Certified upper bound for <R_{n,l}, R_{n',l2}> within one class.
+def rademacher_bounds(k0: int, ns: tuple[int, ...]) -> tuple[Fraction, Fraction]:
+    """Certified upper bounds for <R_{n,l}, R_{n',l2}> within one class: on
+    one level (l = l2) and across two levels (l != l2).
 
     Same level: 1 + 2/k0. Different levels: 2^(-k0) + (1/k0) * sum_{j<j'}
     2^((j'-j)k0) ns_j/ns_j' + 3/k0, which stays below 5/k0 once the ris
     condition holds.
     """
-    if l < 1 or l2 < 1:
-        raise DomainError("levels must be >= 1")
     if len(ns) != k0:
         raise DomainError(f"need {k0} multiplicities, got {len(ns)}")
-    if l == l2:
-        return 1 + Fraction(2, k0)
     cross = Fraction(0)
     for j in range(1, k0 + 1):
         for j2 in range(j + 1, k0 + 1):
             cross += TWO ** ((j2 - j) * k0) * Fraction(ns[j - 1], ns[j2 - 1])
-    return TWO ** (-k0) + cross / k0 + Fraction(3, k0)
+    return 1 + Fraction(2, k0), TWO ** (-k0) + cross / k0 + Fraction(3, k0)
 
 
 def explore_orthogonal_family(eta: Fraction) -> dict:

@@ -123,11 +123,17 @@ def _load_entries(items: list, where: str) -> norms.SparseVector:
 
 
 def load_sparse_vector(data, where: str = "vector") -> norms.SparseVector:
-    if isinstance(data, dict):
-        data = _require(data, "entries", where)
-    if not isinstance(data, list):
+    entries = _require(data, "entries", where)
+    if not isinstance(entries, list):
         raise SchemaError(f"{where}: expected a list of entries")
-    return _load_entries(data, where)
+    return _load_entries(entries, where)
+
+
+def load_patterns(data, where: str = "patterns") -> list[tuple[int, ...]]:
+    """A list of colour lists."""
+    if not isinstance(data, list):
+        raise SchemaError(f"{where}: expected a list of colour lists")
+    return [tuple(_as_int_list(p, f"{where}[{i}]")) for i, p in enumerate(data)]
 
 
 def load_norm_instance(data, where: str = "instance") -> norms.NormInstance:

@@ -27,7 +27,7 @@ from unclab.ramsey import (MatchingWitness, remark_family, search_matching,
                            validate_matching, weakly_hereditary)
 from unclab.resolutions import (Resolution, bracket, build_rademacher,
                                 mutual_bracket, pattern_embeds,
-                                rademacher_bound, ris_condition)
+                                rademacher_bounds, ris_condition)
 from unclab.schreier import schreier_decompose
 from unclab.serialize import load_prefix_map
 
@@ -110,13 +110,15 @@ def test_criterion_3(capsys):
         mults = [n * k0 ** (m - l) for l in range(1, m + 1)]
         fam = [build_rademacher(k0, ns, mults[l - 1], l) for l in range(1, m + 1)]
         assert [len(r) for r in fam] == [72, 72, 72]
+        same, cross = rademacher_bounds(k0, ns)
+        assert same == 2
         for i in range(m):
             for j in range(m):
                 mb = mutual_bracket(fam[i], fam[j])
                 if i == j:
-                    assert mb <= rademacher_bound(k0, ns, i + 1, i + 1) == 2
+                    assert mb <= same
                 else:
-                    assert mb <= rademacher_bound(k0, ns, i + 1, j + 1)
+                    assert mb <= cross
                     assert mb <= F(5, 2)
 
 

@@ -262,6 +262,17 @@ def test_exit_code_4_schema(tmp_path):
     assert err_json(proc)["kind"] == "SchemaError"
 
 
+def test_a_vector_document_is_an_object(tmp_path):
+    # a vector is {"entries": [...]}; the bare list of entries is refused
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(json.loads(open(fx("vector_a.json")).read())["entries"]))
+    proc = run("norm", "--instance", fx("norm_summing4.json"), "--vector", str(bare),
+               check=4)
+    assert err_json(proc) == {"error": "vector: expected an object, got list",
+                              "kind": "SchemaError"}
+    assert proc.stdout == ""
+
+
 def test_exit_code_1_domain_and_caps():
     proc = run("rademacher", "--k0", "2", "--m", "0", "--n", "1", "--auto-ns",
                check=1)

@@ -20,7 +20,7 @@ def test_fields_are_the_annotations_in_order():
     assert ConstantReport._fields == ("mode", "method", "value_lower", "value_upper",
                                       "witness", "details")
     assert Caps._fields[:3] == ("grid_pairs", "lp_dim", "layout_pieces")
-    rep = ConstantReport("K", "grid", F(1), None, None)
+    rep = ConstantReport("K", "grid", F(1), None, None, {})
     assert list(to_jsonable(rep)) == list(ConstantReport._fields)
 
 
@@ -39,12 +39,10 @@ def test_construction_by_position_keyword_and_default():
             Resolution(*args, **kwargs)
 
 
-def test_dict_default_is_fresh_per_record():
-    a = ConstantReport("K", "grid", F(1), None, None)
-    b = ConstantReport("K", "grid", F(1), None, None)
-    a.details["cells"] = 1
-    assert b.details == {} and ConstantReport.details == {}
-    # a dict given to the constructor is kept as it is
+def test_dict_field_is_kept_as_given():
+    # a report's details have no default: both producers pass their own
+    with pytest.raises(TypeError):
+        ConstantReport("K", "grid", F(1), None, None)
     details = {"lattice_points": 8}
     assert ConstantReport("K", "grid", F(1), None, None, details).details is details
     assert ConstantReport("K", "grid", F(1), None, witness=None,

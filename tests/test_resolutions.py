@@ -13,7 +13,7 @@ from unclab.resolutions import (Resolution, bracket, build_rademacher,
                                 choose_multiplicities,
                                 explore_orthogonal_family, longest_chain,
                                 mutual_bracket, pattern_embeds,
-                                rademacher_bound, rademacher_family,
+                                rademacher_bounds, rademacher_family,
                                 repeat_resolution, ris_condition)
 
 H = Fraction(1, 2)
@@ -332,9 +332,7 @@ def test_choose_multiplicities_greedy_minimal(k0):
 
 
 def test_rademacher_bound_frozen():
-    assert rademacher_bound(2, (1, 17), 1, 1) == Fraction(2)
-    assert rademacher_bound(2, (1, 17), 1, 2) == Fraction(127, 68)
-    assert rademacher_bound(2, (1, 17), 2, 1) == Fraction(127, 68)
+    assert rademacher_bounds(2, (1, 17)) == (Fraction(2), Fraction(127, 68))
 
 
 def test_explore_orthogonal_family_smoke():
