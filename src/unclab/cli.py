@@ -27,7 +27,7 @@ import random
 import sys
 import time
 
-from . import (__version__, constants, elton, errors, mrdemo, norms, ramsey,
+from . import (__version__, caps, constants, elton, errors, mrdemo, norms, ramsey,
                rationals, resolutions)
 from . import serialize as ser
 
@@ -133,6 +133,9 @@ def bracket_cmd(left_path, right_path, mutual):
     """Weighted matching value of two resolutions."""
     r = ser.load_resolution(ser.read_json_file(left_path), "left")
     s = ser.load_resolution(ser.read_json_file(right_path), "right")
+    # each direction fills one len(r) x len(s) DP table
+    caps.check_cap("bracket_cells", (2 if mutual else 1) * len(r) * len(s),
+                   "bracket DP cells")
     inputs = {"left": left_path, "right": right_path, "mutual": mutual}
     if mutual:
         lr, lr_wit = resolutions.bracket(r, s)
@@ -297,20 +300,24 @@ def match(maps, universe, horizon):
       arg("--seed", type=int))
 def hereditary(universe, m1, m2, mode, restrict, samples, seed):
     """Hereditariness of colour-pattern family restrictions."""
-    family = ramsey.remark_family(universe, m1, m2)
-    inputs = {"universe": universe, "m1": m1, "m2": m2, "mode": mode}
-    out = {"family_size": len(family)}
-    if restrict is not None:
-        if samples is not None or seed is not None:
-            raise errors.DomainError("--restrict excludes --samples and --seed")
-        M = sorted(_integers("--restrict", restrict))
-        inputs["restrict"] = M
-        out.update(ramsey.weakly_hereditary(family, M, mode=mode))
-    elif samples is not None:
+    if restrict is not None and (samples is not None or seed is not None):
+        raise errors.DomainError("--restrict excludes --samples and --seed")
+    if samples is not None:
         if seed is None:
             raise errors.MissingInputError("--seed is required with --samples")
         if samples < 1:
             raise errors.DomainError(f"--samples must be >= 1, got {samples}")
+    # one closure check of the family, or one per sample
+    caps.check_cap("hereditary_checks", ramsey.remark_checks(universe, m1, m2) * (samples or 1),
+                   "candidate restrictions")
+    family = ramsey.remark_family(universe, m1, m2)
+    inputs = {"universe": universe, "m1": m1, "m2": m2, "mode": mode}
+    out = {"family_size": len(family)}
+    if restrict is not None:
+        M = sorted(_integers("--restrict", restrict))
+        inputs["restrict"] = M
+        out.update(ramsey.weakly_hereditary(family, M, mode=mode))
+    elif samples is not None:
         inputs["samples"] = samples
         inputs["seed"] = seed
         rng = random.Random(seed)

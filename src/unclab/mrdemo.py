@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
+from .caps import check_cap
 from .errors import DomainError
 from .norms import Functional, NormInstance, SparseVector, eval_norm
 from .record import Record
@@ -79,6 +80,11 @@ def coded_norm_instance(blocks: list[PlacedBlock]) -> NormInstance:
 
 def mr_demo(family: list[Resolution], k: int, seed: int) -> dict:
     """Alternating-sum vs parity-split comparison report."""
+    # the eta loop brackets each ordered pair of distinct members, one
+    # |r_i| x |r_j| DP table each
+    lengths = [len(r) for r in family]
+    check_cap("bracket_cells", sum(lengths) ** 2 - sum(n * n for n in lengths),
+              "bracket DP cells")
     blocks = special_sequence(family, k, seed)
     inst = coded_norm_instance(blocks)
 

@@ -247,6 +247,30 @@ def weakly_hereditary(members, M=None, *, mode: str) -> dict:
             "checked": checked}
 
 
+def remark_checks(universe: int, m1: int, m2: int) -> int:
+    """Check remark_family's arguments; the candidate restrictions one
+    closure check of the family they give tries at most.
+
+    The family has C(universe + 1, m2 + 1) patterns when a full pattern
+    fits (universe >= m2 + 1) and none otherwise, and a pattern of at most
+    m2 + 1 entries has at most 2^(m2 + 1) candidates in either mode. As in
+    `search_matching`, each factor stops once it passes 2^15000, more than
+    any cap UNCLAB_CAPS can set, so the count is exact below every cap and
+    takes at most 15 000 steps: C(n, j) >= 2^j for j <= n/2.
+    """
+    if not (1 <= m1 < m2):
+        raise DomainError("need 1 <= m1 < m2")
+    if universe < 0:
+        raise DomainError(f"universe must be >= 0, got {universe}")
+    n, k = universe + 1, m2 + 1
+    patterns = int(k < n)
+    for j in range(1, min(k, n - k) + 1):
+        patterns = patterns * (n - j + 1) // j   # C(n, j), rising with j <= n/2
+        if patterns >> 15_000:
+            break
+    return patterns << min(k, 15_000)
+
+
 def remark_family(universe: int, m1: int = 1, m2: int = 2) -> tuple[tuple, ...]:
     """Colour patterns 2, 1 x m1, 2 x (m2 - m1) on rising supports, with all
     their truncations, in canonical order.
@@ -254,19 +278,18 @@ def remark_family(universe: int, m1: int = 1, m2: int = 2) -> tuple[tuple, ...]:
     A truncation of length t qualifies exactly when its support extends to a
     full support inside the universe (m2 + 1 - t further elements fit above),
     which makes the family closed under the truncation operation that
-    defines it. The zero truncation (empty pattern) is a member whenever any
-    full pattern fits. Lengths ascend, supports come in `combinations`
-    order, which is the order of their sorted pairs, and distinct (length,
-    support) give distinct patterns, so the family needs no dedupe or sort.
+    defines it, and empty when no full pattern fits. The zero truncation
+    (empty pattern) is a member whenever any full pattern fits. Lengths
+    ascend, supports come in `combinations` order, which is the order of
+    their sorted pairs, and distinct (length, support) give distinct
+    patterns, so the family needs no dedupe or sort.
     """
-    if not (1 <= m1 < m2):
-        raise DomainError("need 1 <= m1 < m2")
-    if universe < 0:
-        raise DomainError(f"universe must be >= 0, got {universe}")
-    check_cap("remark_universe", universe, "universe")
+    remark_checks(universe, m1, m2)
     width = m2 + 1
+    if universe < width:
+        return ()
     colours = (2,) + (1,) * m1 + (2,) * (m2 - m1)
-    out = [()] if universe >= width else []
+    out = [()]
     for t in range(1, width + 1):
         out += [tuple(zip(support, colours)) for support in combinations(range(1, universe + 1), t)
                 if universe - support[-1] >= width - t]

@@ -184,10 +184,10 @@ def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int = 1) -> Resolu
     with weight 1/(n*ns[j-1]*k0), so every used colour carries weight 1/k0.
     Level l repeats the base block k0^(l-1) times with weights scaled down,
     which preserves the colour weights. The member's self-bracket, length^2
-    DP cells, is checked against the rademacher_cells cap before building.
+    DP cells, is checked against the bracket_cells cap before building.
     """
     length = _rademacher_length(k0, ns, n, l)
-    check_cap("rademacher_cells", length * length, "bracket DP cells")
+    check_cap("bracket_cells", length * length, "bracket DP cells")
     k = k0 * k0
     pattern: list[int] = []
     alpha: list[Fraction] = []
@@ -204,11 +204,11 @@ def rademacher_family(k0: int, ns: tuple[int, ...], n: int, m: int) -> list[Reso
 
     Every member has the length n*sum(ns)*k0^(m-1), so the m*m directed
     brackets among them fill (m*length)^2 DP cells; that estimate is checked
-    against the rademacher_cells cap before any member is built.
+    against the bracket_cells cap before any member is built.
     """
     if m < 1:
         raise DomainError("need m >= 1 levels")
-    check_cap("rademacher_cells", (m * _rademacher_length(k0, ns, n, m)) ** 2,
+    check_cap("bracket_cells", (m * _rademacher_length(k0, ns, n, m)) ** 2,
               "bracket DP cells")
     return [build_rademacher(k0, ns, n * k0 ** (m - l), l) for l in range(1, m + 1)]
 
@@ -240,7 +240,9 @@ def choose_multiplicities(k0: int) -> tuple[int, ...]:
         # adding value v contributes prev_sum / v on top of fixed
         room = bound - fixed
         if room <= 0:
-            raise DomainError("greedy multiplicities stuck; constraint already violated")
+            # unreachable: each v below makes prev_sum / v < room, so fixed
+            # stays below bound and room stays positive
+            raise InternalError("greedy multiplicities stuck; constraint already violated")
         # prev_sum / v < room  <=>  v > prev_sum / room, so the least v is
         v = prev_sum * room.denominator // room.numerator + 1
         fixed += Fraction(prev_sum, v)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import unclab
@@ -348,7 +349,7 @@ def test_rademacher_k0_3_is_refused_by_its_cap():
                check=1)
     err = err_json(proc)
     assert err["kind"] == "SizeError"
-    assert err["error"] == ("rademacher_cells: bracket DP cells = "
+    assert err["error"] == ("bracket_cells: bracket DP cells = "
                             f"{(2 * 3 * 135005699) ** 2} exceeds cap 4000000 "
                             "(override with UNCLAB_CAPS)")
     assert proc.stdout == ""
@@ -522,6 +523,91 @@ def test_out_of_range_sample_counts_are_refused():
     proc = run("hereditary", "--universe", "12", "--samples", "0", "--seed", "1", check=1)
     assert proc.stdout == ""
     assert err_json(proc) == {"error": "--samples must be >= 1, got 0", "kind": "DomainError"}
+
+
+def _resolution_doc(length: int) -> dict:
+    return {"k": 1, "pattern": [1] * length, "alpha": ["1"] * length}
+
+
+def _write(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _refused(result, cap: str, cells: int, limit: int) -> bool:
+    return result.exit_code == 1 and result.stdout == "" and json.loads(result.stderr) == {
+        "error": f"{cap}: bracket DP cells = {cells} exceeds cap {limit} "
+                 "(override with UNCLAB_CAPS)", "kind": "SizeError"}
+
+
+def test_bracket_cells_bound_a_bracket_before_its_dp(tmp_path, monkeypatch, invoke_cli):
+    r = _write(tmp_path / "r.json", _resolution_doc(10))
+    s = _write(tmp_path / "s.json", _resolution_doc(12))
+    # one direction fills 10 x 12 cells, --mutual both directions
+    monkeypatch.setenv("UNCLAB_CAPS", "bracket_cells=240")
+    assert invoke_cli(["bracket", r, s, "--mutual"]).exit_code == 0
+    monkeypatch.setenv("UNCLAB_CAPS", "bracket_cells=120")
+    assert invoke_cli(["bracket", r, s]).exit_code == 0
+
+    def no_dp(*args):
+        raise AssertionError("a bracket DP ran")
+
+    monkeypatch.setattr(unclab.resolutions, "bracket", no_dp)
+    assert _refused(invoke_cli(["bracket", r, s, "--mutual"]), "bracket_cells", 240, 120)
+    monkeypatch.setenv("UNCLAB_CAPS", "bracket_cells=119")
+    assert _refused(invoke_cli(["bracket", r, s]), "bracket_cells", 120, 119)
+
+
+def test_bracket_cells_bound_mr_demo_before_its_first_bracket(tmp_path, monkeypatch,
+                                                              invoke_cli):
+    # the ordered pairs of distinct members of lengths 1200, 1200 and 1000:
+    # 3400^2 - 2 * 1200^2 - 1000^2 = 7 680 000 cells
+    family = _write(tmp_path / "family.json",
+                    [_resolution_doc(n) for n in (1200, 1200, 1000)])
+
+    def never(*args):
+        raise AssertionError("mr-demo started work")
+
+    monkeypatch.delenv("UNCLAB_CAPS", raising=False)
+    monkeypatch.setattr(unclab.mrdemo, "mutual_bracket", never)
+    monkeypatch.setattr(unclab.mrdemo, "special_sequence", never)
+    result = invoke_cli(["mr-demo", "--family", family, "--k", "4", "--seed", "0"])
+    assert _refused(result, "bracket_cells", 7_680_000, 4_000_000)
+
+
+def test_hereditary_requests_are_checked_before_the_family_is_built(monkeypatch,
+                                                                     invoke_cli):
+    def never(*args):
+        raise AssertionError("the family was built")
+
+    monkeypatch.delenv("UNCLAB_CAPS", raising=False)
+    monkeypatch.setattr(unclab.ramsey, "remark_family", never)
+    result = invoke_cli(["hereditary", "--universe", "12", "--restrict", "1,2",
+                         "--samples", "3"])
+    assert (result.exit_code, json.loads(result.stderr)) == (1, {
+        "error": "--restrict excludes --samples and --seed", "kind": "DomainError"})
+    # C(13, 3) = 286 patterns, 2^3 candidates each, once per sample
+    result = invoke_cli(["hereditary", "--universe", "12", "--samples", "100000000",
+                         "--seed", "1"])
+    assert (result.exit_code, json.loads(result.stderr)) == (1, {
+        "error": "hereditary_checks: candidate restrictions = 228800000000 exceeds cap "
+                 "10000000 (override with UNCLAB_CAPS)", "kind": "SizeError"})
+
+
+def test_oversized_requests_exit_at_once(tmp_path):
+    r = _write(tmp_path / "r.json", _resolution_doc(2001))
+    s = _write(tmp_path / "s.json", _resolution_doc(2000))
+    family = _write(tmp_path / "family.json", [_resolution_doc(1500)] * 3)
+    for args in (["bracket", r, s],
+                 ["mr-demo", "--family", family, "--k", "4", "--seed", "0"],
+                 ["hereditary", "--universe", "12", "--samples", "100000000",
+                  "--seed", "1"]):
+        start = time.perf_counter()
+        proc = run(*args, check=1)
+        assert time.perf_counter() - start < 1, args
+        assert err_json(proc)["kind"] == "SizeError" and proc.stdout == ""
+        assert err_json(proc)["error"].split(":")[0] == (
+            "hereditary_checks" if args[0] == "hereditary" else "bracket_cells")
 
 
 def test_negative_hereditary_universe_is_a_domain_error():

@@ -49,12 +49,14 @@ def test_no_unused_imports():
 
 
 def _cap_uses() -> tuple[set[str], set[str]]:
-    """The names library code passes to `check_cap` (a non-literal name as
-    its source text) and the fields it reads as `load_caps().<field>`."""
+    """The names library code passes to `check_cap`, called by name or as
+    `caps.check_cap` (a non-literal name as its source text), and the
+    fields it reads as `load_caps().<field>`."""
     checked, read = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_cap":
+            if (isinstance(node, ast.Call) and "check_cap" in (getattr(node.func, "id", None),
+                                                               getattr(node.func, "attr", None))):
                 name = node.args[0]
                 checked.add(name.value if isinstance(name, ast.Constant)
                             else ast.unparse(name))
@@ -66,7 +68,7 @@ def _cap_uses() -> tuple[set[str], set[str]]:
 
 def test_every_cap_is_checked_or_read(monkeypatch):
     assert Caps._fields == ("grid_pairs", "lp_dim", "layout_pieces", "match_pairs",
-                            "remark_universe", "rademacher_cells")
+                            "hereditary_checks", "bracket_cells")
     checked, read = _cap_uses()
     # a name that is no field would end the job in an AttributeError traceback
     assert sorted(checked - set(Caps._fields)) == []
@@ -74,7 +76,8 @@ def test_every_cap_is_checked_or_read(monkeypatch):
     assert sorted(set(Caps._fields) - checked - read) == []
     # caps that were removed are unknown names, refused like any other
     for name in ("grid_dim", "grid_points", "all_subsets_dim", "brute_universe",
-                 "orthogonal_budget", "brute_bracket", "match_universe", "layout_universe"):
+                 "orthogonal_budget", "brute_bracket", "match_universe", "layout_universe",
+                 "rademacher_cells", "remark_universe"):
         monkeypatch.setenv("UNCLAB_CAPS", f"{name}=1")
         with pytest.raises(DomainError, match="unknown cap"):
             load_caps()

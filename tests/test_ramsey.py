@@ -12,6 +12,7 @@ from unclab.ramsey import (
     MatchingWitness,
     PrefixContinuousMap,
     is_initial_segment,
+    remark_checks,
     remark_family,
     search_matching,
     validate_matching,
@@ -286,6 +287,23 @@ def test_remark_family_is_canonical_without_a_sort():
             assert list(remark_family(universe, m1, m2)) == ref, (universe, m1, m2)
 
 
+def test_remark_checks_bound_every_closure_check():
+    # C(u + 1, m2 + 1) patterns, none longer than m2 + 1 entries, so at most
+    # 2^(m2 + 1) candidate restrictions each, in either mode
+    for universe, m1, m2 in ((0, 1, 2), (2, 1, 2), (3, 1, 2), (12, 1, 2), (14, 1, 3),
+                             (9, 2, 4), (8, 3, 7)):
+        fam = remark_family(universe, m1, m2)
+        checks = remark_checks(universe, m1, m2)
+        assert checks == len(fam) << (m2 + 1), (universe, m1, m2)
+        for mode, M in itertools.product(("hereditary", "weakly"), (None, range(2, 9))):
+            assert weakly_hereditary(fam, M, mode=mode)["checked"] <= checks
+    # where no full pattern fits the family is empty, and building it
+    # makes no colour tuple; a huge request counts past every cap at once
+    assert remark_checks(5, 1, 10 ** 6) == 0 and remark_family(5, 1, 10 ** 6) == ()
+    for universe, m2 in ((10 ** 4000, 2), (40_000, 20_000), (10 ** 9, 10 ** 9 - 1)):
+        assert remark_checks(universe, 1, m2) >> 15_000
+
+
 def test_remark_family_frozen():
     fam = remark_family(12)
     # 220 full patterns + 55 + 10 truncations + the empty pattern, in
@@ -307,8 +325,6 @@ def test_remark_family_frozen():
             assert m[:t] in members
     with pytest.raises(DomainError):
         remark_family(12, m1=2, m2=2)
-    with pytest.raises(SizeError):
-        remark_family(21)
     with pytest.raises(DomainError, match=r"^universe must be >= 0, got -1$"):
         remark_family(-1)
     assert remark_family(0) == ()

@@ -290,15 +290,15 @@ def test_rademacher_cap_refuses_k0_3_before_building(monkeypatch):
         tracemalloc.stop()
     assert peak < 1 << 20   # nothing was built
     for err, cells in ((family_err, family_cells), (member_err, member_cells)):
-        assert str(err.value) == (f"rademacher_cells: bracket DP cells = {cells} "
+        assert str(err.value) == (f"bracket_cells: bracket DP cells = {cells} "
                                   "exceeds cap 4000000 (override with UNCLAB_CAPS)")
     # a count past the 4300 digits str() accepts is named by a power of two
-    with pytest.raises(SizeError, match=r"^rademacher_cells: bracket DP cells >= 2\^"):
+    with pytest.raises(SizeError, match=r"^bracket_cells: bracket DP cells >= 2\^"):
         rademacher_family(2, (1, 17), 1, 20000)
-    monkeypatch.setenv("UNCLAB_CAPS", "rademacher_cells=46655")
+    monkeypatch.setenv("UNCLAB_CAPS", "bracket_cells=46655")
     with pytest.raises(SizeError):
         rademacher_family(2, (1, 17), 1, 3)
-    monkeypatch.setenv("UNCLAB_CAPS", "rademacher_cells=46656")
+    monkeypatch.setenv("UNCLAB_CAPS", "bracket_cells=46656")
     assert len(rademacher_family(2, (1, 17), 1, 3)) == 3
 
 
