@@ -308,8 +308,8 @@ def hereditary(universe, m1, m2, mode, restrict, samples, seed):
         if samples < 1:
             raise errors.DomainError(f"--samples must be >= 1, got {samples}")
     # one closure check of the family, or one per sample
-    caps.check_cap("hereditary_checks", ramsey.remark_checks(universe, m1, m2) * (samples or 1),
-                   "candidate restrictions")
+    checks = ramsey.remark_checks(universe, m1, m2) * (samples or 1)
+    caps.check_cap("hereditary_checks", checks, "candidate restrictions")
     family = ramsey.remark_family(universe, m1, m2)
     inputs = {"universe": universe, "m1": m1, "m2": m2, "mode": mode}
     out = {"family_size": len(family)}

@@ -284,7 +284,7 @@ def remark_family(universe: int, m1: int = 1, m2: int = 2) -> tuple[tuple, ...]:
     their sorted pairs, and distinct (length, support) give distinct
     patterns, so the family needs no dedupe or sort.
     """
-    remark_checks(universe, m1, m2)
+    remark_checks(universe, m1, m2)   # the argument checks
     width = m2 + 1
     if universe < width:
         return ()

@@ -5,7 +5,8 @@ with class-level defaults for the trailing ones; `_fields` lists their
 names. A record is built from its fields by position or by keyword, and
 `__post_init__` runs last, so a subclass validates its fields there.
 Records are frozen: the constructor writes the fields into the instance
-dict, and every assignment raises AttributeError. Records compare, hash and print by their fields.
+dict, and every assignment raises AttributeError. Records compare, hash
+and print by their fields.
 """
 
 
