@@ -261,17 +261,13 @@ def test_exit_code_4_schema(tmp_path):
     missing.write_text('{"pattern": [1]}')
     proc = run("bracket", str(missing), fx("resolution_s.json"), check=4)
     assert err_json(proc)["kind"] == "SchemaError"
-
-
-def test_a_vector_document_is_an_object(tmp_path):
     # a vector is {"entries": [...]}; the bare list of entries is refused
     bare = tmp_path / "bare.json"
-    bare.write_text(json.dumps(json.loads(open(fx("vector_a.json")).read())["entries"]))
+    bare.write_text(json.dumps(ser.read_json_file(fx("vector_a.json"))["entries"]))
     proc = run("norm", "--instance", fx("norm_summing4.json"), "--vector", str(bare),
                check=4)
     assert err_json(proc) == {"error": "vector: expected an object, got list",
                               "kind": "SchemaError"}
-    assert proc.stdout == ""
 
 
 def test_exit_code_1_domain_and_caps():
