@@ -20,7 +20,7 @@ class Caps(Record):
     lp_dim: int = 14                # max instance dim for compute_constant fractional_lp
     layout_pieces: int = 1_000_000  # max pieces one structured_dp call builds
     match_pairs: int = 10_000_000   # max (L, block) pairs 2^u max(C(u, depth), 1) of a match scan
-    hereditary_checks: int = 10_000_000  # max candidate restrictions of a hereditary request
+    hereditary_checks: int = 10_000_000  # max candidates and drawn numbers of a hereditary request
     bracket_cells: int = 4_000_000  # max bracket DP cells of a bracket, mr-demo or rademacher request
 
 

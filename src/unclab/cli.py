@@ -27,8 +27,8 @@ import random
 import sys
 import time
 
-from . import (__version__, caps, constants, elton, errors, mrdemo, norms, ramsey,
-               rationals, resolutions)
+from . import (__version__, constants, elton, errors, mrdemo, norms, ramsey, rationals,
+               resolutions)
 from . import serialize as ser
 
 
@@ -133,9 +133,7 @@ def bracket_cmd(left_path, right_path, mutual):
     """Weighted matching value of two resolutions."""
     r = ser.load_resolution(ser.read_json_file(left_path), "left")
     s = ser.load_resolution(ser.read_json_file(right_path), "right")
-    # each direction fills one len(r) x len(s) DP table
-    caps.check_cap("bracket_cells", (2 if mutual else 1) * len(r) * len(s),
-                   "bracket DP cells")
+    resolutions.check_bracket_cells((2 if mutual else 1) * len(r) * len(s))
     inputs = {"left": left_path, "right": right_path, "mutual": mutual}
     if mutual:
         lr, lr_wit = resolutions.bracket(r, s)
@@ -307,9 +305,7 @@ def hereditary(universe, m1, m2, mode, restrict, samples, seed):
             raise errors.MissingInputError("--seed is required with --samples")
         if samples < 1:
             raise errors.DomainError(f"--samples must be >= 1, got {samples}")
-    # one closure check of the family, or one per sample
-    checks = ramsey.remark_checks(universe, m1, m2) * (samples or 1)
-    caps.check_cap("hereditary_checks", checks, "candidate restrictions")
+    ramsey.check_hereditary(universe, m1, m2, samples)
     family = ramsey.remark_family(universe, m1, m2)
     inputs = {"universe": universe, "m1": m1, "m2": m2, "mode": mode}
     out = {"family_size": len(family)}

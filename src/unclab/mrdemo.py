@@ -18,11 +18,10 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
-from .caps import check_cap
 from .errors import DomainError
 from .norms import Functional, NormInstance, SparseVector, eval_norm
 from .record import Record
-from .resolutions import Resolution, mutual_bracket
+from .resolutions import Resolution, check_bracket_cells, mutual_bracket
 
 MAX_BLOCKS = 32
 
@@ -83,8 +82,7 @@ def mr_demo(family: list[Resolution], k: int, seed: int) -> dict:
     # the eta loop brackets each ordered pair of distinct members, one
     # |r_i| x |r_j| DP table each
     lengths = [len(r) for r in family]
-    check_cap("bracket_cells", sum(lengths) ** 2 - sum(n * n for n in lengths),
-              "bracket DP cells")
+    check_bracket_cells(sum(lengths) ** 2 - sum(n * n for n in lengths))
     blocks = special_sequence(family, k, seed)
     inst = coded_norm_instance(blocks)
 

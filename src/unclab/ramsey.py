@@ -271,6 +271,16 @@ def remark_checks(universe: int, m1: int, m2: int) -> int:
     return patterns << min(k, 15_000)
 
 
+def check_hereditary(universe: int, m1: int, m2: int, samples: int | None) -> None:
+    """Refuse a `hereditary` request past the hereditary_checks cap before
+    its family is built: one closure check of the family, or one per
+    sample, each also counted for the up to universe + 1 numbers a sample
+    draws and sorts, so an empty family does not admit any universe or
+    any number of samples."""
+    checks = (remark_checks(universe, m1, m2) + universe + 1) * (samples or 1)
+    check_cap("hereditary_checks", checks, "candidates and drawn numbers")
+
+
 def remark_family(universe: int, m1: int = 1, m2: int = 2) -> tuple[tuple, ...]:
     """Colour patterns 2, 1 x m1, 2 x (m2 - m1) on rising supports, with all
     their truncations, in canonical order.

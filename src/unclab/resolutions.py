@@ -101,6 +101,12 @@ def longest_chain(patterns: list[tuple[int, ...]], k: int) -> list[int]:
     return chain
 
 
+def check_bracket_cells(cells: int) -> None:
+    """Refuse a request whose bracket DPs fill more than the bracket_cells
+    cap, before the first runs: a bracket of r and s fills |r| x |s| cells."""
+    check_cap("bracket_cells", cells, "bracket DP cells")
+
+
 def bracket(r: Resolution, s: Resolution) -> tuple[Fraction, list[tuple[int, int]]]:
     """[r, s] with a lex-first optimal matching witness (1-indexed pairs)."""
     if r.k != s.k:
@@ -187,7 +193,7 @@ def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int = 1) -> Resolu
     DP cells, is checked against the bracket_cells cap before building.
     """
     length = _rademacher_length(k0, ns, n, l)
-    check_cap("bracket_cells", length * length, "bracket DP cells")
+    check_bracket_cells(length * length)
     k = k0 * k0
     pattern: list[int] = []
     alpha: list[Fraction] = []
@@ -208,8 +214,7 @@ def rademacher_family(k0: int, ns: tuple[int, ...], n: int, m: int) -> list[Reso
     """
     if m < 1:
         raise DomainError("need m >= 1 levels")
-    check_cap("bracket_cells", (m * _rademacher_length(k0, ns, n, m)) ** 2,
-              "bracket DP cells")
+    check_bracket_cells((m * _rademacher_length(k0, ns, n, m)) ** 2)
     return [build_rademacher(k0, ns, n * k0 ** (m - l), l) for l in range(1, m + 1)]
 
 

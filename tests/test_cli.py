@@ -582,12 +582,20 @@ def test_hereditary_requests_are_checked_before_the_family_is_built(monkeypatch,
                          "--samples", "3"])
     assert (result.exit_code, json.loads(result.stderr)) == (1, {
         "error": "--restrict excludes --samples and --seed", "kind": "DomainError"})
-    # C(13, 3) = 286 patterns, 2^3 candidates each, once per sample
+    # C(13, 3) = 286 patterns, 2^3 candidates each, and 13 numbers a sample
+    # draws at most, once per sample
     result = invoke_cli(["hereditary", "--universe", "12", "--samples", "100000000",
                          "--seed", "1"])
     assert (result.exit_code, json.loads(result.stderr)) == (1, {
-        "error": "hereditary_checks: candidate restrictions = 228800000000 exceeds cap "
-                 "10000000 (override with UNCLAB_CAPS)", "kind": "SizeError"})
+        "error": "hereditary_checks: candidates and drawn numbers = 230100000000 "
+                 "exceeds cap 10000000 (override with UNCLAB_CAPS)", "kind": "SizeError"})
+    # an empty family (u < m2 + 1) still counts the numbers its samples draw
+    for universe, m2, samples, checks in (("100000000", "100000000", "1", 100000001),
+                                          ("2", "2", "100000000", 300000000)):
+        result = invoke_cli(["hereditary", "--universe", universe, "--m2", m2,
+                             "--samples", samples, "--seed", "1"])
+        assert json.loads(result.stderr)["error"].startswith(
+            f"hereditary_checks: candidates and drawn numbers = {checks} exceeds"), universe
 
 
 def test_oversized_requests_exit_at_once(tmp_path):
@@ -597,6 +605,10 @@ def test_oversized_requests_exit_at_once(tmp_path):
     for args in (["bracket", r, s],
                  ["mr-demo", "--family", family, "--k", "4", "--seed", "0"],
                  ["hereditary", "--universe", "12", "--samples", "100000000",
+                  "--seed", "1"],
+                 ["hereditary", "--universe", "100000000", "--m2", "100000000",
+                  "--samples", "1", "--seed", "1"],
+                 ["hereditary", "--universe", "2", "--samples", "100000000",
                   "--seed", "1"]):
         start = time.perf_counter()
         proc = run(*args, check=1)
