@@ -202,8 +202,8 @@ def _grid_search(inst: NormInstance, query: ConstantQuery, step: Fraction) -> Co
     )
 
 
-def compute_constant(inst: NormInstance, query: ConstantQuery,
-                     method: str = "grid", step: Fraction | None = None) -> ConstantReport:
+def compute_constant(inst: NormInstance, query: ConstantQuery, method: str,
+                     step: Fraction | None = None) -> ConstantReport:
     """The mode's constant by the grid (step defaults to DEFAULT_STEP) or
     by the fractional LP, which takes no step."""
     if method == "grid":

@@ -64,8 +64,8 @@ class NormInstance(Record):
     include_sup: bool
 
     @staticmethod
-    def build(dim: int, functionals, projection_class: str = "initial_segments",
-              include_sup: bool = True) -> "NormInstance":
+    def build(dim: int, functionals, projection_class: str,
+              include_sup: bool) -> "NormInstance":
         if dim < 1:
             raise DomainError(f"dim must be >= 1, got {dim}")
         if projection_class not in PROJECTION_CLASSES:

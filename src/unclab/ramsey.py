@@ -125,9 +125,9 @@ def validate_matching(w: MatchingWitness) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
-def search_matching(pmap: PrefixContinuousMap, universe: int,
-                    horizon: int | None = None) -> dict:
-    """First matched pair (L, M) of sets of size >= horizon with L != M.
+def search_matching(pmap: PrefixContinuousMap, universe: int, horizon: int | None) -> dict:
+    """First matched pair (L, M) of sets of size >= horizon with L != M;
+    the horizon is at least the map depth, which None stands for.
 
     The scan is exhaustive and deterministic: L by ascending bitmask over
     {1..universe}, then the leading block of M in lexicographic order,
@@ -200,9 +200,9 @@ def search_matching(pmap: PrefixContinuousMap, universe: int,
 # (length, pairs).
 
 
-def weakly_hereditary(members, M=None, *, mode: str) -> dict:
+def weakly_hereditary(members, M, *, mode: str) -> dict:
     """Closure check for the restriction family F_M of the patterns in
-    members, with a counterexample.
+    members (M None: the members themselves), with a counterexample.
 
     mode "hereditary": every pattern obtained from a member by zeroing some
     entries must stay in the family. mode "weakly": only single-colour
@@ -281,7 +281,7 @@ def check_hereditary(universe: int, m1: int, m2: int, samples: int | None) -> No
     check_cap("hereditary_checks", checks, "candidates and drawn numbers")
 
 
-def remark_family(universe: int, m1: int = 1, m2: int = 2) -> tuple[tuple, ...]:
+def remark_family(universe: int, m1: int, m2: int) -> tuple[tuple, ...]:
     """Colour patterns 2, 1 x m1, 2 x (m2 - m1) on rising supports, with all
     their truncations, in canonical order.
 

@@ -161,13 +161,6 @@ def mutual_bracket(r: Resolution, s: Resolution) -> Fraction:
     return max(bracket(r, s)[0], bracket(s, r)[0])
 
 
-def repeat_resolution(r: Resolution, m: int) -> Resolution:
-    """m concatenated copies of r with weights divided by m."""
-    if m < 1:
-        raise DomainError(f"repeat count must be >= 1, got {m}")
-    return Resolution(r.k, r.pattern * m, tuple(a / m for a in r.alpha) * m)
-
-
 def _rademacher_length(k0: int, ns: tuple[int, ...], n: int, l: int) -> int:
     """Check build_rademacher's arguments; the length of the member they give."""
     if k0 < 2:
@@ -183,26 +176,25 @@ def _rademacher_length(k0: int, ns: tuple[int, ...], n: int, l: int) -> int:
     return n * sum(ns) * k0 ** (l - 1)
 
 
-def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int = 1) -> Resolution:
+def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int) -> Resolution:
     """Level-l Rademacher resolution for colour base k0 and multiplicities ns.
 
     Base block: colour j*k0 appears n*ns[j-1] times (colours ascending), each
     with weight 1/(n*ns[j-1]*k0), so every used colour carries weight 1/k0.
-    Level l repeats the base block k0^(l-1) times with weights scaled down,
-    which preserves the colour weights. The member's self-bracket, length^2
+    Level l repeats the base block k0^(l-1) times with weights divided by
+    k0^(l-1), which preserves the colour weights. The member's self-bracket, length^2
     DP cells, is checked against the bracket_cells cap before building.
     """
     length = _rademacher_length(k0, ns, n, l)
     check_bracket_cells(length * length)
-    k = k0 * k0
+    copies = k0 ** (l - 1)
     pattern: list[int] = []
     alpha: list[Fraction] = []
     for j in range(1, k0 + 1):
         count = n * ns[j - 1]
         pattern.extend([j * k0] * count)
-        alpha.extend([Fraction(1, n * ns[j - 1] * k0)] * count)
-    base = Resolution(k, tuple(pattern), tuple(alpha))
-    return repeat_resolution(base, k0 ** (l - 1)) if l > 1 else base
+        alpha.extend([Fraction(1, count * k0 * copies)] * count)
+    return Resolution(k0 * k0, tuple(pattern) * copies, tuple(alpha) * copies)
 
 
 def rademacher_family(k0: int, ns: tuple[int, ...], n: int, m: int) -> list[Resolution]:

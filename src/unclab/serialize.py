@@ -40,8 +40,6 @@ def to_jsonable(obj):
         return [to_jsonable(x) for x in obj]
     if isinstance(obj, Record):
         return {name: to_jsonable(getattr(obj, name)) for name in obj._fields}
-    if isinstance(obj, float):
-        raise DomainError("refusing to serialize a float; use exact rationals")
     raise InternalError(f"cannot serialize a value of type {type(obj).__name__}")
 
 
@@ -81,13 +79,9 @@ def _as_int_list(value, where: str) -> list[int]:
 
 
 def load_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SchemaError(f"{where}: rationals must be strings or integers")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise SchemaError(f"{where}: expected a rational, got {value!r}")
+    if not isinstance(value, str):
+        raise SchemaError(f"{where}: expected a rational string, got {value!r}")
+    return parse_rational(value)
 
 
 def load_resolution(data, where: str = "resolution") -> resolutions.Resolution:

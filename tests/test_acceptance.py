@@ -225,14 +225,14 @@ def test_criterion_6(capsys):
         # every mode sees the fully unconditional instance as 1
         l1 = build_standard("l1", 3)
         for mode in MODES:
-            rep = compute_constant(l1, _mode_query(mode), step=F(1, 2))
+            rep = compute_constant(l1, _mode_query(mode), "grid", step=F(1, 2))
             assert rep.value_lower == 1, mode
         # the conditional reference separates: witnessed lower bounds of 2
         s4 = build_standard("summing", 4)
         for mode, kw in [("C_uncond", {}), ("K", {"delta": F(1)}),
                          ("BOU", {"D": F(1), "d": F(1)}), ("A", {"delta": F(1, 2)})]:
             q = ConstantQuery(mode, **kw)
-            rep = compute_constant(s4, q, step=F(1, 2))
+            rep = compute_constant(s4, q, "grid", step=F(1, 2))
             assert rep.value_lower >= 2, mode
             assert verify_witness(s4, q, rep.witness) == rep.value_lower
         # restricted searches never beat the free ones
@@ -247,9 +247,9 @@ def test_criterion_6(capsys):
                 fams.append(Functional.from_pairs(entries))
             inst = NormInstance.build(
                 dim, fams,
-                rng.choice(["initial_segments", "intervals", "all_subsets"]))
+                rng.choice(["initial_segments", "intervals", "all_subsets"]), True)
             delta = rng.choice(deltas)
-            vals = {m: compute_constant(inst, ConstantQuery(m, delta=delta),
+            vals = {m: compute_constant(inst, ConstantQuery(m, delta=delta), "grid",
                                         step=F(1, 2)).value_lower
                     for m in ("K", "L", "Kprime", "Lprime")}
             assert vals["L"] <= vals["K"], (trial, vals)
@@ -334,7 +334,7 @@ def test_criterion_8(capsys):
             res = search_matching(pmap, 12, horizon=4)
             assert res["found"], name
             assert validate_matching(res["witness"])["ok"], name
-        fam = remark_family(12)
+        fam = remark_family(12, 1, 2)
         rng = random.Random(7)
         for s in range(20):
             L = sorted(rng.sample(range(1, 13), rng.randint(8, 12)))

@@ -268,6 +268,13 @@ def test_exit_code_4_schema(tmp_path):
                check=4)
     assert err_json(proc) == {"error": "vector: expected an object, got list",
                               "kind": "SchemaError"}
+    # a rational inside a document is a string: a JSON integer is refused
+    ints = tmp_path / "ints.json"
+    ints.write_text(json.dumps({"entries": [{"i": 1, "v": 1}]}))
+    proc = run("norm", "--instance", fx("norm_summing4.json"), "--vector", str(ints),
+               check=4)
+    assert err_json(proc) == {"error": "vector[0].v: expected a rational string, got 1",
+                              "kind": "SchemaError"}
 
 
 def test_exit_code_1_domain_and_caps():

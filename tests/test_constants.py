@@ -104,9 +104,9 @@ def test_summing4_lower_bounds():
         assert rep.details["lattice_points"] == 5**4 - 1
         assert verify_witness(inst, query, rep.witness) == rep.value_lower
     # mode-specific witness extras survive the round trip
-    bou = compute_constant(inst, q("BOU", D=F(1), d=F(1)), step=F(1, 2))
+    bou = compute_constant(inst, q("BOU", D=F(1), d=F(1)), "grid", step=F(1, 2))
     assert bou.witness.decomposition is not None
-    qg = compute_constant(inst, q("quasi_greedy"), step=F(1, 2))
+    qg = compute_constant(inst, q("quasi_greedy"), "grid", step=F(1, 2))
     assert qg.witness.threshold is not None
 
 
@@ -117,7 +117,7 @@ def test_restricted_variants_never_exceed_free_ones():
     for delta in (F(1, 4), F(1, 2), F(3, 4), F(1)):
         vals = {}
         for mode in ("K", "L", "Kprime", "Lprime"):
-            rep = compute_constant(inst, q(mode, delta=delta), step=F(1, 4))
+            rep = compute_constant(inst, q(mode, delta=delta), "grid", step=F(1, 4))
             vals[mode] = rep.value_lower
         assert vals["L"] <= vals["K"]
         assert vals["Lprime"] <= vals["Kprime"]
@@ -251,7 +251,7 @@ def test_method_and_step_validation():
     for step in (F(1, 8), F(1, 2), F(2, 3)):
         with pytest.raises(DomainError, match="grid method only"):
             compute_constant(inst, q("C_uncond"), method="fractional_lp", step=step)
-    rep = compute_constant(inst, q("C_uncond"))
+    rep = compute_constant(inst, q("C_uncond"), "grid")
     assert rep.method == f"grid(step={DEFAULT_STEP})" == "grid(step=1/8)"
 
 
@@ -265,7 +265,8 @@ def test_grid_dim_cap():
         compute_constant(build_standard("linf", 7), q("C_uncond"), method="grid",
                          step=F(1, 2))
     # a huge dim is refused at once, its count named by a power of two
-    huge = NormInstance.build(10 ** 7, [SparseVector.from_pairs([(1, 1)])])
+    huge = NormInstance.build(10 ** 7, [SparseVector.from_pairs([(1, 1)])],
+                              "initial_segments", True)
     with pytest.raises(SizeError, match=r"^grid_pairs: \(point, E\) pairs >= 2\^23218 exceeds"):
         compute_constant(huge, q("C_uncond"), method="grid", step=F(1))
 

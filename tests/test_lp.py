@@ -127,7 +127,8 @@ def test_lp_path_imports_no_sympy():
             "from unclab.constants import ConstantQuery, compute_constant\n"
             "from unclab.norms import Functional, NormInstance\n"
             "summing3 = NormInstance.build(3, [Functional.from_pairs(\n"
-            "    (i, 1) for i in range(1, m + 1)) for m in range(1, 4)])\n"
+            "    (i, 1) for i in range(1, m + 1)) for m in range(1, 4)],\n"
+            "    'initial_segments', True)\n"
             "rep = compute_constant(summing3, ConstantQuery('C_uncond'),\n"
             "                       method='fractional_lp')\n"
             "print(rep.value_lower, 'sympy' in sys.modules)\n")

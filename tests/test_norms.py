@@ -46,24 +46,24 @@ def test_functional_is_sparse_vector():
 
 def test_build_closure_under_negation():
     f = Functional.from_pairs([(1, F1)])
-    inst = NormInstance.build(2, [f])
+    inst = NormInstance.build(2, [f], "initial_segments", True)
     assert len(inst.functionals) == 2
     assert inst.functionals[1].entries == ((1, Fraction(-1)),)
     # negation-closed input family is not doubled
-    inst2 = NormInstance.build(2, [f, vscale(-1, f)])
+    inst2 = NormInstance.build(2, [f, vscale(-1, f)], "initial_segments", True)
     assert len(inst2.functionals) == 2
 
 
 def test_build_validation():
     f = Functional.from_pairs([(3, F1)])
     with pytest.raises(DomainError):
-        NormInstance.build(2, [f])
+        NormInstance.build(2, [f], "initial_segments", True)
     with pytest.raises(DomainError):
-        NormInstance.build(0, [])
+        NormInstance.build(0, [], "initial_segments", True)
     with pytest.raises(DomainError):
-        NormInstance.build(2, [], projection_class="rows")
+        NormInstance.build(2, [], "rows", True)
     # all_subsets evaluation is linear in the dim, so no dim is refused
-    assert NormInstance.build(23, [], projection_class="all_subsets").dim == 23
+    assert NormInstance.build(23, [], "all_subsets", True).dim == 23
 
 
 def test_summing_frozen():
@@ -142,7 +142,7 @@ def test_norm_axioms_summing(seed):
     rng = random.Random(seed)
     instances = [build_standard("summing", 4)] + [
         NormInstance.build(4, [rand_sparse(rng, 4) for _ in range(rng.randint(1, 3))],
-                           projection_class)
+                           projection_class, True)
         for projection_class in PROJECTION_CLASSES]
     u = rand_sparse(rng, 4)
     v = rand_sparse(rng, 4)

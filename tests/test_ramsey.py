@@ -124,7 +124,7 @@ def test_search_family_a_frozen(map_a):
     assert "inconclusive" in rep["note"]
     assert validate_matching(rep["witness"])["ok"]
     # default horizon is the map depth
-    rep = search_matching(map_a, 12)
+    rep = search_matching(map_a, 12, None)
     assert rep["horizon"] == 2
     assert rep["witness"].L == (1, 2)
     assert rep["witness"].M == tuple(range(1, 13))
@@ -151,7 +151,7 @@ def test_search_reported_pair_from_small_universe(map_a):
 def test_search_constant_and_pointer_maps():
     # pointer map: every singleton prefix points at itself; the first probe
     # already glues
-    rep = search_matching(identity_map(6, 1), 6)
+    rep = search_matching(identity_map(6, 1), 6, None)
     assert rep["found"] and rep["checked"] == 1
     # constant map: prefix ignored entirely, empty component everywhere;
     # any L, M with disjoint... overlap must be empty, so M completes away
@@ -170,9 +170,9 @@ def test_search_guards(map_a):
     assert "inconclusive" in rep["note"]
     partial = PrefixContinuousMap(2, 1, {(1, 2): (frozenset({1}),)})
     with pytest.raises(SchemaError):
-        search_matching(partial, 4)
+        search_matching(partial, 4, None)
     with pytest.raises(SizeError):
-        search_matching(identity_map(4, 1), 40)  # over the match cap
+        search_matching(identity_map(4, 1), 40, None)  # over the match cap
 
 
 def test_search_cap_counts_pairs(monkeypatch):
@@ -190,15 +190,15 @@ def test_search_cap_counts_pairs(monkeypatch):
         with pytest.raises(SizeError, match="match_pairs: .* = 14057472 exceeds cap 10000000"):
             search_matching(pmap, 13, horizon=7)
     with pytest.raises(DomainError, match="universe must be >= 0"):
-        search_matching(full, -3)
+        search_matching(full, -3, None)
     monkeypatch.undo()
     # the cap is exact: 2^6 C(6, 2) = 960 pairs
     pmap = identity_map(6, 2)
     monkeypatch.setenv("UNCLAB_CAPS", "match_pairs=959")
     with pytest.raises(SizeError):
-        search_matching(pmap, 6)
+        search_matching(pmap, 6, None)
     monkeypatch.setenv("UNCLAB_CAPS", "match_pairs=960")
-    assert search_matching(pmap, 6)["found"]
+    assert search_matching(pmap, 6, None)["found"]
 
 
 def ref_search_matching(pmap, universe, horizon):
@@ -305,7 +305,7 @@ def test_remark_checks_bound_every_closure_check():
 
 
 def test_remark_family_frozen():
-    fam = remark_family(12)
+    fam = remark_family(12, 1, 2)
     # 220 full patterns + 55 + 10 truncations + the empty pattern, in
     # canonical order: by size, then by sorted entries
     assert len(fam) == 286
@@ -324,21 +324,21 @@ def test_remark_family_frozen():
         for t in range(len(m)):
             assert m[:t] in members
     with pytest.raises(DomainError):
-        remark_family(12, m1=2, m2=2)
+        remark_family(12, 2, 2)
     with pytest.raises(DomainError, match=r"^universe must be >= 0, got -1$"):
-        remark_family(-1)
-    assert remark_family(0) == ()
+        remark_family(-1, 1, 2)
+    assert remark_family(0, 1, 2) == ()
 
 
 def test_weakly_hereditary_frozen_violations():
-    fam = remark_family(12)
-    wk = weakly_hereditary(fam, mode="weakly")
+    fam = remark_family(12, 1, 2)
+    wk = weakly_hereditary(fam, None, mode="weakly")
     assert wk["hereditary"] is False
     assert wk["violation"]["a"] == ((2, 1),)
     assert wk["violation"]["b"] == ((1, 2), (2, 1))
     assert wk["violation"]["colour"] == 1
     assert wk["checked"] == 11
-    hd = weakly_hereditary(fam, mode="hereditary")
+    hd = weakly_hereditary(fam, None, mode="hereditary")
     assert hd["hereditary"] is False
     assert hd["violation"]["a"] == ((2, 1),)
     assert hd["violation"]["b"] == ((1, 2), (2, 1))
@@ -348,16 +348,16 @@ def test_weakly_hereditary_frozen_violations():
     sub = weakly_hereditary(fam, M=range(2, 13), mode="hereditary")
     assert sub["hereditary"] is False
     with pytest.raises(DomainError):
-        weakly_hereditary(fam, mode="strongly")
+        weakly_hereditary(fam, None, mode="strongly")
 
 
 def test_weakly_hereditary_positive_families():
     # full power set of colourings of {1, 2} with one colour, empty included
     members = [(), ((1, 1),), ((2, 1),), ((1, 1), (2, 1))]
-    assert weakly_hereditary(members, mode="hereditary")["hereditary"] is True
-    assert weakly_hereditary(members, mode="weakly")["hereditary"] is True
+    assert weakly_hereditary(members, None, mode="hereditary")["hereditary"] is True
+    assert weakly_hereditary(members, None, mode="weakly")["hereditary"] is True
     lone = ((),)
-    assert weakly_hereditary(lone, mode="weakly")["hereditary"] is True
+    assert weakly_hereditary(lone, None, mode="weakly")["hereditary"] is True
 
 
 def test_hereditary_closure_implies_weakly():
@@ -375,8 +375,8 @@ def test_hereditary_closure_implies_weakly():
         for s in seedlings:
             for r in range(len(s) + 1):
                 closed.update(itertools.combinations(s, r))
-        assert weakly_hereditary(closed, mode="hereditary")["hereditary"] is True
-        assert weakly_hereditary(closed, mode="weakly")["hereditary"] is True
+        assert weakly_hereditary(closed, None, mode="hereditary")["hereditary"] is True
+        assert weakly_hereditary(closed, None, mode="weakly")["hereditary"] is True
 
 
 # -------------------------------------------------------------------- loaders

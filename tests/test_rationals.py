@@ -21,7 +21,7 @@ def test_parse_rejects():
     for bad in ("1/0", "", "  ", "a/b", "1.5", "1/2/3", "/3", "5/"):
         with pytest.raises(RationalFormatError):
             parse_rational(bad)
-    # literals are strings; serialize.load_rational reads a JSON int itself
+    # literals are strings, in documents too (serialize.load_rational)
     for bad in (3, 1.5, None):
         with pytest.raises(RationalFormatError, match="expected rational string"):
             parse_rational(bad)

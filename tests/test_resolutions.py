@@ -14,7 +14,7 @@ from unclab.resolutions import (Resolution, bracket, build_rademacher,
                                 explore_orthogonal_family, longest_chain,
                                 mutual_bracket, pattern_embeds,
                                 rademacher_bounds, rademacher_family,
-                                repeat_resolution, ris_condition)
+                                ris_condition)
 
 H = Fraction(1, 2)
 
@@ -236,17 +236,6 @@ def test_mutual_symmetry():
         assert m == max(bracket(r, s)[0], bracket(s, r)[0])
 
 
-def test_repeat_resolution():
-    r = Resolution(2, (1, 2), (H, H))
-    rr = repeat_resolution(r, 3)
-    assert rr.pattern == (1, 2) * 3
-    assert rr.alpha == (Fraction(1, 6),) * 6
-    assert rr.total_weight() == r.total_weight()
-    assert all(colour_weight(rr, j) == colour_weight(r, j) for j in (1, 2))
-    with pytest.raises(DomainError):
-        repeat_resolution(r, 0)
-
-
 def test_build_rademacher_base():
     r = build_rademacher(2, (1, 17), 1, 1)
     assert len(r) == 18 and r.k == 4
@@ -254,9 +243,12 @@ def test_build_rademacher_base():
     assert r.pattern.count(2) == 1 and r.pattern.count(4) == 17
     assert colour_weight(r, 2) == H and colour_weight(r, 4) == H
     assert r.alpha[0] == H and r.alpha[1] == Fraction(1, 34)
-    lvl2 = build_rademacher(2, (1, 17), 1, 2)
-    assert len(lvl2) == 36
-    assert all(colour_weight(lvl2, j) == colour_weight(r, j) for j in range(1, 5))
+    # level l repeats the base block k0^(l-1) times, weights divided alike
+    lvl3 = build_rademacher(2, (1, 17), 1, 3)
+    assert lvl3.pattern == r.pattern * 4
+    assert lvl3.alpha == tuple(a / 4 for a in r.alpha) * 4
+    assert lvl3.total_weight() == r.total_weight()
+    assert all(colour_weight(lvl3, j) == colour_weight(r, j) for j in range(1, 5))
     with pytest.raises(DomainError):
         build_rademacher(1, (1,), 1, 1)
     with pytest.raises(DomainError):
