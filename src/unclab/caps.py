@@ -17,7 +17,7 @@ from .record import Record
 
 class Caps(Record):
     grid_pairs: int = 1_000_000     # max (point, E) pairs ((4s+1)^dim - 1)/2 of a grid at step 1/s
-    lp_dim: int = 14                # max instance dim for compute_constant fractional_lp
+    lp_cells: int = 20_000          # max estimated LP cells of a fractional_lp constant
     layout_pieces: int = 1_000_000  # max pieces one structured_dp call builds
     match_pairs: int = 10_000_000   # max (L, block) pairs 2^u max(C(u, depth), 1) of a match scan
     hereditary_checks: int = 10_000_000  # max candidates and drawn numbers of a hereditary request

@@ -19,22 +19,24 @@ from . import schreier
 from .caps import check_cap
 from .constants import GRID_ONLY, ConstantQuery, ConstantReport, ConstantWitness
 from .errors import DomainError
-from .norms import NormInstance, SparseVector, _projections, eval_norm
+from .norms import NormInstance, SparseVector, eval_norm
 from .rationals import _subsets
 
 
 def _linear_pieces(inst: NormInstance):
     """Linear forms whose max is the instance norm (negations included),
     possibly repeated or empty; `_dedupe_forms` keeps the first nonempty
-    one of each."""
+    one of each. A functional restricted to a segment or interval keeps a
+    run of its entries, so those classes take the runs that start at its
+    first entry, or at any, in the order of the sets they come from."""
     for f in inst.functionals:
-        form = f.as_dict()
         if inst.projection_class == "all_subsets":
-            projections = _subsets(f.support)
-        else:
-            projections = _projections(inst)
-        for E in projections:
-            yield _restrict_form(form, E)
+            form = f.as_dict()
+            yield from (_restrict_form(form, E) for E in _subsets(f.support))
+            continue
+        n = len(f.entries)
+        for a in range(n if inst.projection_class == "intervals" else 1):
+            yield from (dict(f.entries[a:b]) for b in range(a + 1, n + 1))
     if inst.include_sup:
         for i in range(1, inst.dim + 1):
             yield {i: Fraction(1)}
@@ -175,15 +177,40 @@ def _lp_cells(inst: NormInstance, query: ConstantQuery, pieces):
                     yield E, [num], rows + [(feasible, 0)], None
 
 
+def _check_cells(inst: NormInstance, mode: str) -> None:
+    """Refuse a request past the lp_cells cap before any piece is built, by
+    a bound on the cells `_lp_cells` yields: the numerator forms P (at
+    least 1, as the walk over E costs even with none) times the mode's
+    (support, E, signs) choices g. P counts |f|
+    pieces per functional f on initial segments, |f|(|f|+1)/2 on intervals
+    and 2^|f| - 1 on all subsets, and two per coordinate for the sup term.
+    g is 2^dim - 1 (C_uncond, schreier), 3^dim - 1 (K, Kprime, A: signs on
+    E) or 5^dim - 3^dim (L, Lprime: signs on the support). Kstar counts
+    |F| (2^dim - 1). Each power stops past 2^15000, more than any cap
+    UNCLAB_CAPS can set."""
+    d = min(inst.dim, 15_000)
+    if mode == "Kstar":
+        cells = len(inst.functionals) * (2 ** d - 1)
+    else:
+        pieces = {"initial_segments": lambda k: k, "intervals": lambda k: k * (k + 1) // 2,
+                  "all_subsets": lambda k: 2 ** min(k, 15_000) - 1}[inst.projection_class]
+        forms = (sum(pieces(len(f.entries)) for f in inst.functionals)
+                 + 2 * inst.dim * inst.include_sup)
+        choices = (2 ** d - 1 if mode in ("C_uncond", "schreier")
+                   else 5 ** d - 3 ** d if mode in ("L", "Lprime") else 3 ** d - 1)
+        cells = max(forms, 1) * choices
+    check_cap("lp_cells", cells, "LP cells")
+
+
 def _lp_search(inst: NormInstance, query: ConstantQuery) -> ConstantReport:
-    check_cap("lp_dim", inst.dim, "instance dim")
     if query.mode in GRID_ONLY:
         raise DomainError(f"mode {query.mode} supports the grid method only")
+    _check_cells(inst, query.mode)
     nvars = inst.dim + 1
-    pieces = _dedupe_forms(_linear_pieces(inst))
-    den_forms = pieces
-    if query.mode == "Kstar":
-        den_forms = _dedupe_forms(f.as_dict() for f in inst.functionals)
+    if query.mode == "Kstar":   # its cells read no piece of the norm
+        pieces = den_forms = _dedupe_forms(f.as_dict() for f in inst.functionals)
+    else:
+        pieces = den_forms = _dedupe_forms(_linear_pieces(inst))
     value_form = query.mode in ("Kprime", "Lprime")
     if value_form:
         # ||a|| <= 1 turns the ratio into a plain LP

@@ -98,11 +98,13 @@ def _scaled_functionals(inst: NormInstance) -> tuple[int, list[tuple[tuple[int, 
     return L, [tuple((i - 1, next(it)) for i, _ in f.entries) for f in inst.functionals]
 
 
-def _scaled_vector(v: SparseVector, dim: int) -> tuple[int, list[int]]:
-    """v over its common denominator s: s, and the dense ints x with
-    x[i - 1] = s * v_i."""
+def _scaled_vector(v: SparseVector, funcs) -> tuple[int, list[int]]:
+    """v over its common denominator s: s, and the ints x with x[i - 1] =
+    s * v_i, as long as the largest coordinate v or the scaled family
+    funcs touches."""
     s, ints = _common_denominator([val for _, val in v.entries])
-    x = [0] * dim
+    x = [0] * max([f[-1][0] + 1 for f in funcs if f] + [i for i, _ in v.entries[-1:]],
+                  default=0)
     for (i, _), n in zip(v.entries, ints):
         x[i - 1] = n
     return s, x
@@ -145,20 +147,32 @@ def _scaled_norm(inst: NormInstance, L: int, funcs, x) -> int:
 def eval_norm(inst: NormInstance, v: SparseVector) -> Fraction:
     inst._check_vector(v)
     L, funcs = _scaled_functionals(inst)
-    s, x = _scaled_vector(v, inst.dim)
+    s, x = _scaled_vector(v, funcs)
     return Fraction(_scaled_norm(inst, L, funcs, x), s * L)
 
 
-def _projections(inst: NormInstance):
-    # segments and intervals only: all_subsets callers take their own sets
-    if inst.projection_class == "initial_segments":
-        for t in range(0, inst.dim + 1):
-            yield tuple(range(1, t + 1))
-    elif inst.projection_class == "intervals":
-        yield ()
-        for s in range(1, inst.dim + 1):
-            for t in range(s, inst.dim + 1):
-                yield tuple(range(s, t + 1))
+def _first_projection(f, x, target: int, intervals: bool) -> tuple[int, ...]:
+    """The first initial segment, or interval, in dual_certificate's order on
+    which the scaled functional f sums to target against x.
+
+    The empty set comes first in either order. Otherwise, as the sums change
+    only at f's own coordinates, the first attaining set ends on one of them
+    and starts at 1 or just after one of them; the scan tries those
+    O(|f|^2) candidates in (start, end) order."""
+    if target == 0:
+        return ()
+    run, ends = 0, []
+    for i, c in f:
+        run += c * x[i]
+        ends.append((i + 1, run))
+    # the k-th start is 1, or just after the (k-1)-th coordinate, and below
+    # is the sum up to it; the ends from the k-th coordinate on follow it
+    starts = [(1, 0)] + ([(end + 1, below) for end, below in ends] if intervals else [])
+    for k, (start, below) in enumerate(starts):
+        for end, total in ends[k:]:
+            if total - below == target:
+                return tuple(range(start, end + 1))
+    raise InternalError("functional max not attained by any projection")
 
 
 class Certificate(Record):
@@ -182,18 +196,17 @@ def dual_certificate(inst: NormInstance, v: SparseVector) -> Certificate:
     if not v.entries:
         return Certificate(Fraction(0), "zero")
     L, funcs = _scaled_functionals(inst)
-    s, x = _scaled_vector(v, inst.dim)
+    s, x = _scaled_vector(v, funcs)
     target = _scaled_norm(inst, L, funcs, x)
     norm = Fraction(target, s * L)
     for fi, f in enumerate(funcs):
         if _functional_best(f, x, inst.projection_class) != target:
             continue
         if inst.projection_class == "all_subsets":
-            return Certificate(norm, "functional", fi, tuple(i + 1 for i, c in f if c * x[i] > 0))
-        for E in _projections(inst):
-            if sum(c * x[i] for i, c in f if i + 1 in E) == target:
-                return Certificate(norm, "functional", fi, E)
-        raise InternalError("functional max not attained by any projection")
+            E = tuple(i + 1 for i, c in f if c * x[i] > 0)
+        else:
+            E = _first_projection(f, x, target, inst.projection_class == "intervals")
+        return Certificate(norm, "functional", fi, E)
     for i, val in v.entries:
         if abs(val) == norm:
             return Certificate(norm, "sup", coordinate=i)

@@ -208,6 +208,15 @@ def class_sets(inst) -> list[tuple[int, ...]]:
     return [tuple(range(1, t + 1)) for t in range(inst.dim + 1)]
 
 
+def first_projection(inst, f, v, value) -> tuple[int, ...]:
+    """The first set E of the instance's projection class, in class_sets
+    order, with f(P_E v) = value: the enumeration that dual_certificate's
+    scan of segments and intervals replaces."""
+    av = v.as_dict()
+    return next(E for E in class_sets(inst)
+                if sum((c * av.get(i, 0) for i, c in f.entries if i in E), Fraction(0)) == value)
+
+
 def brute_norm(inst, v) -> Fraction:
     """||v|| from the definition, in Fractions: the sup term and f(P_E v) for
     every functional f and every E of the projection class."""

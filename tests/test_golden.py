@@ -41,7 +41,8 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import (apply, brute_norm, brute_oscillation, child_env, class_sets,
-                      kstar_denominator, min_split, restrict, verify_witness)
+                      first_projection, kstar_denominator, min_split, restrict,
+                      verify_witness)
 from unclab import cli
 from unclab import serialize as ser
 from unclab.constants import ConstantQuery
@@ -208,7 +209,7 @@ def check_norm_report(report: dict) -> None:
         if inst.projection_class == "all_subsets":
             E = [i for i, c in f.entries if c * av.get(i, 0) > 0]
         else:
-            E = list(next(S for S in sets if apply(f, restrict(v, S).as_dict()) == value))
+            E = list(first_projection(inst, f, v, value))
         want.update(kind="functional", functional_index=attaining[0], projection=E)
     elif v.entries:
         want.update(kind="sup", coordinate=next(i for i, x in v.entries if abs(x) == value))

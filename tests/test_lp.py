@@ -1,17 +1,26 @@
 """The exact simplex behind the LP method, against independent oracles."""
 
 import itertools
+import json
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import child_env
+from conftest import build_standard, child_env, class_sets
+from unclab import serialize as ser
+from unclab.caps import Caps
+from unclab.constants import GRID_ONLY, MODES, ConstantQuery, compute_constant
+from unclab.errors import SizeError
 from unclab.lp import _lp_max
+from unclab.norms import PROJECTION_CLASSES, NormInstance, SparseVector
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def dot(form, x):
@@ -136,3 +145,77 @@ def test_lp_path_imports_no_sympy():
                           text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2", "False"]
+
+
+def enumerated_cells(inst, mode) -> int:
+    """The lp_cells bound by enumeration: per functional f, the distinct
+    nonempty sets E cap supp f over the projection class, plus two sup
+    forms per coordinate (at least one form), times the mode's choices of
+    support S, nonempty E and signs; Kstar takes one form per point row."""
+    coords = range(1, inst.dim + 1)
+    subsets = [frozenset(E) for r in range(inst.dim + 1)
+               for E in itertools.combinations(coords, r)]
+    nonempty = subsets[1:]
+    if mode == "Kstar":
+        return len(inst.functionals) * len(nonempty)
+    forms = sum(len({frozenset(E) & set(f.support) for E in class_sets(inst)} - {frozenset()})
+                for f in inst.functionals) + 2 * inst.dim * inst.include_sup
+    if mode in ("C_uncond", "schreier"):
+        choices = len(nonempty)
+    elif mode in ("L", "Lprime"):   # signs on all of S
+        choices = sum(2 ** len(S) for S in subsets for E in nonempty if E <= S)
+    else:                           # signs on E
+        choices = sum(2 ** len(E) for E in nonempty)
+    return max(forms, 1) * choices
+
+
+def lp_query(mode, rng):
+    if mode == "schreier":
+        return ConstantQuery(mode, order=rng.randint(1, 2))
+    if mode == "C_uncond":
+        return ConstantQuery(mode)
+    return ConstantQuery(mode, delta=rng.choice([F(1, 4), F(1, 2), F(1)]))
+
+
+def counted_cells(monkeypatch, inst, query) -> str:
+    """The count an lp_cells refusal names, read with the cap at 0."""
+    monkeypatch.setenv("UNCLAB_CAPS", "lp_cells=0")
+    with pytest.raises(SizeError) as err:
+        compute_constant(inst, query, "fractional_lp")
+    monkeypatch.delenv("UNCLAB_CAPS")
+    assert str(err.value).endswith(" exceeds cap 0 (override with UNCLAB_CAPS)")
+    return str(err.value).split(" exceeds")[0]
+
+
+def test_lp_cells_bound_the_cells_before_any_piece(monkeypatch):
+    # the bound equals its enumeration on seeded instances of dim 1-4 in
+    # every class and LP mode, and is at least the cells solved at dim 1-2
+    # (Kstar's are pinned by its golden)
+    rng = random.Random(35)
+    lp_modes = [m for m in MODES if m not in GRID_ONLY]
+    for trial in range(48):
+        dim = 1 + trial % 4
+        funcs = [SparseVector.from_pairs(
+            (i, F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3)))
+            for i in sorted(rng.sample(range(1, dim + 1), rng.randint(1, dim))))
+            for _ in range(rng.randint(1, 3))]
+        inst = NormInstance.build(dim, funcs, PROJECTION_CLASSES[trial // 4 % 3], True)
+        for mode in lp_modes:
+            query = lp_query(mode, rng)
+            want = enumerated_cells(inst, mode)
+            assert counted_cells(monkeypatch, inst, query) == f"lp_cells: LP cells = {want}"
+            # a Kstar cloud need not span, so its LP may refuse the instance
+            if dim <= 2 and mode != "Kstar":
+                cells = compute_constant(inst, query, "fractional_lp").details["cells"]
+                assert cells <= want, (trial, mode)
+    # every LP golden, the kernel sweep's K on summing 4 and K on summing 5
+    # at delta 1/2 stay inside the default cap
+    requests = [(ser.load_norm_instance(ser.read_json_file(ROOT / rep["inputs"]["instance"])),
+                 rep["inputs"]["mode"], rep["details"]["cells"])
+                for rep in (json.loads(path.read_text())
+                            for path in sorted((ROOT / "tests" / "golden").glob("*_lp.stdout")))]
+    assert len(requests) == 5
+    requests += [(build_standard("summing", 4), "K", 704), (build_standard("summing", 5), "K", 2756)]
+    for inst, mode, cells in requests:
+        assert cells <= enumerated_cells(inst, mode) <= Caps().lp_cells, mode
+    assert enumerated_cells(build_standard("summing", 5), "K") == 9680

@@ -67,7 +67,7 @@ def _cap_uses() -> tuple[set[str], set[str]]:
 
 
 def test_every_cap_is_checked_or_read(monkeypatch):
-    assert Caps._fields == ("grid_pairs", "lp_dim", "layout_pieces", "match_pairs",
+    assert Caps._fields == ("grid_pairs", "lp_cells", "layout_pieces", "match_pairs",
                             "hereditary_checks", "bracket_cells")
     checked, read = _cap_uses()
     # a name that is no field would end the job in an AttributeError traceback
@@ -77,7 +77,7 @@ def test_every_cap_is_checked_or_read(monkeypatch):
     # caps that were removed are unknown names, refused like any other
     for name in ("grid_dim", "grid_points", "all_subsets_dim", "brute_universe",
                  "orthogonal_budget", "brute_bracket", "match_universe", "layout_universe",
-                 "rademacher_cells", "remark_universe"):
+                 "rademacher_cells", "remark_universe", "lp_dim"):
         monkeypatch.setenv("UNCLAB_CAPS", f"{name}=1")
         with pytest.raises(DomainError, match="unknown cap"):
             load_caps()

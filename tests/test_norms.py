@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unclab
-from conftest import (apply, brute_norm, build_standard, rand_sparse, restrict, sup_norm, vadd,
-                      vscale)
+from conftest import (apply, brute_norm, build_standard, first_projection, rand_sparse, restrict,
+                      sup_norm, vadd, vscale)
 from unclab.errors import DomainError
 from unclab.norms import (PROJECTION_CLASSES, Functional, NormInstance,
                           SparseVector, dual_certificate, eval_norm)
@@ -215,3 +217,61 @@ def test_eval_norm_equals_brute_force(data):
     want = brute_norm(inst, v)
     assert eval_norm(inst, v) == want
     assert dual_certificate(inst, v).value == want
+
+
+def test_projection_scan_equals_the_enumeration():
+    # seeded segment and interval instances, dims 1-9, with small values so
+    # that ties are common; each attaining functional's first set from the
+    # scan must equal the first set of the class enumeration
+    rng = random.Random(35)
+    values = [Fraction(x) for x in (-2, -1, 1, 2)] + [Fraction(1, 2)]
+    attaining = 0
+    for trial in range(24_000):
+        dim = 1 + trial % 9
+        cls = ("initial_segments", "intervals")[trial // 9 % 2]
+
+        def draw(k):
+            coords = sorted(rng.sample(range(1, dim + 1), rng.randint(1, min(k, dim))))
+            return SparseVector.from_pairs((i, rng.choice(values)) for i in coords)
+
+        inst = NormInstance.build(dim, [draw(6) for _ in range(rng.randint(1, 2))], cls,
+                                  rng.random() < 0.2)
+        v = draw(dim)
+        cert = dual_certificate(inst, v)
+        if cert.kind != "functional":
+            continue
+        attaining += 1
+        f = inst.functionals[cert.functional_index]
+        assert cert.projection == first_projection(inst, f, v, cert.value), (trial, inst, v)
+    assert attaining >= 20_000
+
+
+def test_interval_certificate_scales_with_the_entries():
+    # the first attaining interval starts at dim / 2, after every interval
+    # that starts earlier has been ruled out: the enumeration of all
+    # intervals took seconds at dim 800
+    dim = 4000
+    half = dim // 2
+    f = Functional.from_pairs([(half - 1, F1), (half, F1)])
+    inst = NormInstance.build(dim, [f], "intervals", False)
+    v = SparseVector.from_pairs([(half - 1, -F1), (half, F1)])
+    start = time.perf_counter()
+    cert = dual_certificate(inst, v)
+    assert time.perf_counter() - start < 1
+    assert (cert.value, cert.functional_index, cert.projection) == (1, 0, (half,))
+
+
+def test_norm_memory_follows_the_touched_coordinates():
+    # a one-entry instance at dim 10^7: the dense vector covers coordinate 1
+    inst = NormInstance.build(10 ** 7, [Functional.from_pairs([(1, F1)])],
+                              "initial_segments", True)
+    v = SparseVector.from_pairs([(1, Fraction(1, 2))])
+    tracemalloc.start()
+    try:
+        value = eval_norm(inst, v)
+        cert = dual_certificate(inst, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert value == cert.value == Fraction(1, 2) and cert.projection == (1,)
