@@ -160,6 +160,7 @@ def rademacher(k0, m, n, ns, auto_ns):
     if (ns is None) == (not auto_ns):
         raise errors.DomainError("give exactly one of --ns or --auto-ns")
     if auto_ns:
+        resolutions.check_rademacher_family(k0, None, n, m)
         ns = resolutions.choose_multiplicities(k0)
     else:
         ns = _integers("--ns", ns)

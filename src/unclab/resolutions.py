@@ -161,19 +161,29 @@ def mutual_bracket(r: Resolution, s: Resolution) -> Fraction:
     return max(bracket(r, s)[0], bracket(s, r)[0])
 
 
-def _rademacher_length(k0: int, ns: tuple[int, ...], n: int, l: int) -> int:
-    """Check build_rademacher's arguments; the length of the member they give."""
+def _rademacher_length(k0: int, ns: tuple[int, ...] | None, n: int, l: int) -> int:
+    """Check build_rademacher's arguments; the length of the member they
+    give, n * sum(ns) * k0^(l-1). For ns None, the greedy multiplicities not
+    yet chosen, it is a lower bound: their second is 2^(k0^2) + 1, so their
+    sum is at least 2^(k0^2) + 2. As in `search_matching`, each power stops
+    past 2^15000, more than any cap UNCLAB_CAPS can set: k0^e passes it at
+    e = ceil(15000 / (bits of k0 - 1)), so even a k0 of 4300 digits costs
+    no time."""
     if k0 < 2:
         raise DomainError("k0 must be >= 2")
     if l < 1:
         raise DomainError(f"level must be >= 1, got {l}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if len(ns) != k0:
+    if ns is None:
+        total = (1 << min(k0 * k0, 15_000)) + 2
+    elif len(ns) != k0:
         raise DomainError(f"need {k0} multiplicities, got {len(ns)}")
-    if any(x < 1 for x in ns):
+    elif any(x < 1 for x in ns):
         raise DomainError("multiplicities must be positive")
-    return n * sum(ns) * k0 ** (l - 1)
+    else:
+        total = sum(ns)
+    return n * total * k0 ** min(l - 1, -(-15_000 // (k0.bit_length() - 1)))
 
 
 def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int) -> Resolution:
@@ -197,16 +207,20 @@ def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int) -> Resolution
     return Resolution(k0 * k0, tuple(pattern) * copies, tuple(alpha) * copies)
 
 
-def rademacher_family(k0: int, ns: tuple[int, ...], n: int, m: int) -> list[Resolution]:
-    """One member per level l = 1..m, with multiplicity n*k0^(m-l).
-
-    Every member has the length n*sum(ns)*k0^(m-1), so the m*m directed
-    brackets among them fill (m*length)^2 DP cells; that estimate is checked
-    against the bracket_cells cap before any member is built.
-    """
+def check_rademacher_family(k0: int, ns: tuple[int, ...] | None, n: int, m: int) -> None:
+    """Refuse a family of m levels past the bracket_cells cap before any
+    member, or with ns None any multiplicity, is built: every member has
+    the length n*sum(ns)*k0^(m-1), so the m*m directed brackets among them
+    fill (m*length)^2 DP cells."""
     if m < 1:
         raise DomainError("need m >= 1 levels")
     check_bracket_cells((m * _rademacher_length(k0, ns, n, m)) ** 2)
+
+
+def rademacher_family(k0: int, ns: tuple[int, ...], n: int, m: int) -> list[Resolution]:
+    """One member per level l = 1..m, with multiplicity n*k0^(m-l), checked
+    by `check_rademacher_family` first."""
+    check_rademacher_family(k0, ns, n, m)
     return [build_rademacher(k0, ns, n * k0 ** (m - l), l) for l in range(1, m + 1)]
 
 

@@ -352,8 +352,10 @@ def test_rademacher_k0_3_is_refused_by_its_cap():
                check=1)
     err = err_json(proc)
     assert err["kind"] == "SizeError"
+    # refused before the greedy runs, by its least sum 2^9 + 2 (the chosen
+    # multiplicities sum to 135 005 699)
     assert err["error"] == ("bracket_cells: bracket DP cells = "
-                            f"{(2 * 3 * 135005699) ** 2} exceeds cap 4000000 "
+                            f"{(2 * 3 * (2 ** 9 + 2)) ** 2} exceeds cap 4000000 "
                             "(override with UNCLAB_CAPS)")
     assert proc.stdout == ""
 
@@ -609,20 +611,30 @@ def test_oversized_requests_exit_at_once(tmp_path):
     r = _write(tmp_path / "r.json", _resolution_doc(2001))
     s = _write(tmp_path / "s.json", _resolution_doc(2000))
     family = _write(tmp_path / "family.json", [_resolution_doc(1500)] * 3)
-    for args in (["bracket", r, s],
-                 ["mr-demo", "--family", family, "--k", "4", "--seed", "0"],
-                 ["hereditary", "--universe", "12", "--samples", "100000000",
-                  "--seed", "1"],
-                 ["hereditary", "--universe", "100000000", "--m2", "100000000",
-                  "--samples", "1", "--seed", "1"],
-                 ["hereditary", "--universe", "2", "--samples", "100000000",
-                  "--seed", "1"]):
+    # an all-ones functional over initial segments at dim 12: 196 560 LP cells
+    ones = _write(tmp_path / "ones.json", {
+        "dim": 12, "projection_class": "initial", "include_sup": True,
+        "functionals": [[{"i": i, "v": "1"} for i in range(1, 13)]]})
+    for args, cap in ((["bracket", r, s], "bracket_cells"),
+                      (["mr-demo", "--family", family, "--k", "4", "--seed", "0"],
+                       "bracket_cells"),
+                      (["rademacher", "--k0", "12", "--m", "1", "--n", "1", "--auto-ns"],
+                       "bracket_cells"),
+                      (["rademacher", "--k0", "2", "--ns", "1,17", "--m", "1000000000",
+                        "--n", "1"], "bracket_cells"),
+                      (["constant", "--instance", ones, "--mode", "C_uncond", "--method", "lp"],
+                       "lp_cells"),
+                      (["hereditary", "--universe", "12", "--samples", "100000000",
+                        "--seed", "1"], "hereditary_checks"),
+                      (["hereditary", "--universe", "100000000", "--m2", "100000000",
+                        "--samples", "1", "--seed", "1"], "hereditary_checks"),
+                      (["hereditary", "--universe", "2", "--samples", "100000000",
+                        "--seed", "1"], "hereditary_checks")):
         start = time.perf_counter()
         proc = run(*args, check=1)
         assert time.perf_counter() - start < 1, args
         assert err_json(proc)["kind"] == "SizeError" and proc.stdout == ""
-        assert err_json(proc)["error"].split(":")[0] == (
-            "hereditary_checks" if args[0] == "hereditary" else "bracket_cells")
+        assert err_json(proc)["error"].split(":")[0] == cap, args
 
 
 def test_negative_hereditary_universe_is_a_domain_error():

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import brute_bracket, colour_weight, rand_resolution
 from unclab.errors import DomainError, SizeError
 from unclab.resolutions import (Resolution, bracket, build_rademacher,
-                                choose_multiplicities,
+                                check_rademacher_family, choose_multiplicities,
                                 explore_orthogonal_family, longest_chain,
                                 mutual_bracket, pattern_embeds,
                                 rademacher_bounds, rademacher_family,
@@ -292,6 +293,28 @@ def test_rademacher_cap_refuses_k0_3_before_building(monkeypatch):
         rademacher_family(2, (1, 17), 1, 3)
     monkeypatch.setenv("UNCLAB_CAPS", "bracket_cells=46656")
     assert len(rademacher_family(2, (1, 17), 1, 3)) == 3
+
+
+def test_auto_family_is_checked_before_the_greedy(monkeypatch):
+    # the greedy's second multiplicity is 2^(k0^2) + 1, so every greedy sum
+    # is at least 2^(k0^2) + 2, with equality at k0 = 2
+    for k0 in (2, 3, 4):
+        ns = choose_multiplicities(k0)
+        assert ns[1] == 2 ** (k0 * k0) + 1 and sum(ns) >= 2 ** (k0 * k0) + 2
+    assert sum(choose_multiplicities(2)) == 2 ** 4 + 2
+    # so the k0 = 2, m = 3 family of length 72 counts (3 * 72)^2 cells either way
+    monkeypatch.setenv("UNCLAB_CAPS", "bracket_cells=46655")
+    for ns in (None, (1, 17)):
+        with pytest.raises(SizeError, match=r"= 46656 exceeds"):
+            check_rademacher_family(2, ns, 1, 3)
+    monkeypatch.delenv("UNCLAB_CAPS")
+    check_rademacher_family(2, None, 1, 3)
+    # each power stops past 2^15000, so a huge request is refused at once
+    start = time.perf_counter()
+    for k0, ns, m in ((14, None, 1), (10 ** 4000, None, 20_000), (2, (1, 17), 10 ** 9)):
+        with pytest.raises(SizeError, match=r"^bracket_cells: bracket DP cells >= 2\^"):
+            check_rademacher_family(k0, ns, 1, m)
+    assert time.perf_counter() - start < 1
 
 
 def test_choose_multiplicities_frozen():
