@@ -181,11 +181,11 @@ def _check_cells(inst: NormInstance, mode: str) -> None:
     """Refuse a request past the lp_cells cap before any piece is built, by
     a bound on the cells `_lp_cells` yields: the numerator forms P (at
     least 1, as the walk over E costs even with none) times the mode's
-    (support, E, signs) choices g. P counts |f|
-    pieces per functional f on initial segments, |f|(|f|+1)/2 on intervals
-    and 2^|f| - 1 on all subsets, and two per coordinate for the sup term.
-    g is 2^dim - 1 (C_uncond, schreier), 3^dim - 1 (K, Kprime, A: signs on
-    E) or 5^dim - 3^dim (L, Lprime: signs on the support). Kstar counts
+    (support, E, signs) choices g. P counts |f| pieces per functional f on
+    initial segments, |f|(|f|+1)/2 on intervals and 2^|f| - 1 on all
+    subsets, and two per coordinate for the sup term. g is 2^dim - 1
+    (C_uncond, schreier), 3^dim - 1 (K, Kprime, A: signs on E) or
+    5^dim - 3^dim (L, Lprime: signs on the support). Kstar counts
     |F| (2^dim - 1). Each power stops past 2^15000, more than any cap
     UNCLAB_CAPS can set."""
     d = min(inst.dim, 15_000)

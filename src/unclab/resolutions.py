@@ -192,8 +192,9 @@ def build_rademacher(k0: int, ns: tuple[int, ...], n: int, l: int) -> Resolution
     Base block: colour j*k0 appears n*ns[j-1] times (colours ascending), each
     with weight 1/(n*ns[j-1]*k0), so every used colour carries weight 1/k0.
     Level l repeats the base block k0^(l-1) times with weights divided by
-    k0^(l-1), which preserves the colour weights. The member's self-bracket, length^2
-    DP cells, is checked against the bracket_cells cap before building.
+    k0^(l-1), which preserves the colour weights. The member's
+    self-bracket, length^2 DP cells, is checked against the bracket_cells
+    cap before building.
     """
     length = _rademacher_length(k0, ns, n, l)
     check_bracket_cells(length * length)

@@ -225,18 +225,18 @@ def test_projection_scan_equals_the_enumeration():
     # scan must equal the first set of the class enumeration
     rng = random.Random(35)
     values = [Fraction(x) for x in (-2, -1, 1, 2)] + [Fraction(1, 2)]
+
+    def draw(dim, k):
+        coords = sorted(rng.sample(range(1, dim + 1), rng.randint(1, min(k, dim))))
+        return SparseVector.from_pairs((i, rng.choice(values)) for i in coords)
+
     attaining = 0
     for trial in range(24_000):
         dim = 1 + trial % 9
         cls = ("initial_segments", "intervals")[trial // 9 % 2]
-
-        def draw(k):
-            coords = sorted(rng.sample(range(1, dim + 1), rng.randint(1, min(k, dim))))
-            return SparseVector.from_pairs((i, rng.choice(values)) for i in coords)
-
-        inst = NormInstance.build(dim, [draw(6) for _ in range(rng.randint(1, 2))], cls,
+        inst = NormInstance.build(dim, [draw(dim, 6) for _ in range(rng.randint(1, 2))], cls,
                                   rng.random() < 0.2)
-        v = draw(dim)
+        v = draw(dim, dim)
         cert = dual_certificate(inst, v)
         if cert.kind != "functional":
             continue
